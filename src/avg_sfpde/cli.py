@@ -39,7 +39,7 @@ from .reporting import (
 KNOWN_KEYS = {
     "experiment": {"kind", "preset", "eps_grid", "d_grid", "delta_grid", "paths",
                    "d_rule", "constant_xi", "eps", "trials"},
-    "stepper": {"dt", "T", "k", "k_w", "seed", "scheme"},
+    "stepper": {"dt", "T", "k", "k_w", "seed"},
     "output": {"output_dir", "format", "threads"},
 }
 

@@ -175,22 +175,15 @@ POINTWISE_MAPS = {
     "zero": lambda v: np.zeros_like(v),
 }
 
-# scalar (libm) twins, the single source of truth for scalar states
-SCALAR_MAPS = {
-    "identity": lambda s: s,
-    "sin_sqrt_abs": lambda s: math.sin(math.sqrt(abs(s))),
-    "cos_sqrt_abs": lambda s: math.cos(math.sqrt(abs(s))),
-    "zero": lambda s: 0.0,
-}
+def pow_or_inf(base, exponent: float):
+    """base ** exponent elementwise, with overflow mapped to inf (so the
+    blow-up guard, not an exception, handles runaway states).
 
-
-def pow_or_inf(base: float, exponent: float) -> float:
-    """base ** exponent with overflow mapped to inf (so the blow-up guard,
-    not an exception, handles runaway states)."""
-    try:
-        return float(base) ** exponent
-    except OverflowError:
-        return math.inf
+    float_power runs libm's pow, so a row of a batch gets the same bits as
+    the Python float expression ``base ** exponent``.
+    """
+    with np.errstate(over="ignore"):
+        return np.float_power(base, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +296,26 @@ class CoefficientSet:
         return self.dim if k_w is None else min(k_w, self.dim)
 
     # -- functional composition (single source of truth) ---------------------
-    def compose_drift(self, head_values: np.ndarray, delay_value: float,
-                      seminorm_value: float = 0.0) -> np.ndarray:
+    def compose_drift(self, head_values: np.ndarray, delay_value,
+                      seminorm_value=0.0) -> np.ndarray:
         """F(phi) in state coordinates, given grid values of phi(0) (fields)
         or the scalar state (dim 1), the delay-term value, and optionally the
-        history seminorm for the broken-preset term."""
+        history seminorm for the broken-preset term.
+
+        Leading axes of ``head_values`` are rows (paths): (P, m) grid values
+        give (P, k) coefficients, and the delay and seminorm values are then
+        scalars or (P,) vectors.
+        """
         d = self.drift
         extra = d.constant + d.delay_gain * delay_value
         if d.seminorm_power:
-            extra += d.seminorm_gain * pow_or_inf(seminorm_value, d.seminorm_power)
-        if self.space is None:
-            out = extra
-            if d.pointwise is not None:
-                s = float(head_values[0]) if np.ndim(head_values) else float(head_values)
-                out = out + d.pointwise_gain * SCALAR_MAPS[d.pointwise](s)
-            return np.array([out])
-        grid = np.zeros(self.space.m)
-        if d.pointwise is not None:
-            grid += d.pointwise_gain * POINTWISE_MAPS[d.pointwise](head_values)
-        if extra:
-            grid += extra
-        return self.space.to_coeffs(grid)
+            extra = extra + d.seminorm_gain * pow_or_inf(seminorm_value, d.seminorm_power)
+        extra = np.asarray(extra)[..., None]
+        if d.pointwise is None:
+            grid = np.full(np.shape(head_values), extra)
+        else:
+            grid = extra + d.pointwise_gain * POINTWISE_MAPS[d.pointwise](head_values)
+        return grid if self.space is None else self.space.to_coeffs(grid)
 
     def _delay_value(self, buf: HistoryBuffer, t: float) -> float:
         d = self.drift
@@ -347,18 +339,23 @@ class CoefficientSet:
     def diffusion_amplitude(self, buf: HistoryBuffer, t: float | None = None) -> np.ndarray:
         """G(phi) as an array: shape (1,) scalar amplitude, (k,) rank-one field
         coefficients, or (k_w,) diagonal amplitudes."""
+        kind = self.diffusion.kind
+        head = None if kind == "diagonal" else buf.value_at(buf.head_time if t is None else t)
+        values = self.space.to_values(head) if kind == "pointwise_field" else None
+        return self.diffusion_from_values(head, values)
+
+    def diffusion_from_values(self, head: np.ndarray, values: np.ndarray | None) -> np.ndarray:
+        """G(phi) amplitudes from the head state and, for the rank-one field
+        kind, its grid values.  Leading axes are rows (paths); the diagonal
+        amplitudes are state independent and shared by every row."""
         g = self.diffusion
-        t = buf.head_time if t is None else t
         if g.kind == "diagonal":
             modes = np.arange(1, self.dim + 1, dtype=float)
             return g.gain / modes**g.decay
-        head = buf.value_at(t)
         if g.kind == "scalar":
-            amp = g.gain
-            if g.pointwise is not None:
-                amp = amp * SCALAR_MAPS[g.pointwise](float(head[0]))
-            return np.array([amp])
-        values = self.space.to_values(head)
+            if g.pointwise is None:
+                return np.full(np.shape(head), g.gain)
+            return g.gain * POINTWISE_MAPS[g.pointwise](head)
         mapped = POINTWISE_MAPS[g.pointwise](values) if g.pointwise is not None \
             else np.ones_like(values)
         return g.gain * self.space.to_coeffs(mapped)
@@ -368,16 +365,13 @@ class CoefficientSet:
         return float(np.linalg.norm(amplitude))
 
     def apply_noise(self, amplitude: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """G(phi) dW in state coordinates."""
-        g = self.diffusion
-        if g.kind == "diagonal":
-            out = np.zeros(self.dim)
-            n = min(len(dW), len(amplitude))
-            out[:n] = amplitude[:n] * dW[:n]
+        """G(phi) dW in state coordinates; leading axes of dW are rows."""
+        if self.diffusion.kind == "diagonal":
+            n = dW.shape[-1]
+            out = np.zeros(dW.shape[:-1] + (self.dim,))
+            out[..., :n] = amplitude[..., :n] * dW
             return out
-        if g.kind == "scalar":
-            return amplitude * dW[0]
-        return amplitude * dW[0]
+        return amplitude * dW[..., :1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Monte Carlo studies: averaging convergence, block-freezing diagnostic,
 continuity in initial data, and the hypothesis audit.
 
-Each study runs coupled or single paths with path-indexed counter-based
-noise, merges statistics in path order (so worker count never affects the
-result), fits a weighted log-log slope where one is defined, and emits an
-ExperimentReport with a verdict and a full metadata echo.
+Each study steps its paths in fixed-size chunks with path-indexed
+counter-based noise, merges statistics in path order (so neither the worker
+count nor the number of paths affects a path's result), fits a weighted
+log-log slope where one is defined, and emits an ExperimentReport with a
+verdict and a full metadata echo.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .coefficients import (
 from .delay import ConstantTail, HistoryBuffer
 from .integrator import (
     AVERAGED,
+    CHUNK,
     BlowUpError,
     PathRunner,
     StepperConfig,
-    coupled_run,
     khasminskii_freeze,
-    normal_block,
 )
 from .presets import Preset, constant_xi, get_preset
 from .spectral import coercivity_probe
@@ -56,7 +56,6 @@ class SweepPlan:
     k_w: int | None = None
     seed: int = 0
     threads: int = 1
-    scheme: str = "semi_implicit_linear"
     constant_xi: bool = False
 
     def __post_init__(self):
@@ -119,6 +118,26 @@ def _map_paths(fn, n_paths: int, threads: int):
         return list(ex.map(fn, range(n_paths)))
 
 
+def _map_chunks(fn, paths: int, threads: int):
+    """Per-path results in path order, computed a chunk at a time.
+
+    ``fn(first, count)`` steps the chunk of CHUNK paths that starts at path id
+    ``first`` and returns the results of its first ``count`` paths; whole
+    chunks go to the thread pool, which gets no more workers than chunks.
+    """
+    starts = range(0, paths, CHUNK)
+    chunks = _map_paths(lambda i: fn(starts[i], min(CHUNK, paths - starts[i])),
+                        len(starts), min(threads, len(starts)))
+    return [r for chunk in chunks for r in chunk]
+
+
+def _raise_first(errors):
+    """Re-raise the first blow-up of a chunk's paths, in path order."""
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def _row_stats(values, param, d, n_paths, censored, extra=None):
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
@@ -164,8 +183,7 @@ def _build_configs(preset: Preset, plan: SweepPlan, eps):
     dt = plan.dt if plan.dt is not None else preset.dt
     T = plan.T if plan.T is not None else preset.T
     k_w = plan.k_w if plan.k_w is not None else preset.k_w
-    cfg_eps = StepperConfig(dt=dt, T=T, scheme=plan.scheme, noise_modes=k_w,
-                            seed=plan.seed, eps=eps)
+    cfg_eps = StepperConfig(dt=dt, T=T, noise_modes=k_w, seed=plan.seed, eps=eps)
     cfg_avg = replace(cfg_eps, eps=AVERAGED)
     return cfg_eps, cfg_avg
 
@@ -185,7 +203,7 @@ def _metadata(plan: SweepPlan, preset: Preset, notes=()):
             "d_rule": plan.d_rule, "dt": plan.dt if plan.dt is not None else preset.dt,
             "T": plan.T if plan.T is not None else preset.T,
             "k": plan.k, "k_w": plan.k_w if plan.k_w is not None else preset.k_w,
-            "seed": plan.seed, "threads": plan.threads, "scheme": plan.scheme,
+            "seed": plan.seed, "threads": plan.threads,
             "constant_xi": plan.constant_xi,
         },
         "version": __version__,
@@ -210,16 +228,14 @@ def averaging_sweep(plan: SweepPlan) -> ExperimentReport:
     for j, eps in enumerate(plan.eps_grid):
         cfg_eps, cfg_avg = _build_configs(preset, plan, eps)
 
-        def one_path(pid):
-            try:
-                _, _, sup_err = coupled_run(op, cs, cfg_eps, cfg_avg,
-                                            shared_seed=plan.seed, path_id=pid,
-                                            initial=init)
-                return sup_err
-            except BlowUpError as exc:
-                return exc
+        def one_chunk(first, count):
+            runner = PathRunner(op, cs, cfg_eps, init, path_id=first)
+            runner.couple(cfg_avg, init)
+            runner.run()
+            return [err if err is not None else float(sup)
+                    for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
 
-        outcomes = _map_paths(one_path, plan.paths, plan.threads)
+        outcomes = _map_chunks(one_chunk, plan.paths, plan.threads)
         blew = [o for o in outcomes if isinstance(o, BlowUpError)]
         values = [o for o in outcomes if not isinstance(o, BlowUpError)]
         if blew and j == 0:
@@ -273,8 +289,7 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
     h = init.h
     dtv = cfg.dt
 
-    def one_path(pid):
-        traj = PathRunner(op, cs, cfg, init, path_id=pid).run()
+    def residuals(traj):
         path_res, seg_res = [], []
         for d in d_grid:
             frozen = khasminskii_freeze(traj, d)
@@ -288,7 +303,13 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
             seg_res.append(float(np.trapezoid(seg_sq, dx=dtv)))
         return path_res, seg_res
 
-    outcomes = _map_paths(one_path, paths, threads)
+    def one_chunk(first, count):
+        runner = PathRunner(op, cs, cfg, init, path_id=first)
+        traj = runner.run()
+        _raise_first(runner.blowups()[:count])
+        return [residuals(traj.row(r)) for r in range(count)]
+
+    outcomes = _map_chunks(one_chunk, paths, threads)
     rows = []
     for i, d in enumerate(d_grid):
         vals = [o[0][i] for o in outcomes]
@@ -359,15 +380,15 @@ def continuity_study(preset_name: str, delta_grid, paths: int,
         shifted = HistoryBuffer.from_tail(init.h,
                                           ConstantTail(init.tail.value + delta * psi),
                                           horizon=init.horizon)
-        k_w_eff = cs.noise_dim(cfg.noise_modes)
 
-        def one_path(pid):
-            noise = normal_block(plan.seed, pid, cfg.n_steps, k_w_eff)
-            a = PathRunner(op, cs, cfg, init, path_id=pid, noise=noise).run()
-            b = PathRunner(op, cs, cfg, shifted, path_id=pid, noise=noise).run()
-            return a.sup_sq_distance(b)
+        def one_chunk(first, count):
+            runner = PathRunner(op, cs, cfg, init, path_id=first)
+            runner.couple(cfg, shifted)
+            runner.run()
+            _raise_first(runner.blowups()[:count])
+            return [float(sup) for sup in runner.sup_sq[:count]]
 
-        vals = _map_paths(one_path, paths, threads)
+        vals = _map_chunks(one_chunk, paths, threads)
         rows.append(_row_stats(vals, delta, math.nan, paths, 0))
 
     ok, detail = _continuity_verdict(rows)

@@ -1,12 +1,16 @@
-"""Time stepping of one path: semi-implicit Euler-Maruyama with history.
+"""Time stepping of Monte Carlo paths: semi-implicit Euler-Maruyama with history.
 
 The stiff linear part of the operator (the Laplacian diagonal, or the decay
 rate of a scalar problem) is treated implicitly per mode; the functional
-drift, the nonlinearity, and the noise are explicit.  Brownian increments are
-counter-based: path (seed, path_id) keys a Philox stream, and the Gaussian at
-(step, mode) is the inverse-CDF image of the stream's raw output at a fixed
-position, so block generation, single-step generation, and coupled twin runs
-all see bit-identical numbers regardless of scheduling.
+drift, the nonlinearity, and the noise are explicit.  Paths are stepped in
+chunks of ``CHUNK`` rows held as (CHUNK, dim) arrays.  The chunk shape is a
+constant and a short last chunk is padded with further path ids, so the bits
+of a path never depend on how many paths a study runs or on how the chunks
+are spread over threads.  Brownian increments are counter-based: path
+(seed, path_id) keys a Philox stream, and the Gaussian at (step, mode) is the
+inverse-CDF image of the stream's raw output at a fixed position, so block
+generation, single-step generation, and coupled twin runs all see
+bit-identical numbers regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coefficients import (
-    SCALAR_MAPS,
     CoefficientSet,
     eval_diffusion_amplitude,
     eval_drift,
@@ -28,6 +31,8 @@ from .delay import DelayMeasure, HistoryBuffer, delay_integral
 from .spectral import PdeOperator
 
 AVERAGED = "averaged"
+CHUNK = 16              # rows per kernel call; never derived from paths or threads
+RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 
 
 class BlowUpError(RuntimeError):
@@ -80,17 +85,13 @@ def normal_at(seed: int, path_id: int, step: int, k_w: int) -> np.ndarray:
 class StepperConfig:
     dt: float
     T: float
-    scheme: str = "semi_implicit_linear"
     noise_modes: int = 1
     seed: int = 0
     eps: float | str = 1.0
-    retry_halvings: int = 4
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError("need dt > 0 and T >= dt")
-        if self.scheme not in ("explicit_em", "semi_implicit_linear"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.eps != AVERAGED and not (isinstance(self.eps, (int, float))
                                          and 0 < self.eps <= 1):
             raise ValueError("eps must lie in (0, 1] or be the 'averaged' sentinel")
@@ -121,21 +122,36 @@ class PathState:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray           # (n_steps + 1, dim)
+    states: np.ndarray           # (n_steps + 1, dim), or (n_steps + 1, CHUNK, dim)
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
+
+    def row(self, r: int) -> "Trajectory":
+        """Path r of a chunk trajectory, as a one-path trajectory."""
+        return Trajectory(self.times, np.ascontiguousarray(self.states[:, r]))
 
     def sup_sq_distance(self, other: "Trajectory") -> float:
         if self.states.shape != other.states.shape:
             raise ValueError("trajectories live on different grids")
-        d = self.states - other.states
-        return float(np.max(np.sum(d * d, axis=1)))
+        return float(np.max(_sq_distance(self.states, other.states)))
+
+
+def _sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each row (path or time) of a and b."""
+    d = a - b
+    return (d * d).sum(axis=1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # |x| for scalar states, so the delay kernel sees the exact norm
+    return np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Delay-term accumulators (O(1) per step, equal to delay_integral on the grid)
+# Delay-term accumulators: (CHUNK,) vectors, O(1) per step, equal to
+# delay_integral on the grid
 # ---------------------------------------------------------------------------
 
 class _ExpDelayAccumulator:
@@ -149,11 +165,11 @@ class _ExpDelayAccumulator:
     def __init__(self, initial: HistoryBuffer, mu: DelayMeasure, power: float, dt: float):
         self.power = power
         self.decay = math.exp(-2.0 * mu.rate * dt)
-        self.value = delay_integral(initial, 0.0, mu, power)
-        self.k_prev = np.linalg.norm(initial.head) ** power
+        self.value = np.full(CHUNK, delay_integral(initial, 0.0, mu, power))
+        self.k_prev = np.full(CHUNK, np.linalg.norm(initial.head) ** power)
 
-    def advance(self, new_norm: float) -> None:
-        k_new = pow_or_inf(new_norm, self.power)
+    def advance(self, norms: np.ndarray) -> None:
+        k_new = pow_or_inf(norms, self.power)
         self.value = self.decay * self.value + (1.0 - self.decay) * 0.5 * (self.k_prev + k_new)
         self.k_prev = k_new
 
@@ -161,31 +177,13 @@ class _ExpDelayAccumulator:
 class _PointDelayAccumulator:
     def __init__(self, initial: HistoryBuffer, power: float):
         self.power = power
-        self.value = np.linalg.norm(initial.head) ** power
+        self.value = np.full(CHUNK, np.linalg.norm(initial.head) ** power)
 
-    def advance(self, new_norm: float) -> None:
-        self.value = pow_or_inf(new_norm, self.power)
-
-
-class _GenericDelayAccumulator:
-    """Fallback for finite-support measures: re-evaluates the reference
-    delay integral on the growing buffer each step (O(window))."""
-
-    def __init__(self, runner, mu, power):
-        self.runner = runner
-        self.mu = mu
-        self.power = power
-        self.value = delay_integral(runner.initial, 0.0, mu, power)
-
-    def refresh(self) -> None:
-        self.value = delay_integral(self.runner.buffer_view(), self.runner.t, self.mu,
-                                    self.power)
-
-    def advance(self, new_norm: float) -> None:  # refreshed after append
-        pass
+    def advance(self, norms: np.ndarray) -> None:
+        self.value = pow_or_inf(norms, self.power)
 
 
-def _make_delay_accumulator(runner, initial, cs, dt):
+def _make_delay_accumulator(initial, cs, dt):
     power = cs.drift.delay_kernel_power
     if power is None:
         return None
@@ -194,234 +192,158 @@ def _make_delay_accumulator(runner, initial, cs, dt):
         return _ExpDelayAccumulator(initial, mu, power, dt)
     if mu.kind == "point":
         return _PointDelayAccumulator(initial, power)
-    return _GenericDelayAccumulator(runner, mu, power)
+    raise ValueError(f"the path runner supports exponential and point-mass delay "
+                     f"measures, not {mu.kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# Path runner
+# Path runner: the step kernel
 # ---------------------------------------------------------------------------
 
 class PathRunner:
-    """Steps one path to the horizon with preallocated storage."""
+    """Steps the CHUNK paths path_id, ..., path_id + CHUNK - 1 to the horizon.
+
+    Row r of the (CHUNK, dim) state is path path_id + r.  ``couple`` adds a
+    second batch of the same paths (the averaged twin, or the shifted start
+    of a continuity pair), stepped on the same noise array but never stacked
+    with the first.  A row that is still non-finite after the halving retry
+    is a blow-up of that path alone: its BlowUpError goes to ``errors``, its
+    state is reset to zero, and the other rows run on.
+    """
 
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
-                 initial: HistoryBuffer, path_id: int = 0,
-                 noise: np.ndarray | None = None):
+                 initial: HistoryBuffer, path_id: int = 0):
         self.op = op
         self.cs = cs
         self.cfg = cfg
         self.initial = initial
         self.path_id = path_id
         self.space = cs.space
-        self.dim = cs.dim
-        n = cfg.n_steps
         self.k_w = cs.noise_dim(cfg.noise_modes)
-        stiff = op.stiff_diagonal(self.space)
-        if cfg.scheme == "explicit_em" and np.max(stiff) * cfg.dt >= 2.0:
-            raise ValueError(
-                f"explicit scheme unstable: dt * max stiffness = {np.max(stiff) * cfg.dt:.3g} >= 2")
-        self.implicit_factors = 1.0 / (1.0 + cfg.dt * stiff)
-        self.stiff = stiff
-        self.times = np.arange(n + 1) * cfg.dt
-        self.states = np.empty((n + 1, self.dim))
-        self.states[0] = initial.head
+        self.stiff = op.stiff_diagonal(self.space)
+        self.implicit_factors = 1.0 / (1.0 + cfg.dt * self.stiff)
+        self.times = np.arange(cfg.n_steps + 1) * cfg.dt
         self.t = 0.0
-        self.n_done = 0
-        self.noise = noise if noise is not None \
-            else normal_block(cfg.seed, path_id, n, self.k_w)
-        self.delay_acc = _make_delay_accumulator(self, initial, cs, cfg.dt)
-        self.head_norm_weighted = np.linalg.norm(initial.head)  # Q_n cache
-        self.tail_weight = 1.0                                   # e^{-h t_n}
-        self.h = initial.h
-        self.tail_sup0 = initial.tail.weighted_sup(self.h)
-        self.needs_seminorm = bool(cs.drift.seminorm_power)
-        self.diag_amplitude = None
-        if cs.diffusion.kind == "diagonal":
-            modes = np.arange(1, self.dim + 1, dtype=float)
-            self.diag_amplitude = cs.diffusion.gain / modes**cs.diffusion.decay
+        self.x = np.tile(initial.head, (CHUNK, 1))
+        self.states = None
+        self.errors = [None] * CHUNK
+        self.partner = None
+        self.sup_sq = None
+        self.xi_fixed = (cs.osc1.mean(), cs.osc2.mean()) if cfg.eps == AVERAGED else None
+        self.delay_acc = _make_delay_accumulator(initial, cs, cfg.dt)
+        self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
+        self.head_norm_weighted = np.full(CHUNK, np.linalg.norm(initial.head))  # Q_n
+        self.tail_weight = 1.0                                                  # e^{-h t_n}
+        self.h_decay = math.exp(-initial.h * cfg.dt)
+        self.tail_sup0 = initial.tail.weighted_sup(initial.h)
 
-    # -- views ---------------------------------------------------------------
+    def couple(self, cfg: StepperConfig, initial: HistoryBuffer) -> None:
+        """Step a second batch of the same paths on this runner's noise.
+
+        ``run`` then keeps in ``sup_sq`` the running sup over the grid of each
+        row's squared distance between the batches and records no trajectory.
+        """
+        self.partner = PathRunner(self.op, self.cs, cfg, initial, self.path_id)
+
+    def blowups(self) -> list:
+        """Per row, the first BlowUpError of this batch, else of the partner."""
+        if self.partner is None:
+            return list(self.errors)
+        return [a if a is not None else b for a, b in zip(self.errors, self.partner.errors)]
+
     def buffer_view(self) -> HistoryBuffer:
+        """History of path path_id (row 0) after ``run``."""
         return HistoryBuffer(h=self.initial.h, tail=self.initial.tail,
-                             times=self.times[: self.n_done + 1],
-                             samples=self.states[: self.n_done + 1],
+                             times=self.times, samples=self.states[:, 0],
                              horizon=self.initial.horizon)
 
-    def seminorm(self) -> float:
-        return max(self.tail_weight * self.tail_sup0, self.head_norm_weighted)
-
     # -- stepping --------------------------------------------------------------
-    def _rhs(self, state, values, t):
-        """Explicit part dt-rate: nonlinearity + oscillating functional drift."""
+    def _update(self, x, t, frac, dW):
+        """Semi-implicit Euler-Maruyama update of every row over frac * dt."""
         cs = self.cs
-        if self.space is None:
-            a_nl = np.zeros(1)
-            head_for_drift = state
-        else:
-            a_nl = self.op.nonlinear_from_values(self.space, values)
-            head_for_drift = values
-        delay_value = self.delay_acc.value if self.delay_acc is not None else 0.0
-        semi = self.seminorm() if self.needs_seminorm else 0.0
-        F = cs.compose_drift(head_for_drift, delay_value, semi)
-        if self.cfg.eps == AVERAGED:
-            xi1 = cs.osc1.mean()
+        dt = self.cfg.dt * frac
+        values = x if self.space is None else self.space.to_values(x)
+        delay = 0.0 if self.delay_acc is None else self.delay_acc.value
+        semi = np.maximum(self.tail_weight * self.tail_sup0, self.head_norm_weighted) \
+            if cs.drift.seminorm_power else 0.0
+        if self.xi_fixed is not None:
+            xi1, xi2 = self.xi_fixed
         else:
             xi1 = cs.osc1.scalar_eval(t / self.cfg.eps)
-        return a_nl + xi1 * F
-
-    def _noise_term(self, state, values, t, dW):
-        cs = self.cs
-        if self.cfg.eps == AVERAGED:
-            xi2 = cs.osc2.mean()
-        else:
             xi2 = cs.osc2.scalar_eval(t / self.cfg.eps)
-        g = cs.diffusion
-        if g.kind == "diagonal":
-            out = np.zeros(self.dim)
-            n = min(len(dW), self.dim)
-            out[:n] = self.diag_amplitude[:n] * dW[:n]
-            return xi2 * out
-        if g.kind == "scalar":
-            amp = g.gain
-            if g.pointwise is not None:
-                amp = amp * SCALAR_MAPS[g.pointwise](float(state[0]))
-            return xi2 * amp * dW[0] * np.ones(1)
-        from .coefficients import POINTWISE_MAPS
-        mapped = POINTWISE_MAPS[g.pointwise](values) if g.pointwise is not None \
-            else np.ones(self.space.m)
-        return xi2 * g.gain * self.space.to_coeffs(mapped) * dW[0]
+        rhs = xi1 * cs.compose_drift(values, delay, semi)
+        if self.space is not None:
+            rhs = self.op.nonlinear_from_values(self.space, values) + rhs
+        noise = cs.apply_noise(xi2 * cs.diffusion_from_values(x, values), dW)
+        factors = self.implicit_factors if frac == 1.0 else 1.0 / (1.0 + dt * self.stiff)
+        return (x + dt * rhs + noise) * factors
 
-    def _advance_caches(self, new_state):
-        norm = float(np.linalg.norm(new_state))
-        if self.delay_acc is not None:
-            self.delay_acc.advance(norm)
-        decay = math.exp(-self.h * self.cfg.dt)
-        self.head_norm_weighted = max(self.head_norm_weighted * decay, norm)
-        self.tail_weight *= decay
-
-    def _substep(self, state, t, dt_frac, dW):
-        """One (possibly fractional) update from ``state`` at time ``t``."""
-        dt = self.cfg.dt * dt_frac
-        values = None if self.space is None else self.space.to_values(state)
-        rhs = self._rhs(state, values, t)
-        noise = self._noise_term(state, values, t, dW)
-        if self.cfg.scheme == "semi_implicit_linear":
-            if dt_frac == 1.0:
-                factors = self.implicit_factors
-            else:
-                factors = 1.0 / (1.0 + dt * self.stiff)
-            return (state + dt * rhs + noise) * factors
-        return state + dt * (rhs - self.stiff * state) + noise
-
-    def step_once(self):
-        n = self.n_done
+    def _advance(self, n, dW):
         t = self.times[n]
-        state = self.states[n]
-        dW = self.noise[n] * math.sqrt(self.cfg.dt)
-        new_state = self._substep(state, t, 1.0, dW)
-        if not np.all(np.isfinite(new_state)):
-            new_state = self._retry_with_halving(state, t, dW)
-        self.states[n + 1] = new_state
-        self.n_done = n + 1
+        new = self._update(self.x, t, 1.0, dW)
+        if not np.isfinite(new).all():
+            self._rescue(new, t, dW)
+        self.x = new
         self.t = self.times[n + 1]
-        self._advance_caches(new_state)
-        if self.delay_acc is not None and isinstance(self.delay_acc, _GenericDelayAccumulator):
-            self.delay_acc.refresh()
+        if self.track_norms:
+            norms = _row_norms(new)
+            if self.delay_acc is not None:
+                self.delay_acc.advance(norms)
+            self.head_norm_weighted = np.maximum(self.head_norm_weighted * self.h_decay, norms)
+            self.tail_weight *= self.h_decay
 
-    def _retry_with_halving(self, state, t, dW):
-        """Deterministic salvage: split the step into 2^j substeps, with the
-        Brownian increment divided proportionally, before declaring blow-up."""
-        for halvings in range(1, self.cfg.retry_halvings + 1):
+    def _rescue(self, new, t, dW):
+        """Deterministic salvage of the non-finite rows of ``new``, in place.
+
+        The step is split into 2^j substeps with the Brownian increment
+        divided proportionally, j = 1 .. RETRY_HALVINGS, at the full chunk
+        shape; each failed row keeps the first finite result.  The delay and
+        seminorm caches stay frozen at the step's start.  Rows that stay
+        non-finite become blow-ups; rows that blew up earlier are not retried.
+        """
+        dead = np.array([e is not None for e in self.errors])
+        retry = ~np.isfinite(new).all(axis=1) & ~dead
+        for halvings in range(1, RETRY_HALVINGS + 1):
+            if not retry.any():
+                break
             parts = 2**halvings
             frac = 1.0 / parts
-            cur = state
-            tt = t
-            ok = True
+            cur, tt, ok = self.x, t, retry.copy()
             for _ in range(parts):
-                cur = self._substep(cur, tt, frac, dW * frac)
+                cur = self._update(cur, tt, frac, dW * frac)
                 tt += self.cfg.dt * frac
-                if not np.all(np.isfinite(cur)):
-                    ok = False
-                    break
-            if ok:
-                return cur
-        bad = np.where(~np.isfinite(self._substep(state, t, 1.0, dW)))[0]
-        raise BlowUpError(t + self.cfg.dt, int(bad[0]) if len(bad) else -1)
+                finite = np.isfinite(cur).all(axis=1)
+                ok &= finite
+                cur[~finite] = 0.0
+            new[ok] = cur[ok]
+            retry &= ~ok
+        for r in np.flatnonzero(retry):
+            mode = int(np.flatnonzero(~np.isfinite(new[r]))[0])
+            self.errors[r] = BlowUpError(t + self.cfg.dt, mode)
+        new[~np.isfinite(new).all(axis=1)] = 0.0
 
-    def run(self) -> Trajectory:
-        if self._scalar_fast_eligible():
-            self._run_scalar_fast()
+    def run(self) -> Trajectory | None:
+        """Step to the horizon.  Returns the chunk trajectory, states of shape
+        (n_steps + 1, CHUNK, dim), unless the runner is coupled."""
+        n_steps = self.cfg.n_steps
+        noise = np.empty((n_steps, CHUNK, self.k_w))
+        for r in range(CHUNK):
+            noise[:, r] = normal_block(self.cfg.seed, self.path_id + r, n_steps, self.k_w)
+        noise *= math.sqrt(self.cfg.dt)
+        other = self.partner
+        if other is None:
+            self.states = np.empty((n_steps + 1,) + self.x.shape)
+            self.states[0] = self.x
         else:
-            for _ in range(self.cfg.n_steps):
-                self.step_once()
-        return Trajectory(times=self.times, states=self.states)
-
-    def _scalar_fast_eligible(self) -> bool:
-        return (self.space is None
-                and self.cs.diffusion.kind == "scalar"
-                and not isinstance(self.delay_acc, _GenericDelayAccumulator))
-
-    def _run_scalar_fast(self):
-        """Tight float loop for scalar states; mirrors the generic update
-        expression term for term so no-delay presets stay bit-identical."""
-        cs, cfg = self.cs, self.cfg
-        dt = cfg.dt
-        sqrt_dt = math.sqrt(dt)
-        semi_implicit = cfg.scheme == "semi_implicit_linear"
-        factor = float(self.implicit_factors[0])
-        stiff = float(self.stiff[0])
-        averaged = cfg.eps == AVERAGED
-        xi1_fixed = cs.osc1.mean() if averaged else None
-        xi2_fixed = cs.osc2.mean() if averaged else None
-        osc1, osc2 = cs.osc1.scalar_eval, cs.osc2.scalar_eval
-        eps = 1.0 if averaged else cfg.eps
-        pw = SCALAR_MAPS[cs.drift.pointwise] if cs.drift.pointwise else None
-        pw_gain = cs.drift.pointwise_gain
-        gpw = SCALAR_MAPS[cs.diffusion.pointwise] if cs.diffusion.pointwise else None
-        g_gain = cs.diffusion.gain
-        const = cs.drift.constant
-        d_gain = cs.drift.delay_gain
-        sem_pow, sem_gain = cs.drift.seminorm_power, cs.drift.seminorm_gain
-        acc = self.delay_acc
-        h_decay = math.exp(-self.h * dt)
-        q_cache = self.head_norm_weighted
-        tail_w = self.tail_weight
-        noise = self.noise[:, 0]
-        times = self.times
-        states = self.states
-        x = float(states[0, 0])
-        for n in range(cfg.n_steps):
-            t = times[n]
-            extra = (const + d_gain * acc.value) if acc is not None else const
-            if sem_pow:
-                extra += sem_gain * pow_or_inf(max(tail_w * self.tail_sup0, q_cache), sem_pow)
-            F = (extra + pw_gain * pw(x)) if pw is not None else extra
-            xi1 = xi1_fixed if averaged else osc1(t / eps)
-            rhs = xi1 * F
-            amp = (g_gain * gpw(x)) if gpw is not None else g_gain
-            xi2 = xi2_fixed if averaged else osc2(t / eps)
-            nz = xi2 * amp * (noise[n] * sqrt_dt)
-            if semi_implicit:
-                x_new = (x + dt * rhs + nz) * factor
+            self.sup_sq = _sq_distance(self.x, other.x)
+        for n in range(n_steps):
+            self._advance(n, noise[n])
+            if other is None:
+                self.states[n + 1] = self.x
             else:
-                x_new = x + dt * (rhs - stiff * x) + nz
-            if not math.isfinite(x_new):
-                # sync caches so the generic retry path sees the live values
-                self.head_norm_weighted = q_cache
-                self.tail_weight = tail_w
-                dW = np.array([noise[n] * sqrt_dt])
-                x_new = float(self._retry_with_halving(np.array([x]), t, dW)[0])
-            states[n + 1, 0] = x_new
-            norm = abs(x_new)
-            if acc is not None:
-                acc.advance(norm)
-            q_cache = max(q_cache * h_decay, norm)
-            tail_w *= h_decay
-            x = x_new
-        self.head_norm_weighted = q_cache
-        self.tail_weight = tail_w
-        self.n_done = cfg.n_steps
-        self.t = times[-1]
+                other._advance(n, noise[n])
+                np.maximum(self.sup_sq, _sq_distance(self.x, other.x), out=self.sup_sq)
+        return None if other is not None else Trajectory(self.times, self.states)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +354,12 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
          cfg: StepperConfig) -> PathState:
     """Single reference step on a PathState (buffer-backed, O(history)).
 
-    The runner is the batch driver; this is the checkable one-step form.  For
-    coefficient sets without a delay term the two are bit-identical; with a
-    delay term they agree to rounding (the runner accumulates the delay
-    integral incrementally, which regroups the same floating-point sums).
+    The runner is the batch driver; this is the checkable one-step form.  Both
+    evaluate the coefficients through the same row-batched CoefficientSet
+    methods.  For scalar states without a delay term the two are
+    bit-identical; otherwise they agree to rounding (the runner accumulates
+    the delay integral incrementally, which regroups the same floating-point
+    sums, and transforms a whole chunk of rows in one matrix product).
     """
     buf = state.buffer
     t = state.t
@@ -451,11 +375,8 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
     noise = cs.apply_noise(amp, dW)
     stiff = op.stiff_diagonal(cs.space)
     rhs = a_nl + drift
-    if cfg.scheme == "semi_implicit_linear":
-        # reciprocal multiply, matching the runner's precomputed factors bit for bit
-        new = (buf.head + cfg.dt * rhs + noise) * (1.0 / (1.0 + cfg.dt * stiff))
-    else:
-        new = buf.head + cfg.dt * (rhs - stiff * buf.head) + noise
+    # reciprocal multiply, matching the runner's precomputed factors bit for bit
+    new = (buf.head + cfg.dt * rhs + noise) * (1.0 / (1.0 + cfg.dt * stiff))
     if not np.all(np.isfinite(new)):
         bad = np.where(~np.isfinite(new))[0]
         raise BlowUpError(t + cfg.dt, int(bad[0]))
@@ -466,7 +387,12 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
 
 def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
              initial: HistoryBuffer, path_id: int = 0) -> Trajectory:
-    return PathRunner(op, cs, cfg, initial, path_id=path_id).run()
+    """One path, stepped as row 0 of the chunk that starts at path_id."""
+    runner = PathRunner(op, cs, cfg, initial, path_id=path_id)
+    traj = runner.run()
+    if runner.errors[0] is not None:
+        raise runner.errors[0]
+    return traj.row(0)
 
 
 def coupled_run(op: PdeOperator, cs: CoefficientSet, cfg_eps: StepperConfig,
@@ -480,19 +406,15 @@ def coupled_run(op: PdeOperator, cs: CoefficientSet, cfg_eps: StepperConfig,
     state distance).  The two configs must share dt, T, and noise dimension.
     """
     if (cfg_eps.dt != cfg_avg.dt or cfg_eps.T != cfg_avg.T
-            or cfg_eps.noise_modes != cfg_avg.noise_modes
-            or cfg_eps.scheme != cfg_avg.scheme):
-        raise ValueError("coupled runs need identical grids, schemes, and noise")
+            or cfg_eps.noise_modes != cfg_avg.noise_modes):
+        raise ValueError("coupled runs need identical grids and noise")
     if cfg_avg.eps != AVERAGED:
         raise ValueError("second config must use the averaged sentinel")
-    cfg_eps = replace(cfg_eps, seed=shared_seed)
-    cfg_avg = replace(cfg_avg, seed=shared_seed)
     init_e = initial_eps if initial_eps is not None else initial
     init_a = initial_avg if initial_avg is not None else initial
-    k_w = cs.noise_dim(cfg_eps.noise_modes)
-    noise = normal_block(shared_seed, path_id, cfg_eps.n_steps, k_w)
-    traj_e = PathRunner(op, cs, cfg_eps, init_e, path_id, noise=noise).run()
-    traj_a = PathRunner(op, cs, cfg_avg, init_a, path_id, noise=noise).run()
+    # counter-based noise: the same (seed, path_id) gives both twins one path
+    traj_e = run_path(op, cs, replace(cfg_eps, seed=shared_seed), init_e, path_id)
+    traj_a = run_path(op, cs, replace(cfg_avg, seed=shared_seed), init_a, path_id)
     return traj_e, traj_a, traj_e.sup_sq_distance(traj_a)
 
 

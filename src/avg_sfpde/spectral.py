@@ -53,23 +53,26 @@ class SpectralSpace:
             self._to_coeffs_mat = None
 
     # -- transforms ----------------------------------------------------------
+    # Leading axes are rows: a (P, k) batch of coefficient vectors maps to
+    # (P, m) grid values in one matrix product, and back.
+
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values on the interior collocation grid."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if self._to_values_mat is not None and coeffs.shape == (self.k,):
-            return self._to_values_mat @ coeffs
-        padded = np.zeros(self.m)
-        padded[: len(coeffs)] = coeffs * (self._basis_scale / 2.0)
-        return sp_fft.dst(padded, type=1)
+        if self._to_values_mat is not None and coeffs.shape[-1] == self.k:
+            return coeffs @ self._to_values_mat.T
+        padded = np.zeros(coeffs.shape[:-1] + (self.m,))
+        padded[..., : coeffs.shape[-1]] = coeffs * (self._basis_scale / 2.0)
+        return sp_fft.dst(padded, type=1, axis=-1)
 
     def to_coeffs(self, values: np.ndarray, n_modes: int | None = None) -> np.ndarray:
         """First n_modes sine coefficients of grid values (default: k)."""
         n = self.k if n_modes is None else int(n_modes)
         values = np.asarray(values, dtype=float)
         if self._to_coeffs_mat is not None and n <= self.k:
-            return self._to_coeffs_mat[:n] @ values
-        full = sp_fft.dst(values, type=1) * (self._dx * self._basis_scale / 2.0)
-        return full[:n]
+            return values @ self._to_coeffs_mat[:n].T
+        full = sp_fft.dst(values, type=1, axis=-1) * (self._dx * self._basis_scale / 2.0)
+        return full[..., :n]
 
     # -- quadrature and norms --------------------------------------------------
     def quad(self, grid_values: np.ndarray) -> float:
@@ -192,7 +195,8 @@ class PdeOperator:
         return space.eigenvalues.copy()
 
     def nonlinear_from_values(self, space: SpectralSpace, values: np.ndarray) -> np.ndarray:
-        """Explicitly treated part of A(u) as coefficients, from grid values."""
+        """Explicitly treated part of A(u) as coefficients, from grid values
+        (leading axes are rows)."""
         if self.kind == "pure_laplacian" or self.is_scalar:
             return np.zeros(1 if self.is_scalar else space.k)
         if not np.all(np.isfinite(values)):

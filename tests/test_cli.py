@@ -83,6 +83,19 @@ def test_unknown_config_key_is_hard_error(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_removed_scheme_config_key_is_hard_error(tmp_path, capsys):
+    # there is one stepping scheme; a config that asks for another one is
+    # rejected rather than silently run semi-implicitly
+    cfg = tmp_path / "scheme.ini"
+    cfg.write_text("[stepper]\nscheme = explicit_em\n", encoding="utf-8")
+    code = run_cli(["sweep-averaging", "--preset", "scalar-linear-osc",
+                    "--eps", "0.5,0.25", "--paths", "2",
+                    "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown config key 'scheme'" in err
+
+
 def test_unknown_preset_is_an_error(tmp_path, capsys):
     code = run_cli(["sweep-averaging", "--preset", "nope", "--eps", "0.5,0.25",
                     "--paths", "2", "--out", str(tmp_path)])

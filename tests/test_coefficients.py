@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from avg_sfpde.coefficients import (
+    POINTWISE_MAPS,
     AssumptionProfile,
     CoefficientSet,
     DiffusionSpec,
@@ -20,6 +21,7 @@ from avg_sfpde.coefficients import (
     estimate_rate,
     eval_diffusion_amplitude,
     eval_drift,
+    pow_or_inf,
     sample_history,
 )
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h
@@ -144,6 +146,48 @@ def test_time_rescaling_consistency_bit_exact():
         a = eval_drift(cs, t, eps, buf)
         b = eval_drift(cs, t / eps, 1.0, buf)
         np.testing.assert_array_equal(a, b)
+
+
+def map_samples():
+    rng = np.random.default_rng(0)
+    n = 100_000 // 4
+    return np.concatenate([
+        rng.standard_normal(n) * 10.0,
+        rng.uniform(-1e6, 1e6, n),
+        10.0 ** rng.uniform(-320.0, 300.0, n) * rng.choice([-1.0, 1.0], n),
+        rng.uniform(-1.0, 1.0, n) * 2.2e-308,             # subnormals
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+    ])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("name,scalar", [
+    ("sin_sqrt_abs", lambda s: math.sin(math.sqrt(abs(s)))),
+    ("cos_sqrt_abs", lambda s: math.cos(math.sqrt(abs(s)))),
+])
+def test_pointwise_maps_bit_identical_to_libm_scalar_forms(name, scalar):
+    # the batched kernel evaluates scalar states through these array maps; the
+    # scalar reports stay bit-identical only while they agree with libm
+    x = map_samples()
+    want = [scalar(float(s)) for s in x]
+    np.testing.assert_array_equal(bits(POINTWISE_MAPS[name](x)), bits(want))
+
+
+@pytest.mark.parametrize("power", [0.5, 2.0, 4.0])
+def test_pow_or_inf_bit_identical_to_python_pow(power):
+    x = np.abs(map_samples())
+
+    def py_pow(s):
+        try:
+            return s ** power
+        except OverflowError:
+            return math.inf
+
+    want = [py_pow(float(s)) for s in x]
+    np.testing.assert_array_equal(bits(pow_or_inf(x, power)), bits(want))
 
 
 def test_diffusion_amplitudes():

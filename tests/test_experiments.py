@@ -99,23 +99,67 @@ def test_sweep_aborts_on_blow_up_at_largest_eps(monkeypatch):
         averaging_sweep(plan)
 
 
+def sweep_values(monkeypatch, **plan):
+    """Report of an averaging sweep and its per-path sup errors, row by row."""
+    seen = []
+    real = exp._row_stats
+
+    def spy(values, *args):
+        seen.append(list(values))
+        return real(values, *args)
+
+    monkeypatch.setattr(exp, "_row_stats", spy)
+    report = averaging_sweep(SweepPlan(**plan))
+    monkeypatch.setattr(exp, "_row_stats", real)
+    return report, seen
+
+
+def test_path_bits_independent_of_path_count_and_threads(monkeypatch):
+    base = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1), k=8,
+                dt=2e-3, T=0.2, seed=3)
+    _, few = sweep_values(monkeypatch, paths=3, threads=1, **base)
+    _, many = sweep_values(monkeypatch, paths=20, threads=1, **base)   # two chunks
+    _, pooled = sweep_values(monkeypatch, paths=20, threads=2, **base)
+    for row_few, row_many, row_pooled in zip(few, many, pooled):
+        assert row_few == row_many[:3]
+        assert row_many == row_pooled
+
+
 def test_blow_up_at_smaller_eps_becomes_censored_row(monkeypatch):
-    from avg_sfpde.integrator import BlowUpError
-    from avg_sfpde.integrator import coupled_run as real_coupled
+    # A genuine blow-up of path 1 inside its chunk.  The noise is gated by
+    # xi_2(t/eps) = sin(t/eps) (mean 0, so the averaged twin is noise free),
+    # and path 1 gets one large increment at t = 1.57: at eps = 0.5 the gate
+    # sin(3.14) lets through a harmless kick, at eps = 0.2 the gate
+    # sin(7.85) ~ 1 passes it whole and the explicit reaction term overflows.
+    import dataclasses
+    from avg_sfpde import integrator
+    from avg_sfpde.coefficients import Oscillator
+    from avg_sfpde.presets import get_preset
 
-    def flaky(op, cs, cfg_eps, cfg_avg, shared_seed, path_id=0, **kw):
-        if cfg_eps.eps < 0.2 and path_id == 0:
-            raise BlowUpError(0.5, 0)
-        return real_coupled(op, cs, cfg_eps, cfg_avg, shared_seed,
-                            path_id=path_id, **kw)
+    def gated(name, k=None):
+        p = get_preset(name, k=k)
+        cs = dataclasses.replace(p.coefficients, osc2=Oscillator.sinusoid(0.0, 1.0, 1.0))
+        return dataclasses.replace(p, coefficients=cs)
 
-    monkeypatch.setattr(exp, "coupled_run", flaky)
-    plan = SweepPlan(preset="scalar-linear-osc", eps_grid=(0.5, 0.1), paths=4,
-                     seed=0, dt=0.01, T=0.2)
-    rep = averaging_sweep(plan)
+    real_block = integrator.normal_block
+
+    def kicked(seed, path_id, n_steps, k_w):
+        block = real_block(seed, path_id, n_steps, k_w)
+        if path_id == 1:
+            block[785, 0] = 5e5
+        return block
+
+    monkeypatch.setattr(exp, "get_preset", gated)
+    plan = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.2), paths=4,
+                k=8, dt=2e-3, T=1.6, seed=0)
+    _, plain = sweep_values(monkeypatch, **plan)
+    monkeypatch.setattr(integrator, "normal_block", kicked)
+    rep, values = sweep_values(monkeypatch, **plan)
     assert rep.rows[0].censored == 0
     assert rep.rows[1].censored == 1
     assert rep.rows[1].paths == 4  # nominal count echoed, stats from survivors
+    # the other paths of the chunk are bit-identical to the run without the kick
+    assert values[1] == [plain[1][0]] + plain[1][2:]
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():
