@@ -6,10 +6,18 @@ manifest).  Every sweep writes report.csv (plus report.svg unless
 ``--format csv``) and manifest.ini into the output directory; re-running from
 the manifest alone reproduces the report files byte for byte.
 
-Precedence for every option: command-line flag, then environment
-(``AVG_SFPDE_SEED``, ``AVG_SFPDE_THREADS``), then config file, then preset
-defaults.  Unknown config keys are hard errors.  Exit codes: 0 on PASS
-verdicts, 2 on FAIL verdicts, 1 on errors.
+``KEYS`` is the one table of config keys: each key's manifest section, its
+flag, and its parser.  ``COMMANDS`` gives each subcommand the keys it reads,
+the keys it requires, its defaults, and its study call; its flags are made
+from its keys, and ``_run_command`` runs every subcommand the same way.
+
+Precedence for every key: command-line flag, then environment
+(``AVG_SFPDE_SEED``, ``AVG_SFPDE_THREADS``), then config file, then
+defaults.  A config key the subcommand does not read, an unknown key, and a
+``kind`` naming another subcommand are hard errors, so a manifest records
+exactly the keys its run used.  A blow-up that aborts a study leaves
+diagnostics.txt.  Exit codes: 0 on PASS verdicts, 2 on FAIL verdicts, 1 on
+errors.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .experiments import (
@@ -26,7 +35,7 @@ from .experiments import (
     hypothesis_audit,
     khasminskii_diagnostic,
 )
-from .integrator import AVERAGED, BlowUpError, StepperConfig, run_path
+from .integrator import AVERAGED, StepperConfig, run_path
 from .presets import get_preset, public_names
 from .reporting import (
     read_manifest,
@@ -35,13 +44,6 @@ from .reporting import (
     trajectory_csv_text,
     write_manifest,
 )
-
-KNOWN_KEYS = {
-    "experiment": {"kind", "preset", "eps_grid", "d_grid", "delta_grid", "paths",
-                   "d_rule", "constant_xi", "eps", "trials"},
-    "stepper": {"dt", "T", "k", "k_w", "seed"},
-    "output": {"output_dir", "format", "threads"},
-}
 
 
 class UsageError(ValueError):
@@ -65,89 +67,46 @@ def _parse_bool(text):
     raise UsageError(f"not a boolean: {text!r}")
 
 
-_COERCERS = {
-    "eps_grid": _parse_float_list,
-    "d_grid": _parse_float_list,
-    "delta_grid": _parse_float_list,
-    "paths": int, "trials": int, "k": int, "k_w": int, "seed": int,
-    "threads": int, "dt": float, "T": float,
-    "constant_xi": _parse_bool, "eps": _parse_eps,
+@dataclass(frozen=True)
+class Key:
+    section: str
+    flag: str
+    parse: object = str
+    help: str | None = None
+    choices: tuple | None = None
+    env: str | None = None
+
+
+KEYS = {
+    "preset": Key("experiment", "--preset"),
+    "eps_grid": Key("experiment", "--eps", _parse_float_list,
+                    "comma-separated decreasing eps grid"),
+    "d_grid": Key("experiment", "--d", _parse_float_list,
+                  "comma-separated decreasing block lengths"),
+    "delta_grid": Key("experiment", "--delta", _parse_float_list,
+                      "comma-separated decreasing perturbation sizes"),
+    "eps": Key("experiment", "--eps", _parse_eps,
+               "time-scale eps in (0,1] or 'averaged'"),
+    "paths": Key("experiment", "--paths", int),
+    "d_rule": Key("experiment", "--d-rule", choices=("sqrt_eps", "none")),
+    "constant_xi": Key("experiment", "--constant-xi", _parse_bool,
+                       "replace oscillators by their means (degenerate twin)"),
+    "trials": Key("experiment", "--trials", int),
+    "dt": Key("stepper", "--dt", float),
+    "T": Key("stepper", "--T", float),
+    "k": Key("stepper", "--k", int),
+    "k_w": Key("stepper", "--kw", int),
+    "seed": Key("stepper", "--seed", int, env="AVG_SFPDE_SEED"),
+    "output_dir": Key("output", "--out"),
+    "format": Key("output", "--format", choices=("csv", "csv+svg")),
+    "threads": Key("output", "--threads", int, env="AVG_SFPDE_THREADS"),
 }
 
 
-def load_config(path) -> dict:
-    sections = read_manifest(Path(path))
-    flat = {}
-    for sec, values in sections.items():
-        if sec not in KNOWN_KEYS:
-            raise UsageError(f"unknown config section [{sec}]")
-        for key, raw in values.items():
-            if key not in KNOWN_KEYS[sec]:
-                raise UsageError(f"unknown config key {key!r} in section [{sec}]")
-            if raw == "":
-                continue
-            flat[key] = _COERCERS.get(key, str)(raw)
-    return flat
-
-
-def _resolve(args, needed, defaults=None):
-    """flag > env > config > defaults."""
-    merged = dict(defaults or {})
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        merged.update({k: v for k, v in cfg.items() if k in needed})
-    env_seed = os.environ.get("AVG_SFPDE_SEED")
-    if env_seed is not None and "seed" in needed:
-        merged["seed"] = int(env_seed)
-    env_threads = os.environ.get("AVG_SFPDE_THREADS")
-    if env_threads is not None and "threads" in needed:
-        merged["threads"] = int(env_threads)
-    for key in needed:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
-
-
-def _out_dir(spec) -> Path:
-    out = Path(spec.get("output_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"
-    try:
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
-    except OSError as exc:
-        raise UsageError(f"output directory {out} not writable: {exc}") from exc
-    return out
-
-
-def _write_report(report, spec, out, kind, eps_label=None):
-    (out / "report.csv").write_text(report_csv_text(report, eps_label=eps_label),
-                                    encoding="utf-8")
-    if spec.get("format", "csv+svg") != "csv":
-        title = f"{kind}: {spec.get('preset', '')}"
-        (out / "report.svg").write_text(report_svg_text(report, title),
-                                        encoding="utf-8")
-
-
-def _manifest_sections(kind, spec):
-    exp_keys = KNOWN_KEYS["experiment"]
-    step_keys = KNOWN_KEYS["stepper"]
-    out_keys = KNOWN_KEYS["output"]
-
-    def sec(keys):
-        return {k: spec[k] for k in sorted(keys) if k in spec and spec[k] is not None}
-
-    experiment = sec(exp_keys)
-    experiment["kind"] = kind
-    if "eps_grid" in experiment:
-        experiment["eps_grid"] = ",".join(repr(e) for e in experiment["eps_grid"])
-    for grid in ("d_grid", "delta_grid"):
-        if grid in experiment:
-            experiment[grid] = ",".join(repr(e) for e in experiment[grid])
-    return {"experiment": experiment, "stepper": sec(step_keys),
-            "output": sec(out_keys)}
-
+# ---------------------------------------------------------------------------
+# study calls: run the study on a resolved spec, write its files, return the
+# verdict
+# ---------------------------------------------------------------------------
 
 def _echo_rows(report):
     for r in report.rows:
@@ -161,161 +120,201 @@ def _echo_rows(report):
           f" ({report.verdict_detail})")
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_list_presets(_args):
-    for name in public_names():
-        print(name)
-    return 0
-
-
-def _sweep_defaults(preset_name, k):
-    p = get_preset(preset_name, k=k)
-    return {"dt": p.dt, "T": p.T, "k_w": p.k_w, "seed": 0, "threads": 1,
-            "paths": 64, "output_dir": "out", "format": "csv+svg",
-            "d_rule": "sqrt_eps", "constant_xi": False}
+def _write_report(report, spec, out, kind, eps_label=None):
+    _echo_rows(report)
+    (out / "report.csv").write_text(report_csv_text(report, eps_label=eps_label),
+                                    encoding="utf-8")
+    if spec["format"] != "csv":
+        title = f"{kind}: {spec['preset']}"
+        (out / "report.svg").write_text(report_svg_text(report, title),
+                                        encoding="utf-8")
+    return report.verdict
 
 
-def cmd_sweep_averaging(args):
-    base = _resolve(args, {"preset", "k"}, {})
-    if "preset" not in base:
-        raise UsageError("missing --preset")
-    needed = {"preset", "eps_grid", "paths", "d_rule", "constant_xi", "dt", "T",
-              "k", "k_w", "seed", "threads", "output_dir", "format"}
-    spec = _resolve(args, needed, _sweep_defaults(base["preset"], base.get("k")))
-    if "eps_grid" not in spec:
-        raise UsageError("missing --eps grid")
+def _sweep_args(spec):
+    return dict(dt=spec["dt"], T=spec["T"], k=spec.get("k"), k_w=spec["k_w"],
+                seed=spec["seed"], threads=spec["threads"], eps=spec["eps"])
+
+
+def _simulate(spec, out):
+    preset = get_preset(spec["preset"], k=spec.get("k"))
+    cfg = StepperConfig(dt=spec["dt"], T=spec["T"], noise_modes=spec["k_w"],
+                        seed=spec["seed"], eps=spec["eps"])
+    traj = run_path(preset.operator, preset.coefficients, cfg, preset.initial)
+    (out / "trajectory.csv").write_text(trajectory_csv_text(traj), encoding="utf-8")
+    print(f"wrote {out / 'trajectory.csv'} ({cfg.n_steps} steps, "
+          f"dim {traj.states.shape[1]})")
+    return True
+
+
+def _sweep_averaging(spec, out):
     plan = SweepPlan(preset=spec["preset"], eps_grid=spec["eps_grid"],
                      paths=spec["paths"], d_rule=spec["d_rule"], dt=spec["dt"],
                      T=spec["T"], k=spec.get("k"), k_w=spec["k_w"],
                      seed=spec["seed"], threads=spec["threads"],
                      constant_xi=spec["constant_xi"])
-    out = _out_dir(spec)
-    try:
-        report = averaging_sweep(plan)
-    except RuntimeError as exc:
-        (out / "diagnostics.txt").write_text(str(exc) + "\n", encoding="utf-8")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = averaging_sweep(plan)
     print(f"averaging sweep on {spec['preset']}:")
-    _echo_rows(report)
-    _write_report(report, spec, out, "sweep-averaging")
-    write_manifest(out / "manifest.ini", _manifest_sections("sweep-averaging", spec))
-    return 0 if report.verdict else 2
+    return _write_report(report, spec, out, "sweep-averaging")
 
 
-def cmd_sweep_khasminskii(args):
-    base = _resolve(args, {"preset", "k"}, {})
-    if "preset" not in base:
-        raise UsageError("missing --preset")
-    needed = {"preset", "d_grid", "paths", "eps", "dt", "T", "k", "k_w", "seed",
-              "threads", "output_dir", "format"}
-    defaults = _sweep_defaults(base["preset"], base.get("k"))
-    defaults["eps"] = AVERAGED
-    spec = _resolve(args, needed, defaults)
-    if "d_grid" not in spec:
-        raise UsageError("missing --d grid")
-    out = _out_dir(spec)
-    report = khasminskii_diagnostic(
-        spec["preset"], spec["d_grid"], spec["paths"], dt=spec["dt"], T=spec["T"],
-        k=spec.get("k"), k_w=spec["k_w"], seed=spec["seed"],
-        threads=spec["threads"], eps=spec["eps"])
+def _sweep_khasminskii(spec, out):
+    report = khasminskii_diagnostic(spec["preset"], spec["d_grid"], spec["paths"],
+                                    **_sweep_args(spec))
     print(f"khasminskii diagnostic on {spec['preset']} (eps={spec['eps']}):")
-    _echo_rows(report)
-    _write_report(report, spec, out, "sweep-khasminskii",
-                  eps_label=str(spec["eps"]))
-    write_manifest(out / "manifest.ini", _manifest_sections("sweep-khasminskii", spec))
-    return 0 if report.verdict else 2
+    return _write_report(report, spec, out, "sweep-khasminskii",
+                         eps_label=str(spec["eps"]))
 
 
-def cmd_sweep_continuity(args):
-    base = _resolve(args, {"preset", "k"}, {})
-    if "preset" not in base:
-        raise UsageError("missing --preset")
-    needed = {"preset", "delta_grid", "paths", "eps", "dt", "T", "k", "k_w",
-              "seed", "threads", "output_dir", "format"}
-    defaults = _sweep_defaults(base["preset"], base.get("k"))
-    defaults["eps"] = 1.0
-    spec = _resolve(args, needed, defaults)
-    if "delta_grid" not in spec:
-        raise UsageError("missing --delta grid")
-    out = _out_dir(spec)
-    report = continuity_study(
-        spec["preset"], spec["delta_grid"], spec["paths"], dt=spec["dt"],
-        T=spec["T"], k=spec.get("k"), k_w=spec["k_w"], seed=spec["seed"],
-        threads=spec["threads"], eps=spec["eps"])
+def _sweep_continuity(spec, out):
+    report = continuity_study(spec["preset"], spec["delta_grid"], spec["paths"],
+                              **_sweep_args(spec))
     print(f"continuity study on {spec['preset']}:")
-    _echo_rows(report)
-    _write_report(report, spec, out, "sweep-continuity")
-    write_manifest(out / "manifest.ini", _manifest_sections("sweep-continuity", spec))
-    return 0 if report.verdict else 2
+    return _write_report(report, spec, out, "sweep-continuity")
 
 
-def cmd_audit(args):
-    needed = {"preset", "trials", "seed", "k", "output_dir", "format"}
-    spec = _resolve(args, needed, {"trials": 1000, "seed": 0,
-                                   "output_dir": "out", "format": "csv+svg"})
-    if "preset" not in spec:
-        raise UsageError("missing --preset")
+def _audit(spec, out):
     audit = hypothesis_audit(spec["preset"], trials=spec["trials"],
                              rng_seed=spec["seed"], k=spec.get("k"))
-    lines = []
-    for r in audit.results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{r.name}: {status} ({r.detail})"
-        print(line)
-        lines.append(line)
-    out = _out_dir(spec)
+    lines = [f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})"
+             for r in audit.results]
+    print("\n".join(lines))
     (out / "audit.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out / "manifest.ini", _manifest_sections("audit", spec))
-    return 0 if audit.all_passed else 2
+    return audit.all_passed
 
 
-def cmd_simulate(args):
-    base = _resolve(args, {"preset", "k"}, {})
-    if "preset" not in base:
-        raise UsageError("missing --preset")
-    needed = {"preset", "eps", "dt", "T", "k", "k_w", "seed", "output_dir",
-              "format"}
-    defaults = _sweep_defaults(base["preset"], base.get("k"))
-    defaults["eps"] = 1.0
-    spec = _resolve(args, needed, defaults)
-    preset = get_preset(spec["preset"], k=spec.get("k"))
-    cfg = StepperConfig(dt=spec["dt"], T=spec["T"], noise_modes=spec["k_w"],
-                        seed=spec["seed"], eps=spec["eps"])
+# ---------------------------------------------------------------------------
+# the command table and its one runner
+# ---------------------------------------------------------------------------
+
+_STEPPING = {"preset", "dt", "T", "k", "k_w", "seed", "output_dir"}
+_SWEEP = _STEPPING | {"paths", "eps", "threads", "format"}
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    keys: frozenset
+    required: tuple
+    run: object
+    defaults: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "simulate": Command(
+        "run one path and dump the trajectory",
+        frozenset(_STEPPING | {"eps"}), ("preset",), _simulate, {"eps": 1.0}),
+    "sweep-averaging": Command(
+        "fast-vs-averaged coupled error per eps",
+        frozenset(_SWEEP - {"eps"} | {"eps_grid", "d_rule", "constant_xi"}),
+        ("preset", "eps_grid"), _sweep_averaging),
+    "sweep-khasminskii": Command(
+        "block-freezing residual per block length d",
+        frozenset(_SWEEP | {"d_grid"}), ("preset", "d_grid"), _sweep_khasminskii,
+        {"eps": AVERAGED}),
+    "sweep-continuity": Command(
+        "coupled error under initial-data perturbations",
+        frozenset(_SWEEP | {"delta_grid"}), ("preset", "delta_grid"),
+        _sweep_continuity, {"eps": 1.0}),
+    "audit": Command(
+        "hypothesis audit of one preset",
+        frozenset({"preset", "trials", "seed", "k", "output_dir"}), ("preset",),
+        _audit, {"trials": 1000}),
+}
+
+_DEFAULTS = {"seed": 0, "threads": 1, "paths": 64, "output_dir": "out",
+             "format": "csv+svg", "d_rule": "sqrt_eps", "constant_xi": False}
+
+
+def load_config(path, name) -> dict:
+    """The keys of a config file or manifest, parsed, for subcommand ``name``."""
+    keys = COMMANDS[name].keys
+    flat = {}
+    for sec, values in read_manifest(Path(path)).items():
+        if sec not in {k.section for k in KEYS.values()}:
+            raise UsageError(f"unknown config section [{sec}]")
+        for key, raw in values.items():
+            if sec == "experiment" and key == "kind":
+                if raw != name:
+                    raise UsageError(f"config kind {raw!r} does not match "
+                                     f"subcommand {name}")
+                continue
+            if key not in KEYS or KEYS[key].section != sec:
+                raise UsageError(f"unknown config key {key!r} in section [{sec}]")
+            if key not in keys:
+                raise UsageError(f"config key {key!r} is not used by {name}")
+            if raw == "":
+                continue
+            flat[key] = KEYS[key].parse(raw)
+            if KEYS[key].choices and flat[key] not in KEYS[key].choices:
+                raise UsageError(f"{key} must be one of "
+                                 f"{', '.join(KEYS[key].choices)}, not {raw!r}")
+    return flat
+
+
+def _resolve(name, args) -> dict:
+    """The run's keys: flag > env > config > defaults, over its key set."""
+    command = COMMANDS[name]
+    spec = load_config(args.config, name) if args.config else {}
+    for key in command.keys:
+        env = KEYS[key].env
+        if env is not None and env in os.environ:
+            spec[key] = KEYS[key].parse(os.environ[env])
+        flag = getattr(args, key, None)
+        if flag is not None:
+            spec[key] = flag
+    for key in command.required:
+        if key not in spec:
+            raise UsageError(f"missing {KEYS[key].flag}")
+    defaults = {**_DEFAULTS, **command.defaults}
+    if "dt" in command.keys:
+        p = get_preset(spec["preset"], k=spec.get("k"))
+        defaults.update(dt=p.dt, T=p.T, k_w=p.k_w)
+    return {**{k: v for k, v in defaults.items() if k in command.keys}, **spec}
+
+
+def _out_dir(spec) -> Path:
+    out = Path(spec["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    probe = out / ".write-probe"
+    try:
+        probe.write_text("", encoding="utf-8")
+        probe.unlink()
+    except OSError as exc:
+        raise UsageError(f"output directory {out} not writable: {exc}") from exc
+    return out
+
+
+def _manifest_sections(name, spec):
+    sections = {"experiment": {}, "stepper": {}, "output": {}}
+    for key in sorted(spec):
+        value = spec[key]
+        if KEYS[key].parse is _parse_float_list:
+            value = ",".join(repr(e) for e in value)
+        sections[KEYS[key].section][key] = value
+    sections["experiment"]["kind"] = name
+    return sections
+
+
+def _run_command(name, args):
+    spec = _resolve(name, args)
     out = _out_dir(spec)
     try:
-        traj = run_path(preset.operator, preset.coefficients, cfg, preset.initial)
-    except BlowUpError as exc:
+        verdict = COMMANDS[name].run(spec, out)
+    except RuntimeError as exc:  # a blow-up that aborts the study
         (out / "diagnostics.txt").write_text(str(exc) + "\n", encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    (out / "trajectory.csv").write_text(trajectory_csv_text(traj), encoding="utf-8")
-    write_manifest(out / "manifest.ini", _manifest_sections("simulate", spec))
-    print(f"wrote {out / 'trajectory.csv'} ({cfg.n_steps} steps, "
-          f"dim {traj.states.shape[1]})")
-    return 0
+    write_manifest(out / "manifest.ini", _manifest_sections(name, spec))
+    return 0 if verdict else 2
 
 
-_DISPATCH = {
-    "list-presets": cmd_list_presets,
-    "simulate": cmd_simulate,
-    "sweep-averaging": cmd_sweep_averaging,
-    "sweep-khasminskii": cmd_sweep_khasminskii,
-    "sweep-continuity": cmd_sweep_continuity,
-    "audit": cmd_audit,
-}
-
-
-def cmd_run(args):
+def _replay(args):
     sections = read_manifest(Path(args.config))
     kind = sections.get("experiment", {}).get("kind")
-    if kind not in _DISPATCH or kind == "list-presets":
+    if kind not in COMMANDS:
         raise UsageError(f"manifest has no replayable kind (got {kind!r})")
-    handler = _DISPATCH[kind]
-    return handler(args)
+    return _run_command(kind, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,57 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-presets", help="print the public preset names")
 
-    def add_common(p, grids=()):
-        p.add_argument("--preset")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="config/manifest file; flags override")
-        if "eps_grid" in grids:
-            p.add_argument("--eps", dest="eps_grid", type=_parse_float_list,
-                           help="comma-separated decreasing eps grid")
-        if "d_grid" in grids:
-            p.add_argument("--d", dest="d_grid", type=_parse_float_list,
-                           help="comma-separated decreasing block lengths")
-        if "delta_grid" in grids:
-            p.add_argument("--delta", dest="delta_grid", type=_parse_float_list,
-                           help="comma-separated decreasing perturbation sizes")
-        if "eps_single" in grids:
-            p.add_argument("--eps", dest="eps", type=_parse_eps,
-                           help="time-scale eps in (0,1] or 'averaged'")
-        p.add_argument("--paths", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--T", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--kw", dest="k_w", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out", dest="output_dir")
-        p.add_argument("--format", choices=["csv", "csv+svg"])
-
-    p = sub.add_parser("simulate", help="run one path and dump the trajectory")
-    add_common(p, grids=("eps_single",))
-
-    p = sub.add_parser("sweep-averaging",
-                       help="fast-vs-averaged coupled error per eps")
-    add_common(p, grids=("eps_grid",))
-    p.add_argument("--d-rule", dest="d_rule", choices=["sqrt_eps", "none"])
-    p.add_argument("--constant-xi", dest="constant_xi", action="store_const",
-                   const=True, default=None,
-                   help="replace oscillators by their means (degenerate twin)")
-
-    p = sub.add_parser("sweep-khasminskii",
-                       help="block-freezing residual per block length d")
-    add_common(p, grids=("d_grid", "eps_single"))
-
-    p = sub.add_parser("sweep-continuity",
-                       help="coupled error under initial-data perturbations")
-    add_common(p, grids=("delta_grid", "eps_single"))
-
-    p = sub.add_parser("audit", help="hypothesis audit of one preset")
-    p.add_argument("--preset")
-    p.add_argument("--config")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out", dest="output_dir")
+        for key in sorted(command.keys):
+            spec = KEYS[key]
+            if spec.parse is _parse_bool:
+                p.add_argument(spec.flag, dest=key, action="store_const",
+                               const=True, default=None, help=spec.help)
+            else:
+                p.add_argument(spec.flag, dest=key, type=spec.parse,
+                               choices=spec.choices, help=spec.help)
 
     p = sub.add_parser("run", help="replay a sweep from its manifest")
     p.add_argument("--config", required=True)
@@ -386,11 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = cmd_run if args.command == "run" else _DISPATCH[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        if args.command == "list-presets":
+            print("\n".join(public_names()))
+            return 0
+        if args.command == "run":
+            return _replay(args)
+        return _run_command(args.command, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

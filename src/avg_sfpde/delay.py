@@ -377,10 +377,6 @@ class DelayMeasure:
             return hi - lo
         return self.moments_centered(a, b, 0.0)[0]
 
-    def first_moment(self, a: float, b: float) -> float:
-        """int_a^b theta mu(d theta), exact for the supported kinds."""
-        return self.moments_centered(a, b, 0.0)[1]
-
     def moments_centered(self, a: float, b: float, c: float):
         """Exact (m0, m1, m2) of (theta - c)^k over (a, b], stable for c near a.
 
@@ -770,8 +766,8 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
         return delay_integral(merged, 0.0, mu, power)
 
     def K(thetas):
-        va = _history_values(buf_a, np.asarray(thetas) + t)
-        vb = _history_values(buf_b, np.asarray(thetas) + t)
+        va = buf_a.values_at(np.asarray(thetas) + t)
+        vb = buf_b.values_at(np.asarray(thetas) + t)
         return np.linalg.norm(va - vb, axis=1) ** power
 
     lo = max(mu.support_lo, -max(buf_a.horizon, buf_b.horizon) - t)
@@ -786,10 +782,6 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
     if rem > 0.0:
         total += rem * float(K(np.array([lo]))[0])
     return total
-
-
-def _history_values(buf: HistoryBuffer, ss: np.ndarray) -> np.ndarray:
-    return buf.values_at(ss)
 
 
 def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer, n_dense: int = 2048) -> float:

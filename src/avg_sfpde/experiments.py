@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import (
+    _profile_h,
     check_growth,
     check_h5,
     check_holder,
@@ -131,11 +132,34 @@ def _map_chunks(fn, paths: int, threads: int):
     return [r for chunk in chunks for r in chunk]
 
 
-def _raise_first(errors):
-    """Re-raise the first blow-up of a chunk's paths, in path order."""
-    for err in errors:
-        if err is not None:
-            raise err
+def _coupled_outcomes(op, cs, cfg, initial, partner_cfg, partner_initial,
+                      paths, threads):
+    """Per path, in path order: sup_t of the squared distance between the
+    coupled batches, or the path's BlowUpError."""
+    def one_chunk(first, count):
+        runner = PathRunner(op, cs, cfg, initial, path_id=first)
+        runner.couple(partner_cfg, partner_initial)
+        runner.run()
+        return [err if err is not None else float(sup)
+                for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
+
+    return _map_chunks(one_chunk, paths, threads)
+
+
+def _censor(outcomes, row, param_name, param, preset, dt):
+    """The blow-up policy of every study, applied to one row's outcomes.
+
+    A path whose outcome is a BlowUpError is censored from the row and
+    counted.  A blow-up in the study's first row (its largest parameter)
+    aborts the study with a RuntimeError naming the time and mode.  Returns
+    the surviving outcomes and the censored count.
+    """
+    blew = [o for o in outcomes if isinstance(o, BlowUpError)]
+    if blew and row == 0:
+        raise RuntimeError(
+            f"blow-up at the largest {param_name} = {param}: {blew[0]} "
+            f"(preset {preset.name}, dt = {dt})")
+    return [o for o in outcomes if not isinstance(o, BlowUpError)], len(blew)
 
 
 def _row_stats(values, param, d, n_paths, censored, extra=None):
@@ -218,32 +242,19 @@ def _metadata(plan: SweepPlan, preset: Preset, notes=()):
 def averaging_sweep(plan: SweepPlan) -> ExperimentReport:
     """E sup_t ||u^eps - u*||^2 per eps, with the monotone-decay verdict.
 
-    Blow-up on the largest eps aborts; on smaller eps the affected paths are
-    censored and rows above the censoring threshold are excluded from the
-    slope fit.
+    Blow-ups follow ``_censor``; rows above the censoring threshold are
+    excluded from the slope fit.
     """
     preset = _resolve_preset(plan)
     op, cs, init = preset.operator, preset.coefficients, preset.initial
     rows = []
     for j, eps in enumerate(plan.eps_grid):
         cfg_eps, cfg_avg = _build_configs(preset, plan, eps)
-
-        def one_chunk(first, count):
-            runner = PathRunner(op, cs, cfg_eps, init, path_id=first)
-            runner.couple(cfg_avg, init)
-            runner.run()
-            return [err if err is not None else float(sup)
-                    for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
-
-        outcomes = _map_chunks(one_chunk, plan.paths, plan.threads)
-        blew = [o for o in outcomes if isinstance(o, BlowUpError)]
-        values = [o for o in outcomes if not isinstance(o, BlowUpError)]
-        if blew and j == 0:
-            raise RuntimeError(
-                f"blow-up at the largest eps = {eps}: {blew[0]} "
-                f"(preset {preset.name}, dt = {cfg_eps.dt})")
+        outcomes = _coupled_outcomes(op, cs, cfg_eps, init, cfg_avg, init,
+                                     plan.paths, plan.threads)
+        values, censored = _censor(outcomes, j, "eps", eps, preset, cfg_eps.dt)
         d = math.sqrt(eps) if plan.d_rule == "sqrt_eps" else math.nan
-        rows.append(_row_stats(values, eps, d, plan.paths, len(blew)))
+        rows.append(_row_stats(values, eps, d, plan.paths, censored))
 
     decay_ok, detail = _monotone_decay_verdict(rows)
     slope = fit_loglog_slope(rows)
@@ -276,6 +287,9 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
                            eps: float | str = AVERAGED) -> ExperimentReport:
     """E int_0^T ||u - u_frozen||^2 dt per block length d, plus the segment
     variant with the weighted history norm; verdict: fitted slope >= 0.35.
+
+    Every row uses the same paths, so under ``_censor`` a blow-up belongs to
+    the first row and aborts.
     """
     d_grid = [float(d) for d in d_grid]
     if len(d_grid) > 1 and not all(b < a for a, b in zip(d_grid[:-1], d_grid[1:])):
@@ -306,15 +320,15 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
     def one_chunk(first, count):
         runner = PathRunner(op, cs, cfg, init, path_id=first)
         traj = runner.run()
-        _raise_first(runner.blowups()[:count])
-        return [residuals(traj.row(r)) for r in range(count)]
+        return [err if err is not None else residuals(traj.row(r))
+                for r, err in enumerate(runner.blowups()[:count])]
 
     outcomes = _map_chunks(one_chunk, paths, threads)
     rows = []
     for i, d in enumerate(d_grid):
-        vals = [o[0][i] for o in outcomes]
-        seg = [o[1][i] for o in outcomes]
-        rows.append(_row_stats(vals, d, d, paths, 0, extra=seg))
+        res, censored = _censor(outcomes, i, "d", d, preset, dtv)
+        rows.append(_row_stats([o[0][i] for o in res], d, d, paths, censored,
+                               extra=[o[1][i] for o in res]))
     slope = fit_loglog_slope(rows)
     seg_slope = fit_loglog_slope(rows, use_extra=True)
     ok = slope is not None and slope.slope >= SLOPE_VERDICT_FLOOR
@@ -357,7 +371,7 @@ def continuity_study(preset_name: str, delta_grid, paths: int,
     psi the unit-seminorm constant perturbation along the first coordinate.
 
     The proof-device stopping times are replaced by blow-up detection, which
-    is recorded in the report notes.
+    is recorded in the report notes; blow-ups follow ``_censor``.
     """
     delta_grid = [float(d) for d in delta_grid]
     if len(delta_grid) > 1:
@@ -376,20 +390,13 @@ def continuity_study(preset_name: str, delta_grid, paths: int,
     psi[0] = 1.0  # unit seminorm: constant history along the first coordinate
 
     rows = []
-    for delta in delta_grid:
+    for j, delta in enumerate(delta_grid):
         shifted = HistoryBuffer.from_tail(init.h,
                                           ConstantTail(init.tail.value + delta * psi),
                                           horizon=init.horizon)
-
-        def one_chunk(first, count):
-            runner = PathRunner(op, cs, cfg, init, path_id=first)
-            runner.couple(cfg, shifted)
-            runner.run()
-            _raise_first(runner.blowups()[:count])
-            return [float(sup) for sup in runner.sup_sq[:count]]
-
-        vals = _map_chunks(one_chunk, paths, threads)
-        rows.append(_row_stats(vals, delta, math.nan, paths, 0))
+        outcomes = _coupled_outcomes(op, cs, cfg, init, cfg, shifted, paths, threads)
+        vals, censored = _censor(outcomes, j, "delta", delta, preset, cfg.dt)
+        rows.append(_row_stats(vals, delta, math.nan, paths, censored))
 
     ok, detail = _continuity_verdict(rows)
     pos_rows = [r for r in rows if r.param > 0]
@@ -486,14 +493,14 @@ def hypothesis_audit(preset_name: str, trials: int = 1000, rng_seed: int = 0,
         f"Holder ratio {holder.max_ratio:.3f} <= L_M = {prof.L_M}; {m_detail}"))
 
     # one-sided pairing bounds with the delay measures
-    prof.check_measure_membership(_audit_h(cs))
+    prof.check_measure_membership(_profile_h(cs))
     rep_f, rep_g = check_h5(cs, trials=max(trials // 2, 200), rng_seed=rng_seed + 3)
     results.append(HypothesisResult(
         "H5", rep_f.passed and rep_g.passed,
         f"drift gap {rep_f.max_ratio:.3e}, diffusion gap {rep_g.max_ratio:.3e}"))
 
     # averaging rate tables
-    probes = [sample_history(rng, cs.dim, _audit_h(cs), prof.M) for _ in range(4)]
+    probes = [sample_history(rng, cs.dim, _profile_h(cs), prof.M) for _ in range(4)]
     rate = estimate_rate(cs, probes, [10.0, 100.0, 1000.0])
     h6_ok = _rate_decays(rate.phi1) and _rate_decays(rate.phi2)
     results.append(HypothesisResult(
@@ -501,11 +508,6 @@ def hypothesis_audit(preset_name: str, trials: int = 1000, rng_seed: int = 0,
         f"phi1 {rate.phi1[0]:.3e} -> {rate.phi1[-1]:.3e}, "
         f"phi2 {rate.phi2[0]:.3e} -> {rate.phi2[-1]:.3e}"))
     return AuditReport(preset=preset.name, results=results)
-
-
-def _audit_h(cs):
-    mu = cs.drift.delay_measure
-    return mu.rate if mu is not None and mu.kind == "exponential" else 1.0
 
 
 def _rate_decays(phi):

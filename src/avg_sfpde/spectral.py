@@ -103,10 +103,6 @@ class SpectralSpace:
         e[i - 1] = 1.0
         return e
 
-    def constant_one_coeffs(self) -> np.ndarray:
-        """Galerkin projection of the constant function 1."""
-        return self.to_coeffs(np.ones(self.m))
-
 
 @dataclass
 class SpectralField:
@@ -163,9 +159,7 @@ class PdeOperator:
     """Drift operator A acting on spectral fields (or scalars).
 
     kinds:
-      * ``porous_media``: A(u) = Laplace(|u|^{q-2} u + u); with
-        ``literal_power`` set, the nonlinearity is |u|^{q-2} + u instead
-        (kept for comparison, not used by any preset)
+      * ``porous_media``: A(u) = Laplace(|u|^{q-2} u + u)
       * ``reaction_diffusion``: A(u) = Laplace(u) - u |u|^{q-2}
       * ``pure_laplacian``: A(u) = Laplace(u)
       * ``scalar_linear``: A(u) = -a u on scalar states
@@ -174,7 +168,6 @@ class PdeOperator:
     kind: str
     q: float = 0.0
     a: float = 1.0
-    literal_power: bool = False
 
     def __post_init__(self):
         if self.kind in ("porous_media", "reaction_diffusion") and self.q <= 2:
@@ -202,8 +195,7 @@ class PdeOperator:
         if not np.all(np.isfinite(values)):
             raise SpectralOverflowError("non-finite grid values in operator input")
         if self.kind == "porous_media":
-            w = np.abs(values) ** (self.q - 2.0) if self.literal_power \
-                else np.abs(values) ** (self.q - 2.0) * values
+            w = np.abs(values) ** (self.q - 2.0) * values
             return -space.eigenvalues * space.to_coeffs(w)
         # reaction_diffusion: -u|u|^{q-2}
         w = values * np.abs(values) ** (self.q - 2.0)
@@ -218,8 +210,6 @@ class PdeOperator:
 
     # -- probes ----------------------------------------------------------------
     def _psi(self, values):
-        if self.literal_power:
-            return np.abs(values) ** (self.q - 2.0) + values
         return np.abs(values) ** (self.q - 2.0) * values + values
 
     def pairing(self, space: SpectralSpace | None, u: np.ndarray, v: np.ndarray) -> float:

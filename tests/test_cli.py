@@ -37,16 +37,28 @@ def test_sweep_averaging_writes_report_and_manifest(tmp_path, capsys):
     assert sections["stepper"]["seed"] == "7"
 
 
-def test_manifest_replay_reproduces_reports_byte_for_byte(tmp_path):
+REPLAYED = {
+    "sweep-averaging": (["--eps", "0.5,0.25", "--paths", "2", "--dt", "0.01"],
+                        ("report.csv", "report.svg")),
+    "sweep-khasminskii": (["--d", "0.2,0.1,0.05", "--paths", "4", "--dt", "0.01",
+                           "--T", "0.5"], ("report.csv", "report.svg")),
+    "sweep-continuity": (["--delta", "0.1,0.01,0", "--paths", "2", "--dt", "0.01",
+                          "--T", "0.5", "--eps", "0.5"], ("report.csv", "report.svg")),
+    "audit": (["--trials", "20"], ("audit.txt",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED))
+def test_manifest_replay_reproduces_reports_byte_for_byte(tmp_path, command):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    assert run_cli(["sweep-averaging", "--preset", "scalar-linear-osc",
-                    "--eps", "0.5,0.25", "--paths", "2", "--dt", "0.01",
-                    "--seed", "3", "--out", str(a)]) == 0
+    flags, files = REPLAYED[command]
+    assert run_cli([command, "--preset", "scalar-linear-osc", "--seed", "3",
+                    "--out", str(a)] + flags) == 0
     assert run_cli(["run", "--config", str(a / "manifest.ini"),
                     "--out", str(b)]) == 0
-    assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
-    assert (a / "report.svg").read_bytes() == (b / "report.svg").read_bytes()
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_thread_counts_produce_identical_rows(tmp_path):
@@ -94,6 +106,35 @@ def test_removed_scheme_config_key_is_hard_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown config key 'scheme'" in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("trials = 5", "'trials' is not used by sweep-averaging"),
+    ("kind = sweep-khasminskii", "'sweep-khasminskii' does not match"),
+    ("d_rule = sqrt", "d_rule must be one of sqrt_eps, none"),
+])
+def test_config_outside_the_subcommand_is_hard_error(tmp_path, capsys, line, named):
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(f"[experiment]\n{line}\n", encoding="utf-8")
+    code = run_cli(["sweep-averaging", "--preset", "scalar-linear-osc",
+                    "--eps", "0.5,0.25", "--paths", "2",
+                    "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):
+    out = tmp_path / "c"
+    code = run_cli(["sweep-continuity", "--preset", "broken-quadratic",
+                    "--delta", "100,10,1", "--paths", "2", "--eps", "0.5",
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "largest delta = 100.0" in err
+    assert "blew up" in (out / "diagnostics.txt").read_text()
+    assert not (out / "manifest.ini").exists()
 
 
 def test_unknown_preset_is_an_error(tmp_path, capsys):
@@ -147,6 +188,8 @@ def test_simulate_manifest_replays(tmp_path):
     assert run_cli(["run", "--config", str(a / "manifest.ini"),
                     "--out", str(b)]) == 0
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+    recorded = {k for sec in read_manifest(a / "manifest.ini").values() for k in sec}
+    assert not recorded & {"paths", "threads", "d_rule", "constant_xi", "format"}
 
 
 def test_audit_exit_codes(tmp_path, capsys):

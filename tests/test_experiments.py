@@ -162,6 +162,50 @@ def test_blow_up_at_smaller_eps_becomes_censored_row(monkeypatch):
     assert values[1] == [plain[1][0]] + plain[1][2:]
 
 
+def kick_path_one(monkeypatch, on_call):
+    """Give path 1 one large increment at t = 0.2 in its ``on_call``-th noise
+    block (one block per study row); the explicit reaction term then
+    overflows."""
+    from avg_sfpde import integrator
+
+    real_block = integrator.normal_block
+    calls = []
+
+    def kicked(seed, path_id, n_steps, k_w):
+        block = real_block(seed, path_id, n_steps, k_w)
+        if path_id == 1:
+            calls.append(path_id)
+            if on_call is None or len(calls) == on_call:
+                block[100, 0] = 5e5
+        return block
+
+    monkeypatch.setattr(integrator, "normal_block", kicked)
+
+
+RD_SMALL = dict(k=8, dt=2e-3, T=0.4, seed=0, eps=0.5)
+
+
+def test_blow_up_in_block_freezing_aborts(monkeypatch):
+    # every row of the diagnostic uses the same paths, so the blow-up is in
+    # the first row
+    kick_path_one(monkeypatch, on_call=None)
+    with pytest.raises(RuntimeError, match=r"largest d = 0\.2: state blew up "
+                                           r"at t = \S+ \(mode 0\)"):
+        khasminskii_diagnostic("reaction-diffusion-delay", (0.2, 0.1, 0.05), 4,
+                               **RD_SMALL)
+
+
+def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
+    grid = (0.1, 0.01, 0.0)
+    plain = continuity_study("reaction-diffusion-delay", grid, 4, **RD_SMALL)
+    kick_path_one(monkeypatch, on_call=2)  # the delta = 0.01 row
+    rep = continuity_study("reaction-diffusion-delay", grid, 4, **RD_SMALL)
+    assert [r.censored for r in rep.rows] == [0, 1, 0]
+    assert rep.rows[1].paths == 4
+    assert [rep.rows[i].mean for i in (0, 2)] == [plain.rows[i].mean for i in (0, 2)]
+    assert rep.rows[1].mean != plain.rows[1].mean  # stats from the 3 survivors
+
+
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():
     base = dict(preset="scalar-holder-osc", eps_grid=(0.5,), seed=11, dt=2e-3,
                 T=0.5)
