@@ -494,13 +494,14 @@ def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
     if kind == "exponential":
         rate = rng.uniform(-h, 2.0 * h)
         return HistoryBuffer.from_tail(h, ExponentialTail(scale * direction, rate=rate))
-    buf = HistoryBuffer.from_tail(h, ConstantTail(scale * direction))
-    x = scale * direction
-    t = 0.0
-    for _ in range(rng.integers(3, 12)):
-        t += 0.05
-        x = x + 0.1 * scale * rng.standard_normal(dim)
-        buf = buf.appended(t, x)
+    # random walk of 3..11 steps of 0.05; the sequential cumsums add in the
+    # same order as stepping t += 0.05, x = x + increment one sample at a time
+    x0 = scale * direction
+    n = rng.integers(3, 12)
+    increments = 0.1 * scale * rng.standard_normal((n, dim))
+    times = np.cumsum(np.concatenate([[0.0], np.full(n, 0.05)]))
+    samples = np.cumsum(np.vstack([x0, increments]), axis=0)
+    buf = HistoryBuffer(h, ConstantTail(x0), times, samples)
     s = seminorm_h(buf, buf.head_time)
     if s > radius:
         shrink = radius / s

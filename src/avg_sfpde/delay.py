@@ -53,6 +53,25 @@ def as_state(value, dim=None) -> np.ndarray:
     return v
 
 
+def _interp_rows(x, xp, fp) -> np.ndarray:
+    """np.interp of every column of fp (len(xp), dim) at the points x.
+
+    One searchsorted for all columns, then np.interp's own arithmetic, so
+    the result is bit-identical for finite x and fp: the sample itself below,
+    above and at a node, slope * (x - xp[j]) + fp[j] in between.
+    """
+    x = np.asarray(x, dtype=float)
+    last = len(xp) - 1
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, last)
+    out = fp[j]
+    inner = (j < last) & (x > xp[j])
+    if np.any(inner):
+        j, x = j[inner], x[inner]
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])[:, None]
+        out[inner] = slope * (x - xp[j])[:, None] + fp[j]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Analytic tails (initial data on (-infty, 0])
 # ---------------------------------------------------------------------------
@@ -194,8 +213,7 @@ class TabulatedTail(Tail):
         out = np.empty((len(thetas), self.dim))
         inside = thetas >= self.thetas[0]
         if np.any(inside):
-            for d in range(self.dim):
-                out[inside, d] = np.interp(thetas[inside], self.thetas, self.values[:, d])
+            out[inside] = _interp_rows(thetas[inside], self.thetas, self.values)
         if np.any(~inside):
             decay = np.exp(self.extrap_rate * (thetas[~inside] - self.thetas[0]))
             out[~inside] = decay[:, None] * self.values[0]
@@ -243,10 +261,7 @@ class SegmentTail(Tail):
         s = self.t0 + theta
         if s <= 0.0:
             return self.parent_tail.value_at(s)
-        out = np.empty(self.dim)
-        for d in range(self.dim):
-            out[d] = np.interp(s, self.times, self.samples[:, d])
-        return out
+        return _interp_rows([s], self.times, self.samples)[0]
 
     def values_at(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -256,8 +271,7 @@ class SegmentTail(Tail):
         if np.any(pre):
             out[pre] = self.parent_tail.values_at(s[pre])
         if np.any(~pre):
-            for d in range(self.dim):
-                out[~pre, d] = np.interp(s[~pre], self.times, self.samples[:, d])
+            out[~pre] = _interp_rows(s[~pre], self.times, self.samples)
         return out
 
     def weighted_sup(self, h):
@@ -377,64 +391,53 @@ class DelayMeasure:
             return hi - lo
         return self.moments_centered(a, b, 0.0)[0]
 
-    def moments_centered(self, a: float, b: float, c: float):
+    def moments_centered(self, a, b, c):
         """Exact (m0, m1, m2) of (theta - c)^k over (a, b], stable for c near a.
 
         m0 is the interval mass; m1, m2 are the first and second moments in
-        the shifted coordinate u = theta - c.
+        the shifted coordinate u = theta - c.  a, b, c are floats, or
+        equal-shape arrays with one interval per element; floats give floats.
         """
-        if b <= a:
-            return 0.0, 0.0, 0.0
+        scalar = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
+        a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
         if self.kind == "point":
-            inside = a < 0.0 <= b
-            if not inside:
-                return 0.0, 0.0, 0.0
-            return 1.0, -c, c * c
-        if self.kind == "exponential":
+            inside = (a < 0.0) & (0.0 <= b)
+            m = (np.where(inside, 1.0, 0.0), np.where(inside, -c, 0.0),
+                 np.where(inside, c * c, 0.0))
+        elif self.kind == "exponential":
             r2 = 2.0 * self.rate
-            scale = math.exp(r2 * c)
-            ub = min(b, 0.0) - c
-            ua = -math.inf if a == -math.inf else a - c
-
-            def anti0(u):
-                return math.exp(r2 * u)
-
-            def anti1(u):
-                return math.exp(r2 * u) * (u - 1.0 / r2)
-
-            def anti2(u):
-                return math.exp(r2 * u) * (u * u - 2.0 * u / r2 + 2.0 / (r2 * r2))
-
-            if ua == -math.inf:
-                lo0 = lo1 = lo2 = 0.0
-            else:
-                lo0, lo1, lo2 = anti0(ua), anti1(ua), anti2(ua)
-            return (scale * (anti0(ub) - lo0),
-                    scale * (anti1(ub) - lo1),
-                    scale * (anti2(ub) - lo2))
-        # tabulated: piecewise-linear density, exact polynomial integrals
-        a = max(a, self.grid[0])
-        b = min(b, 0.0)
-        if b <= a:
-            return 0.0, 0.0, 0.0
-        m0 = m1 = m2 = 0.0
-        for ga, gb, da, db in zip(self.grid[:-1], self.grid[1:],
-                                  self.density[:-1], self.density[1:]):
-            lo, hi = max(a, ga), min(b, gb)
-            if hi <= lo:
-                continue
-            slope = (db - da) / (gb - ga)
-            # density in shifted coordinate u = theta - c: alpha_c + slope*u
-            alpha_c = da + slope * (c - ga)
-            ulo, uhi = lo - c, hi - c
-
-            def poly(k, u):
-                return u ** (k + 1) / (k + 1)
-
-            m0 += alpha_c * (poly(0, uhi) - poly(0, ulo)) + slope * (poly(1, uhi) - poly(1, ulo))
-            m1 += alpha_c * (poly(1, uhi) - poly(1, ulo)) + slope * (poly(2, uhi) - poly(2, ulo))
-            m2 += alpha_c * (poly(2, uhi) - poly(2, ulo)) + slope * (poly(3, uhi) - poly(3, ulo))
-        return m0, m1, m2
+            scale = np.exp(r2 * c)
+            ub = np.minimum(b, 0.0) - c
+            eb = np.exp(r2 * ub)
+            # antiderivatives e^{r2 u}, e^{r2 u}(u - 1/r2), e^{r2 u}(u^2 - 2u/r2 + 2/r2^2);
+            # a lower end at -infty contributes 0
+            open_lo = a == -np.inf
+            ua = np.where(open_lo, 0.0, a - c)
+            ea = np.where(open_lo, 0.0, np.exp(r2 * ua))
+            m = (scale * (eb - ea),
+                 scale * (eb * (ub - 1.0 / r2) - ea * (ua - 1.0 / r2)),
+                 scale * (eb * (ub * ub - 2.0 * ub / r2 + 2.0 / (r2 * r2))
+                          - ea * (ua * ua - 2.0 * ua / r2 + 2.0 / (r2 * r2))))
+            m = tuple(np.where(b > a, v, 0.0) for v in m)
+        else:
+            # piecewise-linear density: exact polynomial integrals, one grid
+            # segment at a time over all intervals
+            lo_all, hi_all = np.maximum(a, self.grid[0]), np.minimum(b, 0.0)
+            m = [np.zeros(np.broadcast(a, b, c).shape) for _ in range(3)]
+            for ga, gb, da, db in zip(self.grid[:-1], self.grid[1:],
+                                      self.density[:-1], self.density[1:]):
+                lo, hi = np.maximum(lo_all, ga), np.minimum(hi_all, gb)
+                active = hi > lo
+                slope = (db - da) / (gb - ga)
+                # density in shifted coordinate u = theta - c: alpha_c + slope*u
+                alpha_c = da + slope * (c - ga)
+                ulo, uhi = lo - c, hi - c
+                p = [uhi ** (k + 1) / (k + 1) - ulo ** (k + 1) / (k + 1) for k in range(4)]
+                for k in range(3):
+                    m[k] += np.where(active, alpha_c * p[k] + slope * p[k + 1], 0.0)
+        if scalar:
+            return tuple(float(v) for v in m)
+        return tuple(m)
 
     def graded_nodes(self, a: float, b: float, n: int) -> np.ndarray:
         """Quadrature nodes on [a, b]: equal-mass grading unioned with a
@@ -526,10 +529,7 @@ class HistoryBuffer:
             return self.tail.value_at(s)
         if s > self.head_time + 1e-12:
             raise HistoryRangeError(f"time {s} beyond simulated range {self.head_time}")
-        out = np.empty(self.dim)
-        for d in range(self.dim):
-            out[d] = np.interp(s, self.times, self.samples[:, d])
-        return out
+        return _interp_rows([s], self.times, self.samples)[0]
 
     def values_at(self, ss: np.ndarray) -> np.ndarray:
         ss = np.asarray(ss, dtype=float)
@@ -541,8 +541,7 @@ class HistoryBuffer:
         if np.any(post):
             if np.max(ss[post]) > self.head_time + 1e-12:
                 raise HistoryRangeError("requested times beyond simulated range")
-            for d in range(self.dim):
-                out[post, d] = np.interp(ss[post], self.times, self.samples[:, d])
+            out[post] = _interp_rows(ss[post], self.times, self.samples)
         return out
 
     def appended(self, t: float, value) -> "HistoryBuffer":
@@ -643,36 +642,33 @@ def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
 
     Quadratic (Lagrange) interpolation of the kernel over pairs of panels,
     integrated against the measure's exact zeroth/first/second moments; the
-    final odd panel, if any, falls back to linear.  A constant kernel
+    final odd panel, if any, falls back to linear.  The moments and weights
+    of all panel pairs are computed in one array pass.  A constant kernel
     integrates to the interval mass exactly.
     """
     if hi <= lo:
         return 0.0
     nodes = mu.graded_nodes(lo, hi, n)
-    if extra_nodes is not None and len(extra_nodes):
-        nodes = np.unique(np.concatenate([nodes, np.asarray(extra_nodes, dtype=float)]))
+    if extra_nodes is not None:
+        nodes = np.concatenate([nodes, np.asarray(extra_nodes, dtype=float)])
+    nodes = np.unique(nodes)  # a repeated node would be a zero-width panel
     ks = np.asarray(values_of_theta(nodes), dtype=float)
-    total = 0.0
-    i = 0
     last = len(nodes) - 1
-    while i < last:
-        if i + 2 <= last:
-            x0, x1, x2 = nodes[i], nodes[i + 1], nodes[i + 2]
-            m0, m1, m2 = mu.moments_centered(x0, x2, x1)
-            if m0 != 0.0:
-                u0, u2 = x0 - x1, x2 - x1
-                w0 = (m2 - u2 * m1) / (u0 * (u0 - u2))
-                w1 = (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2)
-                w2 = (m2 - u0 * m1) / (u2 * (u2 - u0))
-                total += w0 * ks[i] + w1 * ks[i + 1] + w2 * ks[i + 2]
-            i += 2
-        else:
-            a, b = nodes[i], nodes[i + 1]
-            m0, m1, _ = mu.moments_centered(a, b, a)
-            if m0 != 0.0:
-                w = b - a
-                total += ks[i] * (m0 - m1 / w) + ks[i + 1] * (m1 / w)
-            i += 1
+    end = last - last % 2  # nodes[0..end] form the panel pairs
+    x0, x1, x2 = nodes[0:end:2], nodes[1:end:2], nodes[2:end + 1:2]
+    m0, m1, m2 = mu.moments_centered(x0, x2, x1)
+    u0, u2 = x0 - x1, x2 - x1
+    w0 = (m2 - u2 * m1) / (u0 * (u0 - u2))
+    w1 = (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2)
+    w2 = (m2 - u0 * m1) / (u2 * (u2 - u0))
+    terms = w0 * ks[0:end:2] + w1 * ks[1:end:2] + w2 * ks[2:end + 1:2]
+    total = float(np.sum(terms[m0 != 0.0]))
+    if end < last:
+        a, b = nodes[end], nodes[last]
+        m0, m1, _ = mu.moments_centered(a, b, a)
+        if m0 != 0.0:
+            w = b - a
+            total += ks[end] * (m0 - m1 / w) + ks[last] * (m1 / w)
     return total
 
 

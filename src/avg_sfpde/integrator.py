@@ -208,9 +208,12 @@ class PathRunner:
     of a continuity pair), stepped on the same noise array but never stacked
     with the first.  A row that is still non-finite after the halving retry
     is a blow-up of that path alone: its BlowUpError goes to ``errors``, its
-    state is reset to zero, and the other rows run on.
+    state is reset to zero, and the other rows run on.  The runner finds
+    non-finite rows itself, so construction and stepping run with numpy's
+    overflow and invalid-value warnings silenced.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
                  initial: HistoryBuffer, path_id: int = 0):
         self.op = op
@@ -322,6 +325,7 @@ class PathRunner:
             self.errors[r] = BlowUpError(t + self.cfg.dt, mode)
         new[~np.isfinite(new).all(axis=1)] = 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> Trajectory | None:
         """Step to the horizon.  Returns the chunk trajectory, states of shape
         (n_steps + 1, CHUNK, dim), unless the runner is coupled."""

@@ -1,5 +1,7 @@
 """CLI: subcommands, config handling, manifests, reproducibility."""
 
+import warnings
+
 import pytest
 
 from avg_sfpde.cli import main
@@ -135,6 +137,20 @@ def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):
     assert "largest delta = 100.0" in err
     assert "blew up" in (out / "diagnostics.txt").read_text()
     assert not (out / "manifest.ini").exists()
+
+
+def test_blow_up_prints_only_its_error_line(tmp_path, capsys):
+    # the runner detects the non-finite rows itself; no numpy overflow or
+    # invalid-value warning may reach the user ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["sweep-continuity", "--preset", "broken-quadratic",
+                        "--delta", "100,10,1", "--paths", "2", "--eps", "0.5",
+                        "--out", str(tmp_path / "c")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: blow-up ")
 
 
 def test_unknown_preset_is_an_error(tmp_path, capsys):

@@ -389,3 +389,50 @@ def test_sample_history_families_respect_radius():
         for _ in range(20):
             buf = sample_history(rng, 3, 1.0, 2.0, kind=kind)
             assert seminorm_h(buf, buf.head_time) <= 2.0 + 1e-9
+
+
+def looped_sample_history(rng, dim, h, radius):
+    """sample_history with its random walk built one appended sample at a time."""
+    from avg_sfpde.delay import ExponentialTail, extract_segment
+
+    kind = rng.choice(["constant", "exponential", "path"])
+    direction = rng.standard_normal(dim)
+    direction = direction / np.linalg.norm(direction)
+    scale = radius * rng.uniform(0.1, 1.0)
+    if kind == "constant":
+        return HistoryBuffer.from_tail(h, ConstantTail(scale * direction))
+    if kind == "exponential":
+        rate = rng.uniform(-h, 2.0 * h)
+        return HistoryBuffer.from_tail(h, ExponentialTail(scale * direction, rate=rate))
+    buf = HistoryBuffer.from_tail(h, ConstantTail(scale * direction))
+    x, t = scale * direction, 0.0
+    for _ in range(rng.integers(3, 12)):
+        t += 0.05
+        x = x + 0.1 * scale * rng.standard_normal(dim)
+        buf = buf.appended(t, x)
+    s = seminorm_h(buf, buf.head_time)
+    if s > radius:
+        shrink = radius / s
+        buf = HistoryBuffer(h, ConstantTail(shrink * scale * direction),
+                            buf.times, buf.samples * shrink, buf.horizon)
+    return extract_segment(buf, buf.head_time)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_sample_history_path_family_bit_identical_to_appending_loop(seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    paths = 0
+    for _ in range(40):
+        got = sample_history(rng_a, 4, 0.5, 0.3)
+        ref = looped_sample_history(rng_b, 4, 0.5, 0.3)
+        assert type(got.tail) is type(ref.tail)
+        np.testing.assert_array_equal(got.samples, ref.samples)
+        if hasattr(ref.tail, "parent_tail"):
+            paths += 1
+            assert got.tail.t0 == ref.tail.t0
+            np.testing.assert_array_equal(got.tail.times, ref.tail.times)
+            np.testing.assert_array_equal(got.tail.samples, ref.tail.samples)
+            np.testing.assert_array_equal(got.tail.parent_tail.value,
+                                          ref.tail.parent_tail.value)
+    assert paths > 5
+    assert rng_a.random() == rng_b.random()  # same number of draws

@@ -16,6 +16,8 @@ from avg_sfpde.delay import (
     HistoryRangeError,
     MomentDivergenceError,
     TabulatedTail,
+    _interp_rows,
+    _product_quadrature,
     delay_integral,
     delay_pair_integral,
     exp_moment,
@@ -299,3 +301,116 @@ def test_weighted_limit_exposed():
     t2 = ExponentialTail(np.array([2.0]), rate=-1.0)
     assert t2.weighted_limit(1.0) == pytest.approx(2.0)
     assert t2.weighted_limit(0.5) if False else True  # rate -1 < -0.5 inadmissible anyway
+
+
+# ---------------------------------------------------------------------------
+# array product quadrature and row interpolation against the scalar forms
+# ---------------------------------------------------------------------------
+
+def scalar_moments(mu, a, b, c):
+    """Scalar (m0, m1, m2) of (theta - c)^k over (a, b], one interval per call."""
+    if b <= a:
+        return 0.0, 0.0, 0.0
+    if mu.kind == "point":
+        return (1.0, -c, c * c) if a < 0.0 <= b else (0.0, 0.0, 0.0)
+    if mu.kind == "exponential":
+        r2 = 2.0 * mu.rate
+        scale = math.exp(r2 * c)
+        ub = min(b, 0.0) - c
+
+        def anti(u):
+            e = math.exp(r2 * u)
+            return e, e * (u - 1.0 / r2), e * (u * u - 2.0 * u / r2 + 2.0 / (r2 * r2))
+
+        hi = anti(ub)
+        lo = (0.0, 0.0, 0.0) if a == -math.inf else anti(a - c)
+        return tuple(scale * (h - l) for h, l in zip(hi, lo))
+    a, b = max(a, mu.grid[0]), min(b, 0.0)
+    m = [0.0, 0.0, 0.0]
+    for ga, gb, da, db in zip(mu.grid[:-1], mu.grid[1:], mu.density[:-1], mu.density[1:]):
+        lo, hi = max(a, ga), min(b, gb)
+        if hi <= lo:
+            continue
+        slope = (db - da) / (gb - ga)
+        alpha_c = da + slope * (c - ga)
+        p = [((hi - c) ** (k + 1) - (lo - c) ** (k + 1)) / (k + 1) for k in range(4)]
+        for k in range(3):
+            m[k] += alpha_c * p[k] + slope * p[k + 1]
+    return tuple(m)
+
+
+def scalar_product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=()):
+    """Panel-by-panel Lagrange loop over scalar moments."""
+    nodes = np.unique(np.concatenate([mu.graded_nodes(lo, hi, n), extra_nodes]))
+    ks = values_of_theta(nodes)
+    total, i, last = 0.0, 0, len(nodes) - 1
+    while i < last:
+        if i + 2 <= last:
+            x0, x1, x2 = nodes[i], nodes[i + 1], nodes[i + 2]
+            m0, m1, m2 = scalar_moments(mu, x0, x2, x1)
+            if m0 != 0.0:
+                u0, u2 = x0 - x1, x2 - x1
+                total += ((m2 - u2 * m1) / (u0 * (u0 - u2)) * ks[i]
+                          + (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2) * ks[i + 1]
+                          + (m2 - u0 * m1) / (u2 * (u2 - u0)) * ks[i + 2])
+            i += 2
+        else:
+            a, b = nodes[i], nodes[i + 1]
+            m0, m1, _ = scalar_moments(mu, a, b, a)
+            if m0 != 0.0:
+                total += ks[i] * (m0 - m1 / (b - a)) + ks[i + 1] * (m1 / (b - a))
+            i += 1
+    return total
+
+
+TAB = DelayMeasure.tabulated([-2.0, -1.3, -0.4, 0.0], [0.2, 1.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("mu, lo, n, extra, odd", [
+    (DelayMeasure.exponential(0.7), -30.0, 64, [], True),
+    (DelayMeasure.exponential(0.7), -30.0, 64, [-3.3], False),
+    (DelayMeasure.exponential(2.5), -8.0, 1024, [-1.0, -0.25, -0.05], False),
+    (DelayMeasure.point_mass(), -1.0, 16, [-0.3, -0.1], False),
+    (DelayMeasure.point_mass(), -1.0, 16, [-0.2], True),
+    (TAB, -3.0, 40, [], False),
+    (TAB, -3.0, 41, [], True),
+    (TAB, -1.7, 40, [-1.3, -0.4, -0.33], True),
+])
+def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
+    def K(th):
+        return 1.0 + np.sin(3.0 * th) ** 2 + 0.1 * th * th
+
+    nodes = np.unique(np.concatenate([mu.graded_nodes(lo, 0.0, n), extra]))
+    assert (len(nodes) - 1) % 2 == odd  # an odd panel count ends in a linear panel
+    got = _product_quadrature(mu, lo, 0.0, K, n=n, extra_nodes=np.array(extra))
+    ref = scalar_product_quadrature(mu, lo, 0.0, K, n=n, extra_nodes=extra)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("mu", [DelayMeasure.exponential(0.7), DelayMeasure.point_mass(), TAB])
+def test_array_moments_match_scalar_moments(mu):
+    rng = np.random.default_rng(11)
+    a = np.concatenate([[-np.inf, -np.inf, 0.0], rng.uniform(-3.0, 0.5, 200)])
+    b = np.concatenate([[0.0, -1.0, 0.0], a[3:] + rng.uniform(-0.5, 2.0, 200)])
+    c = np.concatenate([[-0.5, -1.5, 0.0], a[3:] + rng.uniform(-0.2, 1.0, 200)])
+    got = mu.moments_centered(a, b, c)
+    for k in range(3):
+        ref = np.array([scalar_moments(mu, *abc)[k] for abc in zip(a, b, c)])
+        np.testing.assert_allclose(got[k], ref, rtol=1e-13, atol=1e-15)
+    scalar = mu.moments_centered(-2.0, -0.5, -1.0)
+    assert all(type(v) is float for v in scalar)
+    assert scalar == pytest.approx(scalar_moments(mu, -2.0, -0.5, -1.0), rel=1e-13, abs=0)
+
+
+def test_interp_rows_is_bit_identical_to_np_interp():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = 1 + trial % 13   # includes one-sample buffers
+        dim = 1 + trial % 5
+        xp = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 3.0)
+        fp = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        x = np.concatenate([rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 40), xp,
+                            [xp[0], xp[-1], xp[0] - 5.0, xp[-1] + 5.0]])
+        rng.shuffle(x)
+        ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
+        np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)

@@ -362,6 +362,13 @@ def test_step_halving_salvages_overflowing_sum():
     traj = run_path(op, cs, cfg, init)
     assert np.all(np.isfinite(traj.states))
     assert abs(traj.states[-1, 0]) < x0
+    # the first step is rescued by one halving: it equals two reference steps
+    # at dt/2 (the diffusion gain is 0, so the noise drops out)
+    half = StepperConfig(dt=0.5, T=1.0, noise_modes=1, seed=0, eps=1.0)
+    st = PathState(buffer=init, t=0.0)
+    for _ in range(2):
+        st = step(st, op, cs, half)
+    assert traj.states[1, 0] == st.buffer.head[0]
 
 
 # ---------------------------------------------------------------------------
