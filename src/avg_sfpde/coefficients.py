@@ -43,28 +43,18 @@ class Oscillator:
     """Bounded oscillation profile with a closed-form long-run mean.
 
     kinds: ``constant`` (offset), ``sinusoid`` (offset + amp*sin(omega t + phase)),
-    ``almost_periodic`` (offset + sum of sinusoids), ``tabulated`` (periodic,
-    linear interpolation of one period).
+    ``almost_periodic`` (offset + sum of sinusoids).
     """
 
     kind: str
     offset: float = 0.0
     terms: tuple = ()            # (amp, omega, phase) triples
-    period_grid: np.ndarray | None = None
-    period_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sinusoid", "almost_periodic", "tabulated"):
+        if self.kind not in ("constant", "sinusoid", "almost_periodic"):
             raise ValueError(f"unknown oscillator kind {self.kind!r}")
         if self.kind == "sinusoid" and len(self.terms) != 1:
             raise ValueError("sinusoid takes exactly one (amp, omega, phase) term")
-        if self.kind == "tabulated":
-            g = np.asarray(self.period_grid, dtype=float)
-            v = np.asarray(self.period_values, dtype=float)
-            if g[0] != 0.0 or np.any(np.diff(g) <= 0) or len(g) != len(v):
-                raise ValueError("tabulated oscillator needs a period grid from 0")
-            object.__setattr__(self, "period_grid", g)
-            object.__setattr__(self, "period_values", v)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -80,24 +70,13 @@ class Oscillator:
         return Oscillator("almost_periodic", offset=offset,
                           terms=tuple((a, w, p) for a, w, p in terms))
 
-    @staticmethod
-    def tabulated_periodic(grid, values) -> "Oscillator":
-        return Oscillator("tabulated", period_grid=np.asarray(grid, float),
-                          period_values=np.asarray(values, float))
-
     # -- evaluation ----------------------------------------------------------
     def scalar_eval(self, t: float) -> float:
         """Fast float evaluation shared by the stepper and the public ops."""
-        if self.kind == "constant":
-            return self.offset
-        if self.kind in ("sinusoid", "almost_periodic"):
-            out = self.offset
-            for a, w, p in self.terms:
-                out += a * math.sin(w * t + p)
-            return out
-        period = self.period_grid[-1]
-        return float(np.interp(math.fmod(t, period), self.period_grid,
-                               self.period_values))
+        out = self.offset
+        for a, w, p in self.terms:
+            out += a * math.sin(w * t + p)
+        return out
 
     def __call__(self, t):
         if isinstance(t, (int, float)):
@@ -105,42 +84,25 @@ class Oscillator:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self.scalar_eval(float(t))
-        if self.kind == "constant":
-            return np.full(t.shape, self.offset)
-        if self.kind in ("sinusoid", "almost_periodic"):
-            out = np.full(t.shape, self.offset)
-            for a, w, p in self.terms:
-                out = out + a * np.sin(w * t + p)
-            return out
-        period = self.period_grid[-1]
-        return np.interp(np.mod(t, period), self.period_grid, self.period_values)
+        out = np.full(t.shape, self.offset)
+        for a, w, p in self.terms:
+            out = out + a * np.sin(w * t + p)
+        return out
 
     def mean(self) -> float:
         """Long-run Cesaro mean; exact for every supported kind."""
-        if self.kind in ("constant", "sinusoid", "almost_periodic"):
-            return float(self.offset)
-        g, v = self.period_grid, self.period_values
-        return float(np.trapezoid(v, g) / g[-1])
+        return float(self.offset)
 
     def bound(self) -> float:
         """A recorded constant M with sup_t |xi(t)| <= M."""
-        if self.kind == "constant":
-            return abs(self.offset)
-        if self.kind in ("sinusoid", "almost_periodic"):
-            return abs(self.offset) + sum(abs(a) for a, _, _ in self.terms)
-        return float(np.max(np.abs(self.period_values)))
+        return abs(self.offset) + sum(abs(a) for a, _, _ in self.terms)
 
     def integral(self, a: float, b: float) -> float:
-        """int_a^b xi(s) ds, closed form where the kind admits one."""
-        if self.kind == "constant":
-            return self.offset * (b - a)
-        if self.kind in ("sinusoid", "almost_periodic"):
-            total = self.offset * (b - a)
-            for amp, w, p in self.terms:
-                total += -amp / w * (math.cos(w * b + p) - math.cos(w * a + p))
-            return total
-        val, _ = integrate.quad(lambda s: self(s), a, b, limit=500)
-        return val
+        """int_a^b xi(s) ds in closed form."""
+        total = self.offset * (b - a)
+        for amp, w, p in self.terms:
+            total += -amp / w * (math.cos(w * b + p) - math.cos(w * a + p))
+        return total
 
     def square_deviation_integral(self, a: float, b: float) -> float:
         """int_a^b (xi(s) - mean)^2 ds."""
@@ -389,11 +351,7 @@ def eval_drift(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndar
 
 def averaged_drift(cs: CoefficientSet, buf: HistoryBuffer) -> np.ndarray:
     """xi_1^* F(phi) with the oscillator's closed-form mean."""
-    try:
-        mean = cs.osc1.mean()
-    except NotImplementedError as exc:  # pragma: no cover - custom subclasses
-        raise ValueError("oscillator kind has no closed-form mean") from exc
-    return mean * cs.drift_functional(buf)
+    return cs.osc1.mean() * cs.drift_functional(buf)
 
 
 def eval_diffusion_amplitude(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndarray:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 class HistoryRangeError(ValueError):
@@ -88,9 +87,6 @@ class Tail:
 
     def value_at(self, theta: float) -> np.ndarray:
         raise NotImplementedError
-
-    def values_at(self, thetas: np.ndarray) -> np.ndarray:
-        return np.stack([self.value_at(float(t)) for t in np.asarray(thetas)])
 
     def weighted_sup(self, h: float) -> float:
         """sup_{theta <= 0} e^{h theta} ||phi(theta)||."""
@@ -304,34 +300,16 @@ class DelayMeasure:
     Supported kinds:
       * ``exponential``: density 2*rate*exp(2*rate*theta) d theta, rate > 0
       * ``point``: unit mass at theta = 0
-      * ``tabulated``: piecewise-linear density on a finite grid [-tau, 0],
-        normalized to total mass 1 at construction
     """
 
     kind: str
     rate: float = 0.0
-    grid: np.ndarray | None = None
-    density: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "exponential":
             if self.rate <= 0:
                 raise ValueError("exponential measure needs rate > 0")
-        elif self.kind == "point":
-            pass
-        elif self.kind == "tabulated":
-            g = np.asarray(self.grid, dtype=float)
-            d = np.asarray(self.density, dtype=float)
-            if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0) or g[-1] != 0.0:
-                raise ValueError("tabulated measure grid must increase and end at 0")
-            if np.any(d < 0):
-                raise ValueError("tabulated density must be nonnegative")
-            total = np.trapezoid(d, g)
-            if total <= 0:
-                raise ValueError("tabulated density has zero mass")
-            object.__setattr__(self, "grid", g)
-            object.__setattr__(self, "density", d / total)
-        else:
+        elif self.kind != "point":
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
@@ -343,41 +321,19 @@ class DelayMeasure:
     def point_mass() -> "DelayMeasure":
         return DelayMeasure("point")
 
-    @staticmethod
-    def tabulated(grid, density) -> "DelayMeasure":
-        return DelayMeasure("tabulated", grid=np.asarray(grid, float),
-                            density=np.asarray(density, float))
-
     # -- basic quantities ---------------------------------------------------
-    @property
-    def support_lo(self) -> float:
-        if self.kind == "tabulated":
-            return float(self.grid[0])
-        if self.kind == "point":
-            return 0.0
-        return -math.inf
-
     def exp_moment(self, k: float) -> float:
         """mu^{(k)} = int exp(-k*theta) mu(d theta); raises if infinite."""
         if k < 0:
             raise ValueError("moment order k must be nonnegative")
         if self.kind == "point":
             return 1.0
-        if self.kind == "exponential":
-            if k >= 2.0 * self.rate:
-                raise MomentDivergenceError(
-                    f"exp_moment({k}) diverges: exponential({self.rate}) lies in "
-                    f"P_k only for k < {2.0 * self.rate}"
-                )
-            return 2.0 * self.rate / (2.0 * self.rate - k)
-        # tabulated: composite quadrature on a refinement of the grid
-        total = 0.0
-        for a, b, da, db in zip(self.grid[:-1], self.grid[1:],
-                                self.density[:-1], self.density[1:]):
-            xs = np.linspace(a, b, 65)
-            dens = np.interp(xs, [a, b], [da, db])
-            total += integrate.simpson(np.exp(-k * xs) * dens, x=xs)
-        return float(total)
+        if k >= 2.0 * self.rate:
+            raise MomentDivergenceError(
+                f"exp_moment({k}) diverges: exponential({self.rate}) lies in "
+                f"P_k only for k < {2.0 * self.rate}"
+            )
+        return 2.0 * self.rate / (2.0 * self.rate - k)
 
     def mass(self, a: float, b: float) -> float:
         """Measure of the interval (a, b], exact for the supported kinds."""
@@ -385,11 +341,9 @@ class DelayMeasure:
             return 0.0
         if self.kind == "point":
             return 1.0 if a < 0.0 <= b else 0.0
-        if self.kind == "exponential":
-            hi = math.exp(2.0 * self.rate * min(b, 0.0))
-            lo = 0.0 if a == -math.inf else math.exp(2.0 * self.rate * a)
-            return hi - lo
-        return self.moments_centered(a, b, 0.0)[0]
+        hi = math.exp(2.0 * self.rate * min(b, 0.0))
+        lo = 0.0 if a == -math.inf else math.exp(2.0 * self.rate * a)
+        return hi - lo
 
     def moments_centered(self, a, b, c):
         """Exact (m0, m1, m2) of (theta - c)^k over (a, b], stable for c near a.
@@ -404,7 +358,7 @@ class DelayMeasure:
             inside = (a < 0.0) & (0.0 <= b)
             m = (np.where(inside, 1.0, 0.0), np.where(inside, -c, 0.0),
                  np.where(inside, c * c, 0.0))
-        elif self.kind == "exponential":
+        else:
             r2 = 2.0 * self.rate
             scale = np.exp(r2 * c)
             ub = np.minimum(b, 0.0) - c
@@ -419,22 +373,6 @@ class DelayMeasure:
                  scale * (eb * (ub * ub - 2.0 * ub / r2 + 2.0 / (r2 * r2))
                           - ea * (ua * ua - 2.0 * ua / r2 + 2.0 / (r2 * r2))))
             m = tuple(np.where(b > a, v, 0.0) for v in m)
-        else:
-            # piecewise-linear density: exact polynomial integrals, one grid
-            # segment at a time over all intervals
-            lo_all, hi_all = np.maximum(a, self.grid[0]), np.minimum(b, 0.0)
-            m = [np.zeros(np.broadcast(a, b, c).shape) for _ in range(3)]
-            for ga, gb, da, db in zip(self.grid[:-1], self.grid[1:],
-                                      self.density[:-1], self.density[1:]):
-                lo, hi = np.maximum(lo_all, ga), np.minimum(hi_all, gb)
-                active = hi > lo
-                slope = (db - da) / (gb - ga)
-                # density in shifted coordinate u = theta - c: alpha_c + slope*u
-                alpha_c = da + slope * (c - ga)
-                ulo, uhi = lo - c, hi - c
-                p = [uhi ** (k + 1) / (k + 1) - ulo ** (k + 1) / (k + 1) for k in range(4)]
-                for k in range(3):
-                    m[k] += np.where(active, alpha_c * p[k] + slope * p[k + 1], 0.0)
         if scalar:
             return tuple(float(v) for v in m)
         return tuple(m)
@@ -453,13 +391,7 @@ class DelayMeasure:
             uniform = np.linspace(a, min(b, 0.0), half + 1)
             nodes = np.unique(np.concatenate([mass_nodes, uniform]))
             return np.clip(nodes, a, b)
-        lo = max(a, self.support_lo)
-        return np.linspace(lo, min(b, 0.0), n + 1)
-
-
-def exp_moment(mu: DelayMeasure, k: float) -> float:
-    """Exponential moment mu^{(k)}; module-level convenience wrapper."""
-    return mu.exp_moment(k)
+        return np.linspace(max(a, 0.0), min(b, 0.0), n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -697,48 +629,36 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure, kernel) -> fl
         return v
 
     total = 0.0
-    support_lo = mu.support_lo
 
-    # simulated part: theta in [max(-t, support_lo), 0]
-    sim_lo = max(-t, support_lo)
-    if sim_lo < 0.0:
+    # simulated part: theta in [-t, 0]
+    if t > 0.0:
         grid_thetas = buf.times[(buf.times <= t + 1e-15)] - t
-        nodes = np.concatenate([grid_thetas, [sim_lo, 0.0]])
-        if mu.kind == "tabulated":
-            nodes = np.concatenate([nodes, mu.grid])
-        nodes = np.unique(nodes[(nodes >= sim_lo - 1e-15) & (nodes <= 1e-15)])
+        nodes = np.concatenate([grid_thetas, [-t, 0.0]])
+        nodes = np.unique(nodes[(nodes >= -t - 1e-15) & (nodes <= 1e-15)])
         norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
         ks = check(np.asarray(kfun(norms), dtype=float), nodes)
         masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
         total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
 
-    # analytic-tail part: theta in (-infty, -t] intersect support
-    if support_lo < -t:
-        tail_hi = -t
-        tail_lo = max(support_lo, -buf.horizon - t)
-        shifted_lo = tail_lo + t  # in tail coordinates (<= 0)
-        shifted_hi = 0.0
-        closed = None
-        if power is not None:
-            # closed forms hold on the untruncated tail
-            closed = _tail_power_closed_form(buf.tail, mu, power, support_lo, tail_hi)
-        if closed is not None:
-            total += closed
-        else:
-            def K(thetas):
-                vals = buf.tail.values_at(np.asarray(thetas) + t)
-                return check(np.asarray(kfun(np.linalg.norm(vals, axis=1)), dtype=float),
-                             thetas)
+    # analytic-tail part: theta in (-infty, -t]
+    closed = None
+    if power is not None:
+        # closed forms hold on the untruncated tail
+        closed = _tail_power_closed_form(buf.tail, mu, power, -math.inf, -t)
+    if closed is not None:
+        return total + closed
 
-            lo_fin = tail_lo if tail_lo != -math.inf else -buf.horizon - t
-            kinks = buf.tail.kink_nodes(lo_fin + t, tail_hi + t)
-            total += _product_quadrature(mu, lo_fin, tail_hi, K,
-                                         extra_nodes=np.asarray(kinks) - t)
-            # remainder below the truncation horizon: tail value frozen there
-            rem = mu.mass(-math.inf, lo_fin) if support_lo == -math.inf else 0.0
-            if rem > 0.0:
-                total += rem * float(kfun(np.array([
-                    state_norm(buf.tail.value_at(lo_fin + t))]))[0])
+    def K(thetas):
+        vals = buf.tail.values_at(np.asarray(thetas) + t)
+        return check(np.asarray(kfun(np.linalg.norm(vals, axis=1)), dtype=float), thetas)
+
+    lo = -buf.horizon - t
+    kinks = buf.tail.kink_nodes(lo + t, 0.0)
+    total += _product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
+    # remainder below the truncation horizon: tail value frozen there
+    rem = mu.mass(-math.inf, lo)
+    if rem > 0.0:
+        total += rem * float(kfun(np.array([state_norm(buf.tail.value_at(lo + t))]))[0])
     return total
 
 
@@ -766,7 +686,7 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
         vb = buf_b.values_at(np.asarray(thetas) + t)
         return np.linalg.norm(va - vb, axis=1) ** power
 
-    lo = max(mu.support_lo, -max(buf_a.horizon, buf_b.horizon) - t)
+    lo = -max(buf_a.horizon, buf_b.horizon) - t
     kinks = np.concatenate([
         buf_a.times[buf_a.times <= t + 1e-15] - t,
         buf_b.times[buf_b.times <= t + 1e-15] - t,
@@ -774,7 +694,7 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
     ])
     kinks = kinks[(kinks > lo) & (kinks < 0.0)]
     total = _product_quadrature(mu, lo, 0.0, K, extra_nodes=kinks)
-    rem = mu.mass(-math.inf, lo) if mu.support_lo == -math.inf else 0.0
+    rem = mu.mass(-math.inf, lo)
     if rem > 0.0:
         total += rem * float(K(np.array([lo]))[0])
     return total

@@ -536,13 +536,8 @@ def _coercivity_audit(op, cs, rng, trials):
     M = prof.get("coercivity_M", "M")
     worst = -math.inf
     for u in _sample_fields(rng, cs.dim, 5.0, trials):
-        if cs.space is not None:
-            from .spectral import SpectralField
-            pairing, bnorm_p = coercivity_probe(op, SpectralField(cs.space, u))
-            l2 = float(np.linalg.norm(u))
-        else:
-            pairing, bnorm_p = coercivity_probe(op, u)
-            l2 = abs(float(u[0]))
+        pairing, bnorm_p = coercivity_probe(op, cs.space, u)
+        l2 = float(np.linalg.norm(u))
         gap = pairing - (-a1 * bnorm_p + a2 * l2**2 + M)
         worst = max(worst, gap)
     return worst <= 1e-9, f"coercivity gap {worst:.3e}"

@@ -190,10 +190,7 @@ def _make_delay_accumulator(initial, cs, dt):
     mu = cs.drift.delay_measure
     if mu.kind == "exponential":
         return _ExpDelayAccumulator(initial, mu, power, dt)
-    if mu.kind == "point":
-        return _PointDelayAccumulator(initial, power)
-    raise ValueError(f"the path runner supports exponential and point-mass delay "
-                     f"measures, not {mu.kind!r}")
+    return _PointDelayAccumulator(initial, power)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +298,11 @@ class PathRunner:
         The step is split into 2^j substeps with the Brownian increment
         divided proportionally, j = 1 .. RETRY_HALVINGS, at the full chunk
         shape; each failed row keeps the first finite result.  The delay and
-        seminorm caches stay frozen at the step's start.  Rows that stay
-        non-finite become blow-ups; rows that blew up earlier are not retried.
+        seminorm caches stay frozen at the step's start: every substep uses
+        their values at t, where 2^j reference ``step`` calls recompute them
+        from each substep's state, so with either term in the drift a rescued
+        step differs from those calls.  Rows that stay non-finite become
+        blow-ups; rows that blew up earlier are not retried.
         """
         dead = np.array([e is not None for e in self.errors])
         retry = ~np.isfinite(new).all(axis=1) & ~dead

@@ -21,7 +21,7 @@ _MATMUL_LIMIT = 1024
 
 
 class SpectralOverflowError(ArithmeticError):
-    """Non-finite values encountered on the collocation grid."""
+    """Non-finite coefficients given to a spectral probe."""
 
 
 class SpectralSpace:
@@ -85,9 +85,6 @@ class SpectralSpace:
         x = np.concatenate([[0.0], self.x, [self.L]])
         return float(integrate.simpson(y, x=x))
 
-    def l2_norm(self, coeffs: np.ndarray) -> float:
-        return float(np.linalg.norm(coeffs))
-
     def lq_norm(self, values: np.ndarray, q: float) -> float:
         return self.simpson(np.abs(values) ** q) ** (1.0 / q)
 
@@ -102,52 +99,6 @@ class SpectralSpace:
         e = np.zeros(self.k)
         e[i - 1] = 1.0
         return e
-
-
-@dataclass
-class SpectralField:
-    """A field on (0, L) held as coefficients in the sine eigenbasis."""
-
-    space: SpectralSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.k,):
-            raise ValueError(
-                f"expected {self.space.k} coefficients, got shape {self.coeffs.shape}"
-            )
-
-    def values(self) -> np.ndarray:
-        return self.space.to_values(self.coeffs)
-
-    def norm(self) -> float:
-        return self.space.l2_norm(self.coeffs)
-
-
-def project(field, k: int, space: SpectralSpace | None = None) -> SpectralField:
-    """Retain modes 1..k of a field, a grid-value array, or a callable.
-
-    Idempotent and self-adjoint in L2.  Callables are sampled on the
-    collocation grid; grid arrays must match the space's grid.
-    """
-    if k < 1:
-        raise ValueError("mode count k must be >= 1")
-    if isinstance(field, SpectralField):
-        space = field.space
-        if k > space.k:
-            raise ValueError(f"k = {k} exceeds space capacity {space.k}")
-        out = field.coeffs.copy()
-        out[k:] = 0.0
-        return SpectralField(space, out)
-    if space is None:
-        raise ValueError("projection of raw values needs a space")
-    if k > space.k:
-        raise ValueError(f"k = {k} exceeds space capacity {space.k}")
-    values = field(space.x) if callable(field) else np.asarray(field, dtype=float)
-    coeffs = np.zeros(space.k)
-    coeffs[:k] = space.to_coeffs(values, n_modes=k)
-    return SpectralField(space, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +143,6 @@ class PdeOperator:
         (leading axes are rows)."""
         if self.kind == "pure_laplacian" or self.is_scalar:
             return np.zeros(1 if self.is_scalar else space.k)
-        if not np.all(np.isfinite(values)):
-            raise SpectralOverflowError("non-finite grid values in operator input")
         if self.kind == "porous_media":
             w = np.abs(values) ** (self.q - 2.0) * values
             return -space.eigenvalues * space.to_coeffs(w)
@@ -253,8 +202,6 @@ class PdeOperator:
             return abs(float(coeffs[0]))
         if self.kind == "porous_media":
             return space.lq_norm(space.to_values(coeffs), self.q)
-        if self.kind == "reaction_diffusion":
-            return space.h1_seminorm(coeffs)
         return space.h1_seminorm(coeffs)
 
     @property
@@ -275,17 +222,13 @@ class PdeOperator:
         return space.hm1_norm(self.apply(space, coeffs))
 
 
-def coercivity_probe(op: PdeOperator, u: SpectralField) -> tuple[float, float]:
-    """(pairing <A(u), u>, ||u||_B^p) for the coercivity inequality check."""
-    coeffs = u.coeffs if isinstance(u, SpectralField) else np.asarray(u, float)
-    space = u.space if isinstance(u, SpectralField) else None
+def coercivity_probe(op: PdeOperator, space: SpectralSpace | None,
+                     coeffs: np.ndarray) -> tuple[float, float]:
+    """(pairing <A(u), u>, ||u||_B^p) for the coercivity inequality check;
+    ``space`` is None for scalar states."""
+    coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise SpectralOverflowError("non-finite coefficients in coercivity probe")
     pairing = op.pairing(space, coeffs, coeffs)
     bnorm = op.b_norm(space, coeffs) ** op.growth_exponent
     return pairing, bnorm
-
-
-def apply_operator(op: PdeOperator, u: SpectralField) -> SpectralField:
-    """A(u) represented in the retained modes."""
-    return SpectralField(u.space, op.apply(u.space, u.coeffs))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from avg_sfpde.cli import main as cli_main
-from avg_sfpde.delay import DelayMeasure, MomentDivergenceError, exp_moment
+from avg_sfpde.delay import DelayMeasure, MomentDivergenceError
 from avg_sfpde.experiments import (
     SweepPlan,
     averaging_sweep,
@@ -166,14 +166,14 @@ def test_criterion_7_exponential_moment_formula():
         mu = DelayMeasure.exponential(rate)
         for frac in (0.0, 0.5, 1.0, 1.5):
             k = frac * rate
-            closed = exp_moment(mu, k)
+            closed = mu.exp_moment(k)
             quad, _ = integrate.quad(
                 lambda th: 2 * rate * math.exp((2 * rate - k) * th),
                 -np.inf, 0.0, epsabs=1e-14, epsrel=1e-13)
             ok &= abs(closed - quad) / quad < 1e-8
         diverged = False
         try:
-            exp_moment(mu, 2.0 * rate)
+            mu.exp_moment(2.0 * rate)
         except MomentDivergenceError:
             diverged = True
         ok &= diverged

@@ -57,9 +57,6 @@ def test_oscillator_means_and_bounds():
     ap = Oscillator.almost_periodic(0.0, [(1.0, 1.0, 0.0), (1.0, math.sqrt(2.0), 0.0)])
     assert ap.mean() == 0.0
     assert ap.bound() == 2.0
-    tab = Oscillator.tabulated_periodic([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-    assert tab.mean() == pytest.approx(1.0)
-    assert tab.bound() == 2.0
 
 
 def test_oscillator_integral_closed_form_vs_quadrature():

@@ -20,7 +20,6 @@ from avg_sfpde.delay import (
     _product_quadrature,
     delay_integral,
     delay_pair_integral,
-    exp_moment,
     extract_segment,
     pair_seminorm,
     seminorm_h,
@@ -109,7 +108,7 @@ def quad_moment(rate, k):
 
 
 def test_exp_moment_unit_mass():
-    assert exp_moment(DelayMeasure.exponential(1.0), 0.0) == pytest.approx(1.0, abs=0)
+    assert DelayMeasure.exponential(1.0).exp_moment(0.0) == pytest.approx(1.0, abs=0)
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
@@ -117,22 +116,21 @@ def test_exp_moment_unit_mass():
 def test_exp_moment_closed_form_matches_adaptive_quadrature(rate, frac):
     k = frac * rate
     mu = DelayMeasure.exponential(rate)
-    closed = exp_moment(mu, k)
+    closed = mu.exp_moment(k)
     assert closed == pytest.approx(2 * rate / (2 * rate - k), rel=1e-14)
     assert closed == pytest.approx(quad_moment(rate, k), rel=1e-8)
 
 
 def test_exp_moment_diverges_at_membership_boundary():
     with pytest.raises(MomentDivergenceError, match="P_k"):
-        exp_moment(DelayMeasure.exponential(1.0), 2.0)
+        DelayMeasure.exponential(1.0).exp_moment(2.0)
 
 
 def test_exp_moment_point_mass_and_tabulated():
-    assert exp_moment(DelayMeasure.point_mass(), 7.3) == 1.0
-    grid = np.linspace(-1.0, 0.0, 41)
-    mu = DelayMeasure.tabulated(grid, np.ones_like(grid))
-    oracle, _ = integrate.quad(lambda th: math.exp(-0.8 * th), -1.0, 0.0)
-    assert exp_moment(mu, 0.8) == pytest.approx(oracle, rel=1e-8)
+    assert DelayMeasure.point_mass().exp_moment(7.3) == 1.0
+    # measures are exponential or a point mass; a tabulated kind is refused
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        DelayMeasure("tabulated")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,6 @@ def test_exp_moment_point_mass_and_tabulated():
     DelayMeasure.exponential(1.0),
     DelayMeasure.exponential(0.25),
     DelayMeasure.point_mass(),
-    DelayMeasure.tabulated(np.linspace(-2.0, 0.0, 21), np.linspace(0.5, 1.5, 21)),
 ])
 def test_delay_integral_constant_four_sqrt_kernel(mu):
     buf = constant_buffer(4.0)
@@ -208,8 +205,7 @@ def test_delay_integral_unit_kernel_is_total_mass(c, rate, n):
     buf = constant_buffer(c)
     for i in range(1, n + 1):
         buf = buf.appended(0.05 * i, c + 0.1 * i)
-    for mu in (DelayMeasure.exponential(rate), DelayMeasure.point_mass(),
-               DelayMeasure.tabulated([-1.5, -0.5, 0.0], [0.2, 1.0, 2.0])):
+    for mu in (DelayMeasure.exponential(rate), DelayMeasure.point_mass()):
         assert delay_integral(buf, buf.head_time, mu, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -313,30 +309,17 @@ def scalar_moments(mu, a, b, c):
         return 0.0, 0.0, 0.0
     if mu.kind == "point":
         return (1.0, -c, c * c) if a < 0.0 <= b else (0.0, 0.0, 0.0)
-    if mu.kind == "exponential":
-        r2 = 2.0 * mu.rate
-        scale = math.exp(r2 * c)
-        ub = min(b, 0.0) - c
+    r2 = 2.0 * mu.rate
+    scale = math.exp(r2 * c)
+    ub = min(b, 0.0) - c
 
-        def anti(u):
-            e = math.exp(r2 * u)
-            return e, e * (u - 1.0 / r2), e * (u * u - 2.0 * u / r2 + 2.0 / (r2 * r2))
+    def anti(u):
+        e = math.exp(r2 * u)
+        return e, e * (u - 1.0 / r2), e * (u * u - 2.0 * u / r2 + 2.0 / (r2 * r2))
 
-        hi = anti(ub)
-        lo = (0.0, 0.0, 0.0) if a == -math.inf else anti(a - c)
-        return tuple(scale * (h - l) for h, l in zip(hi, lo))
-    a, b = max(a, mu.grid[0]), min(b, 0.0)
-    m = [0.0, 0.0, 0.0]
-    for ga, gb, da, db in zip(mu.grid[:-1], mu.grid[1:], mu.density[:-1], mu.density[1:]):
-        lo, hi = max(a, ga), min(b, gb)
-        if hi <= lo:
-            continue
-        slope = (db - da) / (gb - ga)
-        alpha_c = da + slope * (c - ga)
-        p = [((hi - c) ** (k + 1) - (lo - c) ** (k + 1)) / (k + 1) for k in range(4)]
-        for k in range(3):
-            m[k] += alpha_c * p[k] + slope * p[k + 1]
-    return tuple(m)
+    hi = anti(ub)
+    lo = (0.0, 0.0, 0.0) if a == -math.inf else anti(a - c)
+    return tuple(scale * (h - l) for h, l in zip(hi, lo))
 
 
 def scalar_product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=()):
@@ -363,18 +346,12 @@ def scalar_product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=(
     return total
 
 
-TAB = DelayMeasure.tabulated([-2.0, -1.3, -0.4, 0.0], [0.2, 1.0, 0.5, 2.0])
-
-
 @pytest.mark.parametrize("mu, lo, n, extra, odd", [
     (DelayMeasure.exponential(0.7), -30.0, 64, [], True),
     (DelayMeasure.exponential(0.7), -30.0, 64, [-3.3], False),
     (DelayMeasure.exponential(2.5), -8.0, 1024, [-1.0, -0.25, -0.05], False),
     (DelayMeasure.point_mass(), -1.0, 16, [-0.3, -0.1], False),
     (DelayMeasure.point_mass(), -1.0, 16, [-0.2], True),
-    (TAB, -3.0, 40, [], False),
-    (TAB, -3.0, 41, [], True),
-    (TAB, -1.7, 40, [-1.3, -0.4, -0.33], True),
 ])
 def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
     def K(th):
@@ -387,7 +364,7 @@ def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
     assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("mu", [DelayMeasure.exponential(0.7), DelayMeasure.point_mass(), TAB])
+@pytest.mark.parametrize("mu", [DelayMeasure.exponential(0.7), DelayMeasure.point_mass()])
 def test_array_moments_match_scalar_moments(mu):
     rng = np.random.default_rng(11)
     a = np.concatenate([[-np.inf, -np.inf, 0.0], rng.uniform(-3.0, 0.5, 200)])

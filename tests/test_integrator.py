@@ -1,12 +1,18 @@
 """Integrator: counter-based noise, stepping oracles, coupling, freezing."""
 
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from avg_sfpde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, Oscillator
+from avg_sfpde.coefficients import (
+    AssumptionProfile,
+    CoefficientSet,
+    DiffusionSpec,
+    DriftSpec,
+    Oscillator,
+)
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, delay_integral, seminorm_h
 from avg_sfpde.integrator import (
     AVERAGED,
@@ -315,17 +321,21 @@ def test_freeze_rejects_non_multiple_block():
 # blow-up handling
 # ---------------------------------------------------------------------------
 
-def explosive_coefficients(gain):
-    from avg_sfpde.coefficients import AssumptionProfile
+def noiseless_coefficients(drift):
+    """Scalar coefficients with the given drift, zero diffusion and xi = 1."""
     profile = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
                                 gamma=1.0, p=2.0, mu1=DelayMeasure.point_mass(),
                                 mu2=DelayMeasure.point_mass())
     return CoefficientSet(
-        drift=DriftSpec(seminorm_power=4.0, seminorm_gain=gain),
+        drift=drift,
         diffusion=DiffusionSpec(kind="scalar", gain=0.0),
         osc1=Oscillator.constant(1.0), osc2=Oscillator.constant(1.0),
         profile=profile,
     )
+
+
+def explosive_coefficients(gain):
+    return noiseless_coefficients(DriftSpec(seminorm_power=4.0, seminorm_gain=gain))
 
 
 def test_blow_up_raises_with_time_and_mode():
@@ -343,16 +353,7 @@ def test_step_halving_salvages_overflowing_sum():
     # additive drift near the float ceiling: the full-step sum x + dt*C
     # overflows, but halved substeps interleave the implicit damping with the
     # accumulation and stay finite
-    from avg_sfpde.coefficients import AssumptionProfile
-    profile = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
-                                gamma=1.0, p=2.0, mu1=DelayMeasure.point_mass(),
-                                mu2=DelayMeasure.point_mass())
-    cs = CoefficientSet(
-        drift=DriftSpec(constant=5e307),
-        diffusion=DiffusionSpec(kind="scalar", gain=0.0),
-        osc1=Oscillator.constant(1.0), osc2=Oscillator.constant(1.0),
-        profile=profile,
-    )
+    cs = noiseless_coefficients(DriftSpec(constant=5e307))
     op = PdeOperator("scalar_linear", a=4.0)
     x0 = 1.5e308
     init = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([x0])))
@@ -371,6 +372,46 @@ def test_step_halving_salvages_overflowing_sum():
     assert traj.states[1, 0] == st.buffer.head[0]
 
 
+def test_rescued_step_freezes_the_delay_term():
+    # the full step's dt * rhs overflows; one halving rescues it.  The runner's
+    # substeps keep the delay value V(0) of the step's start, where two
+    # reference steps at dt/2 recompute V(dt/2) from the new sample.  The state
+    # stays near 1.5e148, below the 1.3e154 where state_norm overflows.
+    mu = DelayMeasure.exponential(1.0)
+    gain, a, dt = 1e159, 1e160, 1.5
+    cs = noiseless_coefficients(DriftSpec(constant=1.5e308, delay_kernel_power=1.0,
+                                          delay_gain=gain, delay_measure=mu))
+    op = PdeOperator("scalar_linear", a=a)
+    init = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
+    cfg = StepperConfig(dt=dt, T=3.0, noise_modes=1, seed=0, eps=1.0)
+    v0 = delay_integral(init, 0.0, mu, 1.0)
+    assert not math.isfinite(dt * (1.5e308 + gain * v0))
+    traj = run_path(op, cs, cfg, init)
+    assert np.all(np.isfinite(traj.states))
+    assert np.max(np.abs(traj.states)) < 1e154
+    half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
+    st = step(PathState(buffer=init, t=0.0), op, cs, half)
+    v_half = delay_integral(st.buffer, dt / 2, mu, 1.0)
+    st = step(st, op, cs, half)
+    gap = traj.states[1, 0] - st.buffer.head[0]
+    assert gap != 0.0  # the frozen cache moves the result
+    predicted = (dt / 2) * 1.0 * gain * (v0 - v_half) / (1.0 + a * dt / 2)
+    assert gap == pytest.approx(predicted, rel=1e-12, abs=0)
+
+
+def test_operator_overflow_is_a_row_blow_up():
+    # grid values of a 1e308 head overflow in to_values: every row ends in a
+    # BlowUpError after the halving retry, and run() returns
+    p = get_preset("reaction-diffusion-delay", k=8)
+    init = HistoryBuffer.from_tail(p.initial.h, ConstantTail(np.full(8, 1e308)))
+    cfg = StepperConfig(dt=1e-3, T=2e-3, noise_modes=8)
+    runner = PathRunner(p.operator, p.coefficients, cfg, init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runner.run()
+    assert isinstance(runner.errors[0], BlowUpError)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
@@ -382,16 +423,3 @@ def test_config_validation():
         StepperConfig(dt=0.1, T=1.0, eps=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=0.3, T=1.0)  # not an integer multiple
-
-
-def test_runner_rejects_tabulated_delay_measure():
-    p = get_preset("scalar-holder-osc")
-    mu = DelayMeasure.tabulated([-1.0, 0.0], [1.0, 1.0])
-    drift = dataclasses.replace(p.coefficients.drift, delay_measure=mu)
-    cs = dataclasses.replace(p.coefficients, drift=drift)
-    cfg = StepperConfig(dt=0.01, T=0.1, noise_modes=1, seed=0, eps=1.0)
-    with pytest.raises(ValueError, match="'tabulated'"):
-        PathRunner(p.operator, cs, cfg, p.initial)
-    # the reference step still integrates a tabulated delay term
-    st = step(PathState(buffer=p.initial, t=0.0), p.operator, cs, cfg)
-    assert np.all(np.isfinite(st.buffer.head))

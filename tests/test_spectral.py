@@ -1,4 +1,4 @@
-"""Spectral module: transforms, projection, operators, probes."""
+"""Spectral module: transforms, operators, probes."""
 
 import math
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from avg_sfpde.spectral import (
-    PdeOperator,
-    SpectralField,
-    SpectralOverflowError,
-    SpectralSpace,
-    apply_operator,
-    coercivity_probe,
-    project,
-)
+from avg_sfpde.spectral import PdeOperator, SpectralOverflowError, SpectralSpace, coercivity_probe
 
 
 def simpson_coefficient_oracle(f, i, L=1.0, m=4096):
@@ -25,7 +17,7 @@ def simpson_coefficient_oracle(f, i, L=1.0, m=4096):
 
 
 # ---------------------------------------------------------------------------
-# transforms and projection
+# transforms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [32, 256, 1025, 4096])
@@ -62,51 +54,17 @@ def test_parseval_identity_against_grid_quadrature():
     assert l2_grid == pytest.approx(np.linalg.norm(coeffs), rel=1e-8)
 
 
-def test_project_basis_vector_inside_span_unchanged():
-    space = SpectralSpace(1.0, 8)
-    e1 = SpectralField(space, space.basis_vector(1))
-    out = project(e1, 8)
-    np.testing.assert_allclose(out.coeffs, e1.coeffs, atol=0)
-
-
-def test_project_basis_vector_outside_span_zero():
-    space = SpectralSpace(1.0, 9)
-    e9 = SpectralField(space, space.basis_vector(9))
-    out = project(e9, 8)
-    assert np.all(out.coeffs[:8] == 0.0)
-    assert out.coeffs[8] == 0.0
-
-
-def test_project_zero_modes_rejected():
-    space = SpectralSpace(1.0, 4)
-    with pytest.raises(ValueError):
-        project(SpectralField(space, np.zeros(4)), 0)
-
-
 def test_project_parabola_matches_simpson_oracle():
-    # x(1-x) on L=1: oracle by dense composite Simpson quadrature
+    # x(1-x) on L=1: oracle by dense composite Simpson quadrature; m=4096
+    # takes the DST branch of to_coeffs
     space = SpectralSpace(1.0, 4, quad_points=4096)
-    out = project(lambda x: x * (1.0 - x), 4, space=space)
+    out = space.to_coeffs(space.x * (1.0 - space.x), n_modes=4)
     for i in range(1, 5):
         oracle = simpson_coefficient_oracle(lambda x: x * (1.0 - x), i)
-        assert out.coeffs[i - 1] == pytest.approx(oracle, abs=1e-10)
+        assert out[i - 1] == pytest.approx(oracle, abs=1e-10)
         # cross-check of the oracle itself: closed form 4*sqrt(2)/(i pi)^3, odd i
         closed = 4.0 * math.sqrt(2.0) / (i * math.pi) ** 3 if i % 2 == 1 else 0.0
         assert oracle == pytest.approx(closed, abs=1e-12)
-
-
-def test_projection_contracts_and_is_idempotent():
-    space = SpectralSpace(1.0, 16, quad_points=128)
-    rng = np.random.default_rng(3)
-    f = SpectralField(space, rng.standard_normal(16))
-    p = project(f, 5)
-    assert p.norm() <= f.norm() + 1e-14
-    np.testing.assert_allclose(project(p, 5).coeffs, p.coeffs, atol=0)
-    # self-adjoint: <Pf, g> = <f, Pg>
-    g = SpectralField(space, rng.standard_normal(16))
-    lhs = float(np.dot(project(f, 5).coeffs, g.coeffs))
-    rhs = float(np.dot(f.coeffs, project(g, 5).coeffs))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_anti_aliasing_floor_enforced():
@@ -123,17 +81,16 @@ def test_pure_laplacian_eigenfunction_fidelity():
     op = PdeOperator("pure_laplacian")
     for i in (1, 3, 8):
         c = 0.7
-        u = SpectralField(space, c * space.basis_vector(i))
-        out = apply_operator(op, u)
+        out = op.apply(space, c * space.basis_vector(i))
         expected = -space.eigenvalues[i - 1] * c * space.basis_vector(i)
-        np.testing.assert_allclose(out.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_reaction_diffusion_fixes_zero():
     space = SpectralSpace(1.0, 8)
     op = PdeOperator("reaction_diffusion", q=3.0)
-    out = apply_operator(op, SpectralField(space, np.zeros(8)))
-    np.testing.assert_allclose(out.coeffs, 0.0, atol=0)
+    out = op.apply(space, np.zeros(8))
+    np.testing.assert_allclose(out, 0.0, atol=0)
 
 
 def test_porous_media_against_dense_grid_oracle():
@@ -155,14 +112,6 @@ def test_operator_rejects_q_not_above_two():
         PdeOperator("porous_media", q=2.0)
 
 
-def test_operator_overflow_error():
-    space = SpectralSpace(1.0, 4)
-    op = PdeOperator("reaction_diffusion", q=3.0)
-    bad = np.array([np.inf, 0.0, 0.0, 0.0])
-    with pytest.raises(SpectralOverflowError):
-        op.nonlinear_from_values(space, space.to_values(bad))
-
-
 def test_aliasing_guard_doubling_m():
     op = PdeOperator("porous_media", q=3.0)
     s1 = SpectralSpace(1.0, 8, quad_points=64)
@@ -181,7 +130,7 @@ def test_aliasing_guard_doubling_m():
 def test_coercivity_probe_zero_field():
     space = SpectralSpace(1.0, 6)
     op = PdeOperator("porous_media", q=3.0)
-    pairing, bnorm = coercivity_probe(op, SpectralField(space, np.zeros(6)))
+    pairing, bnorm = coercivity_probe(op, space, np.zeros(6))
     assert pairing == 0.0
     assert bnorm == 0.0
 
@@ -189,20 +138,29 @@ def test_coercivity_probe_zero_field():
 def test_coercivity_probe_laplacian_eigenfunction():
     space = SpectralSpace(1.0, 6, quad_points=256)
     op = PdeOperator("pure_laplacian")
-    pairing, _ = coercivity_probe(op, SpectralField(space, space.basis_vector(1)))
+    pairing, _ = coercivity_probe(op, space, space.basis_vector(1))
     assert pairing == pytest.approx(-space.eigenvalues[0], rel=1e-12)
+
+
+def test_coercivity_probe_rejects_non_finite_coefficients():
+    space = SpectralSpace(1.0, 4)
+    with pytest.raises(SpectralOverflowError):
+        coercivity_probe(PdeOperator("porous_media", q=3.0), space,
+                         np.array([np.inf, 0.0, 0.0, 0.0]))
+    with pytest.raises(SpectralOverflowError):
+        coercivity_probe(PdeOperator("scalar_linear", a=1.0), None, np.array([np.nan]))
 
 
 def test_porous_media_coercivity_inequality():
     # <A(u), u> = -||u||_q^q - ||u||_2^2 <= -1*||u||_q^q + 0*||u||^2 + 0
     space = SpectralSpace(1.0, 8, quad_points=128)
     op = PdeOperator("porous_media", q=3.0)
-    u = SpectralField(space, 2.0 * space.basis_vector(1))
-    pairing, bnorm_p = coercivity_probe(op, u)
-    assert pairing <= -1.0 * bnorm_p + 0.0 * u.norm() ** 2 + 1e-10
+    u = 2.0 * space.basis_vector(1)
+    pairing, bnorm_p = coercivity_probe(op, space, u)
+    assert pairing <= -1.0 * bnorm_p + 0.0 * np.linalg.norm(u) ** 2 + 1e-10
     # oracle: quadrature of -(|u|^{q-2}u + u) u on a dense grid
     fine = SpectralSpace(1.0, 8, quad_points=4096)
-    v = fine.to_values(u.coeffs)
+    v = fine.to_values(u)
     oracle = -fine.simpson((np.abs(v) * v + v) * v)
     assert pairing == pytest.approx(oracle, rel=1e-6)
 
