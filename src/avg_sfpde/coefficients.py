@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .delay import (
     ConstantTail,
@@ -42,8 +41,7 @@ from .spectral import SpectralSpace
 class Oscillator:
     """Bounded oscillation profile with a closed-form long-run mean.
 
-    kinds: ``constant`` (offset), ``sinusoid`` (offset + amp*sin(omega t + phase)),
-    ``almost_periodic`` (offset + sum of sinusoids).
+    kinds: ``constant`` (offset), ``sinusoid`` (offset + amp*sin(omega t + phase)).
     """
 
     kind: str
@@ -51,7 +49,7 @@ class Oscillator:
     terms: tuple = ()            # (amp, omega, phase) triples
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sinusoid", "almost_periodic"):
+        if self.kind not in ("constant", "sinusoid"):
             raise ValueError(f"unknown oscillator kind {self.kind!r}")
         if self.kind == "sinusoid" and len(self.terms) != 1:
             raise ValueError("sinusoid takes exactly one (amp, omega, phase) term")
@@ -64,11 +62,6 @@ class Oscillator:
     @staticmethod
     def sinusoid(offset: float, amp: float, omega: float, phase: float = 0.0) -> "Oscillator":
         return Oscillator("sinusoid", offset=offset, terms=((amp, omega, phase),))
-
-    @staticmethod
-    def almost_periodic(offset: float, terms) -> "Oscillator":
-        return Oscillator("almost_periodic", offset=offset,
-                          terms=tuple((a, w, p) for a, w, p in terms))
 
     # -- evaluation ----------------------------------------------------------
     def scalar_eval(self, t: float) -> float:
@@ -93,10 +86,6 @@ class Oscillator:
         """Long-run Cesaro mean; exact for every supported kind."""
         return float(self.offset)
 
-    def bound(self) -> float:
-        """A recorded constant M with sup_t |xi(t)| <= M."""
-        return abs(self.offset) + sum(abs(a) for a, _, _ in self.terms)
-
     def integral(self, a: float, b: float) -> float:
         """int_a^b xi(s) ds in closed form."""
         total = self.offset * (b - a)
@@ -108,14 +97,10 @@ class Oscillator:
         """int_a^b (xi(s) - mean)^2 ds."""
         if self.kind == "constant":
             return 0.0
-        if self.kind == "sinusoid":
-            amp, w, p = self.terms[0]
-            # amp^2 sin^2 = amp^2/2 (1 - cos(2wt+2p))
-            return amp * amp / 2.0 * (
-                (b - a) - (math.sin(2 * w * b + 2 * p) - math.sin(2 * w * a + 2 * p)) / (2 * w))
-        m = self.mean()
-        val, _ = integrate.quad(lambda s: (self(s) - m) ** 2, a, b, limit=500)
-        return val
+        amp, w, p = self.terms[0]
+        # amp^2 sin^2 = amp^2/2 (1 - cos(2wt+2p))
+        return amp * amp / 2.0 * (
+            (b - a) - (math.sin(2 * w * b + 2 * p) - math.sin(2 * w * a + 2 * p)) / (2 * w))
 
 
 # ---------------------------------------------------------------------------

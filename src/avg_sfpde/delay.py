@@ -92,10 +92,6 @@ class Tail:
         """sup_{theta <= 0} e^{h theta} ||phi(theta)||."""
         raise NotImplementedError
 
-    def weighted_limit(self, h: float) -> np.ndarray:
-        """lim_{theta -> -infty} e^{h theta} phi(theta)."""
-        raise NotImplementedError
-
     def check_admissible(self, h: float) -> None:
         raise NotImplementedError
 
@@ -121,13 +117,11 @@ class ConstantTail(Tail):
         return self.value
 
     def values_at(self, thetas):
-        return np.broadcast_to(self.value, (len(thetas), self.dim)).copy()
+        """A read-only broadcast view: no (len(thetas), dim) copy is made."""
+        return np.broadcast_to(self.value, (len(thetas), self.dim))
 
     def weighted_sup(self, h):
         return state_norm(self.value)
-
-    def weighted_limit(self, h):
-        return np.zeros_like(self.value)
 
     def check_admissible(self, h):
         pass
@@ -157,11 +151,6 @@ class ExponentialTail(Tail):
         # e^{(h + rate) theta} is nondecreasing on theta <= 0 once rate >= -h,
         # so the supremum sits at theta = 0.
         return state_norm(self.amplitude)
-
-    def weighted_limit(self, h):
-        if self.rate == -h:
-            return self.amplitude.copy()
-        return np.zeros_like(self.amplitude)
 
     def check_admissible(self, h):
         if self.rate < -h:
@@ -221,11 +210,6 @@ class TabulatedTail(Tail):
         # node at theta_0 dominates it.
         return node_sup
 
-    def weighted_limit(self, h):
-        if self.extrap_rate == -h:
-            return self.values[0] * math.exp(h * self.thetas[0])
-        return np.zeros(self.dim)
-
     def check_admissible(self, h):
         if self.extrap_rate < -h:
             raise ValueError(
@@ -274,9 +258,6 @@ class SegmentTail(Tail):
         grid = float(np.max(np.exp(h * (self.times - self.t0))
                             * np.linalg.norm(self.samples, axis=1))) if len(self.times) else 0.0
         return max(math.exp(-h * self.t0) * self.parent_tail.weighted_sup(h), grid)
-
-    def weighted_limit(self, h):
-        return math.exp(-h * self.t0) * self.parent_tail.weighted_limit(h)
 
     def check_admissible(self, h):
         self.parent_tail.check_admissible(h)
@@ -682,9 +663,10 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
         return delay_integral(merged, 0.0, mu, power)
 
     def K(thetas):
-        va = buf_a.values_at(np.asarray(thetas) + t)
-        vb = buf_b.values_at(np.asarray(thetas) + t)
-        return np.linalg.norm(va - vb, axis=1) ** power
+        # in place: the audit's largest temporaries are these (nodes, dim) rows
+        diff = buf_a.values_at(np.asarray(thetas) + t)
+        diff -= buf_b.values_at(np.asarray(thetas) + t)
+        return np.linalg.norm(diff, axis=1) ** power
 
     lo = -max(buf_a.horizon, buf_b.horizon) - t
     kinks = np.concatenate([

@@ -354,6 +354,7 @@ class PathRunner:
 # Spec operations
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
          cfg: StepperConfig) -> PathState:
     """Single reference step on a PathState (buffer-backed, O(history)).
@@ -363,7 +364,9 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
     methods.  For scalar states without a delay term the two are
     bit-identical; otherwise they agree to rounding (the runner accumulates
     the delay integral incrementally, which regroups the same floating-point
-    sums, and transforms a whole chunk of rows in one matrix product).
+    sums, and transforms a whole chunk of rows in one matrix product).  Like
+    the runner, it checks the new state for non-finite values itself, so it
+    runs with numpy's overflow and invalid-value warnings silenced.
     """
     buf = state.buffer
     t = state.t

@@ -47,11 +47,6 @@ class Preset:
     dt: float
     T: float
     k_w: int
-    public: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.dim
 
 
 def _scalar_linear_osc() -> Preset:
@@ -193,7 +188,6 @@ def _heat_deterministic(k: int = 8) -> Preset:
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(space.basis_vector(1))),
         dt=2.5e-4, T=1.0, k_w=1,
-        public=False,
     )
 
 
@@ -216,7 +210,6 @@ def _broken_quadratic() -> Preset:
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.0]))),
         dt=1e-3, T=1.0, k_w=1,
-        public=False,
     )
 
 
@@ -249,4 +242,4 @@ def constant_xi(preset: Preset) -> Preset:
                      osc1=Oscillator.constant(cs.osc1.mean()),
                      osc2=Oscillator.constant(cs.osc2.mean()))
     return replace(preset, coefficients=frozen,
-                   name=preset.name + "+constant-xi", public=False)
+                   name=preset.name + "+constant-xi")

@@ -1,9 +1,14 @@
 """CLI: subcommands, config handling, manifests, reproducibility."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import avg_sfpde
 from avg_sfpde.cli import main
 from avg_sfpde.reporting import read_manifest
 
@@ -17,6 +22,20 @@ def test_list_presets_prints_the_four_names(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["porous-media-sin", "reaction-diffusion-delay",
                    "scalar-linear-osc", "scalar-holder-osc"]
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    # scipy.integrate (which pulls in scipy.optimize) would add about a
+    # quarter second to every CLI call; the package's quadratures are numpy
+    src = str(Path(avg_sfpde.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import avg_sfpde.cli, sys; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_sweep_averaging_writes_report_and_manifest(tmp_path, capsys):

@@ -51,12 +51,9 @@ def const_buf(c, h=1.0, dim=1):
 # oscillators
 # ---------------------------------------------------------------------------
 
-def test_oscillator_means_and_bounds():
+def test_oscillator_means():
     assert Oscillator.constant(2.5).mean() == 2.5
     assert Oscillator.sinusoid(2.0, 1.0, 1.0).mean() == 2.0
-    ap = Oscillator.almost_periodic(0.0, [(1.0, 1.0, 0.0), (1.0, math.sqrt(2.0), 0.0)])
-    assert ap.mean() == 0.0
-    assert ap.bound() == 2.0
 
 
 def test_oscillator_integral_closed_form_vs_quadrature():
@@ -67,19 +64,6 @@ def test_oscillator_integral_closed_form_vs_quadrature():
         oracle2, _ = integrate.quad(
             lambda s: (0.7 * math.sin(3.0 * s + 0.4)) ** 2, a, b)
         assert osc.square_deviation_integral(a, b) == pytest.approx(oracle2, rel=1e-10)
-
-
-def test_almost_periodic_windowed_mean_decays():
-    # xi(t) = sin t + sin(sqrt(2) t): mean 0; windowed means decay ~ 1/r
-    osc = Oscillator.almost_periodic(0.0, [(1.0, 1.0, 0.0), (1.0, math.sqrt(2.0), 0.0)])
-    rs = [1e2, 1e3, 1e4]
-    devs = [abs(osc.integral(0.0, r)) / r for r in rs]
-    assert devs[0] > devs[1] > devs[2]
-    slope = np.polyfit(np.log(rs), np.log(devs), 1)[0]
-    assert slope == pytest.approx(-1.0, abs=0.3)
-    # the averaged drift built on it vanishes for any finite functional
-    cs = scalar_cs(DriftSpec(pointwise="identity"), osc1=osc)
-    assert averaged_drift(cs, const_buf(3.7))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +94,12 @@ def test_eval_drift_oscillator_zero():
     # t/eps = pi: sin(pi) vanishes to double rounding
     got = eval_drift(cs, math.pi * 0.01, 0.01, const_buf(1.0))[0]
     assert abs(got) < 1e-15
+
+
+def test_averaged_drift_vanishes_for_mean_zero_oscillator():
+    cs = scalar_cs(DriftSpec(pointwise="identity"),
+                   osc1=Oscillator.sinusoid(0.0, 1.0, 1.0))
+    assert averaged_drift(cs, const_buf(3.7))[0] == 0.0
 
 
 def test_eval_drift_rejects_bad_eps():

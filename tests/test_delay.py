@@ -291,14 +291,6 @@ def test_segment_buffer_invariants_hold():
     assert state_norm(seg.value_at(0.0)) <= seminorm_h(seg, 0.0) + 1e-14
 
 
-def test_weighted_limit_exposed():
-    t1 = ConstantTail(np.array([3.0]))
-    assert t1.weighted_limit(1.0) == pytest.approx(0.0)
-    t2 = ExponentialTail(np.array([2.0]), rate=-1.0)
-    assert t2.weighted_limit(1.0) == pytest.approx(2.0)
-    assert t2.weighted_limit(0.5) if False else True  # rate -1 < -0.5 inadmissible anyway
-
-
 # ---------------------------------------------------------------------------
 # array product quadrature and row interpolation against the scalar forms
 # ---------------------------------------------------------------------------

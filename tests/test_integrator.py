@@ -412,6 +412,21 @@ def test_operator_overflow_is_a_row_blow_up():
     assert isinstance(runner.errors[0], BlowUpError)
 
 
+@pytest.mark.parametrize("head", [1e308, 1e200])
+def test_reference_step_overflow_raises_blow_up_without_warnings(head):
+    # the same overflow through the reference step(): a BlowUpError at the
+    # first step, and no RuntimeWarning on the way to it
+    p = get_preset("reaction-diffusion-delay", k=8)
+    init = HistoryBuffer.from_tail(p.initial.h, ConstantTail(np.full(8, head)))
+    cfg = StepperConfig(dt=1e-3, T=2e-3, noise_modes=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as err:
+            step(PathState(buffer=init, t=0.0), p.operator, p.coefficients, cfg)
+    assert err.value.t == pytest.approx(1e-3)
+    assert err.value.mode_index == 0
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------

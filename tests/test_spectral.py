@@ -54,6 +54,20 @@ def test_parseval_identity_against_grid_quadrature():
     assert l2_grid == pytest.approx(np.linalg.norm(coeffs), rel=1e-8)
 
 
+@pytest.mark.parametrize("k,m", [(4, 8), (4, 9), (8, 16), (8, 17), (16, 32),
+                                 (16, 33), (32, 64), (32, 65), (1, 2)])
+def test_simpson_matches_scipy_oracle(k, m):
+    # m even leaves an odd count m + 1 of intervals: the last one takes
+    # scipy's Cartwright correction
+    space = SpectralSpace(1.7, k, quad_points=m)
+    rng = np.random.default_rng(m)
+    x = np.concatenate([[0.0], space.x, [space.L]])
+    for _ in range(20):
+        y = np.abs(space.to_values(rng.standard_normal(k))) ** 3
+        oracle = integrate.simpson(np.concatenate([[0.0], y, [0.0]]), x=x)
+        assert space.simpson(y) == pytest.approx(oracle, rel=1e-14)
+
+
 def test_project_parabola_matches_simpson_oracle():
     # x(1-x) on L=1: oracle by dense composite Simpson quadrature; m=4096
     # takes the DST branch of to_coeffs
@@ -161,7 +175,8 @@ def test_porous_media_coercivity_inequality():
     # oracle: quadrature of -(|u|^{q-2}u + u) u on a dense grid
     fine = SpectralSpace(1.0, 8, quad_points=4096)
     v = fine.to_values(u)
-    oracle = -fine.simpson((np.abs(v) * v + v) * v)
+    x = np.concatenate([[0.0], fine.x, [fine.L]])
+    oracle = -integrate.simpson(np.concatenate([[0.0], (np.abs(v) * v + v) * v, [0.0]]), x=x)
     assert pairing == pytest.approx(oracle, rel=1e-6)
 
 
