@@ -1,8 +1,9 @@
 """Monte Carlo studies: averaging convergence, block-freezing diagnostic,
 continuity in initial data, and the hypothesis audit.
 
-Each study steps its paths in fixed-size chunks with path-indexed
-counter-based noise, merges statistics in path order (so neither the worker
+Each study steps a row's paths in batches of up to MAX_WIDTH rows, a
+multiple of the 16-row transform block, with path-indexed counter-based
+noise, merges statistics in path order (so neither the worker
 count nor the number of paths affects a path's result), fits a weighted
 log-log slope where one is defined, and emits an ExperimentReport with a
 verdict and a full metadata echo.
@@ -28,10 +29,10 @@ from .coefficients import (
 from .delay import ConstantTail, HistoryBuffer
 from .integrator import (
     AVERAGED,
-    CHUNK,
     BlowUpError,
     PathRunner,
     StepperConfig,
+    batch_width,
     khasminskii_freeze,
 )
 from .presets import Preset, constant_xi, get_preset
@@ -120,30 +121,36 @@ def _map_paths(fn, n_paths: int, threads: int):
 
 
 def _map_chunks(fn, paths: int, threads: int):
-    """Per-path results in path order, computed a chunk at a time.
+    """Per-path results in path order, computed a batch at a time.
 
-    ``fn(first, count)`` steps the chunk of CHUNK paths that starts at path id
-    ``first`` and returns the results of its first ``count`` paths; whole
-    chunks go to the thread pool, which gets no more workers than chunks.
+    Batches start at multiples of W = batch_width(paths).  ``fn(first, count,
+    rows)`` steps the ``rows``-row batch that starts at path id ``first``, the
+    narrowest that holds its ``count`` paths, and returns their results; whole
+    batches go to the thread pool, which gets no more workers than batches.
     """
-    starts = range(0, paths, CHUNK)
-    chunks = _map_paths(lambda i: fn(starts[i], min(CHUNK, paths - starts[i])),
-                        len(starts), min(threads, len(starts)))
-    return [r for chunk in chunks for r in chunk]
+    width = batch_width(paths)
+    starts = range(0, paths, width)
+
+    def one(i):
+        count = min(width, paths - starts[i])
+        return fn(starts[i], count, batch_width(count))
+
+    batches = _map_paths(one, len(starts), min(threads, len(starts)))
+    return [r for batch in batches for r in batch]
 
 
 def _coupled_outcomes(op, cs, cfg, initial, partner_cfg, partner_initial,
                       paths, threads):
     """Per path, in path order: sup_t of the squared distance between the
     coupled batches, or the path's BlowUpError."""
-    def one_chunk(first, count):
-        runner = PathRunner(op, cs, cfg, initial, path_id=first)
+    def one_batch(first, count, rows):
+        runner = PathRunner(op, cs, cfg, initial, path_id=first, rows=rows)
         runner.couple(partner_cfg, partner_initial)
         runner.run()
         return [err if err is not None else float(sup)
                 for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
 
-    return _map_chunks(one_chunk, paths, threads)
+    return _map_chunks(one_batch, paths, threads)
 
 
 def _censor(outcomes, row, param_name, param, preset, dt):
@@ -317,13 +324,13 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
             seg_res.append(float(np.trapezoid(seg_sq, dx=dtv)))
         return path_res, seg_res
 
-    def one_chunk(first, count):
-        runner = PathRunner(op, cs, cfg, init, path_id=first)
+    def one_batch(first, count, rows):
+        runner = PathRunner(op, cs, cfg, init, path_id=first, rows=rows)
         traj = runner.run()
         return [err if err is not None else residuals(traj.row(r))
                 for r, err in enumerate(runner.blowups()[:count])]
 
-    outcomes = _map_chunks(one_chunk, paths, threads)
+    outcomes = _map_chunks(one_batch, paths, threads)
     rows = []
     for i, d in enumerate(d_grid):
         res, censored = _censor(outcomes, i, "d", d, preset, dtv)

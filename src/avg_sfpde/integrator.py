@@ -2,14 +2,16 @@
 
 The stiff linear part of the operator (the Laplacian diagonal, or the decay
 rate of a scalar problem) is treated implicitly per mode; the functional
-drift, the nonlinearity, and the noise are explicit.  Paths are stepped in
-chunks of ``CHUNK`` rows held as (CHUNK, dim) arrays.  The chunk shape is a
-constant and a short last chunk is padded with further path ids, so the bits
-of a path never depend on how many paths a study runs or on how the chunks
-are spread over threads.  Brownian increments are counter-based: path
-(seed, path_id) keys a Philox stream, and the Gaussian at (step, mode) is the
-inverse-CDF image of the stream's raw output at a fixed position, so block
-generation, single-step generation, and coupled twin runs all see
+drift, the nonlinearity, and the noise are explicit.  A batch of paths is
+stepped as one (W, dim) array, W a multiple of ``CHUNK`` up to ``MAX_WIDTH``
+(``batch_width``), and a short batch is padded with further path ids.  Every
+step operation is row-wise except the sine transforms, which multiply CHUNK
+rows at a time, so the bits of a path never depend on the batch width, on how
+many paths a study runs, or on how the batches are spread over threads.
+Brownian increments are counter-based: path (seed, path_id) keys a Philox
+stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
+stream's raw output at a fixed position, so whole-path blocks, the runner's
+slabs of ``SLAB`` steps, single-step draws, and coupled twin runs all see
 bit-identical numbers regardless of scheduling.
 """
 
@@ -28,10 +30,12 @@ from .coefficients import (
     pow_or_inf,
 )
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
-from .spectral import PdeOperator
+from .spectral import ROW_BLOCK, PdeOperator
 
 AVERAGED = "averaged"
-CHUNK = 16              # rows per kernel call; never derived from paths or threads
+CHUNK = ROW_BLOCK       # rows per transform product; a batch width is a multiple
+MAX_WIDTH = 256         # rows per runner; never derived from threads
+SLAB = 64               # steps of noise drawn at a time
 RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 
 
@@ -61,10 +65,17 @@ def _raw_to_normal(raw: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
+def normal_slab(stream: np.random.Philox, path_id: int, first: int, m: int,
+                k_w: int) -> np.ndarray:
+    """Standard normals of path path_id at steps first .. first + m - 1, as an
+    (m, k_w) array: the next m * k_w outputs of the path's stream, which must
+    stand at step ``first``."""
+    return _raw_to_normal(stream.random_raw(m * k_w)).reshape(m, k_w)
+
+
 def normal_block(seed: int, path_id: int, n_steps: int, k_w: int) -> np.ndarray:
     """All standard normals of a path as an (n_steps, k_w) array."""
-    raw = _philox(seed, path_id).random_raw(n_steps * k_w)
-    return _raw_to_normal(raw).reshape(n_steps, k_w)
+    return normal_slab(_philox(seed, path_id), path_id, 0, n_steps, k_w)
 
 
 def normal_at(seed: int, path_id: int, step: int, k_w: int) -> np.ndarray:
@@ -122,14 +133,14 @@ class PathState:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray           # (n_steps + 1, dim), or (n_steps + 1, CHUNK, dim)
+    states: np.ndarray           # (n_steps + 1, dim), or (n_steps + 1, W, dim)
 
     @property
     def dim(self) -> int:
         return self.states.shape[-1]
 
     def row(self, r: int) -> "Trajectory":
-        """Path r of a chunk trajectory, as a one-path trajectory."""
+        """Path r of a batch trajectory, as a one-path trajectory."""
         return Trajectory(self.times, np.ascontiguousarray(self.states[:, r]))
 
     def sup_sq_distance(self, other: "Trajectory") -> float:
@@ -150,7 +161,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Delay-term accumulators: (CHUNK,) vectors, O(1) per step, equal to
+# Delay-term accumulators: (W,) vectors, O(1) per step, equal to
 # delay_integral on the grid
 # ---------------------------------------------------------------------------
 
@@ -162,11 +173,12 @@ class _ExpDelayAccumulator:
     q = e^{-2r dt}; V_0 is the full tail integral at t = 0.
     """
 
-    def __init__(self, initial: HistoryBuffer, mu: DelayMeasure, power: float, dt: float):
+    def __init__(self, initial: HistoryBuffer, mu: DelayMeasure, power: float, dt: float,
+                 rows: int):
         self.power = power
         self.decay = math.exp(-2.0 * mu.rate * dt)
-        self.value = np.full(CHUNK, delay_integral(initial, 0.0, mu, power))
-        self.k_prev = np.full(CHUNK, np.linalg.norm(initial.head) ** power)
+        self.value = np.full(rows, delay_integral(initial, 0.0, mu, power))
+        self.k_prev = np.full(rows, np.linalg.norm(initial.head) ** power)
 
     def advance(self, norms: np.ndarray) -> None:
         k_new = pow_or_inf(norms, self.power)
@@ -175,22 +187,28 @@ class _ExpDelayAccumulator:
 
 
 class _PointDelayAccumulator:
-    def __init__(self, initial: HistoryBuffer, power: float):
+    def __init__(self, initial: HistoryBuffer, power: float, rows: int):
         self.power = power
-        self.value = np.full(CHUNK, np.linalg.norm(initial.head) ** power)
+        self.value = np.full(rows, np.linalg.norm(initial.head) ** power)
 
     def advance(self, norms: np.ndarray) -> None:
         self.value = pow_or_inf(norms, self.power)
 
 
-def _make_delay_accumulator(initial, cs, dt):
+def _make_delay_accumulator(initial, cs, dt, rows):
     power = cs.drift.delay_kernel_power
     if power is None:
         return None
     mu = cs.drift.delay_measure
     if mu.kind == "exponential":
-        return _ExpDelayAccumulator(initial, mu, power, dt)
-    return _PointDelayAccumulator(initial, power)
+        return _ExpDelayAccumulator(initial, mu, power, dt, rows)
+    return _PointDelayAccumulator(initial, power, rows)
+
+
+def batch_width(paths: int) -> int:
+    """Rows of the runner that steps ``paths`` paths: the multiple of CHUNK
+    that holds them, at most MAX_WIDTH."""
+    return min(MAX_WIDTH, CHUNK * math.ceil(paths / CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +216,24 @@ def _make_delay_accumulator(initial, cs, dt):
 # ---------------------------------------------------------------------------
 
 class PathRunner:
-    """Steps the CHUNK paths path_id, ..., path_id + CHUNK - 1 to the horizon.
+    """Steps the ``rows`` paths path_id, ..., path_id + rows - 1 to the horizon.
 
-    Row r of the (CHUNK, dim) state is path path_id + r.  ``couple`` adds a
-    second batch of the same paths (the averaged twin, or the shifted start
-    of a continuity pair), stepped on the same noise array but never stacked
-    with the first.  A row that is still non-finite after the halving retry
-    is a blow-up of that path alone: its BlowUpError goes to ``errors``, its
-    state is reset to zero, and the other rows run on.  The runner finds
-    non-finite rows itself, so construction and stepping run with numpy's
-    overflow and invalid-value warnings silenced.
+    ``rows`` is a positive multiple of CHUNK; row r of the (rows, dim) state
+    is path path_id + r.  ``couple`` adds a second batch of the same paths
+    (the averaged twin, or the shifted start of a continuity pair), stepped
+    on the same noise but never stacked with the first.  A row that is still
+    non-finite after the halving retry is a blow-up of that path alone: its
+    BlowUpError goes to ``errors``, its state is reset to zero, and the other
+    rows run on.  The runner finds non-finite rows itself, so construction
+    and stepping run with numpy's overflow and invalid-value warnings
+    silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
-                 initial: HistoryBuffer, path_id: int = 0):
+                 initial: HistoryBuffer, path_id: int = 0, rows: int = CHUNK):
+        if rows < CHUNK or rows % CHUNK:
+            raise ValueError(f"runner width {rows} is not a positive multiple of {CHUNK}")
         self.op = op
         self.cs = cs
         self.cfg = cfg
@@ -224,15 +245,15 @@ class PathRunner:
         self.implicit_factors = 1.0 / (1.0 + cfg.dt * self.stiff)
         self.times = np.arange(cfg.n_steps + 1) * cfg.dt
         self.t = 0.0
-        self.x = np.tile(initial.head, (CHUNK, 1))
+        self.x = np.tile(initial.head, (rows, 1))
         self.states = None
-        self.errors = [None] * CHUNK
+        self.errors = [None] * rows
         self.partner = None
         self.sup_sq = None
         self.xi_fixed = (cs.osc1.mean(), cs.osc2.mean()) if cfg.eps == AVERAGED else None
-        self.delay_acc = _make_delay_accumulator(initial, cs, cfg.dt)
+        self.delay_acc = _make_delay_accumulator(initial, cs, cfg.dt, rows)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
-        self.head_norm_weighted = np.full(CHUNK, np.linalg.norm(initial.head))  # Q_n
+        self.head_norm_weighted = np.full(rows, np.linalg.norm(initial.head))   # Q_n
         self.tail_weight = 1.0                                                  # e^{-h t_n}
         self.h_decay = math.exp(-initial.h * cfg.dt)
         self.tail_sup0 = initial.tail.weighted_sup(initial.h)
@@ -243,7 +264,7 @@ class PathRunner:
         ``run`` then keeps in ``sup_sq`` the running sup over the grid of each
         row's squared distance between the batches and records no trajectory.
         """
-        self.partner = PathRunner(self.op, self.cs, cfg, initial, self.path_id)
+        self.partner = PathRunner(self.op, self.cs, cfg, initial, self.path_id, len(self.x))
 
     def blowups(self) -> list:
         """Per row, the first BlowUpError of this batch, else of the partner."""
@@ -296,7 +317,7 @@ class PathRunner:
         """Deterministic salvage of the non-finite rows of ``new``, in place.
 
         The step is split into 2^j substeps with the Brownian increment
-        divided proportionally, j = 1 .. RETRY_HALVINGS, at the full chunk
+        divided proportionally, j = 1 .. RETRY_HALVINGS, at the full batch
         shape; each failed row keeps the first finite result.  The delay and
         seminorm caches stay frozen at the step's start: every substep uses
         their values at t, where 2^j reference ``step`` calls recompute them
@@ -327,13 +348,16 @@ class PathRunner:
 
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> Trajectory | None:
-        """Step to the horizon.  Returns the chunk trajectory, states of shape
-        (n_steps + 1, CHUNK, dim), unless the runner is coupled."""
-        n_steps = self.cfg.n_steps
-        noise = np.empty((n_steps, CHUNK, self.k_w))
-        for r in range(CHUNK):
-            noise[:, r] = normal_block(self.cfg.seed, self.path_id + r, n_steps, self.k_w)
-        noise *= math.sqrt(self.cfg.dt)
+        """Step to the horizon.  Returns the batch trajectory, states of shape
+        (n_steps + 1, rows, dim), unless the runner is coupled.
+
+        Each row reads its path's stream in order, SLAB steps at a time, into
+        one (SLAB, rows, k_w) array of Brownian increments."""
+        n_steps, k_w = self.cfg.n_steps, self.k_w
+        ids = range(self.path_id, self.path_id + len(self.x))
+        streams = [_philox(self.cfg.seed, pid) for pid in ids]
+        slab = np.empty((SLAB, len(self.x), k_w))
+        sqrt_dt = math.sqrt(self.cfg.dt)
         other = self.partner
         if other is None:
             self.states = np.empty((n_steps + 1,) + self.x.shape)
@@ -341,11 +365,17 @@ class PathRunner:
         else:
             self.sup_sq = _sq_distance(self.x, other.x)
         for n in range(n_steps):
-            self._advance(n, noise[n])
+            j = n % SLAB
+            if j == 0:
+                m = min(SLAB, n_steps - n)
+                for r, (pid, stream) in enumerate(zip(ids, streams)):
+                    slab[:m, r] = normal_slab(stream, pid, n, m, k_w)
+                slab[:m] *= sqrt_dt
+            self._advance(n, slab[j])
             if other is None:
                 self.states[n + 1] = self.x
             else:
-                other._advance(n, noise[n])
+                other._advance(n, slab[j])
                 np.maximum(self.sup_sq, _sq_distance(self.x, other.x), out=self.sup_sq)
         return None if other is not None else Trajectory(self.times, self.states)
 
@@ -364,7 +394,7 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
     methods.  For scalar states without a delay term the two are
     bit-identical; otherwise they agree to rounding (the runner accumulates
     the delay integral incrementally, which regroups the same floating-point
-    sums, and transforms a whole chunk of rows in one matrix product).  Like
+    sums, and transforms CHUNK rows in one matrix product).  Like
     the runner, it checks the new state for non-finite values itself, so it
     runs with numpy's overflow and invalid-value warnings silenced.
     """
@@ -394,7 +424,7 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
 
 def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
              initial: HistoryBuffer, path_id: int = 0) -> Trajectory:
-    """One path, stepped as row 0 of the chunk that starts at path_id."""
+    """One path, stepped as row 0 of the CHUNK-row batch that starts at path_id."""
     runner = PathRunner(op, cs, cfg, initial, path_id=path_id)
     traj = runner.run()
     if runner.errors[0] is not None:

@@ -17,6 +17,10 @@ from scipy import fft as sp_fft
 
 # dense transform matrices are faster than FFT dispatch for small grids
 _MATMUL_LIMIT = 1024
+# rows per transform product: a larger batch of R = j * ROW_BLOCK rows is
+# multiplied as j stacked blocks, whose bits equal those of j separate
+# ROW_BLOCK-row products (one R-row product rounds differently)
+ROW_BLOCK = 16
 
 
 class SpectralOverflowError(ArithmeticError):
@@ -39,6 +43,15 @@ def _simpson_weights(m: int, dx: float) -> np.ndarray:
     if n < m + 2:
         w[-3:] += dx * np.array([-1.0, 8.0, 5.0]) / 12.0
     return w[1:-1]
+
+
+def _blocked_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, a ROW_BLOCK-row product at a time when a 2-D batch holds
+    several whole blocks."""
+    r = rows.shape[0]
+    if rows.ndim != 2 or r <= ROW_BLOCK or r % ROW_BLOCK:
+        return rows @ mat
+    return (rows.reshape(r // ROW_BLOCK, ROW_BLOCK, -1) @ mat).reshape(r, -1)
 
 
 class SpectralSpace:
@@ -72,13 +85,13 @@ class SpectralSpace:
 
     # -- transforms ----------------------------------------------------------
     # Leading axes are rows: a (P, k) batch of coefficient vectors maps to
-    # (P, m) grid values in one matrix product, and back.
+    # (P, m) grid values in matrix products of at most ROW_BLOCK rows, and back.
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values on the interior collocation grid."""
         coeffs = np.asarray(coeffs, dtype=float)
         if self._to_values_mat is not None and coeffs.shape[-1] == self.k:
-            return coeffs @ self._to_values_mat.T
+            return _blocked_product(coeffs, self._to_values_mat.T)
         padded = np.zeros(coeffs.shape[:-1] + (self.m,))
         padded[..., : coeffs.shape[-1]] = coeffs * (self._basis_scale / 2.0)
         return sp_fft.dst(padded, type=1, axis=-1)
@@ -88,7 +101,7 @@ class SpectralSpace:
         n = self.k if n_modes is None else int(n_modes)
         values = np.asarray(values, dtype=float)
         if self._to_coeffs_mat is not None and n <= self.k:
-            return values @ self._to_coeffs_mat[:n].T
+            return _blocked_product(values, self._to_coeffs_mat[:n].T)
         full = sp_fft.dst(values, type=1, axis=-1) * (self._dx * self._basis_scale / 2.0)
         return full[..., :n]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import avg_sfpde.experiments as exp
+from avg_sfpde import integrator
 from avg_sfpde.experiments import (
     ReportRow,
     SweepPlan,
@@ -115,24 +116,46 @@ def sweep_values(monkeypatch, **plan):
 
 
 def test_path_bits_independent_of_path_count_and_threads(monkeypatch):
+    # a study steps 16 * ceil(paths / 16) rows, at most MAX_WIDTH per batch;
+    # capping MAX_WIDTH at 16, 64 and 256 runs the same paths in batches of
+    # those widths, one or several per row, on one thread or two
     base = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1), k=8,
                 dt=2e-3, T=0.2, seed=3)
-    _, few = sweep_values(monkeypatch, paths=3, threads=1, **base)
-    _, many = sweep_values(monkeypatch, paths=20, threads=1, **base)   # two chunks
-    _, pooled = sweep_values(monkeypatch, paths=20, threads=2, **base)
-    for row_few, row_many, row_pooled in zip(few, many, pooled):
-        assert row_few == row_many[:3]
-        assert row_many == row_pooled
+    monkeypatch.setattr(integrator, "MAX_WIDTH", 16)
+    _, ref = sweep_values(monkeypatch, paths=300, threads=1, **base)
+    for width in (16, 64, 256):
+        monkeypatch.setattr(integrator, "MAX_WIDTH", width)
+        for paths in (3, 20, 70, 300):
+            for threads in (1, 2):
+                _, rows = sweep_values(monkeypatch, paths=paths, threads=threads, **base)
+                assert rows == [row[:paths] for row in ref], (width, paths, threads)
 
 
-def test_blow_up_at_smaller_eps_becomes_censored_row(monkeypatch):
-    # A genuine blow-up of path 1 inside its chunk.  The noise is gated by
+def kick_path_one(monkeypatch, on_call, step=100):
+    """Give path 1 one large increment at ``step`` (t = 0.2 at dt = 2e-3) in
+    its ``on_call``-th draw of that step (one per study row; None kicks every
+    row); the explicit reaction term then overflows."""
+    real_slab = integrator.normal_slab
+    calls = []
+
+    def kicked(stream, path_id, first, m, k_w):
+        slab = real_slab(stream, path_id, first, m, k_w)
+        if path_id == 1 and first <= step < first + m:
+            calls.append(path_id)
+            if on_call is None or len(calls) == on_call:
+                slab[step - first, 0] = 5e5
+        return slab
+
+    monkeypatch.setattr(integrator, "normal_slab", kicked)
+
+
+def check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths):
+    # A genuine blow-up of path 1 inside its batch.  The noise is gated by
     # xi_2(t/eps) = sin(t/eps) (mean 0, so the averaged twin is noise free),
     # and path 1 gets one large increment at t = 1.57: at eps = 0.5 the gate
     # sin(3.14) lets through a harmless kick, at eps = 0.2 the gate
     # sin(7.85) ~ 1 passes it whole and the explicit reaction term overflows.
     import dataclasses
-    from avg_sfpde import integrator
     from avg_sfpde.coefficients import Oscillator
     from avg_sfpde.presets import get_preset
 
@@ -141,45 +164,27 @@ def test_blow_up_at_smaller_eps_becomes_censored_row(monkeypatch):
         cs = dataclasses.replace(p.coefficients, osc2=Oscillator.sinusoid(0.0, 1.0, 1.0))
         return dataclasses.replace(p, coefficients=cs)
 
-    real_block = integrator.normal_block
-
-    def kicked(seed, path_id, n_steps, k_w):
-        block = real_block(seed, path_id, n_steps, k_w)
-        if path_id == 1:
-            block[785, 0] = 5e5
-        return block
-
     monkeypatch.setattr(exp, "get_preset", gated)
-    plan = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.2), paths=4,
+    plan = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.2), paths=paths,
                 k=8, dt=2e-3, T=1.6, seed=0)
     _, plain = sweep_values(monkeypatch, **plan)
-    monkeypatch.setattr(integrator, "normal_block", kicked)
+    kick_path_one(monkeypatch, on_call=None, step=785)
     rep, values = sweep_values(monkeypatch, **plan)
     assert rep.rows[0].censored == 0
     assert rep.rows[1].censored == 1
-    assert rep.rows[1].paths == 4  # nominal count echoed, stats from survivors
-    # the other paths of the chunk are bit-identical to the run without the kick
+    assert rep.rows[1].paths == paths  # nominal count echoed, stats from survivors
+    # the other paths of the batch are bit-identical to the run without the kick
     assert values[1] == [plain[1][0]] + plain[1][2:]
 
 
-def kick_path_one(monkeypatch, on_call):
-    """Give path 1 one large increment at t = 0.2 in its ``on_call``-th noise
-    block (one block per study row); the explicit reaction term then
-    overflows."""
-    from avg_sfpde import integrator
+def test_blow_up_at_smaller_eps_becomes_censored_row(monkeypatch):
+    check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths=4)
 
-    real_block = integrator.normal_block
-    calls = []
 
-    def kicked(seed, path_id, n_steps, k_w):
-        block = real_block(seed, path_id, n_steps, k_w)
-        if path_id == 1:
-            calls.append(path_id)
-            if on_call is None or len(calls) == on_call:
-                block[100, 0] = 5e5
-        return block
-
-    monkeypatch.setattr(integrator, "normal_block", kicked)
+def test_blow_up_inside_a_48_row_batch_is_censored(monkeypatch):
+    # 40 paths are one 48-row batch: the halving retry and the censoring of
+    # path 1 run at that width, next to 39 paths that must not move
+    check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths=40)
 
 
 RD_SMALL = dict(k=8, dt=2e-3, T=0.4, seed=0, eps=0.5)

@@ -16,7 +16,8 @@ from avg_sfpde.coefficients import (
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, delay_integral, seminorm_h
 from avg_sfpde.integrator import (
     AVERAGED,
-    CHUNK,
+    MAX_WIDTH,
+    SLAB,
     BlowUpError,
     PathRunner,
     PathState,
@@ -50,6 +51,32 @@ def test_noise_streams_distinct_across_paths_and_seeds():
     c = normal_block(2, 0, 8, 2)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("name,k,k_w", [("scalar-linear-osc", None, 1),
+                                        ("reaction-diffusion-delay", 8, 3),
+                                        ("reaction-diffusion-delay", 32, 32)])
+def test_slab_noise_equals_normal_block_across_slab_edges(monkeypatch, name, k, k_w):
+    # 150 steps: two whole slabs and a short third; k_w = 3 puts slab edges
+    # inside Philox's 4-output counter blocks
+    p = get_preset(name, k=k)
+    cfg = StepperConfig(dt=1e-3, T=0.15, noise_modes=k_w, seed=4)
+    assert cfg.n_steps > 2 * SLAB and cfg.n_steps % SLAB
+    seen = []
+    real = PathRunner._advance
+
+    def spy(self, n, dW):
+        seen.append(dW.copy())
+        return real(self, n, dW)
+
+    monkeypatch.setattr(PathRunner, "_advance", spy)
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=5, rows=32)
+    assert runner.k_w == k_w
+    runner.run()
+    dW = np.stack(seen, axis=1)
+    for r in range(32):
+        want = normal_block(4, 5 + r, cfg.n_steps, k_w) * math.sqrt(cfg.dt)
+        np.testing.assert_array_equal(dW[r], want)
 
 
 def test_noise_marginals_are_standard_normal():
@@ -110,13 +137,14 @@ def test_zero_everything_stays_zero():
 
 
 def batched_paths(p, cfg, n_paths):
-    """Trajectories of paths 0 .. n_paths - 1 in order, stepped a chunk at a time."""
-    for first in range(0, n_paths, CHUNK):
-        runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=first)
-        chunk = runner.run()
-        for r in range(min(CHUNK, n_paths - first)):
+    """Trajectories of paths 0 .. n_paths - 1 in order, stepped MAX_WIDTH at a time."""
+    for first in range(0, n_paths, MAX_WIDTH):
+        runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=first,
+                            rows=MAX_WIDTH)
+        batch = runner.run()
+        for r in range(min(MAX_WIDTH, n_paths - first)):
             assert runner.errors[r] is None
-            yield chunk.row(r)
+            yield batch.row(r)
 
 
 def test_ou_terminal_variance_matches_closed_form():
@@ -396,6 +424,35 @@ def test_rescued_step_freezes_the_delay_term():
     gap = traj.states[1, 0] - st.buffer.head[0]
     assert gap != 0.0  # the frozen cache moves the result
     predicted = (dt / 2) * 1.0 * gain * (v0 - v_half) / (1.0 + a * dt / 2)
+    assert gap == pytest.approx(predicted, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+def test_rescued_step_freezes_the_seminorm_term(rows):
+    # the seminorm counterpart of the delay case: the full step's dt * rhs
+    # overflows and one halving rescues it.  The runner's substeps keep the
+    # seminorm S(0) = 1 of the step's start, where two reference steps at
+    # dt/2 recompute S(dt/2) ~ 1.5e148 from the new sample.
+    gain, a, dt = 1e159, 1e160, 1.5
+    cs = noiseless_coefficients(DriftSpec(constant=1.5e308, seminorm_power=1.0,
+                                          seminorm_gain=gain))
+    op = PdeOperator("scalar_linear", a=a)
+    init = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
+    cfg = StepperConfig(dt=dt, T=3.0, noise_modes=1, seed=0, eps=1.0)
+    s0 = seminorm_h(init, 0.0)
+    assert not math.isfinite(dt * (1.5e308 + gain * s0))
+    runner = PathRunner(op, cs, cfg, init, rows=rows)
+    traj = runner.run()
+    assert runner.errors == [None] * rows
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(traj.states[:, 1:] == traj.states[:, :1])
+    half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
+    st = step(PathState(buffer=init, t=0.0), op, cs, half)
+    s_half = seminorm_h(st.buffer, dt / 2)
+    st = step(st, op, cs, half)
+    gap = traj.states[1, 0, 0] - st.buffer.head[0]
+    assert gap != 0.0  # the frozen cache moves the result
+    predicted = (dt / 2) * 1.0 * gain * (s0 - s_half) / (1.0 + a * dt / 2)
     assert gap == pytest.approx(predicted, rel=1e-12, abs=0)
 
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from avg_sfpde.spectral import PdeOperator, SpectralOverflowError, SpectralSpace, coercivity_probe
+from avg_sfpde.spectral import (
+    ROW_BLOCK,
+    PdeOperator,
+    SpectralOverflowError,
+    SpectralSpace,
+    coercivity_probe,
+)
 
 
 def simpson_coefficient_oracle(f, i, L=1.0, m=4096):
@@ -43,6 +49,24 @@ def test_matrix_and_fft_paths_agree():
     vals_fft = sm2.to_values(coeffs)
     np.testing.assert_allclose(vals_mat, vals_fft, atol=1e-12)
     np.testing.assert_allclose(sm.to_coeffs(vals_mat), sm2.to_coeffs(vals_fft), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("rows", [16, 64, 256])
+def test_wide_batch_transforms_equal_16_row_products(k, rows):
+    # a batch of whole 16-row blocks has the bits of its blocks transformed
+    # one at a time, so a path's state never depends on the batch width
+    space = SpectralSpace(1.0, k)
+    rng = np.random.default_rng(k + rows)
+    coeffs = rng.standard_normal((rows, k))
+    values = rng.standard_normal((rows, space.m))
+    blocks = range(0, rows, ROW_BLOCK)
+    np.testing.assert_array_equal(
+        space.to_values(coeffs),
+        np.concatenate([space.to_values(coeffs[i:i + ROW_BLOCK]) for i in blocks]))
+    np.testing.assert_array_equal(
+        space.to_coeffs(values),
+        np.concatenate([space.to_coeffs(values[i:i + ROW_BLOCK]) for i in blocks]))
 
 
 def test_parseval_identity_against_grid_quadrature():
