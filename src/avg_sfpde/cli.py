@@ -10,6 +10,9 @@ the manifest alone reproduces the report files byte for byte.
 flag, and its parser.  ``COMMANDS`` gives each subcommand the keys it reads,
 the keys it requires, its defaults, and its study call; its flags are made
 from its keys, and ``_run_command`` runs every subcommand the same way.
+``_resolve`` is the one place that resolves a run's inputs: it builds the
+preset once, fills the preset's ``dt``, ``T`` and ``k_w`` in as defaults, and
+the study receives the built preset.
 
 Precedence for every key: command-line flag, then environment
 (``AVG_SFPDE_SEED``, ``AVG_SFPDE_THREADS``), then config file, then
@@ -29,14 +32,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .experiments import (
-    SweepPlan,
     averaging_sweep,
     continuity_study,
     hypothesis_audit,
     khasminskii_diagnostic,
 )
 from .integrator import AVERAGED, StepperConfig, run_path
-from .presets import get_preset, public_names
+from .presets import constant_xi, get_preset, public_names
 from .reporting import (
     read_manifest,
     report_csv_text,
@@ -104,8 +106,8 @@ KEYS = {
 
 
 # ---------------------------------------------------------------------------
-# study calls: run the study on a resolved spec, write its files, return the
-# verdict
+# study calls: run the study on a resolved spec and its built preset, write
+# its files, return the verdict
 # ---------------------------------------------------------------------------
 
 def _echo_rows(report):
@@ -132,12 +134,11 @@ def _write_report(report, spec, out, kind, eps_label=None):
 
 
 def _sweep_args(spec):
-    return dict(dt=spec["dt"], T=spec["T"], k=spec.get("k"), k_w=spec["k_w"],
-                seed=spec["seed"], threads=spec["threads"], eps=spec["eps"])
+    return dict(dt=spec["dt"], T=spec["T"], k_w=spec["k_w"], seed=spec["seed"],
+                threads=spec["threads"])
 
 
-def _simulate(spec, out):
-    preset = get_preset(spec["preset"], k=spec.get("k"))
+def _simulate(spec, preset, out):
     cfg = StepperConfig(dt=spec["dt"], T=spec["T"], noise_modes=spec["k_w"],
                         seed=spec["seed"], eps=spec["eps"])
     traj = run_path(preset.operator, preset.coefficients, cfg, preset.initial)
@@ -147,35 +148,32 @@ def _simulate(spec, out):
     return True
 
 
-def _sweep_averaging(spec, out):
-    plan = SweepPlan(preset=spec["preset"], eps_grid=spec["eps_grid"],
-                     paths=spec["paths"], d_rule=spec["d_rule"], dt=spec["dt"],
-                     T=spec["T"], k=spec.get("k"), k_w=spec["k_w"],
-                     seed=spec["seed"], threads=spec["threads"],
-                     constant_xi=spec["constant_xi"])
-    report = averaging_sweep(plan)
+def _sweep_averaging(spec, preset, out):
+    if spec["constant_xi"]:
+        preset = constant_xi(preset)
+    report = averaging_sweep(preset, spec["eps_grid"], spec["paths"],
+                             d_rule=spec["d_rule"], **_sweep_args(spec))
     print(f"averaging sweep on {spec['preset']}:")
     return _write_report(report, spec, out, "sweep-averaging")
 
 
-def _sweep_khasminskii(spec, out):
-    report = khasminskii_diagnostic(spec["preset"], spec["d_grid"], spec["paths"],
-                                    **_sweep_args(spec))
+def _sweep_khasminskii(spec, preset, out):
+    report = khasminskii_diagnostic(preset, spec["d_grid"], spec["paths"],
+                                    eps=spec["eps"], **_sweep_args(spec))
     print(f"khasminskii diagnostic on {spec['preset']} (eps={spec['eps']}):")
     return _write_report(report, spec, out, "sweep-khasminskii",
                          eps_label=str(spec["eps"]))
 
 
-def _sweep_continuity(spec, out):
-    report = continuity_study(spec["preset"], spec["delta_grid"], spec["paths"],
-                              **_sweep_args(spec))
+def _sweep_continuity(spec, preset, out):
+    report = continuity_study(preset, spec["delta_grid"], spec["paths"],
+                              eps=spec["eps"], **_sweep_args(spec))
     print(f"continuity study on {spec['preset']}:")
     return _write_report(report, spec, out, "sweep-continuity")
 
 
-def _audit(spec, out):
-    audit = hypothesis_audit(spec["preset"], trials=spec["trials"],
-                             rng_seed=spec["seed"], k=spec.get("k"))
+def _audit(spec, preset, out):
+    audit = hypothesis_audit(preset, trials=spec["trials"], rng_seed=spec["seed"])
     lines = [f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})"
              for r in audit.results]
     print("\n".join(lines))
@@ -252,8 +250,9 @@ def load_config(path, name) -> dict:
     return flat
 
 
-def _resolve(name, args) -> dict:
-    """The run's keys: flag > env > config > defaults, over its key set."""
+def _resolve(name, args):
+    """The run's keys, flag > env > config > defaults over its key set, and
+    its built preset."""
     command = COMMANDS[name]
     spec = load_config(args.config, name) if args.config else {}
     for key in command.keys:
@@ -266,11 +265,11 @@ def _resolve(name, args) -> dict:
     for key in command.required:
         if key not in spec:
             raise UsageError(f"missing {KEYS[key].flag}")
-    defaults = {**_DEFAULTS, **command.defaults}
-    if "dt" in command.keys:
-        p = get_preset(spec["preset"], k=spec.get("k"))
-        defaults.update(dt=p.dt, T=p.T, k_w=p.k_w)
-    return {**{k: v for k, v in defaults.items() if k in command.keys}, **spec}
+    preset = get_preset(spec["preset"], k=spec.get("k"))
+    defaults = {**_DEFAULTS, **command.defaults,
+                "dt": preset.dt, "T": preset.T, "k_w": preset.k_w}
+    spec = {**{k: v for k, v in defaults.items() if k in command.keys}, **spec}
+    return spec, preset
 
 
 def _out_dir(spec) -> Path:
@@ -297,10 +296,10 @@ def _manifest_sections(name, spec):
 
 
 def _run_command(name, args):
-    spec = _resolve(name, args)
+    spec, preset = _resolve(name, args)
     out = _out_dir(spec)
     try:
-        verdict = COMMANDS[name].run(spec, out)
+        verdict = COMMANDS[name].run(spec, preset, out)
     except RuntimeError as exc:  # a blow-up that aborts the study
         (out / "diagnostics.txt").write_text(str(exc) + "\n", encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)

@@ -237,10 +237,18 @@ class CoefficientSet:
     def dim(self) -> int:
         return 1 if self.space is None else self.space.k
 
-    def noise_dim(self, k_w: int | None = None) -> int:
-        if self.diffusion.kind in ("scalar", "pointwise_field"):
+    def noise_dim(self, k_w: int) -> int:
+        """Brownian coordinates of the noise: k_w of the k modes under
+        diagonal noise, one under the one-coordinate kinds; any other k_w
+        is rejected."""
+        kind = self.diffusion.kind
+        if kind in ("scalar", "pointwise_field"):
+            if k_w != 1:
+                raise ValueError(f"k_w = {k_w}: {kind} noise has 1 Brownian coordinate")
             return 1
-        return self.dim if k_w is None else min(k_w, self.dim)
+        if not 1 <= k_w <= self.dim:
+            raise ValueError(f"k_w = {k_w}: diagonal noise needs 1 <= k_w <= k = {self.dim}")
+        return k_w
 
     # -- functional composition (single source of truth) ---------------------
     def compose_drift(self, head_values: np.ndarray, delay_value,

@@ -511,18 +511,10 @@ def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
                          samples=buf.value_at(t)[None, :], horizon=buf.horizon)
 
 
-def _kernel_func(kernel):
-    if isinstance(kernel, (int, float)):
-        p = float(kernel)
-        if p == 0.0:
-            return lambda r: np.ones_like(np.asarray(r, dtype=float)), p
-
-        def power(r):
-            with np.errstate(divide="ignore"):
-                return np.asarray(r, dtype=float) ** p
-
-        return power, p
-    return kernel, None
+def _powers(norms, p):
+    """norms ** p; a zero norm under p < 0 gives inf, which callers report."""
+    with np.errstate(divide="ignore"):
+        return np.asarray(norms, dtype=float) ** p
 
 
 def _tail_power_closed_form(tail, mu, p, lo, hi):
@@ -585,17 +577,17 @@ def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
     return total
 
 
-def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure, kernel) -> float:
-    """int_{-infty}^0 kernel(||u(t+theta)||) mu(dtheta).
+def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
+                   power: float) -> float:
+    """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta).
 
-    ``kernel`` is either a power p (float; kernel(r) = r**p) or a callable on
-    nonnegative reals.  The simulated part [-t, 0] is integrated by a
-    trapezoid in kernel values against exact interval masses on the sample
-    grid; the analytic-tail part uses closed forms where available and a
-    graded product quadrature otherwise.
+    The simulated part [-t, 0] is integrated by a trapezoid in kernel values
+    against exact interval masses on the sample grid; the analytic-tail part
+    uses closed forms where available and a graded product quadrature
+    otherwise.
     """
     buf._check_time(t)
-    kfun, power = _kernel_func(kernel)
+    power = float(power)
 
     def check(vals, thetas):
         bad = ~np.isfinite(np.atleast_1d(vals))
@@ -605,7 +597,7 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure, kernel) -> fl
         return vals
 
     if mu.kind == "point":
-        v = float(kfun(np.array([state_norm(buf.value_at(t))]))[0])
+        v = float(_powers(state_norm(buf.value_at(t)), power))
         check(np.array([v]), np.array([0.0]))
         return v
 
@@ -617,21 +609,19 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure, kernel) -> fl
         nodes = np.concatenate([grid_thetas, [-t, 0.0]])
         nodes = np.unique(nodes[(nodes >= -t - 1e-15) & (nodes <= 1e-15)])
         norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
-        ks = check(np.asarray(kfun(norms), dtype=float), nodes)
+        ks = check(_powers(norms, power), nodes)
         masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
         total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
 
     # analytic-tail part: theta in (-infty, -t]
-    closed = None
-    if power is not None:
-        # closed forms hold on the untruncated tail
-        closed = _tail_power_closed_form(buf.tail, mu, power, -math.inf, -t)
+    # closed forms hold on the untruncated tail
+    closed = _tail_power_closed_form(buf.tail, mu, power, -math.inf, -t)
     if closed is not None:
         return total + closed
 
     def K(thetas):
         vals = buf.tail.values_at(np.asarray(thetas) + t)
-        return check(np.asarray(kfun(np.linalg.norm(vals, axis=1)), dtype=float), thetas)
+        return check(_powers(np.linalg.norm(vals, axis=1), power), thetas)
 
     lo = -buf.horizon - t
     kinks = buf.tail.kink_nodes(lo + t, 0.0)
@@ -639,7 +629,7 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure, kernel) -> fl
     # remainder below the truncation horizon: tail value frozen there
     rem = mu.mass(-math.inf, lo)
     if rem > 0.0:
-        total += rem * float(kfun(np.array([state_norm(buf.tail.value_at(lo + t))]))[0])
+        total += rem * float(_powers(state_norm(buf.tail.value_at(lo + t)), power))
     return total
 
 

@@ -1,12 +1,13 @@
 """Monte Carlo studies: averaging convergence, block-freezing diagnostic,
 continuity in initial data, and the hypothesis audit.
 
-Each study steps a row's paths in batches of up to MAX_WIDTH rows, a
-multiple of the 16-row transform block, with path-indexed counter-based
+Each study takes a built Preset; dt, T and k_w fall back to the preset's
+own values.  A study steps a row's paths in batches of up to MAX_WIDTH rows,
+a multiple of the 16-row transform block, with path-indexed counter-based
 noise, merges statistics in path order (so neither the worker
 count nor the number of paths affects a path's result), fits a weighted
 log-log slope where one is defined, and emits an ExperimentReport with a
-verdict and a full metadata echo.
+verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
 from .coefficients import (
     _profile_h,
     check_growth,
@@ -35,7 +35,7 @@ from .integrator import (
     batch_width,
     khasminskii_freeze,
 )
-from .presets import Preset, constant_xi, get_preset
+from .presets import Preset
 from .spectral import coercivity_probe
 
 SLOPE_VERDICT_FLOOR = 0.35          # 0.5 minus tolerance for the d^(1/2) bound
@@ -43,33 +43,8 @@ CENSOR_FIT_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
-# Plans and reports
+# Reports
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPlan:
-    preset: str
-    eps_grid: tuple
-    paths: int
-    d_rule: str = "sqrt_eps"        # or "none"; khasminskii passes d directly
-    dt: float | None = None
-    T: float | None = None
-    k: int | None = None
-    k_w: int | None = None
-    seed: int = 0
-    threads: int = 1
-    constant_xi: bool = False
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_grid)
-        if any(not (0 < e <= 1) for e in eps):
-            raise ValueError("eps grid must lie in (0, 1]")
-        if len(eps) > 1 and not all(b < a for a, b in zip(eps[:-1], eps[1:])):
-            raise ValueError("eps grid must be strictly decreasing")
-        if self.paths < 2:
-            raise ValueError("need at least 2 Monte Carlo paths")
-        object.__setattr__(self, "eps_grid", eps)
-
 
 @dataclass
 class ReportRow:
@@ -127,7 +102,13 @@ def _map_chunks(fn, paths: int, threads: int):
     rows)`` steps the ``rows``-row batch that starts at path id ``first``, the
     narrowest that holds its ``count`` paths, and returns their results; whole
     batches go to the thread pool, which gets no more workers than batches.
+    Every study steps its paths here, so here it rejects ``paths < 2`` and
+    ``threads < 1``.
     """
+    if paths < 2:
+        raise ValueError(f"paths = {paths}: need at least 2 Monte Carlo paths")
+    if threads < 1:
+        raise ValueError(f"threads = {threads}: need at least 1 worker thread")
     width = batch_width(paths)
     starts = range(0, paths, width)
 
@@ -210,65 +191,49 @@ def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
                     excluded=tuple(r.param for r in excluded))
 
 
-def _build_configs(preset: Preset, plan: SweepPlan, eps):
-    dt = plan.dt if plan.dt is not None else preset.dt
-    T = plan.T if plan.T is not None else preset.T
-    k_w = plan.k_w if plan.k_w is not None else preset.k_w
-    cfg_eps = StepperConfig(dt=dt, T=T, noise_modes=k_w, seed=plan.seed, eps=eps)
-    cfg_avg = replace(cfg_eps, eps=AVERAGED)
-    return cfg_eps, cfg_avg
-
-
-def _resolve_preset(plan: SweepPlan) -> Preset:
-    preset = get_preset(plan.preset, k=plan.k)
-    if plan.constant_xi:
-        preset = constant_xi(preset)
-    return preset
-
-
-def _metadata(plan: SweepPlan, preset: Preset, notes=()):
-    return {
-        "preset": preset.name,
-        "plan": {
-            "eps_grid": list(plan.eps_grid), "paths": plan.paths,
-            "d_rule": plan.d_rule, "dt": plan.dt if plan.dt is not None else preset.dt,
-            "T": plan.T if plan.T is not None else preset.T,
-            "k": plan.k, "k_w": plan.k_w if plan.k_w is not None else preset.k_w,
-            "seed": plan.seed, "threads": plan.threads,
-            "constant_xi": plan.constant_xi,
-        },
-        "version": __version__,
-        "notes": list(notes),
-    }
+def _stepper(preset: Preset, dt, T, k_w, seed, eps) -> StepperConfig:
+    """The study's stepping; a dt, T or k_w of None is the preset's own."""
+    return StepperConfig(dt=preset.dt if dt is None else dt,
+                         T=preset.T if T is None else T,
+                         noise_modes=preset.k_w if k_w is None else k_w,
+                         seed=seed, eps=eps)
 
 
 # ---------------------------------------------------------------------------
 # averaging sweep
 # ---------------------------------------------------------------------------
 
-def averaging_sweep(plan: SweepPlan) -> ExperimentReport:
+def averaging_sweep(preset: Preset, eps_grid, paths: int,
+                    dt: float | None = None, T: float | None = None,
+                    k_w: int | None = None, seed: int = 0, threads: int = 1,
+                    d_rule: str = "sqrt_eps") -> ExperimentReport:
     """E sup_t ||u^eps - u*||^2 per eps, with the monotone-decay verdict.
 
-    Blow-ups follow ``_censor``; rows above the censoring threshold are
-    excluded from the slope fit.
+    ``d_rule`` "sqrt_eps" echoes the block length sqrt(eps) in each row,
+    "none" leaves it NaN.  Blow-ups follow ``_censor``; rows above the
+    censoring threshold are excluded from the slope fit.
     """
-    preset = _resolve_preset(plan)
+    eps_grid = [float(e) for e in eps_grid]
+    if any(not (0 < e <= 1) for e in eps_grid):
+        raise ValueError("eps grid must lie in (0, 1]")
+    if not all(b < a for a, b in zip(eps_grid[:-1], eps_grid[1:])):
+        raise ValueError("eps grid must be strictly decreasing")
     op, cs, init = preset.operator, preset.coefficients, preset.initial
     rows = []
-    for j, eps in enumerate(plan.eps_grid):
-        cfg_eps, cfg_avg = _build_configs(preset, plan, eps)
+    for j, eps in enumerate(eps_grid):
+        cfg_eps = _stepper(preset, dt, T, k_w, seed, eps)
+        cfg_avg = replace(cfg_eps, eps=AVERAGED)
         outcomes = _coupled_outcomes(op, cs, cfg_eps, init, cfg_avg, init,
-                                     plan.paths, plan.threads)
+                                     paths, threads)
         values, censored = _censor(outcomes, j, "eps", eps, preset, cfg_eps.dt)
-        d = math.sqrt(eps) if plan.d_rule == "sqrt_eps" else math.nan
-        rows.append(_row_stats(values, eps, d, plan.paths, censored))
+        d = math.sqrt(eps) if d_rule == "sqrt_eps" else math.nan
+        rows.append(_row_stats(values, eps, d, paths, censored))
 
     decay_ok, detail = _monotone_decay_verdict(rows)
     slope = fit_loglog_slope(rows)
     return ExperimentReport(
         kind="averaging", param_name="eps", rows=rows, slope=slope,
         verdict=decay_ok, verdict_detail=detail,
-        metadata=_metadata(plan, preset),
     )
 
 
@@ -287,10 +252,9 @@ def _monotone_decay_verdict(rows):
 # block-freezing diagnostic
 # ---------------------------------------------------------------------------
 
-def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
+def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
                            dt: float | None = None, T: float | None = None,
-                           k: int | None = None, k_w: int | None = None,
-                           seed: int = 0, threads: int = 1,
+                           k_w: int | None = None, seed: int = 0, threads: int = 1,
                            eps: float | str = AVERAGED) -> ExperimentReport:
     """E int_0^T ||u - u_frozen||^2 dt per block length d, plus the segment
     variant with the weighted history norm; verdict: fitted slope >= 0.35.
@@ -299,13 +263,9 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
     the first row and aborts.
     """
     d_grid = [float(d) for d in d_grid]
-    if len(d_grid) > 1 and not all(b < a for a, b in zip(d_grid[:-1], d_grid[1:])):
+    if not all(b < a for a, b in zip(d_grid[:-1], d_grid[1:])):
         raise ValueError("d grid must be strictly decreasing")
-    preset = get_preset(preset_name, k=k)
-    plan = SweepPlan(preset=preset_name, eps_grid=(1.0,), paths=max(paths, 2),
-                     dt=dt, T=T, k=k, k_w=k_w, seed=seed, threads=threads)
-    cfg, _ = _build_configs(preset, plan, 1.0)
-    cfg = replace(cfg, eps=eps)
+    cfg = _stepper(preset, dt, T, k_w, seed, eps)
     op, cs, init = preset.operator, preset.coefficients, preset.initial
     h = init.h
     dtv = cfg.dt
@@ -341,13 +301,12 @@ def khasminskii_diagnostic(preset_name: str, d_grid, paths: int,
     ok = slope is not None and slope.slope >= SLOPE_VERDICT_FLOOR
     detail = (f"path slope {slope}, segment slope {seg_slope}"
               if slope else "slope unavailable")
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="khasminskii", param_name="d", rows=rows, slope=slope,
         verdict=ok, verdict_detail=detail,
-        metadata=_metadata(plan, preset, notes=[f"eps={eps}"]),
+        metadata={"notes": [f"eps={eps}"],
+                  "segment_slope": None if seg_slope is None else seg_slope.slope},
     )
-    report.metadata["segment_slope"] = None if seg_slope is None else seg_slope.slope
-    return report
 
 
 def heat_block_residual_oracle(lam: float, T: float, d: float) -> float:
@@ -369,10 +328,9 @@ def heat_block_residual_oracle(lam: float, T: float, d: float) -> float:
 # continuity in initial data
 # ---------------------------------------------------------------------------
 
-def continuity_study(preset_name: str, delta_grid, paths: int,
+def continuity_study(preset: Preset, delta_grid, paths: int,
                      dt: float | None = None, T: float | None = None,
-                     k: int | None = None, k_w: int | None = None,
-                     seed: int = 0, threads: int = 1,
+                     k_w: int | None = None, seed: int = 0, threads: int = 1,
                      eps: float | str = 1.0) -> ExperimentReport:
     """E sup_t ||x - y||^2 for coupled pairs started from phi and phi + delta psi,
     psi the unit-seminorm constant perturbation along the first coordinate.
@@ -381,15 +339,10 @@ def continuity_study(preset_name: str, delta_grid, paths: int,
     is recorded in the report notes; blow-ups follow ``_censor``.
     """
     delta_grid = [float(d) for d in delta_grid]
-    if len(delta_grid) > 1:
-        pos = [d for d in delta_grid if d > 0]
-        if not all(b < a for a, b in zip(pos[:-1], pos[1:])):
-            raise ValueError("delta grid must be strictly decreasing")
-    preset = get_preset(preset_name, k=k)
-    plan = SweepPlan(preset=preset_name, eps_grid=(1.0,), paths=max(paths, 2),
-                     dt=dt, T=T, k=k, k_w=k_w, seed=seed, threads=threads)
-    cfg, _ = _build_configs(preset, plan, 1.0)
-    cfg = replace(cfg, eps=eps)
+    pos = [d for d in delta_grid if d > 0]
+    if not all(b < a for a, b in zip(pos[:-1], pos[1:])):
+        raise ValueError("delta grid must be strictly decreasing")
+    cfg = _stepper(preset, dt, T, k_w, seed, eps)
     op, cs, init = preset.operator, preset.coefficients, preset.initial
     if not isinstance(init.tail, ConstantTail):
         raise ValueError("continuity study needs a constant-tail initial datum")
@@ -408,14 +361,12 @@ def continuity_study(preset_name: str, delta_grid, paths: int,
     ok, detail = _continuity_verdict(rows)
     pos_rows = [r for r in rows if r.param > 0]
     slope = fit_loglog_slope(pos_rows) if len(pos_rows) >= 3 else None
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="continuity", param_name="delta", rows=rows, slope=slope,
         verdict=ok, verdict_detail=detail,
-        metadata=_metadata(plan, preset,
-                           notes=["stopping times of the uniqueness proof are "
-                                  "replaced by blow-up detection", f"eps={eps}"]),
+        metadata={"notes": ["stopping times of the uniqueness proof are "
+                            "replaced by blow-up detection", f"eps={eps}"]},
     )
-    return report
 
 
 def _continuity_verdict(rows):
@@ -466,14 +417,13 @@ def _sample_fields(rng, dim, radius, n):
     return out
 
 
-def hypothesis_audit(preset_name: str, trials: int = 1000, rng_seed: int = 0,
-                     k: int | None = None) -> AuditReport:
+def hypothesis_audit(preset: Preset, trials: int = 1000,
+                     rng_seed: int = 0) -> AuditReport:
     """Sampling-based falsification of the structural hypotheses.
 
     Continuity of the operator pairing holds by construction for the shipped
     coefficient families and is recorded as such rather than sampled.
     """
-    preset = get_preset(preset_name, k=k)
     cs, op = preset.coefficients, preset.operator
     prof = cs.profile
     rng = np.random.default_rng(rng_seed)

@@ -214,13 +214,14 @@ def _broken_quadratic() -> Preset:
 
 
 _BUILDERS = {
-    "scalar-linear-osc": lambda k=None: _scalar_linear_osc(),
-    "scalar-holder-osc": lambda k=None: _scalar_holder_osc(),
-    "reaction-diffusion-delay": lambda k=None: _reaction_diffusion_delay(k or 32),
-    "porous-media-sin": lambda k=None: _porous_media_sin(k or 16),
-    "heat-deterministic": lambda k=None: _heat_deterministic(k or 8),
-    "broken-quadratic": lambda k=None: _broken_quadratic(),
+    "scalar-linear-osc": _scalar_linear_osc,
+    "scalar-holder-osc": _scalar_holder_osc,
+    "reaction-diffusion-delay": _reaction_diffusion_delay,
+    "porous-media-sin": _porous_media_sin,
+    "heat-deterministic": _heat_deterministic,
+    "broken-quadratic": _broken_quadratic,
 }
+_FIELDS = {"reaction-diffusion-delay", "porous-media-sin", "heat-deterministic"}
 
 
 def public_names() -> list[str]:
@@ -229,8 +230,16 @@ def public_names() -> list[str]:
 
 
 def get_preset(name: str, k: int | None = None) -> Preset:
+    """The named preset; ``k`` sets a field preset's mode count, None keeps
+    its default, and a scalar preset takes none."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown preset {name!r}; known: {sorted(_BUILDERS)}")
+    if k is None:
+        return _BUILDERS[name]()
+    if name not in _FIELDS:
+        raise ValueError(f"k = {k}: preset {name} is scalar and has no modes")
+    if k < 1:
+        raise ValueError(f"k = {k}: preset {name} needs at least 1 mode")
     return _BUILDERS[name](k)
 
 

@@ -14,7 +14,6 @@ from scipy import integrate
 from avg_sfpde.cli import main as cli_main
 from avg_sfpde.delay import DelayMeasure, MomentDivergenceError
 from avg_sfpde.experiments import (
-    SweepPlan,
     averaging_sweep,
     continuity_study,
     heat_block_residual_oracle,
@@ -22,7 +21,7 @@ from avg_sfpde.experiments import (
     khasminskii_diagnostic,
 )
 from avg_sfpde.integrator import StepperConfig, run_path
-from avg_sfpde.presets import get_preset
+from avg_sfpde.presets import constant_xi, get_preset
 from avg_sfpde.spectral import PdeOperator, SpectralSpace
 
 
@@ -35,9 +34,8 @@ def verdict_line(cid, ok, detail=""):
 
 def test_criterion_1_degenerate_coupling_oracle():
     t0 = time.monotonic()
-    plan = SweepPlan(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1, 0.02),
-                     paths=32, k=16, dt=2e-3, seed=7, constant_xi=True)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(constant_xi(get_preset("reaction-diffusion-delay", k=16)),
+                          (0.5, 0.1, 0.02), paths=32, dt=2e-3, seed=7)
     elapsed = time.monotonic() - t0
     all_zero = all(r.mean == 0.0 for r in rep.rows)
     ok = all_zero and elapsed < 10.0
@@ -50,9 +48,8 @@ def test_criterion_1_degenerate_coupling_oracle():
 
 def test_criterion_2_closed_form_averaging_rate():
     t0 = time.monotonic()
-    plan = SweepPlan(preset="scalar-linear-osc", eps_grid=(0.1, 0.01, 0.001),
-                     paths=256, seed=7)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(get_preset("scalar-linear-osc"), (0.1, 0.01, 0.001),
+                          paths=256, seed=7)
     elapsed = time.monotonic() - t0
     # convolution oracle int_0^t e^{-(t-s)} sin(s/eps) ds on the grid
     dt, T = 2e-4, 1.0
@@ -75,9 +72,8 @@ def test_criterion_2_closed_form_averaging_rate():
 
 def test_criterion_3_qualitative_averaging_verdict():
     t0 = time.monotonic()
-    plan = SweepPlan(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1, 0.02),
-                     paths=64, k=32, dt=1e-3, T=1.0, seed=11)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(get_preset("reaction-diffusion-delay", k=32),
+                          (0.5, 0.1, 0.02), paths=64, dt=1e-3, T=1.0, seed=11)
     elapsed = time.monotonic() - t0
     means = rep.row_means()
     strict = means[0] > means[1] > means[2]
@@ -91,11 +87,11 @@ def test_criterion_3_qualitative_averaging_verdict():
 # -- 4 ----------------------------------------------------------------------
 
 def test_criterion_4_khasminskii_diagnostic():
-    rep = khasminskii_diagnostic("scalar-linear-osc", [0.2, 0.1, 0.05, 0.025],
-                                 paths=256, dt=1e-3, T=1.0, seed=3)
+    rep = khasminskii_diagnostic(get_preset("scalar-linear-osc"),
+                                 [0.2, 0.1, 0.05, 0.025], paths=256, dt=1e-3, T=1.0, seed=3)
     ou_ok = rep.slope.slope >= 0.35
     d_grid = [0.2, 0.1, 0.05]
-    heat = khasminskii_diagnostic("heat-deterministic", d_grid, paths=2,
+    heat = khasminskii_diagnostic(get_preset("heat-deterministic"), d_grid, paths=2,
                                   dt=2.5e-4, T=1.0, seed=0)
     lam = math.pi**2
     oracle = [heat_block_residual_oracle(lam, 1.0, d) for d in d_grid]
@@ -115,11 +111,11 @@ def test_criterion_4_khasminskii_diagnostic():
 
 def test_criterion_5_continuity_in_initial_data():
     deltas = [1e-1, 1e-2, 1e-3, 0.0]
-    hold = continuity_study("scalar-holder-osc", deltas, paths=32, dt=1e-3,
+    hold = continuity_study(get_preset("scalar-holder-osc"), deltas, paths=32, dt=1e-3,
                             T=1.0, seed=5, eps=0.5)
     means = hold.row_means()
     strict = means[0] > means[1] > means[2] and means[3] == 0.0
-    lin = continuity_study("scalar-linear-osc", deltas, paths=8, dt=1e-3,
+    lin = continuity_study(get_preset("scalar-linear-osc"), deltas, paths=8, dt=1e-3,
                            T=1.0, seed=5, eps=0.5)
     lin_ok = all(abs(r.mean - r.param**2) <= 0.10 * r.param**2
                  for r in lin.rows if r.param > 0)
@@ -144,9 +140,9 @@ def test_criterion_6_hypothesis_audits():
 
     audits = {}
     for name in ("porous-media-sin", "reaction-diffusion-delay"):
-        audits[name] = hypothesis_audit(name, trials=1000, rng_seed=1)
+        audits[name] = hypothesis_audit(get_preset(name), trials=1000, rng_seed=1)
     presets_ok = all(a.all_passed for a in audits.values())
-    broken = hypothesis_audit("broken-quadratic", trials=1000, rng_seed=1)
+    broken = hypothesis_audit(get_preset("broken-quadratic"), trials=1000, rng_seed=1)
     h2 = broken.by_name("H2")
     broken_ok = (not h2.passed) and "gap" in h2.detail
     ok = maps_ok and presets_ok and broken_ok

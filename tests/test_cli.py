@@ -145,6 +145,35 @@ def test_config_outside_the_subcommand_is_hard_error(tmp_path, capsys, line, nam
     assert not (tmp_path / "o").exists()
 
 
+AVG = ["sweep-averaging", "--eps", "0.5,0.25", "--dt", "0.01", "--T", "0.1"]
+CONT = ["sweep-continuity", "--delta", "0.1,0", "--dt", "0.01", "--T", "0.1"]
+FRZ = ["sweep-khasminskii", "--d", "0.2,0.1", "--dt", "0.01", "--T", "0.1"]
+RD8 = ["--preset", "reaction-diffusion-delay", "--k", "8"]
+LIN = ["--preset", "scalar-linear-osc"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (AVG + LIN + ["--k", "7"], "k = 7"),
+    (["audit", "--preset", "broken-quadratic", "--k", "7"], "k = 7"),
+    (AVG + ["--preset", "reaction-diffusion-delay", "--k", "0"], "k = 0"),
+    (AVG + RD8 + ["--kw", "0"], "k_w = 0"),
+    (AVG + RD8 + ["--kw", "64"], "k_w = 64"),
+    (AVG + LIN + ["--kw", "2"], "k_w = 2"),
+    (["simulate", "--preset", "porous-media-sin", "--kw", "3", "--T", "0.01"],
+     "k_w = 3"),
+    (AVG + LIN + ["--threads", "0"], "threads = 0"),
+    (CONT + LIN + ["--threads", "-3"], "threads = -3"),
+    (AVG + LIN + ["--paths", "1"], "paths = 1"),
+    (CONT + LIN + ["--paths", "1"], "paths = 1"),
+    (FRZ + LIN + ["--paths", "0"], "paths = 0"),
+])
+def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
+    # each of these used to run, ignoring or clipping the value
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.ini").exists()
+
+
 def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):
     out = tmp_path / "c"
     code = run_cli(["sweep-continuity", "--preset", "broken-quadratic",

@@ -1,15 +1,18 @@
 """Experiments: sweeps, diagnostics, audits, statistics, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avg_sfpde.experiments as exp
 from avg_sfpde import integrator
+from avg_sfpde.coefficients import DriftSpec, Oscillator
 from avg_sfpde.experiments import (
     ReportRow,
-    SweepPlan,
     averaging_sweep,
     continuity_study,
     fit_loglog_slope,
@@ -17,18 +20,22 @@ from avg_sfpde.experiments import (
     hypothesis_audit,
     khasminskii_diagnostic,
 )
+from avg_sfpde.presets import constant_xi, get_preset
+
+LINEAR = get_preset("scalar-linear-osc")
+RD8 = get_preset("reaction-diffusion-delay", k=8)
 
 # ---------------------------------------------------------------------------
-# plan validation and slope fitting
+# argument validation and slope fitting
 # ---------------------------------------------------------------------------
 
-def test_plan_validation():
+def test_sweep_argument_validation():
     with pytest.raises(ValueError):
-        SweepPlan(preset="scalar-linear-osc", eps_grid=(0.1, 0.5), paths=4)
+        averaging_sweep(LINEAR, (0.1, 0.5), paths=4)
     with pytest.raises(ValueError):
-        SweepPlan(preset="scalar-linear-osc", eps_grid=(1.5,), paths=4)
+        averaging_sweep(LINEAR, (1.5,), paths=4)
     with pytest.raises(ValueError):
-        SweepPlan(preset="scalar-linear-osc", eps_grid=(0.5, 0.1), paths=1)
+        averaging_sweep(LINEAR, (0.5, 0.1), paths=1)
 
 
 def test_slope_fit_weighted_and_censoring_exclusion():
@@ -53,18 +60,31 @@ def test_slope_fit_weighted_and_censoring_exclusion():
 # ---------------------------------------------------------------------------
 
 def test_degenerate_constant_xi_rows_exactly_zero():
-    plan = SweepPlan(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1, 0.02),
-                     paths=4, k=8, dt=2e-3, seed=7, constant_xi=True)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(constant_xi(RD8), (0.5, 0.1, 0.02), paths=4, dt=2e-3,
+                          seed=7)
     assert rep.row_means() == [0.0, 0.0, 0.0]
     assert rep.verdict
     assert all(r.std_err == 0.0 for r in rep.rows)
 
 
+CONSTANT_XI = {"scalar": constant_xi(get_preset("scalar-holder-osc")),
+               "field": constant_xi(RD8)}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTANT_XI))
+@given(seed=st.integers(0, 2**31 - 1), paths=st.integers(2, 40))
+@settings(max_examples=10, deadline=None)
+def test_constant_xi_rows_exactly_zero_for_any_seed_and_path_count(kind, seed, paths):
+    # the degenerate twin's fast and averaged systems are one system, so the
+    # coupled distance is exactly zero on every path, whatever its noise
+    rep = averaging_sweep(CONSTANT_XI[kind], (0.5, 0.1), paths, dt=2e-3, T=0.1,
+                          seed=seed)
+    assert [r.mean for r in rep.rows] == [0.0, 0.0]
+    assert [r.std_err for r in rep.rows] == [0.0, 0.0]
+
+
 def test_scalar_linear_sweep_recovers_slope_two():
-    plan = SweepPlan(preset="scalar-linear-osc", eps_grid=(0.1, 0.01, 0.001),
-                     paths=16, seed=7)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(LINEAR, (0.1, 0.01, 0.001), paths=16, seed=7)
     assert rep.verdict
     assert rep.slope.slope == pytest.approx(2.0, abs=0.3)
     # the coupled difference is deterministic up to rounding cancellation
@@ -72,35 +92,23 @@ def test_scalar_linear_sweep_recovers_slope_two():
 
 
 def test_sweep_reports_sqrt_eps_block_rule():
-    plan = SweepPlan(preset="scalar-linear-osc", eps_grid=(0.25, 0.04), paths=2,
-                     seed=1, dt=1e-3)
-    rep = averaging_sweep(plan)
+    rep = averaging_sweep(LINEAR, (0.25, 0.04), paths=2, seed=1, dt=1e-3)
     assert [r.d for r in rep.rows] == [0.5, 0.2]
 
 
-def test_sweep_aborts_on_blow_up_at_largest_eps(monkeypatch):
-    from avg_sfpde.presets import get_preset
-
-    def explosive(name, k=None):
-        import dataclasses
-        from avg_sfpde.coefficients import DriftSpec
-        p = get_preset(name, k=k)
-        cs = dataclasses.replace(p.coefficients,
-                                 drift=DriftSpec(seminorm_power=4.0,
-                                                 seminorm_gain=1e6))
-        init = p.initial
-        init.samples[0, 0] = 50.0
-        init.tail.value[0] = 50.0
-        return dataclasses.replace(p, coefficients=cs)
-
-    monkeypatch.setattr(exp, "get_preset", explosive)
-    plan = SweepPlan(preset="scalar-linear-osc", eps_grid=(0.5, 0.1), paths=2,
-                     seed=0, dt=0.1, T=2.0)
+def test_sweep_aborts_on_blow_up_at_largest_eps():
+    p = get_preset("scalar-linear-osc")
+    cs = dataclasses.replace(p.coefficients,
+                             drift=DriftSpec(seminorm_power=4.0, seminorm_gain=1e6))
+    init = p.initial
+    init.samples[0, 0] = 50.0
+    init.tail.value[0] = 50.0
+    explosive = dataclasses.replace(p, coefficients=cs)
     with pytest.raises(RuntimeError, match="blow-up at the largest eps"):
-        averaging_sweep(plan)
+        averaging_sweep(explosive, (0.5, 0.1), paths=2, seed=0, dt=0.1, T=2.0)
 
 
-def sweep_values(monkeypatch, **plan):
+def sweep_values(monkeypatch, **sweep):
     """Report of an averaging sweep and its per-path sup errors, row by row."""
     seen = []
     real = exp._row_stats
@@ -110,7 +118,7 @@ def sweep_values(monkeypatch, **plan):
         return real(values, *args)
 
     monkeypatch.setattr(exp, "_row_stats", spy)
-    report = averaging_sweep(SweepPlan(**plan))
+    report = averaging_sweep(**sweep)
     monkeypatch.setattr(exp, "_row_stats", real)
     return report, seen
 
@@ -119,8 +127,7 @@ def test_path_bits_independent_of_path_count_and_threads(monkeypatch):
     # a study steps 16 * ceil(paths / 16) rows, at most MAX_WIDTH per batch;
     # capping MAX_WIDTH at 16, 64 and 256 runs the same paths in batches of
     # those widths, one or several per row, on one thread or two
-    base = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1), k=8,
-                dt=2e-3, T=0.2, seed=3)
+    base = dict(preset=RD8, eps_grid=(0.5, 0.1), dt=2e-3, T=0.2, seed=3)
     monkeypatch.setattr(integrator, "MAX_WIDTH", 16)
     _, ref = sweep_values(monkeypatch, paths=300, threads=1, **base)
     for width in (16, 64, 256):
@@ -155,21 +162,12 @@ def check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths):
     # and path 1 gets one large increment at t = 1.57: at eps = 0.5 the gate
     # sin(3.14) lets through a harmless kick, at eps = 0.2 the gate
     # sin(7.85) ~ 1 passes it whole and the explicit reaction term overflows.
-    import dataclasses
-    from avg_sfpde.coefficients import Oscillator
-    from avg_sfpde.presets import get_preset
-
-    def gated(name, k=None):
-        p = get_preset(name, k=k)
-        cs = dataclasses.replace(p.coefficients, osc2=Oscillator.sinusoid(0.0, 1.0, 1.0))
-        return dataclasses.replace(p, coefficients=cs)
-
-    monkeypatch.setattr(exp, "get_preset", gated)
-    plan = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.2), paths=paths,
-                k=8, dt=2e-3, T=1.6, seed=0)
-    _, plain = sweep_values(monkeypatch, **plan)
+    cs = dataclasses.replace(RD8.coefficients, osc2=Oscillator.sinusoid(0.0, 1.0, 1.0))
+    sweep = dict(preset=dataclasses.replace(RD8, coefficients=cs), eps_grid=(0.5, 0.2),
+                 paths=paths, dt=2e-3, T=1.6, seed=0)
+    _, plain = sweep_values(monkeypatch, **sweep)
     kick_path_one(monkeypatch, on_call=None, step=785)
-    rep, values = sweep_values(monkeypatch, **plan)
+    rep, values = sweep_values(monkeypatch, **sweep)
     assert rep.rows[0].censored == 0
     assert rep.rows[1].censored == 1
     assert rep.rows[1].paths == paths  # nominal count echoed, stats from survivors
@@ -187,7 +185,7 @@ def test_blow_up_inside_a_48_row_batch_is_censored(monkeypatch):
     check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths=40)
 
 
-RD_SMALL = dict(k=8, dt=2e-3, T=0.4, seed=0, eps=0.5)
+RD_SMALL = dict(dt=2e-3, T=0.4, seed=0, eps=0.5)
 
 
 def test_blow_up_in_block_freezing_aborts(monkeypatch):
@@ -196,15 +194,14 @@ def test_blow_up_in_block_freezing_aborts(monkeypatch):
     kick_path_one(monkeypatch, on_call=None)
     with pytest.raises(RuntimeError, match=r"largest d = 0\.2: state blew up "
                                            r"at t = \S+ \(mode 0\)"):
-        khasminskii_diagnostic("reaction-diffusion-delay", (0.2, 0.1, 0.05), 4,
-                               **RD_SMALL)
+        khasminskii_diagnostic(RD8, (0.2, 0.1, 0.05), 4, **RD_SMALL)
 
 
 def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
     grid = (0.1, 0.01, 0.0)
-    plain = continuity_study("reaction-diffusion-delay", grid, 4, **RD_SMALL)
+    plain = continuity_study(RD8, grid, 4, **RD_SMALL)
     kick_path_one(monkeypatch, on_call=2)  # the delta = 0.01 row
-    rep = continuity_study("reaction-diffusion-delay", grid, 4, **RD_SMALL)
+    rep = continuity_study(RD8, grid, 4, **RD_SMALL)
     assert [r.censored for r in rep.rows] == [0, 1, 0]
     assert rep.rows[1].paths == 4
     assert [rep.rows[i].mean for i in (0, 2)] == [plain.rows[i].mean for i in (0, 2)]
@@ -212,20 +209,19 @@ def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():
-    base = dict(preset="scalar-holder-osc", eps_grid=(0.5,), seed=11, dt=2e-3,
-                T=0.5)
-    rep_n = averaging_sweep(SweepPlan(paths=128, **base))
-    rep_2n = averaging_sweep(SweepPlan(paths=256, **base))
+    holder = get_preset("scalar-holder-osc")
+    base = dict(seed=11, dt=2e-3, T=0.5)
+    rep_n = averaging_sweep(holder, (0.5,), paths=128, **base)
+    rep_2n = averaging_sweep(holder, (0.5,), paths=256, **base)
     ratio = rep_n.rows[0].std_err / rep_2n.rows[0].std_err
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.10)
 
 
 def test_reports_reproducible_and_thread_invariant():
-    base = dict(preset="reaction-diffusion-delay", eps_grid=(0.5, 0.1), paths=6,
-                k=8, dt=2e-3, seed=13)
-    rep1 = averaging_sweep(SweepPlan(threads=1, **base))
-    rep2 = averaging_sweep(SweepPlan(threads=1, **base))
-    rep8 = averaging_sweep(SweepPlan(threads=8, **base))
+    base = dict(preset=RD8, eps_grid=(0.5, 0.1), paths=6, dt=2e-3, seed=13)
+    rep1 = averaging_sweep(threads=1, **base)
+    rep2 = averaging_sweep(threads=1, **base)
+    rep8 = averaging_sweep(threads=8, **base)
     for a, b in ((rep1, rep2), (rep1, rep8)):
         for ra, rb in zip(a.rows, b.rows):
             assert ra.mean == rb.mean
@@ -237,8 +233,7 @@ def test_reports_reproducible_and_thread_invariant():
 # ---------------------------------------------------------------------------
 
 def test_khasminskii_ou_slope_in_expected_band():
-    rep = khasminskii_diagnostic("scalar-linear-osc", [0.2, 0.1, 0.05, 0.025],
-                                 paths=64, dt=1e-3, T=1.0, seed=3)
+    rep = khasminskii_diagnostic(LINEAR, [0.2, 0.1, 0.05, 0.025], paths=64, dt=1e-3, T=1.0, seed=3)
     assert rep.verdict
     assert rep.slope.slope >= 0.35
     assert 0.5 <= rep.slope.slope <= 1.2
@@ -248,7 +243,7 @@ def test_khasminskii_ou_slope_in_expected_band():
 
 def test_khasminskii_deterministic_heat_matches_block_oracle():
     d_grid = [0.2, 0.1, 0.05]
-    rep = khasminskii_diagnostic("heat-deterministic", d_grid, paths=2,
+    rep = khasminskii_diagnostic(get_preset("heat-deterministic"), d_grid, paths=2,
                                  dt=2.5e-4, T=1.0, seed=0)
     lam = math.pi**2
     oracle = [heat_block_residual_oracle(lam, 1.0, d) for d in d_grid]
@@ -260,14 +255,14 @@ def test_khasminskii_deterministic_heat_matches_block_oracle():
 
 
 def test_khasminskii_one_step_blocks_near_zero():
-    rep = khasminskii_diagnostic("scalar-linear-osc", [1e-3], paths=4,
+    rep = khasminskii_diagnostic(LINEAR, [1e-3], paths=4,
                                  dt=1e-3, T=0.1, seed=1)
     assert rep.row_means()[0] == 0.0
 
 
 def test_khasminskii_rejects_increasing_grid():
     with pytest.raises(ValueError):
-        khasminskii_diagnostic("scalar-linear-osc", [0.05, 0.1], paths=2,
+        khasminskii_diagnostic(LINEAR, [0.05, 0.1], paths=2,
                                dt=1e-3, T=0.5)
 
 
@@ -277,7 +272,7 @@ def test_khasminskii_rejects_increasing_grid():
 
 def test_continuity_linear_rows_match_delta_squared_exactly():
     deltas = [0.1, 0.01, 0.001, 0.0]
-    rep = continuity_study("scalar-linear-osc", deltas, paths=8, dt=1e-3,
+    rep = continuity_study(LINEAR, deltas, paths=8, dt=1e-3,
                            T=1.0, seed=5, eps=0.5)
     assert rep.verdict
     for row, delta in zip(rep.rows, deltas):
@@ -287,7 +282,7 @@ def test_continuity_linear_rows_match_delta_squared_exactly():
 
 
 def test_continuity_holder_rows_strictly_decreasing():
-    rep = continuity_study("scalar-holder-osc", [0.1, 0.01, 0.001, 0.0],
+    rep = continuity_study(get_preset("scalar-holder-osc"), [0.1, 0.01, 0.001, 0.0],
                            paths=16, dt=1e-3, T=0.5, seed=5, eps=0.5)
     assert rep.verdict
     means = rep.row_means()
@@ -306,20 +301,21 @@ def test_continuity_holder_rows_strictly_decreasing():
     ("reaction-diffusion-delay", 8),
 ])
 def test_shipped_presets_pass_all_audited_hypotheses(name, k):
-    audit = hypothesis_audit(name, trials=400, rng_seed=1, k=k)
+    audit = hypothesis_audit(get_preset(name, k=k), trials=400, rng_seed=1)
     failed = [r.name for r in audit.results if not r.passed]
     assert audit.all_passed, failed
 
 
 def test_broken_quadratic_fails_growth_with_witness():
-    audit = hypothesis_audit("broken-quadratic", trials=400, rng_seed=1)
+    audit = hypothesis_audit(get_preset("broken-quadratic"), trials=400, rng_seed=1)
     h2 = audit.by_name("H2")
     assert not h2.passed
     assert "worst gap" in h2.detail
 
 
 def test_porous_media_audit_includes_monotonicity():
-    audit = hypothesis_audit("porous-media-sin", trials=200, rng_seed=2, k=8)
+    audit = hypothesis_audit(get_preset("porous-media-sin", k=8), trials=200,
+                             rng_seed=2)
     h4 = audit.by_name("H4")
     assert h4.passed
     assert "beta=1" in h4.detail
