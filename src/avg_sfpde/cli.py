@@ -32,12 +32,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .experiments import (
+    AVERAGED,
     averaging_sweep,
     continuity_study,
     hypothesis_audit,
     khasminskii_diagnostic,
+    stepping,
 )
-from .integrator import AVERAGED, StepperConfig, run_path
+from .integrator import run_path
 from .presets import constant_xi, get_preset, public_names
 from .reporting import (
     read_manifest,
@@ -139,9 +141,9 @@ def _sweep_args(spec):
 
 
 def _simulate(spec, preset, out):
-    cfg = StepperConfig(dt=spec["dt"], T=spec["T"], noise_modes=spec["k_w"],
-                        seed=spec["seed"], eps=spec["eps"])
-    traj = run_path(preset.operator, preset.coefficients, cfg, preset.initial)
+    cs, cfg = stepping(preset, spec["dt"], spec["T"], spec["k_w"], spec["seed"],
+                       spec["eps"])
+    traj = run_path(preset.operator, cs, cfg, preset.initial)
     (out / "trajectory.csv").write_text(trajectory_csv_text(traj), encoding="utf-8")
     print(f"wrote {out / 'trajectory.csv'} ({cfg.n_steps} steps, "
           f"dim {traj.states.shape[1]})")

@@ -3,7 +3,7 @@
 A coefficient set packages f(t, phi) = xi_1(t) * F(phi) and
 g(t, phi) = xi_2(t) * G(phi), where F composes a pointwise map of the head
 state phi(0), a delay integral of a kernel of the state norm, and an additive
-constant.  The time averages replace the oscillators by their long-run means.
+constant.  The averaged set ``averaged()`` replaces the oscillators by their means.
 
 The module also provides sampling-based falsifiers for the structural
 hypotheses the simulations rely on: linear growth, local Holder continuity,
@@ -14,7 +14,7 @@ window-averaged oscillation (with the averaging-rate tables Phi_1, Phi_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,6 +237,12 @@ class CoefficientSet:
     def dim(self) -> int:
         return 1 if self.space is None else self.space.k
 
+    def averaged(self) -> "CoefficientSet":
+        """The averaged system f* = xi_1^* F, g* = xi_2^* G: each oscillator
+        replaced by the constant of its long-run mean."""
+        return replace(self, osc1=Oscillator.constant(self.osc1.mean()),
+                       osc2=Oscillator.constant(self.osc2.mean()))
+
     def noise_dim(self, k_w: int) -> int:
         """Brownian coordinates of the noise: k_w of the k modes under
         diagonal noise, one under the one-coordinate kinds; any other k_w
@@ -330,28 +336,20 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# Spec operations: oscillating and averaged coefficients
+# Spec operations: oscillating coefficients
 # ---------------------------------------------------------------------------
 
 def eval_drift(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndarray:
-    """xi_1(t/eps) * F(phi); ``eps`` may be the string "averaged"."""
-    if eps == "averaged":
-        return averaged_drift(cs, buf)
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise ValueError("eps must be positive (or the 'averaged' sentinel)")
+    """xi_1(t/eps) * F(phi)."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     return cs.osc1(t / eps) * cs.drift_functional(buf)
 
 
-def averaged_drift(cs: CoefficientSet, buf: HistoryBuffer) -> np.ndarray:
-    """xi_1^* F(phi) with the oscillator's closed-form mean."""
-    return cs.osc1.mean() * cs.drift_functional(buf)
-
-
 def eval_diffusion_amplitude(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndarray:
-    if eps == "averaged":
-        return cs.osc2.mean() * cs.diffusion_amplitude(buf)
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise ValueError("eps must be positive (or the 'averaged' sentinel)")
+    """xi_2(t/eps) * G(phi) amplitudes."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     return cs.osc2(t / eps) * cs.diffusion_amplitude(buf)
 
 
@@ -504,22 +502,9 @@ def check_holder(cs: CoefficientSet, radius: float, trials: int,
 
 def check_holder_averaged(cs: CoefficientSet, radius: float, trials: int,
                           rng_seed: int) -> CheckReport:
-    """Same sampling check applied to the averaged drift f* = xi_1^* F."""
-    rng = np.random.default_rng(rng_seed)
-    gamma = cs.profile.gamma
-    worst, witness = 0.0, None
-    for _ in range(trials):
-        a = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        b = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        rng.uniform(0.0, 20.0)  # keep the stream aligned with check_holder
-        dist = pair_seminorm(a, b)
-        if dist < 1e-12:
-            continue
-        ratio = state_norm(averaged_drift(cs, a) - averaged_drift(cs, b)) / dist**gamma
-        if ratio > worst:
-            worst, witness = ratio, (a, b)
-    return CheckReport("holder_averaged", worst <= cs.profile.L_M, worst,
-                       cs.profile.L_M, witness)
+    """check_holder on the averaged drift f* = xi_1^* F, on the same samples."""
+    return replace(check_holder(cs.averaged(), radius, trials, rng_seed),
+                   name="holder_averaged")
 
 
 def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,

@@ -659,10 +659,12 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
         return np.linalg.norm(diff, axis=1) ** power
 
     lo = -max(buf_a.horizon, buf_b.horizon) - t
+    # the kinks of both histories, so swapping the buffers keeps every node
     kinks = np.concatenate([
         buf_a.times[buf_a.times <= t + 1e-15] - t,
         buf_b.times[buf_b.times <= t + 1e-15] - t,
         np.atleast_1d(buf_a.tail.kink_nodes(lo + t, 0.0)) - t if t == 0.0 else np.empty(0),
+        np.atleast_1d(buf_b.tail.kink_nodes(lo + t, 0.0)) - t if t == 0.0 else np.empty(0),
     ])
     kinks = kinks[(kinks > lo) & (kinks < 0.0)]
     total = _product_quadrature(mu, lo, 0.0, K, extra_nodes=kinks)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import (
+    CoefficientSet,
     _profile_h,
     check_growth,
     check_h5,
@@ -28,7 +29,6 @@ from .coefficients import (
 )
 from .delay import ConstantTail, HistoryBuffer
 from .integrator import (
-    AVERAGED,
     BlowUpError,
     PathRunner,
     StepperConfig,
@@ -38,6 +38,7 @@ from .integrator import (
 from .presets import Preset
 from .spectral import coercivity_probe
 
+AVERAGED = "averaged"               # the eps label of the averaged system
 SLOPE_VERDICT_FLOOR = 0.35          # 0.5 minus tolerance for the d^(1/2) bound
 CENSOR_FIT_FRACTION = 0.05
 
@@ -120,13 +121,13 @@ def _map_chunks(fn, paths: int, threads: int):
     return [r for batch in batches for r in batch]
 
 
-def _coupled_outcomes(op, cs, cfg, initial, partner_cfg, partner_initial,
+def _coupled_outcomes(op, cs, cfg, initial, partner_cs, partner_initial,
                       paths, threads):
     """Per path, in path order: sup_t of the squared distance between the
     coupled batches, or the path's BlowUpError."""
     def one_batch(first, count, rows):
         runner = PathRunner(op, cs, cfg, initial, path_id=first, rows=rows)
-        runner.couple(partner_cfg, partner_initial)
+        runner.couple(partner_cs, partner_initial)
         runner.run()
         return [err if err is not None else float(sup)
                 for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
@@ -191,12 +192,27 @@ def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
                     excluded=tuple(r.param for r in excluded))
 
 
-def _stepper(preset: Preset, dt, T, k_w, seed, eps) -> StepperConfig:
-    """The study's stepping; a dt, T or k_w of None is the preset's own."""
-    return StepperConfig(dt=preset.dt if dt is None else dt,
-                         T=preset.T if T is None else T,
-                         noise_modes=preset.k_w if k_w is None else k_w,
-                         seed=seed, eps=eps)
+def stepping(preset: Preset, dt, T, k_w, seed, eps) -> tuple[CoefficientSet, StepperConfig]:
+    """The coefficients a run steps and its stepping.  A dt, T or k_w of None
+    is the preset's own; eps "averaged" is the averaged system at eps = 1."""
+    cs = preset.coefficients
+    if eps == AVERAGED:
+        cs, eps = cs.averaged(), 1.0
+    return cs, StepperConfig(dt=preset.dt if dt is None else dt,
+                             T=preset.T if T is None else T,
+                             noise_modes=preset.k_w if k_w is None else k_w,
+                             seed=seed, eps=eps)
+
+
+def _grid(param: str, values, in_range, text: str) -> list:
+    """A study's parameter grid as floats; every study rejects a grid that is
+    empty, not strictly decreasing, or has an entry outside the range."""
+    grid = [float(v) for v in values]
+    if not (grid and all(map(in_range, grid))
+            and all(b < a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"{param}_grid = {','.join(map(repr, grid))}: must be "
+                         f"non-empty, strictly decreasing, every {param} {text}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +229,16 @@ def averaging_sweep(preset: Preset, eps_grid, paths: int,
     "none" leaves it NaN.  Blow-ups follow ``_censor``; rows above the
     censoring threshold are excluded from the slope fit.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if any(not (0 < e <= 1) for e in eps_grid):
-        raise ValueError("eps grid must lie in (0, 1]")
-    if not all(b < a for a, b in zip(eps_grid[:-1], eps_grid[1:])):
-        raise ValueError("eps grid must be strictly decreasing")
-    op, cs, init = preset.operator, preset.coefficients, preset.initial
+    eps_grid = _grid("eps", eps_grid, lambda e: 0 < e <= 1, "in (0, 1]")
+    if d_rule not in ("sqrt_eps", "none"):
+        raise ValueError(f"d_rule = {d_rule!r}: must be sqrt_eps or none")
+    op, init = preset.operator, preset.initial
     rows = []
     for j, eps in enumerate(eps_grid):
-        cfg_eps = _stepper(preset, dt, T, k_w, seed, eps)
-        cfg_avg = replace(cfg_eps, eps=AVERAGED)
-        outcomes = _coupled_outcomes(op, cs, cfg_eps, init, cfg_avg, init,
+        cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
+        outcomes = _coupled_outcomes(op, cs, cfg, init, cs.averaged(), init,
                                      paths, threads)
-        values, censored = _censor(outcomes, j, "eps", eps, preset, cfg_eps.dt)
+        values, censored = _censor(outcomes, j, "eps", eps, preset, cfg.dt)
         d = math.sqrt(eps) if d_rule == "sqrt_eps" else math.nan
         rows.append(_row_stats(values, eps, d, paths, censored))
 
@@ -262,11 +275,9 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
     Every row uses the same paths, so under ``_censor`` a blow-up belongs to
     the first row and aborts.
     """
-    d_grid = [float(d) for d in d_grid]
-    if not all(b < a for a, b in zip(d_grid[:-1], d_grid[1:])):
-        raise ValueError("d grid must be strictly decreasing")
-    cfg = _stepper(preset, dt, T, k_w, seed, eps)
-    op, cs, init = preset.operator, preset.coefficients, preset.initial
+    d_grid = _grid("d", d_grid, lambda d: d > 0, "> 0")
+    cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
+    op, init = preset.operator, preset.initial
     h = init.h
     dtv = cfg.dt
 
@@ -338,12 +349,9 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     The proof-device stopping times are replaced by blow-up detection, which
     is recorded in the report notes; blow-ups follow ``_censor``.
     """
-    delta_grid = [float(d) for d in delta_grid]
-    pos = [d for d in delta_grid if d > 0]
-    if not all(b < a for a, b in zip(pos[:-1], pos[1:])):
-        raise ValueError("delta grid must be strictly decreasing")
-    cfg = _stepper(preset, dt, T, k_w, seed, eps)
-    op, cs, init = preset.operator, preset.coefficients, preset.initial
+    delta_grid = _grid("delta", delta_grid, lambda d: d >= 0, ">= 0")
+    cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
+    op, init = preset.operator, preset.initial
     if not isinstance(init.tail, ConstantTail):
         raise ValueError("continuity study needs a constant-tail initial datum")
     psi = np.zeros(cs.dim)
@@ -354,7 +362,7 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
         shifted = HistoryBuffer.from_tail(init.h,
                                           ConstantTail(init.tail.value + delta * psi),
                                           horizon=init.horizon)
-        outcomes = _coupled_outcomes(op, cs, cfg, init, cfg, shifted, paths, threads)
+        outcomes = _coupled_outcomes(op, cs, cfg, init, cs, shifted, paths, threads)
         vals, censored = _censor(outcomes, j, "delta", delta, preset, cfg.dt)
         rows.append(_row_stats(vals, delta, math.nan, paths, censored))
 

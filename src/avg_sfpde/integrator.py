@@ -18,7 +18,7 @@ bit-identical numbers regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,7 +32,6 @@ from .coefficients import (
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
 from .spectral import ROW_BLOCK, PdeOperator
 
-AVERAGED = "averaged"
 CHUNK = ROW_BLOCK       # rows per transform product; a batch width is a multiple
 MAX_WIDTH = 256         # rows per runner; never derived from threads
 SLAB = 64               # steps of noise drawn at a time
@@ -98,14 +97,13 @@ class StepperConfig:
     T: float
     noise_modes: int = 1
     seed: int = 0
-    eps: float | str = 1.0
+    eps: float = 1.0
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError("need dt > 0 and T >= dt")
-        if self.eps != AVERAGED and not (isinstance(self.eps, (int, float))
-                                         and 0 < self.eps <= 1):
-            raise ValueError("eps must lie in (0, 1] or be the 'averaged' sentinel")
+        if not (isinstance(self.eps, (int, float)) and 0 < self.eps <= 1):
+            raise ValueError(f"eps = {self.eps!r}: must lie in (0, 1]")
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-8:
             raise ValueError("T must be an integer multiple of dt")
@@ -220,8 +218,9 @@ class PathRunner:
 
     ``rows`` is a positive multiple of CHUNK; row r of the (rows, dim) state
     is path path_id + r.  ``couple`` adds a second batch of the same paths
-    (the averaged twin, or the shifted start of a continuity pair), stepped
-    on the same noise but never stacked with the first.  A row that is still
+    with its own coefficients and start (the averaged twin ``cs.averaged()``,
+    or the shifted start of a continuity pair), stepped on the same grid and
+    noise but never stacked with the first.  A row that is still
     non-finite after the halving retry is a blow-up of that path alone: its
     BlowUpError goes to ``errors``, its state is reset to zero, and the other
     rows run on.  The runner finds non-finite rows itself, so construction
@@ -250,7 +249,6 @@ class PathRunner:
         self.errors = [None] * rows
         self.partner = None
         self.sup_sq = None
-        self.xi_fixed = (cs.osc1.mean(), cs.osc2.mean()) if cfg.eps == AVERAGED else None
         self.delay_acc = _make_delay_accumulator(initial, cs, cfg.dt, rows)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
         self.head_norm_weighted = np.full(rows, np.linalg.norm(initial.head))   # Q_n
@@ -258,13 +256,14 @@ class PathRunner:
         self.h_decay = math.exp(-initial.h * cfg.dt)
         self.tail_sup0 = initial.tail.weighted_sup(initial.h)
 
-    def couple(self, cfg: StepperConfig, initial: HistoryBuffer) -> None:
-        """Step a second batch of the same paths on this runner's noise.
+    def couple(self, cs: CoefficientSet, initial: HistoryBuffer) -> None:
+        """Step a second batch of the same paths, with coefficients ``cs`` from
+        ``initial``, on this runner's grid and noise.
 
         ``run`` then keeps in ``sup_sq`` the running sup over the grid of each
         row's squared distance between the batches and records no trajectory.
         """
-        self.partner = PathRunner(self.op, self.cs, cfg, initial, self.path_id, len(self.x))
+        self.partner = PathRunner(self.op, cs, self.cfg, initial, self.path_id, len(self.x))
 
     def blowups(self) -> list:
         """Per row, the first BlowUpError of this batch, else of the partner."""
@@ -287,11 +286,8 @@ class PathRunner:
         delay = 0.0 if self.delay_acc is None else self.delay_acc.value
         semi = np.maximum(self.tail_weight * self.tail_sup0, self.head_norm_weighted) \
             if cs.drift.seminorm_power else 0.0
-        if self.xi_fixed is not None:
-            xi1, xi2 = self.xi_fixed
-        else:
-            xi1 = cs.osc1.scalar_eval(t / self.cfg.eps)
-            xi2 = cs.osc2.scalar_eval(t / self.cfg.eps)
+        xi1 = cs.osc1.scalar_eval(t / self.cfg.eps)
+        xi2 = cs.osc2.scalar_eval(t / self.cfg.eps)
         rhs = xi1 * cs.compose_drift(values, delay, semi)
         if self.space is not None:
             rhs = self.op.nonlinear_from_values(self.space, values) + rhs
@@ -432,26 +428,17 @@ def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
     return traj.row(0)
 
 
-def coupled_run(op: PdeOperator, cs: CoefficientSet, cfg_eps: StepperConfig,
-                cfg_avg: StepperConfig, shared_seed: int, path_id: int = 0,
-                initial_eps: HistoryBuffer | None = None,
-                initial_avg: HistoryBuffer | None = None,
-                initial: HistoryBuffer | None = None):
-    """Twin runs of the oscillating and averaged systems on one Brownian path.
+def coupled_run(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
+                initial: HistoryBuffer, path_id: int = 0):
+    """Twin runs of the oscillating system and its average ``cs.averaged()``
+    on one Brownian path.
 
     Returns (trajectory_eps, trajectory_avg, sup over the grid of the squared
-    state distance).  The two configs must share dt, T, and noise dimension.
+    state distance).
     """
-    if (cfg_eps.dt != cfg_avg.dt or cfg_eps.T != cfg_avg.T
-            or cfg_eps.noise_modes != cfg_avg.noise_modes):
-        raise ValueError("coupled runs need identical grids and noise")
-    if cfg_avg.eps != AVERAGED:
-        raise ValueError("second config must use the averaged sentinel")
-    init_e = initial_eps if initial_eps is not None else initial
-    init_a = initial_avg if initial_avg is not None else initial
     # counter-based noise: the same (seed, path_id) gives both twins one path
-    traj_e = run_path(op, cs, replace(cfg_eps, seed=shared_seed), init_e, path_id)
-    traj_a = run_path(op, cs, replace(cfg_avg, seed=shared_seed), init_a, path_id)
+    traj_e = run_path(op, cs, cfg, initial, path_id)
+    traj_a = run_path(op, cs.averaged(), cfg, initial, path_id)
     return traj_e, traj_a, traj_e.sup_sq_distance(traj_a)
 
 

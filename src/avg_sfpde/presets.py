@@ -246,9 +246,5 @@ def get_preset(name: str, k: int | None = None) -> Preset:
 def constant_xi(preset: Preset) -> Preset:
     """Degenerate twin of a preset: oscillators replaced by their means, so
     the fast system and the averaged system coincide exactly."""
-    cs = preset.coefficients
-    frozen = replace(cs,
-                     osc1=Oscillator.constant(cs.osc1.mean()),
-                     osc2=Oscillator.constant(cs.osc2.mean()))
-    return replace(preset, coefficients=frozen,
+    return replace(preset, coefficients=preset.coefficients.averaged(),
                    name=preset.name + "+constant-xi")

@@ -166,9 +166,17 @@ LIN = ["--preset", "scalar-linear-osc"]
     (AVG + LIN + ["--paths", "1"], "paths = 1"),
     (CONT + LIN + ["--paths", "1"], "paths = 1"),
     (FRZ + LIN + ["--paths", "0"], "paths = 0"),
+    (AVG + LIN + ["--eps", "2,1"], "eps_grid"),
+    (AVG + LIN + ["--eps", "0.25,0.5"], "eps_grid"),
+    (FRZ + LIN + ["--d", "0.1,0"], "d_grid"),
+    (FRZ + LIN + ["--d", "0.1,0.2"], "d_grid"),
+    (CONT + LIN + ["--delta=-0.1,0.1,0"], "delta_grid"),
+    (CONT + LIN + ["--delta", "0,0.1"], "delta_grid"),
+    (AVG + LIN + ["--eps", ""], "eps_grid"),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
-    # each of these used to run, ignoring or clipping the value
+    # each of these ran, ignoring or clipping the value, or was rejected
+    # without naming its key
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.ini").exists()

@@ -13,7 +13,6 @@ from avg_sfpde.coefficients import (
     DiffusionSpec,
     DriftSpec,
     Oscillator,
-    averaged_drift,
     check_growth,
     check_h5,
     check_holder,
@@ -67,7 +66,7 @@ def test_oscillator_integral_closed_form_vs_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# eval_drift / averaged_drift
+# eval_drift on the oscillating and the averaged coefficients
 # ---------------------------------------------------------------------------
 
 def test_eval_drift_identity_functional():
@@ -99,7 +98,7 @@ def test_eval_drift_oscillator_zero():
 def test_averaged_drift_vanishes_for_mean_zero_oscillator():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(0.0, 1.0, 1.0))
-    assert averaged_drift(cs, const_buf(3.7))[0] == 0.0
+    assert eval_drift(cs.averaged(), 0.3, 1.0, const_buf(3.7))[0] == 0.0
 
 
 def test_eval_drift_rejects_bad_eps():
@@ -114,13 +113,13 @@ def test_averaged_drift_sinusoid_mean_is_offset():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(2.0, 1.0, 1.0))
     buf = const_buf(3.0)
-    assert averaged_drift(cs, buf)[0] == pytest.approx(6.0)
+    assert eval_drift(cs.averaged(), 0.3, 1.0, buf)[0] == pytest.approx(6.0)
 
 
 def test_constant_oscillator_fast_equals_averaged_all_t():
     cs = scalar_cs(DriftSpec(pointwise="identity"), osc1=Oscillator.constant(1.7))
     buf = const_buf(2.0)
-    avg = averaged_drift(cs, buf)
+    avg = eval_drift(cs.averaged(), 0.0, 1.0, buf)
     for t in (0.0, 0.37, 5.0):
         np.testing.assert_array_equal(eval_drift(cs, t, 0.01, buf), avg)
 

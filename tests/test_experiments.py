@@ -36,6 +36,8 @@ def test_sweep_argument_validation():
         averaging_sweep(LINEAR, (1.5,), paths=4)
     with pytest.raises(ValueError):
         averaging_sweep(LINEAR, (0.5, 0.1), paths=1)
+    with pytest.raises(ValueError, match="d_rule"):
+        averaging_sweep(LINEAR, (0.5, 0.1), paths=4, d_rule="sqrt")
 
 
 def test_slope_fit_weighted_and_censoring_exclusion():

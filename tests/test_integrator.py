@@ -1,10 +1,13 @@
 """Integrator: counter-based noise, stepping oracles, coupling, freezing."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avg_sfpde.coefficients import (
     AssumptionProfile,
@@ -15,7 +18,6 @@ from avg_sfpde.coefficients import (
 )
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, delay_integral, seminorm_h
 from avg_sfpde.integrator import (
-    AVERAGED,
     MAX_WIDTH,
     SLAB,
     BlowUpError,
@@ -150,7 +152,8 @@ def batched_paths(p, cfg, n_paths):
 def test_ou_terminal_variance_matches_closed_form():
     # du = -u dt + dW from 0: Var u(1) = (1 - e^{-2})/2
     p = get_preset("scalar-linear-osc")
-    cfg = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=11, eps=AVERAGED)
+    p = dataclasses.replace(p, coefficients=p.coefficients.averaged())
+    cfg = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=11)
     n_paths = 10_000
     vals = np.empty(n_paths)
     for pid, traj in enumerate(batched_paths(p, cfg, n_paths)):
@@ -240,10 +243,8 @@ def test_apriori_bound_stable_under_path_doubling():
 
 def test_coupled_constant_xi_exactly_zero():
     p = constant_xi(get_preset("reaction-diffusion-delay", k=8))
-    cfg_e = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=2, eps=0.05)
-    cfg_a = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=2, eps=AVERAGED)
-    _, _, sup_err = coupled_run(p.operator, p.coefficients, cfg_e, cfg_a,
-                                shared_seed=2, initial=p.initial)
+    cfg = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=2, eps=0.05)
+    _, _, sup_err = coupled_run(p.operator, p.coefficients, cfg, p.initial)
     assert sup_err == 0.0
 
 
@@ -252,10 +253,8 @@ def test_coupled_run_matches_convolution_oracle():
     p = get_preset("scalar-linear-osc")
     eps = 0.01
     dt = 1e-4
-    cfg_e = StepperConfig(dt=dt, T=1.0, noise_modes=1, seed=3, eps=eps)
-    cfg_a = StepperConfig(dt=dt, T=1.0, noise_modes=1, seed=3, eps=AVERAGED)
-    te, ta, sup_err = coupled_run(p.operator, p.coefficients, cfg_e, cfg_a,
-                                  shared_seed=3, initial=p.initial)
+    cfg = StepperConfig(dt=dt, T=1.0, noise_modes=1, seed=3, eps=eps)
+    te, ta, sup_err = coupled_run(p.operator, p.coefficients, cfg, p.initial)
     lam = 1.0 / eps
     t = te.times
     oracle = (np.sin(lam * t) - lam * np.cos(lam * t) + lam * np.exp(-t)) / (1.0 + lam**2)
@@ -272,30 +271,56 @@ def test_coupled_error_smaller_at_smaller_eps_same_seed():
     p = get_preset("scalar-holder-osc")
     errs = {}
     for eps in (1.0, 0.01):
-        cfg_e = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=7, eps=eps)
-        cfg_a = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=7, eps=AVERAGED)
-        _, _, errs[eps] = coupled_run(p.operator, p.coefficients, cfg_e, cfg_a,
-                                      shared_seed=7, initial=p.initial)
+        cfg = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=7, eps=eps)
+        _, _, errs[eps] = coupled_run(p.operator, p.coefficients, cfg, p.initial)
     assert errs[0.01] < errs[1.0]
     assert errs[1.0] > 0.0
 
 
 def test_coupled_rerun_reproduces_sup_error_exactly():
     p = get_preset("reaction-diffusion-delay", k=8)
-    cfg_e = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=31, eps=0.2)
-    cfg_a = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=31, eps=AVERAGED)
-    args = (p.operator, p.coefficients, cfg_e, cfg_a)
-    _, _, e1 = coupled_run(*args, shared_seed=31, initial=p.initial)
-    _, _, e2 = coupled_run(*args, shared_seed=31, initial=p.initial)
+    cfg = StepperConfig(dt=2e-3, T=0.2, noise_modes=8, seed=31, eps=0.2)
+    args = (p.operator, p.coefficients, cfg, p.initial)
+    _, _, e1 = coupled_run(*args)
+    _, _, e2 = coupled_run(*args)
     assert e1 == e2
 
 
-def test_coupled_run_rejects_mismatched_grids():
+# ---------------------------------------------------------------------------
+# the averaged system
+# ---------------------------------------------------------------------------
+
+# preset, dt and T of a short run
+SHORT_RUNS = {"scalar": (get_preset("scalar-holder-osc"), 5e-3, 0.2),
+              "field": (get_preset("reaction-diffusion-delay", k=8), 2e-3, 0.05)}
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_RUNS))
+@given(eps=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_averaged_system_does_not_depend_on_eps(kind, eps, seed):
+    # the averaged coefficients carry constant oscillators, so the time scale
+    # eps they are stepped at moves no bit of the path
+    p, dt, T = SHORT_RUNS[kind]
+    cs = p.coefficients.averaged()
+    runs = [run_path(p.operator, cs, StepperConfig(dt=dt, T=T, noise_modes=p.k_w,
+                                                   seed=seed, eps=e), p.initial)
+            for e in (eps, 1.0)]
+    np.testing.assert_array_equal(runs[0].states, runs[1].states)
+
+
+@given(seed=st.integers(0, 2**32 - 1), path_id=st.integers(0, 1000))
+@settings(max_examples=10, deadline=None)
+def test_averaged_linear_preset_is_ou_linear_in_the_noise(seed, path_id):
+    # f* = 0 and g* = 1: the averaged scalar-linear-osc is OU from 0, and the
+    # implicit step x <- (x + sqrt(dt) z) / (1 + dt) sums the noise linearly
     p = get_preset("scalar-linear-osc")
-    cfg_e = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=0, eps=0.5)
-    cfg_a = StepperConfig(dt=2e-3, T=1.0, noise_modes=1, seed=0, eps=AVERAGED)
-    with pytest.raises(ValueError):
-        coupled_run(p.operator, p.coefficients, cfg_e, cfg_a, 0, initial=p.initial)
+    dt, n = 1e-2, 50
+    cfg = StepperConfig(dt=dt, T=0.5, seed=seed)
+    traj = run_path(p.operator, p.coefficients.averaged(), cfg, p.initial, path_id)
+    z = normal_block(seed, path_id, n, 1)[:, 0]
+    want = np.sum(math.sqrt(dt) * z * (1.0 + dt) ** -(n - np.arange(n)))
+    assert abs(traj.states[-1, 0] - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +353,8 @@ def test_freeze_holds_left_endpoint_values():
 
 def test_freeze_residual_decreases_with_block_length():
     p = get_preset("scalar-linear-osc")
-    cfg = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=5, eps=AVERAGED)
-    traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=0)
+    cfg = StepperConfig(dt=1e-3, T=1.0, noise_modes=1, seed=5)
+    traj = run_path(p.operator, p.coefficients.averaged(), cfg, p.initial, path_id=0)
     dt = cfg.dt
     residuals = []
     for d in (0.2, 0.1, 0.05):
@@ -495,3 +520,9 @@ def test_config_validation():
         StepperConfig(dt=0.1, T=1.0, eps=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=0.3, T=1.0)  # not an integer multiple
+
+
+def test_averaged_label_is_not_a_stepper_eps():
+    # the averaged system is a coefficient set, cs.averaged(), not an eps
+    with pytest.raises(ValueError):
+        StepperConfig(dt=0.1, T=1.0, eps="averaged")
