@@ -55,7 +55,10 @@ class UsageError(ValueError):
 
 
 def _parse_float_list(text):
-    return tuple(float(x) for x in str(text).split(",") if x != "")
+    entries = str(text).split(",")
+    if "" in entries:
+        raise ValueError("empty entry")
+    return tuple(float(x) for x in entries)
 
 
 def _parse_eps(text):
@@ -133,6 +136,14 @@ def _write_report(report, spec, out, kind, eps_label=None):
         (out / "report.svg").write_text(report_svg_text(report, title),
                                         encoding="utf-8")
     return report.verdict
+
+
+def _parse(key, raw):
+    """A key's flag, environment or config string, parsed; a bad value names the key."""
+    try:
+        return KEYS[key].parse(raw)
+    except ValueError as exc:
+        raise UsageError(f"{key} = {raw!r}: {exc}") from exc
 
 
 def _sweep_args(spec):
@@ -245,7 +256,7 @@ def load_config(path, name) -> dict:
                 raise UsageError(f"config key {key!r} is not used by {name}")
             if raw == "":
                 continue
-            flat[key] = KEYS[key].parse(raw)
+            flat[key] = _parse(key, raw)
             if KEYS[key].choices and flat[key] not in KEYS[key].choices:
                 raise UsageError(f"{key} must be one of "
                                  f"{', '.join(KEYS[key].choices)}, not {raw!r}")
@@ -260,10 +271,10 @@ def _resolve(name, args):
     for key in command.keys:
         env = KEYS[key].env
         if env is not None and env in os.environ:
-            spec[key] = KEYS[key].parse(os.environ[env])
+            spec[key] = _parse(key, os.environ[env])
         flag = getattr(args, key, None)
         if flag is not None:
-            spec[key] = flag
+            spec[key] = _parse(key, flag)
     for key in command.required:
         if key not in spec:
             raise UsageError(f"missing {KEYS[key].flag}")
@@ -335,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
             if spec.parse is _parse_bool:
                 p.add_argument(spec.flag, dest=key, action="store_const",
                                const=True, default=None, help=spec.help)
-            else:
-                p.add_argument(spec.flag, dest=key, type=spec.parse,
-                               choices=spec.choices, help=spec.help)
+            else:  # parsed in _resolve, where a bad value can name its key
+                p.add_argument(spec.flag, dest=key, choices=spec.choices,
+                               help=spec.help)
 
     p = sub.add_parser("run", help="replay a sweep from its manifest")
     p.add_argument("--config", required=True)

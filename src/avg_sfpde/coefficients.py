@@ -71,16 +71,8 @@ class Oscillator:
             out += a * math.sin(w * t + p)
         return out
 
-    def __call__(self, t):
-        if isinstance(t, (int, float)):
-            return self.scalar_eval(float(t))
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.scalar_eval(float(t))
-        out = np.full(t.shape, self.offset)
-        for a, w, p in self.terms:
-            out = out + a * np.sin(w * t + p)
-        return out
+    def __call__(self, t: float) -> float:
+        return self.scalar_eval(float(t))
 
     def mean(self) -> float:
         """Long-run Cesaro mean; exact for every supported kind."""
@@ -182,8 +174,9 @@ class AssumptionProfile:
 class DriftSpec:
     """F(phi) = gain*map(phi(0)) + delay-integral term + constant (+ seminorm term).
 
-    The seminorm term exists to build deliberately broken coefficient sets for
-    falsifier tests; no shipped preset uses it.
+    The delay term integrates against an exponential measure.  The seminorm
+    term builds deliberately broken coefficient sets: ``broken-quadratic``
+    uses it, and its audit and continuity study evaluate and step it.
     """
 
     pointwise: str | None = None
@@ -230,8 +223,11 @@ class CoefficientSet:
     space: SpectralSpace | None = None      # None: scalar states (dim 1)
 
     def __post_init__(self):
-        if self.drift.delay_kernel_power is not None and self.drift.delay_measure is None:
+        mu = self.drift.delay_measure
+        if self.drift.delay_kernel_power is not None and mu is None:
             raise ValueError("drift delay term needs a delay measure")
+        if mu is not None and mu.kind != "exponential":
+            raise ValueError(f"drift delay measure must be exponential, not {mu.kind!r}")
 
     @property
     def dim(self) -> int:
@@ -290,18 +286,18 @@ class CoefficientSet:
             return head
         return self.space.to_values(head)
 
-    def drift_functional(self, buf: HistoryBuffer, t: float | None = None) -> np.ndarray:
-        """F evaluated on the buffer's segment at time t (default: head)."""
-        t = buf.head_time if t is None else t
+    def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
+        """F evaluated on the buffer's segment at its head."""
+        t = buf.head_time
         semi = seminorm_h(buf, t) if self.drift.seminorm_power else 0.0
         return self.compose_drift(self._head_values(buf, t), self._delay_value(buf, t), semi)
 
     # -- diffusion -------------------------------------------------------------
-    def diffusion_amplitude(self, buf: HistoryBuffer, t: float | None = None) -> np.ndarray:
+    def diffusion_amplitude(self, buf: HistoryBuffer) -> np.ndarray:
         """G(phi) as an array: shape (1,) scalar amplitude, (k,) rank-one field
         coefficients, or (k_w,) diagonal amplitudes."""
         kind = self.diffusion.kind
-        head = None if kind == "diagonal" else buf.value_at(buf.head_time if t is None else t)
+        head = None if kind == "diagonal" else buf.value_at(buf.head_time)
         values = self.space.to_values(head) if kind == "pointwise_field" else None
         return self.diffusion_from_values(head, values)
 
@@ -320,10 +316,6 @@ class CoefficientSet:
         mapped = POINTWISE_MAPS[g.pointwise](values) if g.pointwise is not None \
             else np.ones_like(values)
         return g.gain * self.space.to_coeffs(mapped)
-
-    def diffusion_hs_norm(self, amplitude: np.ndarray) -> float:
-        """Hilbert-Schmidt norm of G given its amplitude array."""
-        return float(np.linalg.norm(amplitude))
 
     def apply_noise(self, amplitude: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """G(phi) dW in state coordinates; leading axes of dW are rows."""
@@ -384,8 +376,6 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows,
     Non-monotone tables are upper-enveloped.
     """
     probes = list(probe_histories)
-    if len(probes) == 0:
-        raise ValueError("estimate_rate needs at least one probe history")
     if len(probes) < 3:
         raise ValueError("estimate_rate needs >= 3 probe histories spanning seminorms")
     windows = np.asarray(list(windows), dtype=float)
@@ -400,7 +390,7 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows,
     for buf in probes:
         s = seminorm_h(buf, buf.head_time)
         fnorm = state_norm(cs.drift_functional(buf))
-        gnorm = cs.diffusion_hs_norm(cs.diffusion_amplitude(buf))
+        gnorm = state_norm(cs.diffusion_amplitude(buf))
         drift_ratio = max(drift_ratio, fnorm / (s + M))
         diff_ratio = max(diff_ratio, gnorm * gnorm / (s * s + M))
 
@@ -490,8 +480,7 @@ def check_holder(cs: CoefficientSet, radius: float, trials: int,
         dist = pair_seminorm(a, b)
         if dist < 1e-12:
             continue
-        fa = cs.osc1(t) * cs.drift_functional(a)
-        fb = cs.osc1(t) * cs.drift_functional(b)
+        fa, fb = eval_drift(cs, t, 1.0, a), eval_drift(cs, t, 1.0, b)
         ratio = state_norm(fa - fb) / dist**gamma
         if ratio > worst:
             worst = ratio
@@ -526,8 +515,7 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         pb = sample_history(rng, cs.dim, _profile_h(cs), radius)
         t = float(rng.uniform(0.0, 20.0))
         d0 = state_norm(pa.value_at(pa.head_time) - pb.value_at(pb.head_time))
-        fa = cs.osc1(t) * cs.drift_functional(pa)
-        fb = cs.osc1(t) * cs.drift_functional(pb)
+        fa, fb = eval_drift(cs, t, 1.0, pa), eval_drift(cs, t, 1.0, pb)
         lhs_f = float(np.dot(fa - fb, pa.value_at(pa.head_time) - pb.value_at(pb.head_time)))
         mu1_term = delay_pair_integral(pa, pb, min(pa.head_time, pb.head_time),
                                        cs.profile.mu1, gamma + 1.0)
@@ -536,9 +524,9 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         if gap_f > worst_f:
             worst_f, wit_f = gap_f, (pa, pb, t)
 
-        ga = cs.osc2(t) * cs.diffusion_amplitude(pa)
-        gb = cs.osc2(t) * cs.diffusion_amplitude(pb)
-        lhs_g = cs.diffusion_hs_norm(ga - gb) ** 2
+        ga = eval_diffusion_amplitude(cs, t, 1.0, pa)
+        gb = eval_diffusion_amplitude(cs, t, 1.0, pb)
+        lhs_g = state_norm(ga - gb) ** 2
         mu2_term = delay_pair_integral(pa, pb, min(pa.head_time, pb.head_time),
                                        cs.profile.mu2, 2.0 * gamma)
         gap_g = lhs_g - a1 * mu2_term
@@ -563,8 +551,8 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int,
         buf = sample_history(rng, cs.dim, _profile_h(cs), radius)
         t = float(rng.uniform(0.0, 20.0))
         s = seminorm_h(buf, buf.head_time)
-        fn = state_norm(cs.osc1(t) * cs.drift_functional(buf))
-        gn = cs.diffusion_hs_norm(cs.osc2(t) * cs.diffusion_amplitude(buf))
+        fn = state_norm(eval_drift(cs, t, 1.0, buf))
+        gn = state_norm(eval_diffusion_amplitude(cs, t, 1.0, buf))
         gap = max(fn, gn) - (a1 * s + M)
         if gap > worst:
             worst, witness = gap, (buf, t)
@@ -573,8 +561,6 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int,
 
 
 def _profile_h(cs: CoefficientSet) -> float:
-    """Weight h used by the samplers: exponential measures pin it to their rate."""
+    """Weight h used by the samplers: the drift's delay measure pins it to its rate."""
     mu = cs.drift.delay_measure
-    if mu is not None and mu.kind == "exponential":
-        return mu.rate
-    return 1.0
+    return 1.0 if mu is None else mu.rate

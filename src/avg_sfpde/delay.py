@@ -279,8 +279,10 @@ class DelayMeasure:
     """Probability measure on (-infty, 0].
 
     Supported kinds:
-      * ``exponential``: density 2*rate*exp(2*rate*theta) d theta, rate > 0
-      * ``point``: unit mass at theta = 0
+      * ``exponential``: density 2*rate*exp(2*rate*theta) d theta, rate > 0;
+        the only kind a drift delay term takes
+      * ``point``: unit mass at theta = 0, a profile's mu1 or mu2: its
+        ``exp_moment`` is 1, and the two delay integrals read the head value
     """
 
     kind: str
@@ -479,16 +481,11 @@ class HistoryBuffer:
 # Operations
 # ---------------------------------------------------------------------------
 
-def seminorm_h(buf: HistoryBuffer, t: float, weight: float | None = None) -> float:
-    """Weighted history norm sup_{theta<=0} e^{weight*theta} ||u(t+theta)||.
-
-    ``weight`` defaults to the buffer's own h; smaller weights are admissible
-    whenever the tail is (used by the monotonicity property of the norm).
-    """
+def seminorm_h(buf: HistoryBuffer, t: float) -> float:
+    """Weighted history norm sup_{theta<=0} e^{h*theta} ||u(t+theta)||, h the
+    buffer's own weight."""
     buf._check_time(t)
-    h = buf.h if weight is None else weight
-    if weight is not None:
-        buf.tail.check_admissible(h)
+    h = buf.h
     tail_part = math.exp(-h * t) * buf.tail.weighted_sup(h)
     mask = buf.times <= t + 1e-15
     grid_part = 0.0
@@ -518,9 +515,8 @@ def _powers(norms, p):
 
 
 def _tail_power_closed_form(tail, mu, p, lo, hi):
-    """Closed form of int_{lo}^{hi} ||tail(theta)||^p mu(dtheta) when available."""
-    if mu.kind != "exponential":
-        return None
+    """Closed form of int_{lo}^{hi} ||tail(theta)||^p mu(dtheta) for an
+    exponential mu, when available."""
     r2 = 2.0 * mu.rate
     if isinstance(tail, ConstantTail):
         norm = state_norm(tail.value)
@@ -677,9 +673,9 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
 def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer, n_dense: int = 2048) -> float:
     """Weighted norm of the difference history sup e^{h theta}||u_a - u_b||.
 
-    Exact for constant/constant and matching-rate exponential tails; dense
-    sampling on a graded grid otherwise (the checkers only need a faithful
-    denominator, not machine precision).
+    Exact for constant/constant tails; dense sampling on a uniform grid
+    otherwise (the checkers only need a faithful denominator, not machine
+    precision).
     """
     if buf_a.h != buf_b.h:
         raise ValueError("buffers must share the same weight h")
@@ -687,13 +683,9 @@ def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer, n_dense: int = 204
     ta, tb = buf_a.tail, buf_b.tail
     head = min(buf_a.head_time, buf_b.head_time)
 
-    tail_sup = None
     if isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
         tail_sup = state_norm(ta.value - tb.value)
-    elif (isinstance(ta, ExponentialTail) and isinstance(tb, ExponentialTail)
-          and ta.rate == tb.rate):
-        tail_sup = state_norm(ta.amplitude - tb.amplitude)
-    if tail_sup is None:
+    else:
         horizon = max(buf_a.horizon, buf_b.horizon)
         thetas = -np.linspace(0.0, horizon, n_dense)
         diff = ta.values_at(thetas) - tb.values_at(thetas)

@@ -133,10 +133,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray           # (n_steps + 1, dim), or (n_steps + 1, W, dim)
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
     def row(self, r: int) -> "Trajectory":
         """Path r of a batch trajectory, as a one-path trajectory."""
         return Trajectory(self.times, np.ascontiguousarray(self.states[:, r]))
@@ -159,7 +155,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Delay-term accumulators: (W,) vectors, O(1) per step, equal to
+# Delay-term accumulator: a (W,) vector, O(1) per step, equal to
 # delay_integral on the grid
 # ---------------------------------------------------------------------------
 
@@ -182,25 +178,6 @@ class _ExpDelayAccumulator:
         k_new = pow_or_inf(norms, self.power)
         self.value = self.decay * self.value + (1.0 - self.decay) * 0.5 * (self.k_prev + k_new)
         self.k_prev = k_new
-
-
-class _PointDelayAccumulator:
-    def __init__(self, initial: HistoryBuffer, power: float, rows: int):
-        self.power = power
-        self.value = np.full(rows, np.linalg.norm(initial.head) ** power)
-
-    def advance(self, norms: np.ndarray) -> None:
-        self.value = pow_or_inf(norms, self.power)
-
-
-def _make_delay_accumulator(initial, cs, dt, rows):
-    power = cs.drift.delay_kernel_power
-    if power is None:
-        return None
-    mu = cs.drift.delay_measure
-    if mu.kind == "exponential":
-        return _ExpDelayAccumulator(initial, mu, power, dt, rows)
-    return _PointDelayAccumulator(initial, power, rows)
 
 
 def batch_width(paths: int) -> int:
@@ -249,7 +226,9 @@ class PathRunner:
         self.errors = [None] * rows
         self.partner = None
         self.sup_sq = None
-        self.delay_acc = _make_delay_accumulator(initial, cs, cfg.dt, rows)
+        power = cs.drift.delay_kernel_power
+        self.delay_acc = None if power is None else _ExpDelayAccumulator(
+            initial, cs.drift.delay_measure, power, cfg.dt, rows)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
         self.head_norm_weighted = np.full(rows, np.linalg.norm(initial.head))   # Q_n
         self.tail_weight = 1.0                                                  # e^{-h t_n}

@@ -173,10 +173,23 @@ LIN = ["--preset", "scalar-linear-osc"]
     (CONT + LIN + ["--delta=-0.1,0.1,0"], "delta_grid"),
     (CONT + LIN + ["--delta", "0,0.1"], "delta_grid"),
     (AVG + LIN + ["--eps", ""], "eps_grid"),
+    (AVG + LIN + ["--eps", "0.5,,0.1"], "eps_grid"),
+    (AVG + LIN + ["--eps", "0.5,0.1,"], "eps_grid"),
+    (FRZ + LIN + ["--d", "0.2,,0.1"], "d_grid"),
+    (CONT + LIN + ["--delta", "0.1,0,"], "delta_grid"),
+    (AVG[:1] + LIN + ["--config", "[experiment]\neps_grid = 0.5,,0.1\n"], "eps_grid"),
+    (FRZ[:1] + LIN + ["--config", "[experiment]\nd_grid = 0.2,0.1,\n"], "d_grid"),
+    (CONT[:1] + LIN + ["--config", "[experiment]\ndelta_grid = ,0.1,0\n"], "delta_grid"),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     # each of these ran, ignoring or clipping the value, or was rejected
-    # without naming its key
+    # without naming its key.  An argument that starts with "[" is the text
+    # of a config file.
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if a.startswith("["):
+            argv[i] = str(tmp_path / "config.ini")
+            (tmp_path / "config.ini").write_text(a, encoding="utf-8")
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.ini").exists()

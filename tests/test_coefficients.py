@@ -23,7 +23,7 @@ from avg_sfpde.coefficients import (
     pow_or_inf,
     sample_history,
 )
-from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h
+from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h, state_norm
 from avg_sfpde.presets import get_preset
 from avg_sfpde.spectral import SpectralSpace
 
@@ -109,6 +109,19 @@ def test_eval_drift_rejects_bad_eps():
         eval_drift(cs, 0.0, -1.0, const_buf(1.0))
 
 
+@pytest.mark.parametrize("power", [1.0, None])
+def test_drift_delay_measure_must_be_exponential(power):
+    # the runner accumulates the drift's delay term for the exponential
+    # measure only, so a coefficient set with another kind is rejected
+    with pytest.raises(ValueError, match="'point'"):
+        scalar_cs(DriftSpec(pointwise="identity", delay_kernel_power=power,
+                            delay_measure=DelayMeasure.point_mass()))
+    # the point mass stays valid where the assumption profile uses it
+    assert scalar_cs(DriftSpec(delay_kernel_power=power,
+                               delay_measure=DelayMeasure.exponential(1.0))).profile.mu1.kind \
+        == "point"
+
+
 def test_averaged_drift_sinusoid_mean_is_offset():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(2.0, 1.0, 1.0))
@@ -184,7 +197,7 @@ def test_diffusion_amplitudes():
     buf = HistoryBuffer.from_tail(1.0, ConstantTail(np.zeros(4)))
     amp = eval_diffusion_amplitude(cs, 0.0, 1.0, buf)
     np.testing.assert_allclose(amp, 0.5 / np.arange(1, 5))
-    assert cs.diffusion_hs_norm(amp) == pytest.approx(0.5 * math.sqrt(np.sum(1.0 / np.arange(1, 5.0) ** 2)))
+    assert state_norm(amp) == pytest.approx(0.5 * math.sqrt(np.sum(1.0 / np.arange(1, 5.0) ** 2)))
     # rank-one field: coefficients of the mapped head values
     cs2 = scalar_cs(DriftSpec(), DiffusionSpec(kind="pointwise_field",
                                                pointwise="cos_sqrt_abs", gain=2.0),
@@ -235,7 +248,7 @@ def test_estimate_rate_cos_diffusion_table_matches_windowed_quadrature():
     windows = [10.0, 100.0, 1000.0]
     rate = estimate_rate(cs, probe_set(), windows)
     starts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    norm = max(cs.diffusion_hs_norm(cs.diffusion_amplitude(b)) ** 2 /
+    norm = max(state_norm(cs.diffusion_amplitude(b)) ** 2 /
                (seminorm_h(b, 0.0) ** 2 + cs.profile.M) for b in probe_set())
 
     def window_mean_cos_sq(t0, r):

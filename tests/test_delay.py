@@ -84,15 +84,19 @@ def test_discontinuity_at_origin_rejected():
 )
 @settings(max_examples=50, deadline=None)
 def test_seminorm_monotone_in_weight_and_dominates_state(c, h1, h2, t):
-    buf = constant_buffer(c, h=h1)
-    n = 8
-    for i in range(1, n + 1):
-        buf = buf.appended(t * i / n, c + math.sin(i))
-    head = buf.head_time
-    s1 = seminorm_h(buf, head, weight=h1)
-    s2 = seminorm_h(buf, head, weight=h2)
+    def history(h):
+        buf = constant_buffer(c, h=h)
+        n = 8
+        for i in range(1, n + 1):
+            buf = buf.appended(t * i / n, c + math.sin(i))
+        return buf
+
+    buf1, buf2 = history(h1), history(h2)
+    head = buf1.head_time
+    s1 = seminorm_h(buf1, head)
+    s2 = seminorm_h(buf2, head)
     assert s2 <= s1 + 1e-12
-    assert state_norm(buf.value_at(head)) <= s1 + 1e-12
+    assert state_norm(buf1.value_at(head)) <= s1 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,23 @@ def test_pair_seminorm_constant_tails_exact():
     a = constant_buffer(2.0)
     b = constant_buffer(-1.0)
     assert pair_seminorm(a, b) == pytest.approx(3.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3, 1.7])
+def test_pair_seminorm_equal_rate_exponential_tails(rate):
+    # the difference (a - b) e^{rate theta} peaks under the weight at theta = 0,
+    # which the dense grid samples: the closed form ||a - b|| comes out exactly
+    # for scalar states, and as the row norm (to rounding of the Euclidean
+    # norm's summation order) for fields
+    h = 1.0
+    for a, b in (([2.0], [-1.5]), ([0.3, -1.2, 4.0], [1.1, 0.5, -2.0])):
+        a, b = np.array(a), np.array(b)
+        got = pair_seminorm(HistoryBuffer.from_tail(h, ExponentialTail(a, rate)),
+                            HistoryBuffer.from_tail(h, ExponentialTail(b, rate)))
+        if len(a) == 1:
+            assert got == state_norm(a - b)
+        assert got == float(np.linalg.norm((a - b)[None], axis=1)[0])
+        assert got == pytest.approx(state_norm(a - b), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,42 @@ def test_averaged_linear_preset_is_ou_linear_in_the_noise(seed, path_id):
 
 
 # ---------------------------------------------------------------------------
+# batch placement
+# ---------------------------------------------------------------------------
+
+PLACED = {"scalar": get_preset("scalar-holder-osc"),
+          "field": get_preset("reaction-diffusion-delay", k=8)}
+
+
+def _placed_row(p, cfg, path_id, rows, r, coupled):
+    """Row r of the runner of ``rows`` rows that starts at path_id: its
+    trajectory, or its sup distance to the averaged twin when coupled."""
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=path_id, rows=rows)
+    if coupled:
+        runner.couple(p.coefficients.averaged(), p.initial)
+        runner.run()
+        return runner.sup_sq[r]
+    return runner.run().states[:, r]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("kind", sorted(PLACED))
+@given(width=st.sampled_from([16, 32, 64]), data=st.data(),
+       path_id=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_path_bits_do_not_depend_on_its_place_in_the_batch(kind, coupled, width, data,
+                                                           path_id, seed):
+    # path p stepped as row r of a width-W batch starting at p - r has the
+    # bits of row 0 of the 16-row batch starting at p
+    p = PLACED[kind]
+    r = data.draw(st.integers(0, min(width - 1, path_id)), label="row")
+    cfg = StepperConfig(dt=p.dt, T=0.05, noise_modes=p.k_w, seed=seed, eps=0.1)
+    placed = _placed_row(p, cfg, path_id - r, width, r, coupled)
+    alone = _placed_row(p, cfg, path_id, 16, 0, coupled)
+    np.testing.assert_array_equal(placed, alone)
+
+
+# ---------------------------------------------------------------------------
 # khasminskii freezing
 # ---------------------------------------------------------------------------
 
