@@ -20,7 +20,7 @@ defaults.  A config key the subcommand does not read, an unknown key, and a
 ``kind`` naming another subcommand are hard errors, so a manifest records
 exactly the keys its run used.  A blow-up that aborts a study leaves
 diagnostics.txt.  Exit codes: 0 on PASS verdicts, 2 on FAIL verdicts, 1 on
-errors.
+errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -329,8 +329,17 @@ def _replay(args):
     return _run_command(kind, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits 1 on a usage error, not 2, the code of a FAIL
+    verdict; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avg-sfpde",
         description="Monte Carlo laboratory for time-averaging of stochastic "
                     "functional PDEs with infinite delay")

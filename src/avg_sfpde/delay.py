@@ -18,6 +18,7 @@ on (-infty, 0].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -283,6 +284,10 @@ class DelayMeasure:
         the only kind a drift delay term takes
       * ``point``: unit mass at theta = 0, a profile's mu1 or mu2: its
         ``exp_moment`` is 1, and the two delay integrals read the head value
+
+    ``mass``, ``moments_centered`` and ``graded_nodes`` serve the quadrature,
+    which only an exponential measure reaches (``_quadrature_rule`` rejects
+    any other kind).
     """
 
     kind: str
@@ -319,11 +324,9 @@ class DelayMeasure:
         return 2.0 * self.rate / (2.0 * self.rate - k)
 
     def mass(self, a: float, b: float) -> float:
-        """Measure of the interval (a, b], exact for the supported kinds."""
+        """Measure of the interval (a, b], exact."""
         if b <= a:
             return 0.0
-        if self.kind == "point":
-            return 1.0 if a < 0.0 <= b else 0.0
         hi = math.exp(2.0 * self.rate * min(b, 0.0))
         lo = 0.0 if a == -math.inf else math.exp(2.0 * self.rate * a)
         return hi - lo
@@ -337,25 +340,20 @@ class DelayMeasure:
         """
         scalar = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
         a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-        if self.kind == "point":
-            inside = (a < 0.0) & (0.0 <= b)
-            m = (np.where(inside, 1.0, 0.0), np.where(inside, -c, 0.0),
-                 np.where(inside, c * c, 0.0))
-        else:
-            r2 = 2.0 * self.rate
-            scale = np.exp(r2 * c)
-            ub = np.minimum(b, 0.0) - c
-            eb = np.exp(r2 * ub)
-            # antiderivatives e^{r2 u}, e^{r2 u}(u - 1/r2), e^{r2 u}(u^2 - 2u/r2 + 2/r2^2);
-            # a lower end at -infty contributes 0
-            open_lo = a == -np.inf
-            ua = np.where(open_lo, 0.0, a - c)
-            ea = np.where(open_lo, 0.0, np.exp(r2 * ua))
-            m = (scale * (eb - ea),
-                 scale * (eb * (ub - 1.0 / r2) - ea * (ua - 1.0 / r2)),
-                 scale * (eb * (ub * ub - 2.0 * ub / r2 + 2.0 / (r2 * r2))
-                          - ea * (ua * ua - 2.0 * ua / r2 + 2.0 / (r2 * r2))))
-            m = tuple(np.where(b > a, v, 0.0) for v in m)
+        r2 = 2.0 * self.rate
+        scale = np.exp(r2 * c)
+        ub = np.minimum(b, 0.0) - c
+        eb = np.exp(r2 * ub)
+        # antiderivatives e^{r2 u}, e^{r2 u}(u - 1/r2), e^{r2 u}(u^2 - 2u/r2 + 2/r2^2);
+        # a lower end at -infty contributes 0
+        open_lo = a == -np.inf
+        ua = np.where(open_lo, 0.0, a - c)
+        ea = np.where(open_lo, 0.0, np.exp(r2 * ua))
+        m = (scale * (eb - ea),
+             scale * (eb * (ub - 1.0 / r2) - ea * (ua - 1.0 / r2)),
+             scale * (eb * (ub * ub - 2.0 * ub / r2 + 2.0 / (r2 * r2))
+                      - ea * (ua * ua - 2.0 * ua / r2 + 2.0 / (r2 * r2))))
+        m = tuple(np.where(b > a, v, 0.0) for v in m)
         if scalar:
             return tuple(float(v) for v in m)
         return tuple(m)
@@ -363,18 +361,16 @@ class DelayMeasure:
     def graded_nodes(self, a: float, b: float, n: int) -> np.ndarray:
         """Quadrature nodes on [a, b]: equal-mass grading unioned with a
         uniform grid so that no panel is wide where the density is flat."""
-        if self.kind == "exponential":
-            half = max(n // 2, 8)
-            sa = 0.0 if a == -math.inf else math.exp(2.0 * self.rate * a)
-            sb = math.exp(2.0 * self.rate * min(b, 0.0))
-            s = np.linspace(sa, sb, half + 1)
-            with np.errstate(divide="ignore"):
-                mass_nodes = np.log(np.maximum(s, 1e-300)) / (2.0 * self.rate)
-            mass_nodes[0] = a
-            uniform = np.linspace(a, min(b, 0.0), half + 1)
-            nodes = np.unique(np.concatenate([mass_nodes, uniform]))
-            return np.clip(nodes, a, b)
-        return np.linspace(max(a, 0.0), min(b, 0.0), n + 1)
+        half = max(n // 2, 8)
+        sa = 0.0 if a == -math.inf else math.exp(2.0 * self.rate * a)
+        sb = math.exp(2.0 * self.rate * min(b, 0.0))
+        s = np.linspace(sa, sb, half + 1)
+        with np.errstate(divide="ignore"):
+            mass_nodes = np.log(np.maximum(s, 1e-300)) / (2.0 * self.rate)
+        mass_nodes[0] = a
+        uniform = np.linspace(a, min(b, 0.0), half + 1)
+        nodes = np.unique(np.concatenate([mass_nodes, uniform]))
+        return np.clip(nodes, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +534,30 @@ def _tail_power_closed_form(tail, mu, p, lo, hi):
     return None
 
 
-def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
-    """int_lo^hi K(theta) mu(dtheta), K interpolated against exact moments.
+@dataclass(frozen=True)
+class _QuadratureRule:
+    """What the product quadrature reads of one node set: the nodes, the
+    Lagrange weights of every panel pair and their mask of nonzero mass, and
+    the weights of the linear last panel (None when the panels pair up, or
+    when that panel has no mass)."""
 
-    Quadratic (Lagrange) interpolation of the kernel over pairs of panels,
-    integrated against the measure's exact zeroth/first/second moments; the
-    final odd panel, if any, falls back to linear.  The moments and weights
-    of all panel pairs are computed in one array pass.  A constant kernel
-    integrates to the interval mass exactly.
-    """
-    if hi <= lo:
-        return 0.0
-    nodes = mu.graded_nodes(lo, hi, n)
-    if extra_nodes is not None:
-        nodes = np.concatenate([nodes, np.asarray(extra_nodes, dtype=float)])
-    nodes = np.unique(nodes)  # a repeated node would be a zero-width panel
-    ks = np.asarray(values_of_theta(nodes), dtype=float)
+    nodes: np.ndarray
+    w0: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    keep: np.ndarray
+    odd: tuple | None
+
+
+@functools.lru_cache(maxsize=64)
+def _quadrature_rule(mu, lo, hi, n, extra_bytes):
+    """The rule of mu's graded nodes on [lo, hi] with the extra nodes
+    (sorted and unique, as raw float64 bytes); built once per key."""
+    if mu.kind != "exponential":
+        raise ValueError(f"product quadrature needs an exponential measure, not {mu.kind!r}")
+    extra = np.frombuffer(extra_bytes, dtype=float)
+    # a repeated node would be a zero-width panel
+    nodes = np.unique(np.concatenate([mu.graded_nodes(lo, hi, n), extra]))
     last = len(nodes) - 1
     end = last - last % 2  # nodes[0..end] form the panel pairs
     x0, x1, x2 = nodes[0:end:2], nodes[1:end:2], nodes[2:end + 1:2]
@@ -562,14 +566,42 @@ def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
     w0 = (m2 - u2 * m1) / (u0 * (u0 - u2))
     w1 = (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2)
     w2 = (m2 - u0 * m1) / (u2 * (u2 - u0))
-    terms = w0 * ks[0:end:2] + w1 * ks[1:end:2] + w2 * ks[2:end + 1:2]
-    total = float(np.sum(terms[m0 != 0.0]))
+    odd = None
     if end < last:
         a, b = nodes[end], nodes[last]
-        m0, m1, _ = mu.moments_centered(a, b, a)
-        if m0 != 0.0:
+        m0_odd, m1_odd, _ = mu.moments_centered(a, b, a)
+        if m0_odd != 0.0:
             w = b - a
-            total += ks[end] * (m0 - m1 / w) + ks[last] * (m1 / w)
+            odd = (m0_odd - m1_odd / w, m1_odd / w)
+    rule = _QuadratureRule(nodes, w0, w1, w2, m0 != 0.0, odd)
+    for arr in (nodes, w0, w1, w2, rule.keep):
+        arr.flags.writeable = False  # shared by every later call with this key
+    return rule
+
+
+def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
+    """int_lo^hi K(theta) mu(dtheta), K interpolated against exact moments.
+
+    Quadratic (Lagrange) interpolation of the kernel over pairs of panels,
+    integrated against the measure's exact zeroth/first/second moments; the
+    final odd panel, if any, falls back to linear.  The nodes and weights
+    depend on (mu, lo, hi, n) and the set of extra nodes only, so they come
+    from a cache of rules (``_quadrature_rule``), and a call evaluates the
+    kernel at the rule's nodes and sums.  A constant kernel integrates to the
+    interval mass exactly.
+    """
+    if hi <= lo:
+        return 0.0
+    extra = np.unique(np.asarray(() if extra_nodes is None else extra_nodes, dtype=float))
+    # + 0.0 turns a -0.0 end into 0.0, so the two share one key and one rule
+    rule = _quadrature_rule(mu, lo + 0.0, hi + 0.0, n, extra.tobytes())
+    ks = np.asarray(values_of_theta(rule.nodes), dtype=float)
+    last = len(ks) - 1
+    end = last - last % 2
+    terms = rule.w0 * ks[0:end:2] + rule.w1 * ks[1:end:2] + rule.w2 * ks[2:end + 1:2]
+    total = float(np.sum(terms[rule.keep]))
+    if rule.odd is not None:
+        total += ks[end] * rule.odd[0] + ks[last] * rule.odd[1]
     return total
 
 

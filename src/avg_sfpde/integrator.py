@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import (
     CoefficientSet,
@@ -45,6 +44,11 @@ class BlowUpError(RuntimeError):
         super().__init__(f"state blew up at t = {t:.6g} (mode {mode_index}) {detail}")
         self.t = t
         self.mode_index = mode_index
+        self.detail = detail
+
+    def __reduce__(self):
+        # rebuilt from its fields, so the error survives pickling
+        return type(self), (self.t, self.mode_index, self.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +63,15 @@ def _philox(seed: int, path_id: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
+_ndtri = None   # scipy.special.ndtri, imported on the first draw
+
+
 def _raw_to_normal(raw: np.ndarray) -> np.ndarray:
+    global _ndtri
+    if _ndtri is None:  # commands that draw no noise never load scipy.special
+        from scipy.special import ndtri as _ndtri
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    return _ndtri(u)
 
 
 def normal_slab(stream: np.random.Philox, path_id: int, first: int, m: int,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 # dense transform matrices are faster than FFT dispatch for small grids
 _MATMUL_LIMIT = 1024
@@ -92,6 +91,7 @@ class SpectralSpace:
         coeffs = np.asarray(coeffs, dtype=float)
         if self._to_values_mat is not None and coeffs.shape[-1] == self.k:
             return _blocked_product(coeffs, self._to_values_mat.T)
+        from scipy import fft as sp_fft  # loaded by the first transform that needs it
         padded = np.zeros(coeffs.shape[:-1] + (self.m,))
         padded[..., : coeffs.shape[-1]] = coeffs * (self._basis_scale / 2.0)
         return sp_fft.dst(padded, type=1, axis=-1)
@@ -102,6 +102,7 @@ class SpectralSpace:
         values = np.asarray(values, dtype=float)
         if self._to_coeffs_mat is not None and n <= self.k:
             return _blocked_product(values, self._to_coeffs_mat[:n].T)
+        from scipy import fft as sp_fft
         full = sp_fft.dst(values, type=1, axis=-1) * (self._dx * self._basis_scale / 2.0)
         return full[..., :n]
 

@@ -24,18 +24,33 @@ def test_list_presets_prints_the_four_names(capsys):
                    "scalar-linear-osc", "scalar-holder-osc"]
 
 
-def test_cli_import_loads_no_scipy_integrate_or_optimize():
-    # scipy.integrate (which pulls in scipy.optimize) would add about a
-    # quarter second to every CLI call; the package's quadratures are numpy
+def test_audit_path_loads_no_scipy_and_noise_loads_scipy_special(tmp_path):
+    # scipy.special (the noise's inverse normal CDF) and scipy.fft (sine
+    # transforms above 1024 grid points) load where they are first used, so
+    # the import, list-presets and the audit, which draw no noise, load no
+    # scipy module at all
     src = str(Path(avg_sfpde.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import avg_sfpde.cli, sys; "
-            "print(' '.join(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    code = f"""
+import contextlib, io, sys
+from avg_sfpde.cli import main
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["list-presets"]) == 0
+    assert main(["audit", "--preset", "reaction-diffusion-delay", "--trials", "20",
+                 "--out", {str(tmp_path / "a")!r}]) == 0
+assert scipy_modules() == [], scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["sweep-averaging", "--preset", "scalar-linear-osc", "--eps", "0.5,0.25",
+          "--paths", "2", "--dt", "0.01", "--T", "0.1", "--format", "csv",
+          "--out", {str(tmp_path / "s")!r}])
+assert "scipy.special" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_averaging_writes_report_and_manifest(tmp_path, capsys):
@@ -142,6 +157,17 @@ def test_config_outside_the_subcommand_is_hard_error(tmp_path, capsys, line, nam
                     "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", [["--format", "pdf"], ["--d-rule", "x"], ["--bogus"]])
+def test_usage_error_exits_1_not_the_fail_code(tmp_path, capsys, flag):
+    # argparse's own exit code, 2, is the code of a FAIL verdict
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep-averaging", "--preset", "scalar-linear-osc", "--eps", "0.5,0.1",
+                 "--out", str(tmp_path / "o")] + flag)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -19,6 +19,7 @@ from avg_sfpde.delay import (
     TabulatedTail,
     _interp_rows,
     _product_quadrature,
+    _quadrature_rule,
     delay_integral,
     delay_pair_integral,
     extract_segment,
@@ -333,8 +334,6 @@ def scalar_moments(mu, a, b, c):
     """Scalar (m0, m1, m2) of (theta - c)^k over (a, b], one interval per call."""
     if b <= a:
         return 0.0, 0.0, 0.0
-    if mu.kind == "point":
-        return (1.0, -c, c * c) if a < 0.0 <= b else (0.0, 0.0, 0.0)
     r2 = 2.0 * mu.rate
     scale = math.exp(r2 * c)
     ub = min(b, 0.0) - c
@@ -376,8 +375,6 @@ def scalar_product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=(
     (DelayMeasure.exponential(0.7), -30.0, 64, [], True),
     (DelayMeasure.exponential(0.7), -30.0, 64, [-3.3], False),
     (DelayMeasure.exponential(2.5), -8.0, 1024, [-1.0, -0.25, -0.05], False),
-    (DelayMeasure.point_mass(), -1.0, 16, [-0.3, -0.1], False),
-    (DelayMeasure.point_mass(), -1.0, 16, [-0.2], True),
 ])
 def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
     def K(th):
@@ -390,7 +387,7 @@ def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
     assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("mu", [DelayMeasure.exponential(0.7), DelayMeasure.point_mass()])
+@pytest.mark.parametrize("mu", [DelayMeasure.exponential(0.7)])
 def test_array_moments_match_scalar_moments(mu):
     rng = np.random.default_rng(11)
     a = np.concatenate([[-np.inf, -np.inf, 0.0], rng.uniform(-3.0, 0.5, 200)])
@@ -403,6 +400,62 @@ def test_array_moments_match_scalar_moments(mu):
     scalar = mu.moments_centered(-2.0, -0.5, -1.0)
     assert all(type(v) is float for v in scalar)
     assert scalar == pytest.approx(scalar_moments(mu, -2.0, -0.5, -1.0), rel=1e-13, abs=0)
+
+
+def test_product_quadrature_rejects_a_point_measure():
+    # a point mass never reaches the quadrature: the delay integrals read the
+    # head value for it first
+    with pytest.raises(ValueError, match="exponential measure, not 'point'"):
+        _product_quadrature(DelayMeasure.point_mass(), -1.0, 0.0, np.cos)
+
+
+def kinked(th):
+    return 1.0 + np.abs(np.sin(3.0 * th)) + 0.1 * th * th
+
+
+def test_cached_rule_gives_the_cold_bits_for_any_order_of_extra_nodes():
+    mu = DelayMeasure.exponential(0.9)
+    kinks_a, kinks_b = np.array([-2.5, -0.75, -0.3]), np.array([-1.2, -0.75])
+    _quadrature_rule.cache_clear()
+    cold = _product_quadrature(mu, -40.0, 0.0, kinked,
+                               extra_nodes=np.concatenate([kinks_a, kinks_b]))
+    assert _quadrature_rule.cache_info().misses == 1
+    warm = _product_quadrature(mu, -40.0, 0.0, kinked,
+                               extra_nodes=np.concatenate([kinks_a, kinks_b]))
+    # the swapped pair's key: the same node set, concatenated the other way
+    swapped = _product_quadrature(mu, -40.0, 0.0, kinked,
+                                  extra_nodes=np.concatenate([kinks_b, kinks_a]))
+    assert _quadrature_rule.cache_info().misses == 1
+    assert float(cold).hex() == float(warm).hex() == float(swapped).hex()
+    ref = scalar_product_quadrature(mu, -40.0, 0.0, kinked,
+                                    extra_nodes=np.concatenate([kinks_a, kinks_b]))
+    assert warm == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_delay_pair_integral_is_symmetric_from_a_cold_and_a_warm_cache():
+    rng = np.random.default_rng(3)
+    mu = DelayMeasure.exponential(1.0)
+    for _ in range(10):
+        a = sample_history(rng, 3, 1.0, 3.0, kind="path")
+        b = sample_history(rng, 3, 1.0, 3.0, kind="path")
+        t = min(a.head_time, b.head_time)
+        _quadrature_rule.cache_clear()
+        ab = delay_pair_integral(a, b, t, mu, 1.5)
+        _quadrature_rule.cache_clear()
+        ba = delay_pair_integral(b, a, t, mu, 1.5)
+        assert ab == ba == delay_pair_integral(a, b, t, mu, 1.5)
+
+
+def test_rule_cache_stays_at_its_bound():
+    # the reference step's delay integral moves lo and hi with t: every call
+    # is a new key, and the cache must not grow with them
+    mu = DelayMeasure.exponential(1.0)
+    _quadrature_rule.cache_clear()
+    bound = _quadrature_rule.cache_info().maxsize
+    for i in range(100):
+        _product_quadrature(mu, -40.0 - 0.01 * i, 0.0, kinked, n=64)
+    info = _quadrature_rule.cache_info()
+    assert info.misses == 100 and info.currsize == bound
 
 
 def test_interp_rows_is_bit_identical_to_np_interp():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -436,6 +437,15 @@ def test_blow_up_raises_with_time_and_mode():
         run_path(op, cs, cfg, init)
     assert err.value.t > 0.0
     assert err.value.mode_index == 0
+
+
+def test_blow_up_error_survives_pickling():
+    # a worker process hands its censored paths back pickled
+    err = BlowUpError(0.5, 3, "after 4 halvings")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BlowUpError
+    assert (back.t, back.mode_index, str(back)) == (err.t, err.mode_index, str(err))
+    assert str(pickle.loads(pickle.dumps(BlowUpError(0.5, 3)))) == str(BlowUpError(0.5, 3))
 
 
 def test_step_halving_salvages_overflowing_sum():
