@@ -2,12 +2,15 @@
 continuity in initial data, and the hypothesis audit.
 
 Each study takes a built Preset; dt, T and k_w fall back to the preset's
-own values.  A study steps a row's paths in batches of up to MAX_WIDTH rows,
+own values.  A study steps its paths in batches of up to MAX_WIDTH rows,
 a multiple of the 16-row transform block, with path-indexed counter-based
 noise, merges statistics in path order (so neither the worker
 count nor the number of paths affects a path's result), fits a weighted
 log-log slope where one is defined, and emits an ExperimentReport with a
-verdict.
+verdict.  The coupled studies step every row of a batch of paths in one
+runner: the batch all rows share (the averaged twin of an averaging sweep,
+the unshifted start of a continuity study) is stepped once, on one noise
+draw, with each row's own batch beside it.
 """
 
 from __future__ import annotations
@@ -121,18 +124,23 @@ def _map_chunks(fn, paths: int, threads: int):
     return [r for batch in batches for r in batch]
 
 
-def _coupled_outcomes(op, cs, cfg, initial, partner_cs, partner_initial,
-                      paths, threads):
-    """Per path, in path order: sup_t of the squared distance between the
-    coupled batches, or the path's BlowUpError."""
-    def one_batch(first, count, rows):
-        runner = PathRunner(op, cs, cfg, initial, path_id=first, rows=rows)
-        runner.couple(partner_cs, partner_initial)
-        runner.run()
-        return [err if err is not None else float(sup)
-                for err, sup in zip(runner.blowups()[:count], runner.sup_sq)]
+def _coupled_outcomes(op, shared, partners, paths, threads):
+    """Per partner, in path order: sup_t of the squared distance between the
+    partner's batch and the shared one, or the path's BlowUpError.
 
-    return _map_chunks(one_batch, paths, threads)
+    ``shared`` and each partner are ``(cs, cfg, initial)``.  One runner per
+    batch of paths steps the shared batch once for every partner, on one
+    draw of the noise."""
+    def one_batch(first, count, rows):
+        runner = PathRunner(op, *shared, path_id=first, rows=rows)
+        runner.couple(partners)
+        runner.run()
+        per_partner = [[err if err is not None else float(sup)
+                        for err, sup in zip(runner.blowups(j)[:count], runner.sup_sq[j])]
+                       for j in range(len(partners))]
+        return list(zip(*per_partner))
+
+    return list(zip(*_map_chunks(one_batch, paths, threads)))
 
 
 def _censor(outcomes, row, param_name, param, preset, dt):
@@ -232,13 +240,14 @@ def averaging_sweep(preset: Preset, eps_grid, paths: int,
     eps_grid = _grid("eps", eps_grid, lambda e: 0 < e <= 1, "in (0, 1]")
     if d_rule not in ("sqrt_eps", "none"):
         raise ValueError(f"d_rule = {d_rule!r}: must be sqrt_eps or none")
-    op, init = preset.operator, preset.initial
+    init = preset.initial
+    averaged, cfg = stepping(preset, dt, T, k_w, seed, AVERAGED)
+    twins = [(*stepping(preset, dt, T, k_w, seed, eps), init) for eps in eps_grid]
+    outcomes = _coupled_outcomes(preset.operator, (averaged, cfg, init), twins,
+                                 paths, threads)
     rows = []
-    for j, eps in enumerate(eps_grid):
-        cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
-        outcomes = _coupled_outcomes(op, cs, cfg, init, cs.averaged(), init,
-                                     paths, threads)
-        values, censored = _censor(outcomes, j, "eps", eps, preset, cfg.dt)
+    for j, (eps, row) in enumerate(zip(eps_grid, outcomes)):
+        values, censored = _censor(row, j, "eps", eps, preset, cfg.dt)
         d = math.sqrt(eps) if d_rule == "sqrt_eps" else math.nan
         rows.append(_row_stats(values, eps, d, paths, censored))
 
@@ -299,7 +308,7 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
         runner = PathRunner(op, cs, cfg, init, path_id=first, rows=rows)
         traj = runner.run()
         return [err if err is not None else residuals(traj.row(r))
-                for r, err in enumerate(runner.blowups()[:count])]
+                for r, err in enumerate(runner.errors[:count])]
 
     outcomes = _map_chunks(one_batch, paths, threads)
     rows = []
@@ -357,13 +366,13 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     psi = np.zeros(cs.dim)
     psi[0] = 1.0  # unit seminorm: constant history along the first coordinate
 
+    shifted = [(cs, cfg, HistoryBuffer.from_tail(
+                    init.h, ConstantTail(init.tail.value + delta * psi), horizon=init.horizon))
+               for delta in delta_grid]
+    outcomes = _coupled_outcomes(op, (cs, cfg, init), shifted, paths, threads)
     rows = []
-    for j, delta in enumerate(delta_grid):
-        shifted = HistoryBuffer.from_tail(init.h,
-                                          ConstantTail(init.tail.value + delta * psi),
-                                          horizon=init.horizon)
-        outcomes = _coupled_outcomes(op, cs, cfg, init, cs, shifted, paths, threads)
-        vals, censored = _censor(outcomes, j, "delta", delta, preset, cfg.dt)
+    for j, (delta, row) in enumerate(zip(delta_grid, outcomes)):
+        vals, censored = _censor(row, j, "delta", delta, preset, cfg.dt)
         rows.append(_row_stats(vals, delta, math.nan, paths, censored))
 
     ok, detail = _continuity_verdict(rows)

@@ -204,15 +204,17 @@ class PathRunner:
     """Steps the ``rows`` paths path_id, ..., path_id + rows - 1 to the horizon.
 
     ``rows`` is a positive multiple of CHUNK; row r of the (rows, dim) state
-    is path path_id + r.  ``couple`` adds a second batch of the same paths
-    with its own coefficients and start (the averaged twin ``cs.averaged()``,
-    or the shifted start of a continuity pair), stepped on the same grid and
-    noise but never stacked with the first.  A row that is still
-    non-finite after the halving retry is a blow-up of that path alone: its
-    BlowUpError goes to ``errors``, its state is reset to zero, and the other
-    rows run on.  The runner finds non-finite rows itself, so construction
-    and stepping run with numpy's overflow and invalid-value warnings
-    silenced.
+    is path path_id + r.  ``couple`` adds partner batches of the same paths,
+    each with its own coefficients, time scale and start (the eps twins of an
+    averaging sweep beside the averaged twin ``cs.averaged()``, or the shifted
+    starts of a continuity study beside the unshifted one).  ``run`` draws
+    each slab of noise once and steps this batch once per step for all
+    partners, which share the grid and the noise but are never stacked with
+    it.  A row that is still non-finite after the halving retry is a blow-up
+    of that path alone in that batch: its BlowUpError goes to the batch's
+    ``errors``, its state is reset to zero, and the other rows run on.  The
+    runner finds non-finite rows itself, so construction and stepping run
+    with numpy's overflow and invalid-value warnings silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -234,7 +236,7 @@ class PathRunner:
         self.x = np.tile(initial.head, (rows, 1))
         self.states = None
         self.errors = [None] * rows
-        self.partner = None
+        self.partners = []
         self.sup_sq = None
         power = cs.drift.delay_kernel_power
         self.delay_acc = None if power is None else _ExpDelayAccumulator(
@@ -245,20 +247,34 @@ class PathRunner:
         self.h_decay = math.exp(-initial.h * cfg.dt)
         self.tail_sup0 = initial.tail.weighted_sup(initial.h)
 
-    def couple(self, cs: CoefficientSet, initial: HistoryBuffer) -> None:
-        """Step a second batch of the same paths, with coefficients ``cs`` from
-        ``initial``, on this runner's grid and noise.
+    def couple(self, partners) -> None:
+        """Step partner batches of the same paths beside this one, on its grid
+        and noise.  Each partner is ``(cs, cfg, initial)``; its ``cfg`` may
+        differ from this runner's only in ``eps``, and its ``cs`` must have
+        this runner's state dimension.
 
-        ``run`` then keeps in ``sup_sq`` the running sup over the grid of each
-        row's squared distance between the batches and records no trajectory.
+        ``run`` then keeps in ``sup_sq``, a (partners, rows) array, the running
+        sup over the grid of each row's squared distance between partner j
+        and this batch, and records no trajectory.
         """
-        self.partner = PathRunner(self.op, cs, self.cfg, initial, self.path_id, len(self.x))
+        rows = len(self.x)
+        built = []
+        for cs, cfg, initial in partners:
+            for name in ("dt", "T", "seed", "noise_modes"):
+                if getattr(cfg, name) != getattr(self.cfg, name):
+                    raise ValueError(f"partner {name} = {getattr(cfg, name)!r}: the runner "
+                                     f"steps {name} = {getattr(self.cfg, name)!r}")
+            if cs.dim != self.cs.dim:
+                raise ValueError(f"partner dim = {cs.dim}: the runner steps dim = {self.cs.dim}")
+            partner = PathRunner(self.op, cs, cfg, initial, self.path_id, rows)
+            partner.times = self.times      # one grid, held once for all partners
+            built.append(partner)
+        self.partners = built
 
-    def blowups(self) -> list:
-        """Per row, the first BlowUpError of this batch, else of the partner."""
-        if self.partner is None:
-            return list(self.errors)
-        return [a if a is not None else b for a, b in zip(self.errors, self.partner.errors)]
+    def blowups(self, j: int) -> list:
+        """Per row, partner j's first BlowUpError, else this batch's."""
+        return [a if a is not None else b
+                for a, b in zip(self.partners[j].errors, self.errors)]
 
     def buffer_view(self) -> HistoryBuffer:
         """History of path path_id (row 0) after ``run``."""
@@ -337,18 +353,19 @@ class PathRunner:
         (n_steps + 1, rows, dim), unless the runner is coupled.
 
         Each row reads its path's stream in order, SLAB steps at a time, into
-        one (SLAB, rows, k_w) array of Brownian increments."""
+        one (SLAB, rows, k_w) array of Brownian increments that this batch and
+        every partner step on."""
         n_steps, k_w = self.cfg.n_steps, self.k_w
         ids = range(self.path_id, self.path_id + len(self.x))
         streams = [_philox(self.cfg.seed, pid) for pid in ids]
         slab = np.empty((SLAB, len(self.x), k_w))
         sqrt_dt = math.sqrt(self.cfg.dt)
-        other = self.partner
-        if other is None:
+        partners = self.partners
+        if not partners:
             self.states = np.empty((n_steps + 1,) + self.x.shape)
             self.states[0] = self.x
         else:
-            self.sup_sq = _sq_distance(self.x, other.x)
+            self.sup_sq = np.array([_sq_distance(p.x, self.x) for p in partners])
         for n in range(n_steps):
             j = n % SLAB
             if j == 0:
@@ -357,12 +374,13 @@ class PathRunner:
                     slab[:m, r] = normal_slab(stream, pid, n, m, k_w)
                 slab[:m] *= sqrt_dt
             self._advance(n, slab[j])
-            if other is None:
+            if not partners:
                 self.states[n + 1] = self.x
-            else:
-                other._advance(n, slab[j])
-                np.maximum(self.sup_sq, _sq_distance(self.x, other.x), out=self.sup_sq)
-        return None if other is not None else Trajectory(self.times, self.states)
+                continue
+            for p, sup in zip(partners, self.sup_sq):
+                p._advance(n, slab[j])
+                np.maximum(sup, _sq_distance(p.x, self.x), out=sup)
+        return None if partners else Trajectory(self.times, self.states)
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,9 @@ def test_sweep_aborts_on_blow_up_at_largest_eps():
         averaging_sweep(explosive, (0.5, 0.1), paths=2, seed=0, dt=0.1, T=2.0)
 
 
-def sweep_values(monkeypatch, **sweep):
-    """Report of an averaging sweep and its per-path sup errors, row by row."""
+def sweep_values(monkeypatch, study=averaging_sweep, **sweep):
+    """Report of a study (an averaging sweep unless given) and its per-path
+    values, row by row."""
     seen = []
     real = exp._row_stats
 
@@ -120,7 +121,7 @@ def sweep_values(monkeypatch, **sweep):
         return real(values, *args)
 
     monkeypatch.setattr(exp, "_row_stats", spy)
-    report = averaging_sweep(**sweep)
+    report = study(**sweep)
     monkeypatch.setattr(exp, "_row_stats", real)
     return report, seen
 
@@ -140,22 +141,34 @@ def test_path_bits_independent_of_path_count_and_threads(monkeypatch):
                 assert rows == [row[:paths] for row in ref], (width, paths, threads)
 
 
-def kick_path_one(monkeypatch, on_call, step=100):
+def kick_path_one(monkeypatch, step=100):
     """Give path 1 one large increment at ``step`` (t = 0.2 at dt = 2e-3) in
-    its ``on_call``-th draw of that step (one per study row; None kicks every
-    row); the explicit reaction term then overflows."""
+    its noise draw, which every twin of every study row steps on; the
+    explicit reaction term then overflows where the noise reaches it."""
     real_slab = integrator.normal_slab
-    calls = []
 
     def kicked(stream, path_id, first, m, k_w):
         slab = real_slab(stream, path_id, first, m, k_w)
         if path_id == 1 and first <= step < first + m:
-            calls.append(path_id)
-            if on_call is None or len(calls) == on_call:
-                slab[step - first, 0] = 5e5
+            slab[step - first, 0] = 5e5
         return slab
 
     monkeypatch.setattr(integrator, "normal_slab", kicked)
+
+
+def poison_path_one(monkeypatch, step_of):
+    """Make path 1 non-finite before step ``step_of(runner)`` of each runner
+    for which it is not None, so that batch alone records a blow-up at the
+    end of that step."""
+    real_advance = integrator.PathRunner._advance
+
+    def poisoned(runner, n, dW):
+        if step_of(runner) == n:
+            runner.x = runner.x.copy()
+            runner.x[1] = np.inf
+        real_advance(runner, n, dW)
+
+    monkeypatch.setattr(integrator.PathRunner, "_advance", poisoned)
 
 
 def check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths):
@@ -168,7 +181,7 @@ def check_blow_up_at_smaller_eps_is_censored(monkeypatch, paths):
     sweep = dict(preset=dataclasses.replace(RD8, coefficients=cs), eps_grid=(0.5, 0.2),
                  paths=paths, dt=2e-3, T=1.6, seed=0)
     _, plain = sweep_values(monkeypatch, **sweep)
-    kick_path_one(monkeypatch, on_call=None, step=785)
+    kick_path_one(monkeypatch, step=785)
     rep, values = sweep_values(monkeypatch, **sweep)
     assert rep.rows[0].censored == 0
     assert rep.rows[1].censored == 1
@@ -193,21 +206,100 @@ RD_SMALL = dict(dt=2e-3, T=0.4, seed=0, eps=0.5)
 def test_blow_up_in_block_freezing_aborts(monkeypatch):
     # every row of the diagnostic uses the same paths, so the blow-up is in
     # the first row
-    kick_path_one(monkeypatch, on_call=None)
+    kick_path_one(monkeypatch)
     with pytest.raises(RuntimeError, match=r"largest d = 0\.2: state blew up "
                                            r"at t = \S+ \(mode 0\)"):
         khasminskii_diagnostic(RD8, (0.2, 0.1, 0.05), 4, **RD_SMALL)
 
 
+def shift_of(runner):
+    """The delta of a continuity twin: its start minus the preset's, along
+    the first coordinate."""
+    return runner.initial.tail.value[0] - RD8.initial.tail.value[0]
+
+
 def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
+    # the rows share one noise draw, so the blow-up goes into the batch of
+    # the delta = 0.01 twin alone
     grid = (0.1, 0.01, 0.0)
     plain = continuity_study(RD8, grid, 4, **RD_SMALL)
-    kick_path_one(monkeypatch, on_call=2)  # the delta = 0.01 row
+    poison_path_one(monkeypatch, lambda r: 100 if shift_of(r) == pytest.approx(0.01) else None)
     rep = continuity_study(RD8, grid, 4, **RD_SMALL)
     assert [r.censored for r in rep.rows] == [0, 1, 0]
     assert rep.rows[1].paths == 4
     assert [rep.rows[i].mean for i in (0, 2)] == [plain.rows[i].mean for i in (0, 2)]
     assert rep.rows[1].mean != plain.rows[1].mean  # stats from the 3 survivors
+
+
+def test_double_blow_up_in_first_sweep_row_names_the_eps_twin(monkeypatch):
+    # path 1 blows up in both twins: the averaged twin at t = 0.11, the eps
+    # twin at t = 0.31.  The abort names the eps twin's time and mode.
+    poison_path_one(monkeypatch, lambda r: 30 if r.cs.osc1.terms else 10)
+    with pytest.raises(RuntimeError, match=r"largest eps = 0\.5: state blew up "
+                                           r"at t = 0\.31 \(mode 0\)"):
+        averaging_sweep(LINEAR, (0.5, 0.1), paths=4, dt=0.01, T=0.5, seed=0)
+
+
+def test_double_blow_up_in_first_continuity_row_names_the_shifted_twin(monkeypatch):
+    # path 1 blows up in both twins: the unshifted one at t = 0.022, the
+    # delta = 0.1 twin at t = 0.062.  The abort names the shifted twin.
+    poison_path_one(monkeypatch, lambda r: 30 if shift_of(r) else 10)
+    with pytest.raises(RuntimeError, match=r"largest delta = 0\.1: state blew up "
+                                           r"at t = 0\.062 \(mode 0\)"):
+        continuity_study(RD8, (0.1, 0.01, 0.0), 4, **RD_SMALL)
+
+
+SHARED = {"scalar-linear-osc": LINEAR,
+          "scalar-holder-osc": get_preset("scalar-holder-osc"),
+          "reaction-diffusion-delay": RD8,
+          "porous-media-sin": get_preset("porous-media-sin", k=8)}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_rows_sharing_one_batch_have_the_bits_of_one_row_studies(monkeypatch, name):
+    # every row of a study steps beside one shared batch on one noise draw;
+    # each row's per-path values equal those of that row run alone, at any
+    # batch width and thread count.  The degenerate sweep's rows and the
+    # delta = 0 row stay exactly zero.
+    p = SHARED[name]
+    # (study, preset, grid keyword, grid, indices of the exactly-zero rows)
+    studies = [(averaging_sweep, p, "eps_grid", (0.5, 0.1, 0.02), ()),
+               (averaging_sweep, constant_xi(p), "eps_grid", (0.5, 0.1, 0.02), (0, 1, 2)),
+               (continuity_study, p, "delta_grid", (0.1, 0.01, 0.0), (2,))]
+    for width in (16, 64):
+        monkeypatch.setattr(integrator, "MAX_WIDTH", width)
+        for threads in (1, 2):
+            for study, preset, key, grid, zero_rows in studies:
+                kw = dict(study=study, preset=preset, paths=20, dt=2e-3, T=0.1, seed=4,
+                          threads=threads)
+                _, rows = sweep_values(monkeypatch, **kw, **{key: grid})
+                alone = [sweep_values(monkeypatch, **kw, **{key: (g,)})[1][0] for g in grid]
+                assert rows == alone, (study.__name__, width, threads)
+                assert all(rows[i] == [0.0] * 20 for i in zero_rows)
+
+
+def test_sweep_steps_the_averaged_twin_once_for_all_rows(monkeypatch):
+    # 20 paths are one 32-row batch; 130 steps are ceil(130 / SLAB) slabs.
+    # Each batch row draws one slab of noise per slab of steps, and each step
+    # advances the averaged twin once and each eps twin once.
+    calls = {"normal_slab": 0, "_advance": 0}
+    real_slab, real_advance = integrator.normal_slab, integrator.PathRunner._advance
+
+    def slab(*args):
+        calls["normal_slab"] += 1
+        return real_slab(*args)
+
+    def advance(runner, n, dW):
+        calls["_advance"] += 1
+        real_advance(runner, n, dW)
+
+    monkeypatch.setattr(integrator, "normal_slab", slab)
+    monkeypatch.setattr(integrator.PathRunner, "_advance", advance)
+    slabs = math.ceil(130 / integrator.SLAB)
+    for grid in ((0.5, 0.1, 0.02), (0.5,)):
+        calls.update(normal_slab=0, _advance=0)
+        averaging_sweep(LINEAR, grid, paths=20, dt=0.01, T=1.3, seed=2)
+        assert calls == {"normal_slab": 32 * slabs, "_advance": (1 + len(grid)) * 130}
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():

@@ -337,9 +337,9 @@ def _placed_row(p, cfg, path_id, rows, r, coupled):
     trajectory, or its sup distance to the averaged twin when coupled."""
     runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=path_id, rows=rows)
     if coupled:
-        runner.couple(p.coefficients.averaged(), p.initial)
+        runner.couple([(p.coefficients.averaged(), cfg, p.initial)])
         runner.run()
-        return runner.sup_sq[r]
+        return runner.sup_sq[0, r]
     return runner.run().states[:, r]
 
 
@@ -358,6 +358,36 @@ def test_path_bits_do_not_depend_on_its_place_in_the_batch(kind, coupled, width,
     placed = _placed_row(p, cfg, path_id - r, width, r, coupled)
     alone = _placed_row(p, cfg, path_id, 16, 0, coupled)
     np.testing.assert_array_equal(placed, alone)
+
+
+COUPLE_CFG = StepperConfig(dt=2e-3, T=0.01, noise_modes=8, seed=0, eps=0.5)
+
+
+@pytest.mark.parametrize("field,partner", [
+    ("dt", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, dt=1e-3))),
+    ("T", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, T=0.02))),
+    ("seed", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, seed=1))),
+    ("noise_modes", (PLACED["field"].coefficients,
+                     dataclasses.replace(COUPLE_CFG, noise_modes=4))),
+    ("dim", (get_preset("reaction-diffusion-delay", k=16).coefficients, COUPLE_CFG)),
+])
+def test_couple_rejects_a_partner_the_runner_cannot_honour(field, partner):
+    # a partner shares the runner's grid, noise and state shape; only eps
+    # may differ, and any other difference is named, never ignored
+    p = PLACED["field"]
+    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial)
+    with pytest.raises(ValueError, match=rf"partner {field} = "):
+        runner.couple([(*partner, p.initial)])
+
+
+def test_couple_accepts_a_partner_at_another_eps():
+    p = PLACED["field"]
+    runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial)
+    runner.couple([(p.coefficients, dataclasses.replace(COUPLE_CFG, eps=e), p.initial)
+                   for e in (0.5, 0.1)])
+    runner.run()
+    assert runner.sup_sq.shape == (2, 16)
+    assert np.all(runner.sup_sq > 0.0)
 
 
 # ---------------------------------------------------------------------------
