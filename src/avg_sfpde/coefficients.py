@@ -172,7 +172,7 @@ class AssumptionProfile:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """F(phi) = gain*map(phi(0)) + delay-integral term + constant (+ seminorm term).
+    """F(phi) = map(phi(0)) + delay-integral term + constant (+ seminorm term).
 
     The delay term integrates against an exponential measure.  The seminorm
     term builds deliberately broken coefficient sets: ``broken-quadratic``
@@ -180,7 +180,6 @@ class DriftSpec:
     """
 
     pointwise: str | None = None
-    pointwise_gain: float = 1.0
     constant: float = 0.0
     delay_kernel_power: float | None = None
     delay_gain: float = 1.0
@@ -198,13 +197,12 @@ class DiffusionSpec:
       * ``pointwise_field``: rank-one field map(phi(0)) * gain against a single
         Wiener coordinate
       * ``diagonal``: state-independent diagonal operator with mode-i amplitude
-        gain / i**decay on the first k_w modes
+        gain / i on the first k_w modes
     """
 
     kind: str
     pointwise: str | None = None
     gain: float = 1.0
-    decay: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("scalar", "pointwise_field", "diagonal"):
@@ -271,7 +269,7 @@ class CoefficientSet:
         if d.pointwise is None:
             grid = np.full(np.shape(head_values), extra)
         else:
-            grid = extra + d.pointwise_gain * POINTWISE_MAPS[d.pointwise](head_values)
+            grid = extra + POINTWISE_MAPS[d.pointwise](head_values)
         return grid if self.space is None else self.space.to_coeffs(grid)
 
     def _delay_value(self, buf: HistoryBuffer, t: float) -> float:
@@ -308,7 +306,7 @@ class CoefficientSet:
         g = self.diffusion
         if g.kind == "diagonal":
             modes = np.arange(1, self.dim + 1, dtype=float)
-            return g.gain / modes**g.decay
+            return g.gain / modes
         if g.kind == "scalar":
             if g.pointwise is None:
                 return np.full(np.shape(head), g.gain)
@@ -366,14 +364,13 @@ def _upper_envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-def estimate_rate(cs: CoefficientSet, probe_histories, windows,
-                  n_starts: int = 64) -> AveragingRate:
+def estimate_rate(cs: CoefficientSet, probe_histories, windows) -> AveragingRate:
     """Tabulated window-decay bounds Phi_1 (drift) and Phi_2 (diffusion).
 
     Phi_1(r) maximizes |(1/r) int_t^{t+r} (xi_1 - xi_1*) ds| * ||F(phi)|| over
-    probe histories and start times, normalized by (||phi||_h + M); Phi_2 does
-    the same with the squared diffusion deviation and (||phi||_h^2 + M).
-    Non-monotone tables are upper-enveloped.
+    probe histories and 64 start times t in [0, 2 pi), normalized by
+    (||phi||_h + M); Phi_2 does the same with the squared diffusion deviation
+    and (||phi||_h^2 + M).  Non-monotone tables are upper-enveloped.
     """
     probes = list(probe_histories)
     if len(probes) < 3:
@@ -394,7 +391,7 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows,
         drift_ratio = max(drift_ratio, fnorm / (s + M))
         diff_ratio = max(diff_ratio, gnorm * gnorm / (s * s + M))
 
-    starts = np.linspace(0.0, 2.0 * math.pi, n_starts, endpoint=False)
+    starts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     raw1, raw2 = [], []
     for r in windows:
         dev1 = max(abs(cs.osc1.integral(t0, t0 + r) - m1 * r) / r for t0 in starts)

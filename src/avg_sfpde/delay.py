@@ -702,10 +702,10 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
     return total
 
 
-def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer, n_dense: int = 2048) -> float:
+def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer) -> float:
     """Weighted norm of the difference history sup e^{h theta}||u_a - u_b||.
 
-    Exact for constant/constant tails; dense sampling on a uniform grid
+    Exact for constant/constant tails; dense sampling on 2048 uniform points
     otherwise (the checkers only need a faithful denominator, not machine
     precision).
     """
@@ -719,7 +719,7 @@ def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer, n_dense: int = 204
         tail_sup = state_norm(ta.value - tb.value)
     else:
         horizon = max(buf_a.horizon, buf_b.horizon)
-        thetas = -np.linspace(0.0, horizon, n_dense)
+        thetas = -np.linspace(0.0, horizon, 2048)
         diff = ta.values_at(thetas) - tb.values_at(thetas)
         tail_sup = float(np.max(np.exp(h * thetas) * np.linalg.norm(diff, axis=1)))
 

@@ -36,6 +36,7 @@ from .integrator import (
     PathRunner,
     StepperConfig,
     batch_width,
+    block_steps,
     khasminskii_freeze,
 )
 from .presets import Preset
@@ -128,16 +129,17 @@ def _coupled_outcomes(op, shared, partners, paths, threads):
     """Per partner, in path order: sup_t of the squared distance between the
     partner's batch and the shared one, or the path's BlowUpError.
 
-    ``shared`` and each partner are ``(cs, cfg, initial)``.  One runner per
-    batch of paths steps the shared batch once for every partner, on one
-    draw of the noise."""
+    ``shared`` is ``(cs, cfg, initial)``, each partner ``(cs, eps, initial)``.
+    One runner per batch of paths steps the shared batch once for every
+    partner, on one draw of the noise."""
     def one_batch(first, count, rows):
         runner = PathRunner(op, *shared, path_id=first, rows=rows)
         runner.couple(partners)
         runner.run()
-        per_partner = [[err if err is not None else float(sup)
-                        for err, sup in zip(runner.blowups(j)[:count], runner.sup_sq[j])]
-                       for j in range(len(partners))]
+        # a BlowUpError is truthy: the partner's own, else the shared batch's
+        per_partner = [[own or err or float(sup)
+                        for own, err, sup in zip(p.errors[:count], runner.errors, sups)]
+                       for p, sups in zip(runner.partners, runner.sup_sq)]
         return list(zip(*per_partner))
 
     return list(zip(*_map_chunks(one_batch, paths, threads)))
@@ -242,7 +244,7 @@ def averaging_sweep(preset: Preset, eps_grid, paths: int,
         raise ValueError(f"d_rule = {d_rule!r}: must be sqrt_eps or none")
     init = preset.initial
     averaged, cfg = stepping(preset, dt, T, k_w, seed, AVERAGED)
-    twins = [(*stepping(preset, dt, T, k_w, seed, eps), init) for eps in eps_grid]
+    twins = [(preset.coefficients, eps, init) for eps in eps_grid]
     outcomes = _coupled_outcomes(preset.operator, (averaged, cfg, init), twins,
                                  paths, threads)
     rows = []
@@ -284,8 +286,9 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
     Every row uses the same paths, so under ``_censor`` a blow-up belongs to
     the first row and aborts.
     """
-    d_grid = _grid("d", d_grid, lambda d: d > 0, "> 0")
     cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
+    d_grid = _grid("d", d_grid, lambda d: block_steps(d, cfg.dt) > 0,
+                   f"a positive whole number of steps dt = {cfg.dt}")
     op, init = preset.operator, preset.initial
     h = init.h
     dtv = cfg.dt
@@ -366,7 +369,7 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     psi = np.zeros(cs.dim)
     psi[0] = 1.0  # unit seminorm: constant history along the first coordinate
 
-    shifted = [(cs, cfg, HistoryBuffer.from_tail(
+    shifted = [(cs, cfg.eps, HistoryBuffer.from_tail(
                     init.h, ConstantTail(init.tail.value + delta * psi), horizon=init.horizon))
                for delta in delta_grid]
     outcomes = _coupled_outcomes(op, (cs, cfg, init), shifted, paths, threads)
@@ -441,6 +444,10 @@ def hypothesis_audit(preset: Preset, trials: int = 1000,
     Continuity of the operator pairing holds by construction for the shipped
     coefficient families and is recorded as such rather than sampled.
     """
+    if trials < 1:
+        raise ValueError(f"trials = {trials}: need at least 1 trial")
+    if rng_seed < 0:
+        raise ValueError(f"seed = {rng_seed}: must be non-negative")
     cs, op = preset.coefficients, preset.operator
     prof = cs.profile
     rng = np.random.default_rng(rng_seed)

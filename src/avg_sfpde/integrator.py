@@ -10,15 +10,15 @@ rows at a time, so the bits of a path never depend on the batch width, on how
 many paths a study runs, or on how the batches are spread over threads.
 Brownian increments are counter-based: path (seed, path_id) keys a Philox
 stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
-stream's raw output at a fixed position, so whole-path blocks, the runner's
-slabs of ``SLAB`` steps, single-step draws, and coupled twin runs all see
-bit-identical numbers regardless of scheduling.
+stream's raw output at a fixed position, so a block of a path's first
+steps is a prefix of any longer one, and whole-path blocks and the runner's
+slabs of ``SLAB`` steps see bit-identical numbers regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,16 +87,6 @@ def normal_block(seed: int, path_id: int, n_steps: int, k_w: int) -> np.ndarray:
     return normal_slab(_philox(seed, path_id), path_id, 0, n_steps, k_w)
 
 
-def normal_at(seed: int, path_id: int, step: int, k_w: int) -> np.ndarray:
-    """Standard normals of one step; equals normal_block(...)[step] exactly."""
-    bg = _philox(seed, path_id)
-    pos = step * k_w
-    bg.advance(pos // 4)  # Philox advances in 4-output counter blocks
-    skip = pos % 4
-    raw = bg.random_raw(skip + k_w)[skip:]
-    return _raw_to_normal(raw)
-
-
 # ---------------------------------------------------------------------------
 # Configuration and state
 # ---------------------------------------------------------------------------
@@ -129,7 +119,6 @@ class PathState:
 
     buffer: HistoryBuffer
     t: float
-    seed: int = 0
     path_id: int = 0
     step_index: int = 0
 
@@ -232,7 +221,6 @@ class PathRunner:
         self.stiff = op.stiff_diagonal(self.space)
         self.implicit_factors = 1.0 / (1.0 + cfg.dt * self.stiff)
         self.times = np.arange(cfg.n_steps + 1) * cfg.dt
-        self.t = 0.0
         self.x = np.tile(initial.head, (rows, 1))
         self.states = None
         self.errors = [None] * rows
@@ -249,38 +237,24 @@ class PathRunner:
 
     def couple(self, partners) -> None:
         """Step partner batches of the same paths beside this one, on its grid
-        and noise.  Each partner is ``(cs, cfg, initial)``; its ``cfg`` may
-        differ from this runner's only in ``eps``, and its ``cs`` must have
-        this runner's state dimension.
+        and noise.  Each partner is ``(cs, eps, initial)``, all that sets it
+        apart from this batch; its ``cs`` must have this state dimension.
 
         ``run`` then keeps in ``sup_sq``, a (partners, rows) array, the running
         sup over the grid of each row's squared distance between partner j
-        and this batch, and records no trajectory.
+        and this batch, and records no trajectory; ``partners[j].errors``
+        holds partner j's blow-ups.
         """
         rows = len(self.x)
         built = []
-        for cs, cfg, initial in partners:
-            for name in ("dt", "T", "seed", "noise_modes"):
-                if getattr(cfg, name) != getattr(self.cfg, name):
-                    raise ValueError(f"partner {name} = {getattr(cfg, name)!r}: the runner "
-                                     f"steps {name} = {getattr(self.cfg, name)!r}")
+        for cs, eps, initial in partners:
             if cs.dim != self.cs.dim:
                 raise ValueError(f"partner dim = {cs.dim}: the runner steps dim = {self.cs.dim}")
-            partner = PathRunner(self.op, cs, cfg, initial, self.path_id, rows)
+            partner = PathRunner(self.op, cs, replace(self.cfg, eps=eps), initial,
+                                 self.path_id, rows)
             partner.times = self.times      # one grid, held once for all partners
             built.append(partner)
         self.partners = built
-
-    def blowups(self, j: int) -> list:
-        """Per row, partner j's first BlowUpError, else this batch's."""
-        return [a if a is not None else b
-                for a, b in zip(self.partners[j].errors, self.errors)]
-
-    def buffer_view(self) -> HistoryBuffer:
-        """History of path path_id (row 0) after ``run``."""
-        return HistoryBuffer(h=self.initial.h, tail=self.initial.tail,
-                             times=self.times, samples=self.states[:, 0],
-                             horizon=self.initial.horizon)
 
     # -- stepping --------------------------------------------------------------
     def _update(self, x, t, frac, dW):
@@ -306,7 +280,6 @@ class PathRunner:
         if not np.isfinite(new).all():
             self._rescue(new, t, dW)
         self.x = new
-        self.t = self.times[n + 1]
         if self.track_norms:
             norms = _row_norms(new)
             if self.delay_acc is not None:
@@ -403,8 +376,9 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
     """
     buf = state.buffer
     t = state.t
-    dW = normal_at(cfg.seed, state.path_id, state.step_index, cs.noise_dim(cfg.noise_modes)) \
-        * math.sqrt(cfg.dt)
+    # the step's draws end the block of its first step_index + 1 steps
+    dW = normal_block(cfg.seed, state.path_id, state.step_index + 1,
+                      cs.noise_dim(cfg.noise_modes))[-1] * math.sqrt(cfg.dt)
     drift = eval_drift(cs, t, cfg.eps, buf)
     if cs.space is not None:
         values = cs.space.to_values(buf.value_at(t))
@@ -421,8 +395,7 @@ def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
         bad = np.where(~np.isfinite(new))[0]
         raise BlowUpError(t + cfg.dt, int(bad[0]))
     return PathState(buffer=buf.appended(t + cfg.dt, new), t=t + cfg.dt,
-                     seed=cfg.seed, path_id=state.path_id,
-                     step_index=state.step_index + 1)
+                     path_id=state.path_id, step_index=state.step_index + 1)
 
 
 def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
@@ -449,13 +422,17 @@ def coupled_run(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
     return traj_e, traj_a, traj_e.sup_sq_distance(traj_a)
 
 
+def block_steps(d: float, dt: float) -> int:
+    """Steps of dt in a block of length d if a positive whole number, else 0."""
+    m = round(d / dt)
+    return m if d >= dt - 1e-12 and abs(d / dt - m) <= 1e-8 else 0
+
+
 def khasminskii_freeze(traj: Trajectory, d: float) -> Trajectory:
     """Piecewise-frozen trajectory: value at the left endpoint of each block
     of length d; history (t < 0) is untouched by construction."""
-    dt = traj.times[1] - traj.times[0]
-    ratio = d / dt
-    if d < dt - 1e-12 or abs(ratio - round(ratio)) > 1e-8:
+    m = block_steps(d, traj.times[1] - traj.times[0])
+    if m < 1:
         raise ValueError("block length d must be an integer multiple of dt")
-    m = int(round(ratio))
     idx = (np.arange(len(traj.times)) // m) * m
     return Trajectory(times=traj.times.copy(), states=traj.states[idx])

@@ -114,7 +114,7 @@ def _reaction_diffusion_delay(k: int = 32) -> Preset:
     cs = CoefficientSet(
         drift=DriftSpec(pointwise="cos_sqrt_abs", delay_kernel_power=0.5,
                         delay_measure=mu),
-        diffusion=DiffusionSpec(kind="diagonal", gain=0.3, decay=1.0),
+        diffusion=DiffusionSpec(kind="diagonal", gain=0.3),
         osc1=Oscillator.sinusoid(1.0, 0.5, 1.0),
         osc2=Oscillator.constant(1.0),
         profile=profile,

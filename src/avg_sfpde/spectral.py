@@ -96,15 +96,14 @@ class SpectralSpace:
         padded[..., : coeffs.shape[-1]] = coeffs * (self._basis_scale / 2.0)
         return sp_fft.dst(padded, type=1, axis=-1)
 
-    def to_coeffs(self, values: np.ndarray, n_modes: int | None = None) -> np.ndarray:
-        """First n_modes sine coefficients of grid values (default: k)."""
-        n = self.k if n_modes is None else int(n_modes)
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """The k sine coefficients of grid values."""
         values = np.asarray(values, dtype=float)
-        if self._to_coeffs_mat is not None and n <= self.k:
-            return _blocked_product(values, self._to_coeffs_mat[:n].T)
+        if self._to_coeffs_mat is not None:
+            return _blocked_product(values, self._to_coeffs_mat.T)
         from scipy import fft as sp_fft
         full = sp_fft.dst(values, type=1, axis=-1) * (self._dx * self._basis_scale / 2.0)
-        return full[..., :n]
+        return full[..., :self.k]
 
     # -- quadrature and norms --------------------------------------------------
     def quad(self, grid_values: np.ndarray) -> float:

@@ -206,6 +206,9 @@ LIN = ["--preset", "scalar-linear-osc"]
     (AVG[:1] + LIN + ["--config", "[experiment]\neps_grid = 0.5,,0.1\n"], "eps_grid"),
     (FRZ[:1] + LIN + ["--config", "[experiment]\nd_grid = 0.2,0.1,\n"], "d_grid"),
     (CONT[:1] + LIN + ["--config", "[experiment]\ndelta_grid = ,0.1,0\n"], "delta_grid"),
+    (FRZ[:1] + LIN + ["--d", "0.2,0.015", "--dt", "0.01"], "d_grid = 0.2,0.015: "),
+    (["audit", "--preset", "scalar-linear-osc", "--trials", "0"], "trials = 0: "),
+    (["audit", "--preset", "scalar-linear-osc", "--seed", "-1"], "seed = -1: "),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     # each of these ran, ignoring or clipping the value, or was rejected

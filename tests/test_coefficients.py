@@ -192,7 +192,7 @@ def test_pow_or_inf_bit_identical_to_python_pow(power):
 def test_diffusion_amplitudes():
     # diagonal: state independent, HS norm = gain * sqrt(sum 1/i^2)
     space = SpectralSpace(1.0, 4)
-    cs = scalar_cs(DriftSpec(), DiffusionSpec(kind="diagonal", gain=0.5, decay=1.0),
+    cs = scalar_cs(DriftSpec(), DiffusionSpec(kind="diagonal", gain=0.5),
                    space=space)
     buf = HistoryBuffer.from_tail(1.0, ConstantTail(np.zeros(4)))
     amp = eval_diffusion_amplitude(cs, 0.0, 1.0, buf)

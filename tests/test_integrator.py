@@ -26,9 +26,9 @@ from avg_sfpde.integrator import (
     PathState,
     StepperConfig,
     Trajectory,
+    _sq_distance,
     coupled_run,
     khasminskii_freeze,
-    normal_at,
     normal_block,
     run_path,
     step,
@@ -43,9 +43,10 @@ from avg_sfpde.spectral import PdeOperator
 
 @pytest.mark.parametrize("k_w", [1, 3, 4, 7])
 def test_noise_block_equals_stepwise_draws(k_w):
+    # the reference step reads step n as the last row of the (n + 1)-step block
     blk = normal_block(seed=123, path_id=5, n_steps=13, k_w=k_w)
-    for n in range(13):
-        np.testing.assert_array_equal(normal_at(123, 5, n, k_w), blk[n])
+    for n in range(1, 13):
+        np.testing.assert_array_equal(normal_block(123, 5, n, k_w), blk[:n])
 
 
 def test_noise_streams_distinct_across_paths_and_seeds():
@@ -169,10 +170,16 @@ def test_ou_terminal_variance_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 def drive_reference(preset, cfg, path_id):
-    st = PathState(buffer=preset.initial, t=0.0, seed=cfg.seed, path_id=path_id)
+    st = PathState(buffer=preset.initial, t=0.0, path_id=path_id)
     for _ in range(cfg.n_steps):
         st = step(st, preset.operator, preset.coefficients, cfg)
     return st
+
+
+def row_zero_history(r):
+    """History of path path_id (row 0) of runner r after its run."""
+    return HistoryBuffer(h=r.initial.h, tail=r.initial.tail, times=r.times,
+                         samples=r.states[:, 0], horizon=r.initial.horizon)
 
 
 def test_runner_bit_identical_to_step_without_delay():
@@ -199,7 +206,7 @@ def test_delay_accumulator_tracks_reference_integral():
     r = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=2)
     r.run()
     mu = p.coefficients.drift.delay_measure
-    ref = delay_integral(r.buffer_view(), r.t, mu, 0.5)
+    ref = delay_integral(row_zero_history(r), r.times[-1], mu, 0.5)
     assert r.delay_acc.value[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -216,7 +223,7 @@ def test_segment_norm_dominates_state_along_path():
     cfg = StepperConfig(dt=0.01, T=0.5, noise_modes=1, seed=13, eps=1.0)
     r = PathRunner(p.operator, p.coefficients, cfg, p.initial)
     r.run()
-    buf = r.buffer_view()
+    buf = row_zero_history(r)
     for t in (0.1, 0.25, 0.5):
         assert np.linalg.norm(buf.value_at(t)) <= seminorm_h(buf, t) + 1e-12
 
@@ -337,7 +344,7 @@ def _placed_row(p, cfg, path_id, rows, r, coupled):
     trajectory, or its sup distance to the averaged twin when coupled."""
     runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=path_id, rows=rows)
     if coupled:
-        runner.couple([(p.coefficients.averaged(), cfg, p.initial)])
+        runner.couple([(p.coefficients.averaged(), cfg.eps, p.initial)])
         runner.run()
         return runner.sup_sq[0, r]
     return runner.run().states[:, r]
@@ -363,31 +370,46 @@ def test_path_bits_do_not_depend_on_its_place_in_the_batch(kind, coupled, width,
 COUPLE_CFG = StepperConfig(dt=2e-3, T=0.01, noise_modes=8, seed=0, eps=0.5)
 
 
-@pytest.mark.parametrize("field,partner", [
-    ("dt", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, dt=1e-3))),
-    ("T", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, T=0.02))),
-    ("seed", (PLACED["field"].coefficients, dataclasses.replace(COUPLE_CFG, seed=1))),
-    ("noise_modes", (PLACED["field"].coefficients,
-                     dataclasses.replace(COUPLE_CFG, noise_modes=4))),
-    ("dim", (get_preset("reaction-diffusion-delay", k=16).coefficients, COUPLE_CFG)),
-])
-def test_couple_rejects_a_partner_the_runner_cannot_honour(field, partner):
-    # a partner shares the runner's grid, noise and state shape; only eps
-    # may differ, and any other difference is named, never ignored
+def test_couple_rejects_a_partner_the_runner_cannot_honour():
+    # a partner shares the runner's grid, noise and state shape; only its
+    # coefficients, eps and start may differ, and a state shape that differs
+    # is named, never ignored
     p = PLACED["field"]
     runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial)
-    with pytest.raises(ValueError, match=rf"partner {field} = "):
-        runner.couple([(*partner, p.initial)])
+    other = get_preset("reaction-diffusion-delay", k=16).coefficients
+    with pytest.raises(ValueError, match=r"partner dim = 16: "):
+        runner.couple([(other, COUPLE_CFG.eps, p.initial)])
 
 
 def test_couple_accepts_a_partner_at_another_eps():
     p = PLACED["field"]
     runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial)
-    runner.couple([(p.coefficients, dataclasses.replace(COUPLE_CFG, eps=e), p.initial)
-                   for e in (0.5, 0.1)])
+    runner.couple([(p.coefficients, e, p.initial) for e in (0.5, 0.1)])
     runner.run()
     assert runner.sup_sq.shape == (2, 16)
     assert np.all(runner.sup_sq > 0.0)
+
+
+def test_partner_has_the_bits_of_two_uncoupled_runs():
+    # a partner at another eps and another start: its sup_sq row is the
+    # max over the grid of the squared distance between two separate runs.
+    # The start differs by less than the eps twins drift apart, so the max
+    # falls after t = 0 and depends on both.
+    p = PLACED["field"]
+    cfg = dataclasses.replace(COUPLE_CFG, T=0.1)
+    shift = np.zeros(p.coefficients.dim)
+    shift[0] = 1e-4
+    start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift),
+                                    horizon=p.initial.horizon)
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3)
+    runner.couple([(p.coefficients, 0.1, start)])
+    runner.run()
+    own = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3).run()
+    partner = PathRunner(p.operator, p.coefficients, dataclasses.replace(cfg, eps=0.1),
+                         start, path_id=3).run()
+    dist = np.array([_sq_distance(b, a) for a, b in zip(own.states, partner.states)])
+    np.testing.assert_array_equal(runner.sup_sq[0], dist.max(axis=0))
+    assert np.all(dist.max(axis=0) > dist[0])
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_project_parabola_matches_simpson_oracle():
     # x(1-x) on L=1: oracle by dense composite Simpson quadrature; m=4096
     # takes the DST branch of to_coeffs
     space = SpectralSpace(1.0, 4, quad_points=4096)
-    out = space.to_coeffs(space.x * (1.0 - space.x), n_modes=4)
+    out = space.to_coeffs(space.x * (1.0 - space.x))
     for i in range(1, 5):
         oracle = simpson_coefficient_oracle(lambda x: x * (1.0 - x), i)
         assert out[i - 1] == pytest.approx(oracle, abs=1e-10)
