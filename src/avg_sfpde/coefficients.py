@@ -146,7 +146,6 @@ class AssumptionProfile:
     L_M: float
     beta: float
     gamma: float
-    p: float
     mu1: DelayMeasure
     mu2: DelayMeasure
     overrides: dict = field(default_factory=dict)
@@ -154,8 +153,6 @@ class AssumptionProfile:
     def __post_init__(self):
         if not (0 < self.gamma <= 1 and 0 < self.beta <= 1):
             raise ValueError("Holder exponents must lie in (0, 1]")
-        if self.p < 2:
-            raise ValueError("growth exponent p must be >= 2")
 
     def get(self, name: str, default_field: str) -> float:
         return float(self.overrides.get(name, getattr(self, default_field)))
@@ -511,11 +508,11 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         pa = sample_history(rng, cs.dim, _profile_h(cs), radius)
         pb = sample_history(rng, cs.dim, _profile_h(cs), radius)
         t = float(rng.uniform(0.0, 20.0))
-        d0 = state_norm(pa.value_at(pa.head_time) - pb.value_at(pb.head_time))
+        head_diff = pa.value_at(0.0) - pb.value_at(0.0)  # phi(0) - psi(0)
+        d0 = state_norm(head_diff)
         fa, fb = eval_drift(cs, t, 1.0, pa), eval_drift(cs, t, 1.0, pb)
-        lhs_f = float(np.dot(fa - fb, pa.value_at(pa.head_time) - pb.value_at(pb.head_time)))
-        mu1_term = delay_pair_integral(pa, pb, min(pa.head_time, pb.head_time),
-                                       cs.profile.mu1, gamma + 1.0)
+        lhs_f = float(np.dot(fa - fb, head_diff))
+        mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
         rhs_f = d0 ** (gamma + 1.0) + mu1_term
         gap_f = lhs_f - a2 * rhs_f
         if gap_f > worst_f:
@@ -524,8 +521,7 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         ga = eval_diffusion_amplitude(cs, t, 1.0, pa)
         gb = eval_diffusion_amplitude(cs, t, 1.0, pb)
         lhs_g = state_norm(ga - gb) ** 2
-        mu2_term = delay_pair_integral(pa, pb, min(pa.head_time, pb.head_time),
-                                       cs.profile.mu2, 2.0 * gamma)
+        mu2_term = delay_pair_integral(pa, pb, cs.profile.mu2, 2.0 * gamma)
         gap_g = lhs_g - a1 * mu2_term
         if gap_g > worst_g:
             worst_g, wit_g = gap_g, (pa, pb, t)

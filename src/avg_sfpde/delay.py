@@ -1,4 +1,4 @@
-"""Infinite-delay histories, delay measures, and delay integrals.
+"""Infinite-delay histories, their segments, delay measures, delay integrals.
 
 A history is a function on (-infty, t] split into an analytic tail (the
 initial datum, defined for times <= 0) and a sampled trajectory on a
@@ -7,13 +7,17 @@ problems, length k for spectral coefficient vectors.  The state norm is the
 Euclidean norm of the array, which coincides with |.| for scalars and with
 the L2 norm for spectral fields (Parseval).
 
-The exponentially weighted history norm is
+The segment u_t is the history seen from t, theta -> u(t + theta) on
+(-infty, 0].  ``extract_segment(buf, t)`` returns it for any t in [0, head]
+as a buffer whose head is at 0 and whose tail (``SegmentTail``) is a view of
+buf.  Its exponentially weighted norm is
 
     seminorm_h(u, t) = sup_{theta <= 0} exp(h*theta) * ||u(t + theta)||,
 
 finite whenever the tail belongs to one of the supported families.  Delay
 integrals integrate a kernel of the state norm against a probability measure
-on (-infty, 0].
+on (-infty, 0]; the pair functionals ``delay_pair_integral`` and
+``pair_seminorm`` compare two segments, as the hypotheses (H4) and (H5) do.
 """
 
 from __future__ import annotations
@@ -223,52 +227,45 @@ class TabulatedTail(Tail):
 
 
 class SegmentTail(Tail):
-    """History of a parent buffer up to time t0, viewed as an initial datum.
+    """The history of ``buffer`` up to time t0, viewed as an initial datum:
+    value_at(theta) is the buffer's value at t0 + theta.
 
-    value_at(theta) = parent history evaluated at t0 + theta.
+    A view, not a copy: it holds the buffer and reads its tail and samples.
     """
 
-    def __init__(self, parent_tail: Tail, times: np.ndarray, samples: np.ndarray, t0: float):
-        self.parent_tail = parent_tail
-        self.times = np.asarray(times, dtype=float)
-        self.samples = np.asarray(samples, dtype=float)
+    def __init__(self, buffer: "HistoryBuffer", t0: float):
+        buffer._check_time(t0)
+        self.buffer = buffer
         self.t0 = float(t0)
 
     @property
     def dim(self):
-        return self.samples.shape[1]
+        return self.buffer.dim
 
     def value_at(self, theta):
-        s = self.t0 + theta
-        if s <= 0.0:
-            return self.parent_tail.value_at(s)
-        return _interp_rows([s], self.times, self.samples)[0]
+        return self.buffer.value_at(self.t0 + theta)
 
     def values_at(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        s = self.t0 + thetas
-        out = np.empty((len(thetas), self.dim))
-        pre = s <= 0.0
-        if np.any(pre):
-            out[pre] = self.parent_tail.values_at(s[pre])
-        if np.any(~pre):
-            out[~pre] = _interp_rows(s[~pre], self.times, self.samples)
-        return out
+        return self.buffer.values_at(self.t0 + np.asarray(thetas, dtype=float))
 
     def weighted_sup(self, h):
-        grid = float(np.max(np.exp(h * (self.times - self.t0))
-                            * np.linalg.norm(self.samples, axis=1))) if len(self.times) else 0.0
-        return max(math.exp(-h * self.t0) * self.parent_tail.weighted_sup(h), grid)
+        # the tail's sup weighted back from t0, the samples up to t0, and u(t0)
+        # as a row norm and as state_norm: the two a segment's buffer reads at 0
+        buf, t0 = self.buffer, self.t0
+        head = buf.value_at(t0)
+        mask = buf.times <= t0 + 1e-15
+        norms = np.linalg.norm(np.vstack([buf.samples[mask], head]), axis=1)
+        grid = float(np.max(np.exp(h * (np.append(buf.times[mask], t0) - t0)) * norms))
+        return max(math.exp(-h * t0) * buf.tail.weighted_sup(h), grid, state_norm(head))
 
     def check_admissible(self, h):
-        self.parent_tail.check_admissible(h)
+        self.buffer.tail.check_admissible(h)
 
     def kink_nodes(self, lo, hi):
-        nodes = list(self.times - self.t0) + [-self.t0]
-        parent = self.parent_tail.kink_nodes(lo + self.t0, min(hi + self.t0, 0.0)) - self.t0
-        nodes.extend(parent.tolist())
-        arr = np.asarray([n for n in nodes if lo < n < hi], dtype=float)
-        return np.unique(arr)
+        buf, t0 = self.buffer, self.t0
+        nodes = np.concatenate([buf.times - t0,
+                                buf.tail.kink_nodes(lo + t0, min(hi + t0, 0.0)) - t0])
+        return np.unique(nodes[(nodes > lo) & (nodes < hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -479,29 +476,22 @@ class HistoryBuffer:
 
 def seminorm_h(buf: HistoryBuffer, t: float) -> float:
     """Weighted history norm sup_{theta<=0} e^{h*theta} ||u(t+theta)||, h the
-    buffer's own weight."""
-    buf._check_time(t)
-    h = buf.h
-    tail_part = math.exp(-h * t) * buf.tail.weighted_sup(h)
-    mask = buf.times <= t + 1e-15
-    grid_part = 0.0
-    if np.any(mask):
-        grid_part = float(np.max(np.exp(h * (buf.times[mask] - t))
-                                 * np.linalg.norm(buf.samples[mask], axis=1)))
-    head_part = state_norm(buf.value_at(t))
-    return max(tail_part, grid_part, head_part)
+    buffer's own weight: the weighted sup of the segment u_t."""
+    return SegmentTail(buf, t).weighted_sup(buf.h)
 
 
 def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
-    """Segment u_t as a buffer of its own, origin shifted to t."""
-    buf._check_time(t)
-    if t == 0.0:
-        return HistoryBuffer(h=buf.h, tail=buf.tail, times=np.array([0.0]),
-                             samples=buf.tail.value_at(0.0)[None, :], horizon=buf.horizon)
-    mask = buf.times <= t + 1e-15
-    seg_tail = SegmentTail(buf.tail, buf.times[mask], buf.samples[mask], t)
-    return HistoryBuffer(h=buf.h, tail=seg_tail, times=np.array([0.0]),
-                         samples=buf.value_at(t)[None, :], horizon=buf.horizon)
+    """Segment u_t, for any t in [0, head]: a buffer whose head sits at 0 and
+    whose tail is a view of buf shifted to t."""
+    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t), horizon=buf.horizon)
+
+
+def _require_segments(*bufs):
+    """The pair functionals compare segments: histories with their head at 0."""
+    for buf in bufs:
+        if buf.head_time != 0.0:
+            raise ValueError(f"history with head at t = {buf.head_time} is not a segment: "
+                             "take extract_segment(buf, t) first")
 
 
 def _powers(norms, p):
@@ -661,40 +651,33 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
     return total
 
 
-def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
+def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
                         mu: DelayMeasure, power: float) -> float:
-    """int ||u_a(t+theta) - u_b(t+theta)||^power mu(dtheta).
+    """int ||phi(theta) - psi(theta)||^power mu(dtheta) of two segments phi,
+    psi (heads at t = 0, as extract_segment and sample_history return them).
 
-    Used by the hypothesis checkers; both buffers are evaluated on shared
-    quadrature nodes.
+    Used by the hypothesis checkers; both segments are evaluated on shared
+    quadrature nodes, which include the kinks of both tails.
     """
-    buf_a._check_time(t)
-    buf_b._check_time(t)
+    _require_segments(seg_a, seg_b)
     if mu.kind == "point":
-        return state_norm(buf_a.value_at(t) - buf_b.value_at(t)) ** power
+        return state_norm(seg_a.value_at(0.0) - seg_b.value_at(0.0)) ** power
 
-    # exact closed forms for the common checker families
-    if (isinstance(buf_a.tail, ConstantTail) and isinstance(buf_b.tail, ConstantTail)
-            and len(buf_a.times) == 1 and len(buf_b.times) == 1 and t == 0.0):
-        diff = ConstantTail(buf_a.tail.value - buf_b.tail.value)
-        merged = HistoryBuffer.from_tail(buf_a.h, diff, horizon=buf_a.horizon)
+    # exact closed form for the common checker family
+    if isinstance(seg_a.tail, ConstantTail) and isinstance(seg_b.tail, ConstantTail):
+        diff = ConstantTail(seg_a.tail.value - seg_b.tail.value)
+        merged = HistoryBuffer.from_tail(seg_a.h, diff, horizon=seg_a.horizon)
         return delay_integral(merged, 0.0, mu, power)
 
     def K(thetas):
         # in place: the audit's largest temporaries are these (nodes, dim) rows
-        diff = buf_a.values_at(np.asarray(thetas) + t)
-        diff -= buf_b.values_at(np.asarray(thetas) + t)
+        diff = seg_a.values_at(thetas)
+        diff -= seg_b.values_at(thetas)
         return np.linalg.norm(diff, axis=1) ** power
 
-    lo = -max(buf_a.horizon, buf_b.horizon) - t
-    # the kinks of both histories, so swapping the buffers keeps every node
-    kinks = np.concatenate([
-        buf_a.times[buf_a.times <= t + 1e-15] - t,
-        buf_b.times[buf_b.times <= t + 1e-15] - t,
-        np.atleast_1d(buf_a.tail.kink_nodes(lo + t, 0.0)) - t if t == 0.0 else np.empty(0),
-        np.atleast_1d(buf_b.tail.kink_nodes(lo + t, 0.0)) - t if t == 0.0 else np.empty(0),
-    ])
-    kinks = kinks[(kinks > lo) & (kinks < 0.0)]
+    lo = -max(seg_a.horizon, seg_b.horizon)
+    # the kinks of both tails, so swapping the segments keeps every node
+    kinks = np.concatenate([seg_a.tail.kink_nodes(lo, 0.0), seg_b.tail.kink_nodes(lo, 0.0)])
     total = _product_quadrature(mu, lo, 0.0, K, extra_nodes=kinks)
     rem = mu.mass(-math.inf, lo)
     if rem > 0.0:
@@ -702,34 +685,26 @@ def delay_pair_integral(buf_a: HistoryBuffer, buf_b: HistoryBuffer, t: float,
     return total
 
 
-def pair_seminorm(buf_a: HistoryBuffer, buf_b: HistoryBuffer) -> float:
-    """Weighted norm of the difference history sup e^{h theta}||u_a - u_b||.
+def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:
+    """Weighted norm sup_{theta<=0} e^{h theta}||phi(theta) - psi(theta)|| of
+    the difference of two segments (heads at t = 0).
 
     Exact for constant/constant tails; dense sampling on 2048 uniform points
     otherwise (the checkers only need a faithful denominator, not machine
     precision).
     """
-    if buf_a.h != buf_b.h:
-        raise ValueError("buffers must share the same weight h")
-    h = buf_a.h
-    ta, tb = buf_a.tail, buf_b.tail
-    head = min(buf_a.head_time, buf_b.head_time)
-
+    _require_segments(seg_a, seg_b)
+    if seg_a.h != seg_b.h:
+        raise ValueError("segments must share the same weight h")
+    ta, tb = seg_a.tail, seg_b.tail
     if isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
         tail_sup = state_norm(ta.value - tb.value)
     else:
-        horizon = max(buf_a.horizon, buf_b.horizon)
+        horizon = max(seg_a.horizon, seg_b.horizon)
         thetas = -np.linspace(0.0, horizon, 2048)
         diff = ta.values_at(thetas) - tb.values_at(thetas)
-        tail_sup = float(np.max(np.exp(h * thetas) * np.linalg.norm(diff, axis=1)))
-
-    grid_times = np.unique(np.concatenate([
-        buf_a.times[buf_a.times <= head + 1e-15],
-        buf_b.times[buf_b.times <= head + 1e-15],
-    ]))
-    grid_sup = 0.0
-    if len(grid_times):
-        diff = buf_a.values_at(grid_times) - buf_b.values_at(grid_times)
-        grid_sup = float(np.max(np.exp(h * (grid_times - head))
-                                * np.linalg.norm(diff, axis=1)))
-    return max(math.exp(-h * head) * tail_sup, grid_sup)
+        tail_sup = float(np.max(np.exp(seg_a.h * thetas) * np.linalg.norm(diff, axis=1)))
+    # the head difference as a row norm as well: it can differ from
+    # state_norm in the last bit, and check_holder divides by the max
+    head = seg_a.values_at(np.zeros(1)) - seg_b.values_at(np.zeros(1))
+    return max(tail_sup, float(np.linalg.norm(head, axis=1)[0]))

@@ -293,7 +293,7 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
     h = init.h
     dtv = cfg.dt
 
-    def residuals(traj):
+    def residuals(traj, grow, shrink):
         path_res, seg_res = [], []
         for d in d_grid:
             frozen = khasminskii_freeze(traj, d)
@@ -301,16 +301,15 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
             path_res.append(float(np.trapezoid(diff_sq, dx=dtv)))
             # segment variant: sup_{r <= s} e^{2h(r-s)} ||diff(r)||^2, the
             # history part before t = 0 cancels (frozen path untouched there)
-            weighted = np.exp(2.0 * h * traj.times) * diff_sq
-            running = np.maximum.accumulate(weighted)
-            seg_sq = running * np.exp(-2.0 * h * traj.times)
-            seg_res.append(float(np.trapezoid(seg_sq, dx=dtv)))
+            running = np.maximum.accumulate(grow * diff_sq)
+            seg_res.append(float(np.trapezoid(running * shrink, dx=dtv)))
         return path_res, seg_res
 
     def one_batch(first, count, rows):
         runner = PathRunner(op, cs, cfg, init, path_id=first, rows=rows)
         traj = runner.run()
-        return [err if err is not None else residuals(traj.row(r))
+        grow, shrink = np.exp(2.0 * h * traj.times), np.exp(-2.0 * h * traj.times)
+        return [err if err is not None else residuals(traj.row(r), grow, shrink)
                 for r, err in enumerate(runner.errors[:count])]
 
     outcomes = _map_chunks(one_batch, paths, threads)

@@ -40,15 +40,14 @@ RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 class BlowUpError(RuntimeError):
     """Non-finite state during stepping; carries time and mode index."""
 
-    def __init__(self, t, mode_index, detail=""):
-        super().__init__(f"state blew up at t = {t:.6g} (mode {mode_index}) {detail}")
+    def __init__(self, t, mode_index):
+        super().__init__(f"state blew up at t = {t:.6g} (mode {mode_index})")
         self.t = t
         self.mode_index = mode_index
-        self.detail = detail
 
     def __reduce__(self):
         # rebuilt from its fields, so the error survives pickling
-        return type(self), (self.t, self.mode_index, self.detail)
+        return type(self), (self.t, self.mode_index)
 
 
 # ---------------------------------------------------------------------------
@@ -435,4 +434,4 @@ def khasminskii_freeze(traj: Trajectory, d: float) -> Trajectory:
     if m < 1:
         raise ValueError("block length d must be an integer multiple of dt")
     idx = (np.arange(len(traj.times)) // m) * m
-    return Trajectory(times=traj.times.copy(), states=traj.states[idx])
+    return Trajectory(times=traj.times, states=traj.states[idx])

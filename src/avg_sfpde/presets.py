@@ -51,7 +51,7 @@ class Preset:
 
 def _scalar_linear_osc() -> Preset:
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0, p=2.0,
+        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
         mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
         overrides={"growth_alpha1": 1.0, "growth_M": 1.5},
     )
@@ -75,7 +75,7 @@ def _scalar_linear_osc() -> Preset:
 def _scalar_holder_osc() -> Preset:
     mu = DelayMeasure.exponential(H_WEIGHT)
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=2.5, M=2.5, L_M=3.5, beta=1.0, gamma=0.5, p=2.0,
+        alpha1=1.0, alpha2=2.5, M=2.5, L_M=3.5, beta=1.0, gamma=0.5,
         mu1=mu, mu2=DelayMeasure.point_mass(),
         overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
                    "h5_alpha1": 1.0, "h5_alpha2": 2.5},
@@ -103,7 +103,7 @@ def _reaction_diffusion_delay(k: int = 32) -> Preset:
     space = SpectralSpace(1.0, k)
     mu = DelayMeasure.exponential(H_WEIGHT)
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=2.5, M=2.6, L_M=3.5, beta=1.0, gamma=0.5, p=2.0,
+        alpha1=1.0, alpha2=2.5, M=2.6, L_M=3.5, beta=1.0, gamma=0.5,
         mu1=mu, mu2=mu,
         overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
                    "h5_alpha1": 1.0, "h5_alpha2": 2.5,
@@ -138,7 +138,7 @@ def _porous_media_sin(k: int = 16) -> Preset:
     space = SpectralSpace(1.0, k)
     pm = DelayMeasure.point_mass()
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.5, M=2.0, L_M=1.5, beta=1.0, gamma=0.5, p=3.0,
+        alpha1=1.0, alpha2=1.5, M=2.0, L_M=1.5, beta=1.0, gamma=0.5,
         mu1=pm, mu2=pm,
         overrides={"growth_alpha1": 1.0, "growth_M": 2.0,
                    "h5_alpha1": 1.0, "h5_alpha2": 1.5,
@@ -170,7 +170,7 @@ def _porous_media_sin(k: int = 16) -> Preset:
 def _heat_deterministic(k: int = 8) -> Preset:
     space = SpectralSpace(1.0, k)
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=0.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0, p=2.0,
+        alpha1=1.0, alpha2=0.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
         mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
     )
     cs = CoefficientSet(
@@ -193,7 +193,7 @@ def _heat_deterministic(k: int = 8) -> Preset:
 
 def _broken_quadratic() -> Preset:
     profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0, p=2.0,
+        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
         mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
     )
     cs = CoefficientSet(

@@ -237,6 +237,18 @@ def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):
     assert not (out / "manifest.ini").exists()
 
 
+def test_blow_up_diagnostics_read_as_one_sentence(tmp_path):
+    # the error message ends at its mode and the study's context follows
+    # after one space
+    out = tmp_path / "c"
+    assert run_cli(["sweep-continuity", "--preset", "broken-quadratic",
+                    "--delta", "100,10,1", "--paths", "2", "--eps", "0.5",
+                    "--out", str(out)]) == 1
+    text = (out / "diagnostics.txt").read_text()
+    assert "  " not in text
+    assert "(mode 0) (preset broken-quadratic" in text
+
+
 def test_blow_up_prints_only_its_error_line(tmp_path, capsys):
     # the runner detects the non-finite rows itself; no numpy overflow or
     # invalid-value warning may reach the user ahead of the error line

@@ -30,7 +30,7 @@ from avg_sfpde.spectral import SpectralSpace
 
 def scalar_cs(drift, diffusion=None, osc1=None, osc2=None, profile=None, space=None):
     profile = profile or AssumptionProfile(
-        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0, p=2.0,
+        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
         mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass())
     return CoefficientSet(
         drift=drift,
@@ -298,7 +298,7 @@ def test_holder_ratio_maps_pointwise_inequality():
 
 def test_check_holder_sin_sqrt_gamma_half():
     profile = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
-                                gamma=0.5, p=2.0, mu1=DelayMeasure.point_mass(),
+                                gamma=0.5, mu1=DelayMeasure.point_mass(),
                                 mu2=DelayMeasure.point_mass())
     cs = scalar_cs(DriftSpec(pointwise="sin_sqrt_abs"), profile=profile)
     report = check_holder(cs, radius=5.0, trials=400, rng_seed=1)
@@ -340,7 +340,7 @@ def test_check_h5_constant_coefficients_pass():
 def test_check_h5_identity_diffusion_equality_case():
     # g(phi) = phi(0), gamma = 1, mu2 = point mass: equality at alpha1 = 1
     profile = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
-                                gamma=1.0, p=2.0, mu1=DelayMeasure.point_mass(),
+                                gamma=1.0, mu1=DelayMeasure.point_mass(),
                                 mu2=DelayMeasure.point_mass())
     cs = scalar_cs(DriftSpec(constant=0.0),
                    DiffusionSpec(kind="scalar", pointwise="identity", gain=1.0),
@@ -372,11 +372,11 @@ def test_growth_audit_presets_pass_and_quadratic_fails():
 def test_profile_measure_membership_enforced():
     from avg_sfpde.delay import MomentDivergenceError
     good = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
-                             gamma=0.5, p=2.0, mu1=DelayMeasure.exponential(1.0),
+                             gamma=0.5, mu1=DelayMeasure.exponential(1.0),
                              mu2=DelayMeasure.exponential(1.0))
     good.check_measure_membership(1.0)  # (gamma+1) h = 1.5 < 2
     bad = AssumptionProfile(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0,
-                            gamma=1.0, p=2.0, mu1=DelayMeasure.exponential(0.5),
+                            gamma=1.0, mu1=DelayMeasure.exponential(0.5),
                             mu2=DelayMeasure.exponential(0.5))
     with pytest.raises(MomentDivergenceError):
         bad.check_measure_membership(1.0)  # (gamma+1) h = 2 >= 2 * 0.5
@@ -426,12 +426,12 @@ def test_sample_history_path_family_bit_identical_to_appending_loop(seed):
         ref = looped_sample_history(rng_b, 4, 0.5, 0.3)
         assert type(got.tail) is type(ref.tail)
         np.testing.assert_array_equal(got.samples, ref.samples)
-        if hasattr(ref.tail, "parent_tail"):
+        if hasattr(ref.tail, "buffer"):
             paths += 1
             assert got.tail.t0 == ref.tail.t0
-            np.testing.assert_array_equal(got.tail.times, ref.tail.times)
-            np.testing.assert_array_equal(got.tail.samples, ref.tail.samples)
-            np.testing.assert_array_equal(got.tail.parent_tail.value,
-                                          ref.tail.parent_tail.value)
+            np.testing.assert_array_equal(got.tail.buffer.times, ref.tail.buffer.times)
+            np.testing.assert_array_equal(got.tail.buffer.samples, ref.tail.buffer.samples)
+            np.testing.assert_array_equal(got.tail.buffer.tail.value,
+                                          ref.tail.buffer.tail.value)
     assert paths > 5
     assert rng_a.random() == rng_b.random()  # same number of draws

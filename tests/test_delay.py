@@ -220,7 +220,7 @@ def test_delay_pair_integral_matches_direct_quadrature():
     a = HistoryBuffer.from_tail(h, ConstantTail(np.array([2.0])))
     b = HistoryBuffer.from_tail(h, ExponentialTail(np.array([1.0]), rate=0.5))
     mu = DelayMeasure.exponential(1.0)
-    got = delay_pair_integral(a, b, 0.0, mu, 1.5)
+    got = delay_pair_integral(a, b, mu, 1.5)
     oracle, _ = integrate.quad(
         lambda th: abs(2.0 - math.exp(0.5 * th)) ** 1.5 * 2.0 * math.exp(2.0 * th),
         -np.inf, 0.0, epsabs=1e-13,
@@ -236,8 +236,7 @@ def test_delay_pair_integral_is_symmetric_bit_for_bit():
     for _ in range(50):
         a = sample_history(rng, 4, 1.0, 3.0, kind="path")
         b = sample_history(rng, 4, 1.0, 3.0, kind="path")
-        t = min(a.head_time, b.head_time)
-        assert delay_pair_integral(a, b, t, mu, 1.5) == delay_pair_integral(b, a, t, mu, 1.5)
+        assert delay_pair_integral(a, b, mu, 1.5) == delay_pair_integral(b, a, mu, 1.5)
 
 
 def test_pair_seminorm_constant_tails_exact():
@@ -313,6 +312,53 @@ def test_segment_composition_idempotent_on_samples():
     va = seg.values_at(thetas)
     vb = seg2.values_at(thetas)
     np.testing.assert_allclose(va, vb, rtol=0, atol=1e-14)
+
+
+def simulated_buffer(seed, dim, n, tail_kind):
+    """A random walk of n uneven steps attached to a constant, exponential or
+    tabulated tail."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim)
+    tail = {"constant": ConstantTail(x0),
+            "exponential": ExponentialTail(x0, rate=0.4),
+            "tabulated": TabulatedTail([-1.5, -0.7, 0.0],
+                                       np.vstack([rng.standard_normal((2, dim)), x0]))}[tail_kind]
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, n))])
+    samples = np.vstack([x0, x0 + np.cumsum(0.3 * rng.standard_normal((n, dim)), axis=0)])
+    return HistoryBuffer(1.0, tail, times, samples)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.sampled_from([1, 3, 8]),
+    n=st.integers(1, 20),
+    tail_kind=st.sampled_from(["constant", "exponential", "tabulated"]),
+    where=st.floats(0.0, 1.0),
+    on_grid=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_segment_is_a_view_of_its_history(seed, dim, n, tail_kind, where, on_grid):
+    # a segment at any t in [0, head], on a sample or between two, reads its
+    # history bit for bit and has the history's weighted norm at t
+    buf = simulated_buffer(seed, dim, n, tail_kind)
+    t = float(buf.times[round(where * n)]) if on_grid else where * buf.head_time
+    seg = extract_segment(buf, t)
+    assert seg.head_time == 0.0 and seg.tail.buffer is buf
+    thetas = np.concatenate([-np.linspace(0.0, t + 3.0, 97), -t + buf.times[buf.times <= t]])
+    np.testing.assert_array_equal(seg.values_at(thetas), buf.values_at(t + thetas))
+    np.testing.assert_array_equal(seg.value_at(0.0), buf.value_at(t))
+    assert seminorm_h(seg, 0.0) == seminorm_h(buf, t)
+
+
+@pytest.mark.parametrize("pair", [delay_pair_integral, pair_seminorm])
+def test_pair_functionals_take_segments_only(pair):
+    buf = constant_buffer(1.0).appended(0.1, 1.5)
+    seg = extract_segment(buf, buf.head_time)
+    args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
+    for a, b in ((buf, seg), (seg, buf)):
+        with pytest.raises(ValueError, match="extract_segment"):
+            pair(a, b, *args)
+    assert pair(seg, extract_segment(buf, 0.05), *args) > 0.0
 
 
 def test_segment_buffer_invariants_hold():
@@ -438,12 +484,11 @@ def test_delay_pair_integral_is_symmetric_from_a_cold_and_a_warm_cache():
     for _ in range(10):
         a = sample_history(rng, 3, 1.0, 3.0, kind="path")
         b = sample_history(rng, 3, 1.0, 3.0, kind="path")
-        t = min(a.head_time, b.head_time)
         _quadrature_rule.cache_clear()
-        ab = delay_pair_integral(a, b, t, mu, 1.5)
+        ab = delay_pair_integral(a, b, mu, 1.5)
         _quadrature_rule.cache_clear()
-        ba = delay_pair_integral(b, a, t, mu, 1.5)
-        assert ab == ba == delay_pair_integral(a, b, t, mu, 1.5)
+        ba = delay_pair_integral(b, a, mu, 1.5)
+        assert ab == ba == delay_pair_integral(a, b, mu, 1.5)
 
 
 def test_rule_cache_stays_at_its_bound():
