@@ -313,10 +313,13 @@ class CoefficientSet:
         return g.gain * self.space.to_coeffs(mapped)
 
     def apply_noise(self, amplitude: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """G(phi) dW in state coordinates; leading axes of dW are rows."""
+        """G(phi) dW in state coordinates.  Leading axes of the amplitude and
+        of dW are rows, broadcast against each other: the output has the rows
+        of both."""
         if self.diffusion.kind == "diagonal":
             n = dW.shape[-1]
-            out = np.zeros(dW.shape[:-1] + (self.dim,))
+            rows = np.broadcast_shapes(np.shape(amplitude)[:-1], dW.shape[:-1])
+            out = np.zeros(rows + (self.dim,))
             out[..., :n] = amplitude[..., :n] * dW
             return out
         return amplitude * dW[..., :1]

@@ -94,7 +94,10 @@ class Tail:
         raise NotImplementedError
 
     def weighted_sup(self, h: float) -> float:
-        """sup_{theta <= 0} e^{h theta} ||phi(theta)||."""
+        """sup_{theta <= 0} e^{h theta} ||phi(theta)||: exact for the analytic
+        kinds; a tail that interpolates samples (tabulated, segment) takes the
+        max over its nodes, which can miss a peak between two nodes by
+        O(spacing^2)."""
         raise NotImplementedError
 
     def check_admissible(self, h: float) -> None:
@@ -249,8 +252,14 @@ class SegmentTail(Tail):
         return self.buffer.values_at(self.t0 + np.asarray(thetas, dtype=float))
 
     def weighted_sup(self, h):
-        # the tail's sup weighted back from t0, the samples up to t0, and u(t0)
-        # as a row norm and as state_norm: the two a segment's buffer reads at 0
+        """The max of three parts: the source tail's weighted sup, weighted
+        back from t0; e^{h (t_j - t0)} ||u(t_j)|| over the sample nodes t_j <=
+        t0; and the head u(t0).  Between two nodes the weighted linear
+        interpolant can peak above both ends, and that peak is not sampled:
+        this is the sup over the nodes, not the continuous sup, and the gap
+        shrinks like the squared step."""
+        # u(t0) as a row norm and as state_norm: the two a segment's buffer
+        # reads at 0
         buf, t0 = self.buffer, self.t0
         head = buf.value_at(t0)
         mask = buf.times <= t0 + 1e-15
@@ -476,7 +485,9 @@ class HistoryBuffer:
 
 def seminorm_h(buf: HistoryBuffer, t: float) -> float:
     """Weighted history norm sup_{theta<=0} e^{h*theta} ||u(t+theta)||, h the
-    buffer's own weight: the weighted sup of the segment u_t."""
+    buffer's own weight, as ``SegmentTail.weighted_sup`` computes it: over the
+    tail, the sample nodes up to t and the head, not between nodes, so a
+    sampled path's value may fall short of the continuous sup by O(dt^2)."""
     return SegmentTail(buf, t).weighted_sup(buf.h)
 
 

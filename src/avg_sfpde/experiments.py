@@ -8,9 +8,10 @@ noise, merges statistics in path order (so neither the worker
 count nor the number of paths affects a path's result), fits a weighted
 log-log slope where one is defined, and emits an ExperimentReport with a
 verdict.  The coupled studies step every row of a batch of paths in one
-runner: the batch all rows share (the averaged twin of an averaging sweep,
-the unshifted start of a continuity study) is stepped once, on one noise
-draw, with each row's own batch beside it.
+runner: the twin all rows share (the averaged system of an averaging sweep,
+the unshifted start of a continuity study) and each row's own twin are
+stacked blocks of one state, stepped by one kernel call per time step on one
+noise draw.
 """
 
 from __future__ import annotations
@@ -130,16 +131,19 @@ def _coupled_outcomes(op, shared, partners, paths, threads):
     partner's batch and the shared one, or the path's BlowUpError.
 
     ``shared`` is ``(cs, cfg, initial)``, each partner ``(cs, eps, initial)``.
-    One runner per batch of paths steps the shared batch once for every
-    partner, on one draw of the noise."""
+    One runner per batch of paths stacks the shared batch and every partner
+    as twins of one state, stepped by one kernel call per step on one draw of
+    the noise.  The runner's ``errors`` are read a twin block at a time."""
     def one_batch(first, count, rows):
         runner = PathRunner(op, *shared, path_id=first, rows=rows)
         runner.couple(partners)
         runner.run()
+        shared_errors, *partner_errors = (runner.errors[i:i + rows]
+                                          for i in range(0, len(runner.errors), rows))
         # a BlowUpError is truthy: the partner's own, else the shared batch's
         per_partner = [[own or err or float(sup)
-                        for own, err, sup in zip(p.errors[:count], runner.errors, sups)]
-                       for p, sups in zip(runner.partners, runner.sup_sq)]
+                        for own, err, sup in zip(errors[:count], shared_errors, sups)]
+                       for errors, sups in zip(partner_errors, runner.sup_sq)]
         return list(zip(*per_partner))
 
     return list(zip(*_map_chunks(one_batch, paths, threads)))

@@ -4,10 +4,13 @@ The stiff linear part of the operator (the Laplacian diagonal, or the decay
 rate of a scalar problem) is treated implicitly per mode; the functional
 drift, the nonlinearity, and the noise are explicit.  A batch of paths is
 stepped as one (W, dim) array, W a multiple of ``CHUNK`` up to ``MAX_WIDTH``
-(``batch_width``), and a short batch is padded with further path ids.  Every
-step operation is row-wise except the sine transforms, which multiply CHUNK
-rows at a time, so the bits of a path never depend on the batch width, on how
-many paths a study runs, or on how the batches are spread over threads.
+(``batch_width``), and a short batch is padded with further path ids.  The
+twins of a coupled study, the same paths under other oscillators, time scales
+or starts, are further blocks of W rows of that array: one kernel call steps
+every twin, on one slab of noise broadcast over the twins.  Every step
+operation is row-wise except the sine transforms, which multiply CHUNK rows at
+a time, so the bits of a path never depend on the batch width, on how many
+twins or paths a study runs, or on how the batches are spread over threads.
 Brownian increments are counter-based: path (seed, path_id) keys a Philox
 stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
 stream's raw output at a fixed position, so a block of a path's first
@@ -142,9 +145,9 @@ class Trajectory:
 
 
 def _sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of each row (path or time) of a and b."""
+    """Squared Euclidean distance of each state (path or time) of a and b."""
     d = a - b
-    return (d * d).sum(axis=1)
+    return (d * d).sum(axis=-1)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -153,7 +156,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Delay-term accumulator: a (W,) vector, O(1) per step, equal to
+# Delay-term accumulator: one value per row, O(1) per step, equal to
 # delay_integral on the grid
 # ---------------------------------------------------------------------------
 
@@ -162,15 +165,22 @@ class _ExpDelayAccumulator:
 
     With interval masses m_j = e^{2r t_{j+1}} - e^{2r t_j} the trapezoid value
     at the head factors as V_{n+1} = q V_n + (1 - q)(K_n + K_{n+1})/2 with
-    q = e^{-2r dt}; V_0 is the full tail integral at t = 0.
+    q = e^{-2r dt}; V_0 is the full tail integral at t = 0.  It starts with
+    no rows; ``add_starts`` appends a block of rows per start.
     """
 
-    def __init__(self, initial: HistoryBuffer, mu: DelayMeasure, power: float, dt: float,
-                 rows: int):
+    def __init__(self, mu: DelayMeasure, power: float, dt: float):
+        self.mu = mu
         self.power = power
         self.decay = math.exp(-2.0 * mu.rate * dt)
-        self.value = np.full(rows, delay_integral(initial, 0.0, mu, power))
-        self.k_prev = np.full(rows, np.linalg.norm(initial.head) ** power)
+        self.value = self.k_prev = np.empty(0)
+
+    def add_starts(self, starts, rows: int) -> None:
+        mu, power = self.mu, self.power
+        self.value = np.append(
+            self.value, np.repeat([delay_integral(s, 0.0, mu, power) for s in starts], rows))
+        self.k_prev = np.append(
+            self.k_prev, np.repeat([np.linalg.norm(s.head) ** power for s in starts], rows))
 
     def advance(self, norms: np.ndarray) -> None:
         k_new = pow_or_inf(norms, self.power)
@@ -189,20 +199,25 @@ def batch_width(paths: int) -> int:
 # ---------------------------------------------------------------------------
 
 class PathRunner:
-    """Steps the ``rows`` paths path_id, ..., path_id + rows - 1 to the horizon.
+    """Steps the ``rows`` paths path_id, ..., path_id + rows - 1 to the horizon,
+    for one twin or for several stacked twins.
 
-    ``rows`` is a positive multiple of CHUNK; row r of the (rows, dim) state
-    is path path_id + r.  ``couple`` adds partner batches of the same paths,
-    each with its own coefficients, time scale and start (the eps twins of an
-    averaging sweep beside the averaged twin ``cs.averaged()``, or the shifted
-    starts of a continuity study beside the unshifted one).  ``run`` draws
-    each slab of noise once and steps this batch once per step for all
-    partners, which share the grid and the noise but are never stacked with
-    it.  A row that is still non-finite after the halving retry is a blow-up
-    of that path alone in that batch: its BlowUpError goes to the batch's
-    ``errors``, its state is reset to zero, and the other rows run on.  The
-    runner finds non-finite rows itself, so construction and stepping run
-    with numpy's overflow and invalid-value warnings silenced.
+    ``rows`` is a positive multiple of CHUNK.  A twin is this batch of paths
+    under one choice of oscillators, time scale and start.  The twins are
+    consecutive blocks of ``rows`` rows of one (twins * rows, dim) state: row
+    j * rows + r is path path_id + r of twin j.  Twin 0 is the runner's own
+    (cs, cfg.eps, initial); ``couple`` stacks partners below it (the eps twins
+    of an averaging sweep beside the averaged twin ``cs.averaged()``, or the
+    shifted starts of a continuity study beside the unshifted one).  ``run``
+    draws each slab of noise once, a (SLAB, rows, k_w) array that every twin
+    steps on, and makes one kernel call per step for all twins.  Each step
+    operation is row-wise except the sine transforms, whose CHUNK-row blocks
+    never straddle two twins, so a row has the bits it has in a runner of its
+    twin alone.  A row that is still non-finite after the halving retry is a
+    blow-up of that path alone in that twin: its BlowUpError goes to
+    ``errors[j * rows + r]``, its state is reset to zero, and the other rows
+    run on.  The runner finds non-finite rows itself, so construction and
+    stepping run with numpy's overflow and invalid-value warnings silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -215,47 +230,76 @@ class PathRunner:
         self.cfg = cfg
         self.initial = initial
         self.path_id = path_id
+        self.rows = rows
         self.space = cs.space
         self.k_w = cs.noise_dim(cfg.noise_modes)
         self.stiff = op.stiff_diagonal(self.space)
         self.implicit_factors = 1.0 / (1.0 + cfg.dt * self.stiff)
         self.times = np.arange(cfg.n_steps + 1) * cfg.dt
-        self.x = np.tile(initial.head, (rows, 1))
         self.states = None
-        self.errors = [None] * rows
-        self.partners = []
         self.sup_sq = None
+        self.twins = []
+        self.x = np.empty((0, cs.dim))
+        self.errors = []
+        self.head_norm_weighted = np.empty(0)                   # Q_n
+        self.tail_sup0 = np.empty(0)
         power = cs.drift.delay_kernel_power
         self.delay_acc = None if power is None else _ExpDelayAccumulator(
-            initial, cs.drift.delay_measure, power, cfg.dt, rows)
+            cs.drift.delay_measure, power, cfg.dt)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
-        self.head_norm_weighted = np.full(rows, np.linalg.norm(initial.head))   # Q_n
-        self.tail_weight = 1.0                                                  # e^{-h t_n}
+        self.tail_weight = 1.0                                  # e^{-h t_n}
         self.h_decay = math.exp(-initial.h * cfg.dt)
-        self.tail_sup0 = initial.tail.weighted_sup(initial.h)
+        self._stack([(cs, cfg.eps, initial)])
 
+    def _stack(self, twins) -> None:
+        """Stack ``twins``, each (cs, eps, initial), below the blocks already in
+        the state, with their rows of the delay and seminorm caches."""
+        rows = self.rows
+        starts = [initial for _, _, initial in twins]
+        self.twins += twins
+        self.x = np.concatenate([self.x] + [np.tile(s.head, (rows, 1)) for s in starts])
+        self.errors += [None] * (rows * len(starts))
+        if self.delay_acc is not None:
+            self.delay_acc.add_starts(starts, rows)
+        self.head_norm_weighted = np.append(
+            self.head_norm_weighted, np.repeat([np.linalg.norm(s.head) for s in starts], rows))
+        self.tail_sup0 = np.append(
+            self.tail_sup0, np.repeat([s.tail.weighted_sup(s.h) for s in starts], rows))
+
+    @np.errstate(over="ignore", invalid="ignore")
     def couple(self, partners) -> None:
-        """Step partner batches of the same paths beside this one, on its grid
-        and noise.  Each partner is ``(cs, eps, initial)``, all that sets it
-        apart from this batch; its ``cs`` must have this state dimension.
+        """Stack partner twins of the same paths below this batch, on its grid
+        and noise.  Each partner is ``(cs, eps, initial)``, all that may set it
+        apart from this batch: its ``cs`` may differ from the runner's only in
+        ``osc1`` and ``osc2``, and its start may not change the weight h.  A
+        partner that differs in anything else is rejected, naming the field.
 
         ``run`` then keeps in ``sup_sq``, a (partners, rows) array, the running
         sup over the grid of each row's squared distance between partner j
-        and this batch, and records no trajectory; ``partners[j].errors``
-        holds partner j's blow-ups.
+        and this batch, and records no trajectory; partner j's blow-ups are
+        ``errors[(j + 1) * rows:(j + 2) * rows]``.
         """
-        rows = len(self.x)
-        built = []
+        partners = list(partners)
         for cs, eps, initial in partners:
             if cs.dim != self.cs.dim:
                 raise ValueError(f"partner dim = {cs.dim}: the runner steps dim = {self.cs.dim}")
-            partner = PathRunner(self.op, cs, replace(self.cfg, eps=eps), initial,
-                                 self.path_id, rows)
-            partner.times = self.times      # one grid, held once for all partners
-            built.append(partner)
-        self.partners = built
+            for name in ("drift", "diffusion", "space"):
+                if getattr(cs, name) != getattr(self.cs, name):
+                    raise ValueError(f"partner {name} differs from the runner's: a partner "
+                                     "may differ only in osc1, osc2, eps and its start")
+            if initial.h != self.initial.h:
+                raise ValueError(f"partner initial.h = {initial.h}: the runner's "
+                                 f"history weight is h = {self.initial.h}")
+            replace(self.cfg, eps=eps)          # rejects an eps outside (0, 1]
+        self._stack(partners)
 
     # -- stepping --------------------------------------------------------------
+    def _oscillators(self, t):
+        """xi_1(t / eps) and xi_2(t / eps) of every twin, as (twins, 1, 1) columns."""
+        xi = np.array([(cs.osc1.scalar_eval(t / eps), cs.osc2.scalar_eval(t / eps))
+                       for cs, eps, _ in self.twins])
+        return xi[:, 0, None, None], xi[:, 1, None, None]
+
     def _update(self, x, t, frac, dW):
         """Semi-implicit Euler-Maruyama update of every row over frac * dt."""
         cs = self.cs
@@ -264,12 +308,14 @@ class PathRunner:
         delay = 0.0 if self.delay_acc is None else self.delay_acc.value
         semi = np.maximum(self.tail_weight * self.tail_sup0, self.head_norm_weighted) \
             if cs.drift.seminorm_power else 0.0
-        xi1 = cs.osc1.scalar_eval(t / self.cfg.eps)
-        xi2 = cs.osc2.scalar_eval(t / self.cfg.eps)
-        rhs = xi1 * cs.compose_drift(values, delay, semi)
+        xi1, xi2 = self._oscillators(t)
+        blocks = (len(self.twins), self.rows, x.shape[1])
+        rhs = (xi1 * cs.compose_drift(values, delay, semi).reshape(blocks)).reshape(x.shape)
         if self.space is not None:
             rhs = self.op.nonlinear_from_values(self.space, values) + rhs
-        noise = cs.apply_noise(xi2 * cs.diffusion_from_values(x, values), dW)
+        amp = cs.diffusion_from_values(x, values)       # diagonal noise: one (dim,) row
+        amp = xi2 * (amp.reshape(blocks) if amp.ndim == 2 else amp)
+        noise = cs.apply_noise(amp, dW).reshape(x.shape)
         factors = self.implicit_factors if frac == 1.0 else 1.0 / (1.0 + dt * self.stiff)
         return (x + dt * rhs + noise) * factors
 
@@ -319,25 +365,30 @@ class PathRunner:
             self.errors[r] = BlowUpError(t + self.cfg.dt, mode)
         new[~np.isfinite(new).all(axis=1)] = 0.0
 
+    def _partner_sq(self) -> np.ndarray:
+        """(partners, rows): each row's squared distance between partner j and twin 0."""
+        x = self.x.reshape(len(self.twins), self.rows, -1)
+        return _sq_distance(x[1:], x[0])
+
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> Trajectory | None:
         """Step to the horizon.  Returns the batch trajectory, states of shape
         (n_steps + 1, rows, dim), unless the runner is coupled.
 
         Each row reads its path's stream in order, SLAB steps at a time, into
-        one (SLAB, rows, k_w) array of Brownian increments that this batch and
-        every partner step on."""
-        n_steps, k_w = self.cfg.n_steps, self.k_w
-        ids = range(self.path_id, self.path_id + len(self.x))
+        one (SLAB, rows, k_w) array of Brownian increments; every twin steps
+        on it, broadcast, never copied."""
+        n_steps, k_w, rows = self.cfg.n_steps, self.k_w, self.rows
+        ids = range(self.path_id, self.path_id + rows)
         streams = [_philox(self.cfg.seed, pid) for pid in ids]
-        slab = np.empty((SLAB, len(self.x), k_w))
+        slab = np.empty((SLAB, rows, k_w))
         sqrt_dt = math.sqrt(self.cfg.dt)
-        partners = self.partners
-        if not partners:
+        coupled = len(self.twins) > 1
+        if coupled:
+            self.sup_sq = self._partner_sq()
+        else:
             self.states = np.empty((n_steps + 1,) + self.x.shape)
             self.states[0] = self.x
-        else:
-            self.sup_sq = np.array([_sq_distance(p.x, self.x) for p in partners])
         for n in range(n_steps):
             j = n % SLAB
             if j == 0:
@@ -346,13 +397,11 @@ class PathRunner:
                     slab[:m, r] = normal_slab(stream, pid, n, m, k_w)
                 slab[:m] *= sqrt_dt
             self._advance(n, slab[j])
-            if not partners:
+            if coupled:
+                np.maximum(self.sup_sq, self._partner_sq(), out=self.sup_sq)
+            else:
                 self.states[n + 1] = self.x
-                continue
-            for p, sup in zip(partners, self.sup_sq):
-                p._advance(n, slab[j])
-                np.maximum(sup, _sq_distance(p.x, self.x), out=sup)
-        return None if partners else Trajectory(self.times, self.states)
+        return None if coupled else Trajectory(self.times, self.states)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_seminorm_tabulated_linear_tail_matches_dense_oracle():
     assert got == pytest.approx(1.0 / math.e, rel=1e-6)
 
 
+def test_seminorm_is_the_sup_over_the_sample_nodes():
+    # u = 1 on the tail and at t = 0, 0.4 at t = 1; from t = 1 with h = 1 the
+    # weighted interpolant e^{theta}(0.4 - 0.6 theta) peaks at theta = -1/3
+    # between the two samples.  seminorm_h takes the max over the nodes.
+    buf = HistoryBuffer(1.0, ConstantTail([1.0]), [0.0, 1.0], [[1.0], [0.4]])
+    assert seminorm_h(buf, 1.0) == 0.4
+    thetas = np.linspace(-1.0, 0.0, 30_001)
+    dense = float(np.max(np.exp(thetas) * np.abs(buf.values_at(1.0 + thetas)[:, 0])))
+    assert dense == pytest.approx(0.6 * math.exp(-1.0 / 3.0), rel=1e-8)
+    assert round(dense, 4) == 0.4299
+
+
 def test_seminorm_rejects_time_outside_range():
     buf = constant_buffer(1.0)
     with pytest.raises(HistoryRangeError):

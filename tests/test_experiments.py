@@ -157,15 +157,17 @@ def kick_path_one(monkeypatch, step=100):
 
 
 def poison_path_one(monkeypatch, step_of):
-    """Make path 1 non-finite before step ``step_of(runner)`` of each runner
-    for which it is not None, so that batch alone records a blow-up at the
-    end of that step."""
+    """Make path 1 of twin j non-finite before step ``step_of(cs, initial)``
+    of that twin, for each twin for which it is not None: row j * W + 1 of the
+    stacked state, so that twin alone records a blow-up at the end of that
+    step."""
     real_advance = integrator.PathRunner._advance
 
     def poisoned(runner, n, dW):
-        if step_of(runner) == n:
-            runner.x = runner.x.copy()
-            runner.x[1] = np.inf
+        for j, (cs, _, initial) in enumerate(runner.twins):
+            if step_of(cs, initial) == n:
+                runner.x = runner.x.copy()
+                runner.x[j * runner.rows + 1] = np.inf
         real_advance(runner, n, dW)
 
     monkeypatch.setattr(integrator.PathRunner, "_advance", poisoned)
@@ -212,10 +214,10 @@ def test_blow_up_in_block_freezing_aborts(monkeypatch):
         khasminskii_diagnostic(RD8, (0.2, 0.1, 0.05), 4, **RD_SMALL)
 
 
-def shift_of(runner):
+def shift_of(initial):
     """The delta of a continuity twin: its start minus the preset's, along
     the first coordinate."""
-    return runner.initial.tail.value[0] - RD8.initial.tail.value[0]
+    return initial.tail.value[0] - RD8.initial.tail.value[0]
 
 
 def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
@@ -223,7 +225,8 @@ def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
     # the delta = 0.01 twin alone
     grid = (0.1, 0.01, 0.0)
     plain = continuity_study(RD8, grid, 4, **RD_SMALL)
-    poison_path_one(monkeypatch, lambda r: 100 if shift_of(r) == pytest.approx(0.01) else None)
+    poison_path_one(monkeypatch,
+                    lambda cs, init: 100 if shift_of(init) == pytest.approx(0.01) else None)
     rep = continuity_study(RD8, grid, 4, **RD_SMALL)
     assert [r.censored for r in rep.rows] == [0, 1, 0]
     assert rep.rows[1].paths == 4
@@ -234,7 +237,7 @@ def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
 def test_double_blow_up_in_first_sweep_row_names_the_eps_twin(monkeypatch):
     # path 1 blows up in both twins: the averaged twin at t = 0.11, the eps
     # twin at t = 0.31.  The abort names the eps twin's time and mode.
-    poison_path_one(monkeypatch, lambda r: 30 if r.cs.osc1.terms else 10)
+    poison_path_one(monkeypatch, lambda cs, init: 30 if cs.osc1.terms else 10)
     with pytest.raises(RuntimeError, match=r"largest eps = 0\.5: state blew up "
                                            r"at t = 0\.31 \(mode 0\)"):
         averaging_sweep(LINEAR, (0.5, 0.1), paths=4, dt=0.01, T=0.5, seed=0)
@@ -243,7 +246,7 @@ def test_double_blow_up_in_first_sweep_row_names_the_eps_twin(monkeypatch):
 def test_double_blow_up_in_first_continuity_row_names_the_shifted_twin(monkeypatch):
     # path 1 blows up in both twins: the unshifted one at t = 0.022, the
     # delta = 0.1 twin at t = 0.062.  The abort names the shifted twin.
-    poison_path_one(monkeypatch, lambda r: 30 if shift_of(r) else 10)
+    poison_path_one(monkeypatch, lambda cs, init: 30 if shift_of(init) else 10)
     with pytest.raises(RuntimeError, match=r"largest delta = 0\.1: state blew up "
                                            r"at t = 0\.062 \(mode 0\)"):
         continuity_study(RD8, (0.1, 0.01, 0.0), 4, **RD_SMALL)
@@ -278,10 +281,10 @@ def test_rows_sharing_one_batch_have_the_bits_of_one_row_studies(monkeypatch, na
                 assert all(rows[i] == [0.0] * 20 for i in zero_rows)
 
 
-def test_sweep_steps_the_averaged_twin_once_for_all_rows(monkeypatch):
+def test_sweep_steps_all_twins_in_one_kernel_call_per_step(monkeypatch):
     # 20 paths are one 32-row batch; 130 steps are ceil(130 / SLAB) slabs.
     # Each batch row draws one slab of noise per slab of steps, and each step
-    # advances the averaged twin once and each eps twin once.
+    # advances the averaged twin and every eps twin in one call, for any grid.
     calls = {"normal_slab": 0, "_advance": 0}
     real_slab, real_advance = integrator.normal_slab, integrator.PathRunner._advance
 
@@ -299,7 +302,7 @@ def test_sweep_steps_the_averaged_twin_once_for_all_rows(monkeypatch):
     for grid in ((0.5, 0.1, 0.02), (0.5,)):
         calls.update(normal_slab=0, _advance=0)
         averaging_sweep(LINEAR, grid, paths=20, dt=0.01, T=1.3, seed=2)
-        assert calls == {"normal_slab": 32 * slabs, "_advance": (1 + len(grid)) * 130}
+        assert calls == {"normal_slab": 32 * slabs, "_advance": 130}
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():

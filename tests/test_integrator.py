@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from avg_sfpde.integrator import (
     step,
 )
 from avg_sfpde.presets import constant_xi, get_preset
-from avg_sfpde.spectral import PdeOperator
+from avg_sfpde.spectral import PdeOperator, SpectralSpace
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,33 @@ def test_couple_rejects_a_partner_the_runner_cannot_honour():
         runner.couple([(other, COUPLE_CFG.eps, p.initial)])
 
 
+def _partner_differing_in(field, p):
+    """(cs, initial) of a partner that differs from the preset's runner in one
+    field the stacked kernel shares between twins."""
+    cs, init = p.coefficients, p.initial
+    if field == "drift":
+        return dataclasses.replace(
+            cs, drift=dataclasses.replace(cs.drift, constant=cs.drift.constant + 1.0)), init
+    if field == "diffusion":
+        return dataclasses.replace(
+            cs, diffusion=dataclasses.replace(cs.diffusion, gain=2.0 * cs.diffusion.gain)), init
+    if field == "space":
+        return dataclasses.replace(cs, space=SpectralSpace(2.0, cs.dim)), init
+    return cs, HistoryBuffer.from_tail(2.0 * init.h, init.tail, horizon=init.horizon)
+
+
+@pytest.mark.parametrize("field", ["drift", "diffusion", "space", "initial.h"])
+def test_couple_rejects_a_partner_the_stacked_kernel_cannot_step(field):
+    # the twins share one drift, diffusion, space and history weight; a
+    # partner that differs in one of them is rejected, naming the field
+    p = PLACED["field"]
+    cs, initial = _partner_differing_in(field, p)
+    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial)
+    with pytest.raises(ValueError, match=rf"partner {re.escape(field)}"):
+        runner.couple([(p.coefficients.averaged(), 0.1, p.initial),
+                       (cs, COUPLE_CFG.eps, initial)])
+
+
 def test_couple_accepts_a_partner_at_another_eps():
     p = PLACED["field"]
     runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial)
@@ -410,6 +438,83 @@ def test_partner_has_the_bits_of_two_uncoupled_runs():
     dist = np.array([_sq_distance(b, a) for a, b in zip(own.states, partner.states)])
     np.testing.assert_array_equal(runner.sup_sq[0], dist.max(axis=0))
     assert np.all(dist.max(axis=0) > dist[0])
+
+
+STACKED = {"scalar-holder-osc": (get_preset("scalar-holder-osc"), 1),
+           "reaction-diffusion-delay": (get_preset("reaction-diffusion-delay", k=8), 3),
+           "porous-media-sin": (get_preset("porous-media-sin"), 1)}
+GATED = Oscillator.sinusoid(1.0, 0.5, 1.0)      # a partner's xi_2 may oscillate too
+
+
+class _Kicked(PathRunner):
+    """A runner that sets state row ``row`` to inf before step ``step``."""
+
+    def __init__(self, *args, row, step, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kick = (row, step)
+
+    def _advance(self, n, dW):
+        row, step = self.kick
+        if n == step:
+            self.x = self.x.copy()
+            self.x[row] = np.inf
+        super()._advance(n, dW)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+@given(width=st.sampled_from([16, 64]), data=st.data(),
+       path_id=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_stacked_twins_have_the_bits_of_separate_runs(name, width, data, path_id, seed):
+    # 1-3 partners at other eps and shifted starts, stacked below the shared
+    # twin: each sup_sq row equals the grid max of the squared distance
+    # between two separate uncoupled runs, bit for bit
+    p, k_w = STACKED[name]
+    cs, op = p.coefficients, p.operator
+    cfg = StepperConfig(dt=2e-3, T=0.04, noise_modes=k_w, seed=seed, eps=1.0)
+    shared = data.draw(st.sampled_from([cs, cs.averaged()]), label="shared")
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from([0.5, 0.1, 0.02, 0.005]),
+                                         st.sampled_from([0.0, 1e-3, 0.1]), st.booleans()),
+                               min_size=1, max_size=3, unique_by=lambda d: d[0]),
+                      label="partners")
+    partners = []
+    for eps, delta, gated in drawn:
+        shift = np.zeros(cs.dim)
+        shift[0] = delta
+        start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift),
+                                        horizon=p.initial.horizon)
+        partners.append((dataclasses.replace(cs, osc2=GATED) if gated else cs, eps, start))
+
+    def stacked(runner_cls=PathRunner, **kick):
+        runner = runner_cls(op, shared, cfg, p.initial, path_id=path_id, rows=width, **kick)
+        runner.couple(partners)
+        runner.run()
+        return runner
+
+    runner = stacked()
+    own = PathRunner(op, shared, cfg, p.initial, path_id=path_id, rows=width).run()
+    for j, (pcs, eps, start) in enumerate(partners):
+        alone = PathRunner(op, pcs, dataclasses.replace(cfg, eps=eps), start,
+                           path_id=path_id, rows=width).run()
+        np.testing.assert_array_equal(runner.sup_sq[j],
+                                      _sq_distance(alone.states, own.states).max(axis=0))
+
+    # a row kicked to a blow-up in one twin block moves no other row
+    block = data.draw(st.integers(0, len(partners)), label="block")
+    r = data.draw(st.integers(0, width - 1), label="row")
+    step_ = data.draw(st.integers(0, cfg.n_steps - 1), label="step")
+    kicked = stacked(_Kicked, row=block * width + r, step=step_)
+    assert [i for i, e in enumerate(kicked.errors) if e is not None] == [block * width + r]
+    assert kicked.errors[block * width + r].t == pytest.approx(cfg.dt * (step_ + 1))
+    others = np.ones(len(runner.x), dtype=bool)
+    others[block * width + r] = False
+    np.testing.assert_array_equal(kicked.x[others], runner.x[others])
+    moved = np.zeros(runner.sup_sq.shape, dtype=bool)
+    if block == 0:
+        moved[:, r] = True              # every partner is measured against twin 0
+    else:
+        moved[block - 1, r] = True
+    np.testing.assert_array_equal(kicked.sup_sq[~moved], runner.sup_sq[~moved])
 
 
 # ---------------------------------------------------------------------------
