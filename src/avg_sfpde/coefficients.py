@@ -329,18 +329,14 @@ class CoefficientSet:
 # Spec operations: oscillating coefficients
 # ---------------------------------------------------------------------------
 
-def eval_drift(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndarray:
-    """xi_1(t/eps) * F(phi)."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return cs.osc1(t / eps) * cs.drift_functional(buf)
+def eval_drift(cs: CoefficientSet, t: float, buf: HistoryBuffer) -> np.ndarray:
+    """xi_1(t) * F(phi), t on the oscillator's clock (t / eps for a path at eps)."""
+    return cs.osc1(t) * cs.drift_functional(buf)
 
 
-def eval_diffusion_amplitude(cs: CoefficientSet, t: float, eps, buf: HistoryBuffer) -> np.ndarray:
-    """xi_2(t/eps) * G(phi) amplitudes."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return cs.osc2(t / eps) * cs.diffusion_amplitude(buf)
+def eval_diffusion_amplitude(cs: CoefficientSet, t: float, buf: HistoryBuffer) -> np.ndarray:
+    """xi_2(t) * G(phi) amplitudes, t on the oscillator's clock."""
+    return cs.osc2(t) * cs.diffusion_amplitude(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ def check_holder(cs: CoefficientSet, radius: float, trials: int,
         dist = pair_seminorm(a, b)
         if dist < 1e-12:
             continue
-        fa, fb = eval_drift(cs, t, 1.0, a), eval_drift(cs, t, 1.0, b)
+        fa, fb = eval_drift(cs, t, a), eval_drift(cs, t, b)
         ratio = state_norm(fa - fb) / dist**gamma
         if ratio > worst:
             worst = ratio
@@ -513,7 +509,7 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         t = float(rng.uniform(0.0, 20.0))
         head_diff = pa.value_at(0.0) - pb.value_at(0.0)  # phi(0) - psi(0)
         d0 = state_norm(head_diff)
-        fa, fb = eval_drift(cs, t, 1.0, pa), eval_drift(cs, t, 1.0, pb)
+        fa, fb = eval_drift(cs, t, pa), eval_drift(cs, t, pb)
         lhs_f = float(np.dot(fa - fb, head_diff))
         mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
         rhs_f = d0 ** (gamma + 1.0) + mu1_term
@@ -521,8 +517,8 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
         if gap_f > worst_f:
             worst_f, wit_f = gap_f, (pa, pb, t)
 
-        ga = eval_diffusion_amplitude(cs, t, 1.0, pa)
-        gb = eval_diffusion_amplitude(cs, t, 1.0, pb)
+        ga = eval_diffusion_amplitude(cs, t, pa)
+        gb = eval_diffusion_amplitude(cs, t, pb)
         lhs_g = state_norm(ga - gb) ** 2
         mu2_term = delay_pair_integral(pa, pb, cs.profile.mu2, 2.0 * gamma)
         gap_g = lhs_g - a1 * mu2_term
@@ -547,8 +543,8 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int,
         buf = sample_history(rng, cs.dim, _profile_h(cs), radius)
         t = float(rng.uniform(0.0, 20.0))
         s = seminorm_h(buf, buf.head_time)
-        fn = state_norm(eval_drift(cs, t, 1.0, buf))
-        gn = state_norm(eval_diffusion_amplitude(cs, t, 1.0, buf))
+        fn = state_norm(eval_drift(cs, t, buf))
+        gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
         gap = max(fn, gn) - (a1 * s + M)
         if gap > worst:
             worst, witness = gap, (buf, t)

@@ -50,11 +50,8 @@ def state_norm(value) -> float:
     return float(np.linalg.norm(value))
 
 
-def as_state(value, dim=None) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if dim is not None and v.shape != (dim,):
-        raise ValueError(f"expected state of dimension {dim}, got shape {v.shape}")
-    return v
+def as_state(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
 def _interp_rows(x, xp, fp) -> np.ndarray:
@@ -460,17 +457,6 @@ class HistoryBuffer:
                 raise HistoryRangeError("requested times beyond simulated range")
             out[post] = _interp_rows(ss[post], self.times, self.samples)
         return out
-
-    def appended(self, t: float, value) -> "HistoryBuffer":
-        """New buffer with one extra sample (convenience; O(n) copy)."""
-        value = as_state(value, self.dim)
-        return HistoryBuffer(
-            h=self.h,
-            tail=self.tail,
-            times=np.append(self.times, t),
-            samples=np.vstack([self.samples, value[None, :]]),
-            horizon=self.horizon,
-        )
 
     def _check_time(self, t: float):
         if not (0.0 <= t <= self.head_time + 1e-12):

@@ -335,21 +335,6 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
     )
 
 
-def heat_block_residual_oracle(lam: float, T: float, d: float) -> float:
-    """Closed-form int_0^T (e^{-lam t} - frozen)^2 dt for pure decay of one
-    mode, used as the deterministic diagnostic oracle."""
-    n_blocks = int(math.floor(T / d + 1e-12))
-    c = ((1.0 - math.exp(-2.0 * lam * d)) / (2.0 * lam)
-         - 2.0 * (1.0 - math.exp(-lam * d)) / lam + d)
-    total = sum(math.exp(-2.0 * lam * k * d) * c for k in range(n_blocks))
-    rem = T - n_blocks * d
-    if rem > 1e-12:
-        a = n_blocks * d
-        total += (math.exp(-2.0 * lam * a) * ((1.0 - math.exp(-2.0 * lam * rem)) / (2.0 * lam)
-                  - 2.0 * (1.0 - math.exp(-lam * rem)) / lam + rem))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # continuity in initial data
 # ---------------------------------------------------------------------------

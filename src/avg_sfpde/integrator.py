@@ -16,6 +16,9 @@ stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
 stream's raw output at a fixed position, so a block of a path's first
 steps is a prefix of any longer one, and whole-path blocks and the runner's
 slabs of ``SLAB`` steps see bit-identical numbers regardless of scheduling.
+
+``PathRunner`` is the one step kernel.  The one-path reference scheme that it
+is checked against lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientSet,
-    eval_diffusion_amplitude,
-    eval_drift,
-    pow_or_inf,
-)
+from .coefficients import CoefficientSet, pow_or_inf
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
 from .spectral import ROW_BLOCK, PdeOperator
 
@@ -80,7 +78,9 @@ def normal_slab(stream: np.random.Philox, path_id: int, first: int, m: int,
                 k_w: int) -> np.ndarray:
     """Standard normals of path path_id at steps first .. first + m - 1, as an
     (m, k_w) array: the next m * k_w outputs of the path's stream, which must
-    stand at step ``first``."""
+    stand at step ``first``.  The draw reads only the stream: ``path_id`` and
+    ``first`` name the slab, so that a test can substitute one that kicks a
+    given path at a given step."""
     return _raw_to_normal(stream.random_raw(m * k_w)).reshape(m, k_w)
 
 
@@ -102,6 +102,9 @@ class StepperConfig:
     eps: float = 1.0
 
     def __post_init__(self):
+        for name in ("dt", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r}: must be finite")
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError("need dt > 0 and T >= dt")
         if not (isinstance(self.eps, (int, float)) and 0 < self.eps <= 1):
@@ -113,20 +116,6 @@ class StepperConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
-
-
-@dataclass
-class PathState:
-    """State of one path between steps (reference implementation of `step`)."""
-
-    buffer: HistoryBuffer
-    t: float
-    path_id: int = 0
-    step_index: int = 0
-
-    def __post_init__(self):
-        if abs(self.buffer.head_time - self.t) > 1e-12:
-            raise ValueError("buffer head time must equal the state time")
 
 
 @dataclass
@@ -339,10 +328,11 @@ class PathRunner:
         divided proportionally, j = 1 .. RETRY_HALVINGS, at the full batch
         shape; each failed row keeps the first finite result.  The delay and
         seminorm caches stay frozen at the step's start: every substep uses
-        their values at t, where 2^j reference ``step`` calls recompute them
-        from each substep's state, so with either term in the drift a rescued
-        step differs from those calls.  Rows that stay non-finite become
-        blow-ups; rows that blew up earlier are not retried.
+        their values at t, where 2^j steps of the reference scheme in
+        ``tests/oracles.py`` recompute them from each substep's state, so with
+        either term in the drift a rescued step differs from those steps.
+        Rows that stay non-finite become blow-ups; rows that blew up earlier
+        are not retried.
         """
         dead = np.array([e is not None for e in self.errors])
         retry = ~np.isfinite(new).all(axis=1) & ~dead
@@ -407,44 +397,6 @@ class PathRunner:
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
-
-@np.errstate(over="ignore", invalid="ignore")
-def step(state: PathState, op: PdeOperator, cs: CoefficientSet,
-         cfg: StepperConfig) -> PathState:
-    """Single reference step on a PathState (buffer-backed, O(history)).
-
-    The runner is the batch driver; this is the checkable one-step form.  Both
-    evaluate the coefficients through the same row-batched CoefficientSet
-    methods.  For scalar states without a delay term the two are
-    bit-identical; otherwise they agree to rounding (the runner accumulates
-    the delay integral incrementally, which regroups the same floating-point
-    sums, and transforms CHUNK rows in one matrix product).  Like
-    the runner, it checks the new state for non-finite values itself, so it
-    runs with numpy's overflow and invalid-value warnings silenced.
-    """
-    buf = state.buffer
-    t = state.t
-    # the step's draws end the block of its first step_index + 1 steps
-    dW = normal_block(cfg.seed, state.path_id, state.step_index + 1,
-                      cs.noise_dim(cfg.noise_modes))[-1] * math.sqrt(cfg.dt)
-    drift = eval_drift(cs, t, cfg.eps, buf)
-    if cs.space is not None:
-        values = cs.space.to_values(buf.value_at(t))
-        a_nl = op.nonlinear_from_values(cs.space, values)
-    else:
-        a_nl = np.zeros(1)
-    amp = eval_diffusion_amplitude(cs, t, cfg.eps, buf)
-    noise = cs.apply_noise(amp, dW)
-    stiff = op.stiff_diagonal(cs.space)
-    rhs = a_nl + drift
-    # reciprocal multiply, matching the runner's precomputed factors bit for bit
-    new = (buf.head + cfg.dt * rhs + noise) * (1.0 / (1.0 + cfg.dt * stiff))
-    if not np.all(np.isfinite(new)):
-        bad = np.where(~np.isfinite(new))[0]
-        raise BlowUpError(t + cfg.dt, int(bad[0]))
-    return PathState(buffer=buf.appended(t + cfg.dt, new), t=t + cfg.dt,
-                     path_id=state.path_id, step_index=state.step_index + 1)
-
 
 def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
              initial: HistoryBuffer, path_id: int = 0) -> Trajectory:

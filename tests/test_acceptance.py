@@ -16,13 +16,13 @@ from avg_sfpde.delay import DelayMeasure, MomentDivergenceError
 from avg_sfpde.experiments import (
     averaging_sweep,
     continuity_study,
-    heat_block_residual_oracle,
     hypothesis_audit,
     khasminskii_diagnostic,
 )
 from avg_sfpde.integrator import StepperConfig, run_path
 from avg_sfpde.presets import constant_xi, get_preset
 from avg_sfpde.spectral import PdeOperator, SpectralSpace
+from oracles import heat_block_residual_oracle
 
 
 def verdict_line(cid, ok, detail=""):

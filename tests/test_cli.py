@@ -209,6 +209,9 @@ LIN = ["--preset", "scalar-linear-osc"]
     (FRZ[:1] + LIN + ["--d", "0.2,0.015", "--dt", "0.01"], "d_grid = 0.2,0.015: "),
     (["audit", "--preset", "scalar-linear-osc", "--trials", "0"], "trials = 0: "),
     (["audit", "--preset", "scalar-linear-osc", "--seed", "-1"], "seed = -1: "),
+    (AVG + LIN + ["--T", "inf"], "T = inf: "),
+    (AVG + LIN + ["--T", "nan"], "T = nan: "),
+    (AVG + LIN + ["--dt", "nan"], "dt = nan: "),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     # each of these ran, ignoring or clipping the value, or was rejected

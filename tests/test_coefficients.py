@@ -26,6 +26,7 @@ from avg_sfpde.coefficients import (
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h, state_norm
 from avg_sfpde.presets import get_preset
 from avg_sfpde.spectral import SpectralSpace
+from oracles import appended
 
 
 def scalar_cs(drift, diffusion=None, osc1=None, osc2=None, profile=None, space=None):
@@ -71,7 +72,7 @@ def test_oscillator_integral_closed_form_vs_quadrature():
 
 def test_eval_drift_identity_functional():
     cs = scalar_cs(DriftSpec(pointwise="identity"))
-    assert eval_drift(cs, 0.3, 1.0, const_buf(3.0))[0] == pytest.approx(3.0)
+    assert eval_drift(cs, 0.3, const_buf(3.0))[0] == pytest.approx(3.0)
 
 
 def test_eval_drift_section5_functional_closed_form():
@@ -80,7 +81,7 @@ def test_eval_drift_section5_functional_closed_form():
     mu = DelayMeasure.exponential(1.0)
     cs = scalar_cs(DriftSpec(pointwise="cos_sqrt_abs", delay_kernel_power=0.5,
                              delay_measure=mu))
-    got = eval_drift(cs, 0.0, 1.0, const_buf(4.0))[0]
+    got = eval_drift(cs, 0.0, const_buf(4.0))[0]
     delay_oracle, _ = integrate.quad(
         lambda th: 2.0 * 2.0 * math.exp(2.0 * th), -np.inf, 0.0)
     assert got == pytest.approx(math.cos(2.0) + delay_oracle, rel=1e-10)
@@ -90,23 +91,15 @@ def test_eval_drift_section5_functional_closed_form():
 def test_eval_drift_oscillator_zero():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(0.0, 1.0, 1.0))
-    # t/eps = pi: sin(pi) vanishes to double rounding
-    got = eval_drift(cs, math.pi * 0.01, 0.01, const_buf(1.0))[0]
+    # sin(pi) vanishes to double rounding
+    got = eval_drift(cs, math.pi, const_buf(1.0))[0]
     assert abs(got) < 1e-15
 
 
 def test_averaged_drift_vanishes_for_mean_zero_oscillator():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(0.0, 1.0, 1.0))
-    assert eval_drift(cs.averaged(), 0.3, 1.0, const_buf(3.7))[0] == 0.0
-
-
-def test_eval_drift_rejects_bad_eps():
-    cs = scalar_cs(DriftSpec(pointwise="identity"))
-    with pytest.raises(ValueError):
-        eval_drift(cs, 0.0, 0.0, const_buf(1.0))
-    with pytest.raises(ValueError):
-        eval_drift(cs, 0.0, -1.0, const_buf(1.0))
+    assert eval_drift(cs.averaged(), 0.3, const_buf(3.7))[0] == 0.0
 
 
 @pytest.mark.parametrize("power", [1.0, None])
@@ -126,25 +119,15 @@ def test_averaged_drift_sinusoid_mean_is_offset():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(2.0, 1.0, 1.0))
     buf = const_buf(3.0)
-    assert eval_drift(cs.averaged(), 0.3, 1.0, buf)[0] == pytest.approx(6.0)
+    assert eval_drift(cs.averaged(), 0.3, buf)[0] == pytest.approx(6.0)
 
 
 def test_constant_oscillator_fast_equals_averaged_all_t():
     cs = scalar_cs(DriftSpec(pointwise="identity"), osc1=Oscillator.constant(1.7))
     buf = const_buf(2.0)
-    avg = eval_drift(cs.averaged(), 0.0, 1.0, buf)
+    avg = eval_drift(cs.averaged(), 0.0, buf)
     for t in (0.0, 0.37, 5.0):
-        np.testing.assert_array_equal(eval_drift(cs, t, 0.01, buf), avg)
-
-
-def test_time_rescaling_consistency_bit_exact():
-    cs = scalar_cs(DriftSpec(pointwise="sin_sqrt_abs"),
-                   osc1=Oscillator.sinusoid(1.0, 0.5, 1.0))
-    buf = const_buf(2.0)
-    for t, eps in [(0.3, 0.01), (1.7, 0.5), (0.02, 0.001)]:
-        a = eval_drift(cs, t, eps, buf)
-        b = eval_drift(cs, t / eps, 1.0, buf)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(eval_drift(cs, t / 0.01, buf), avg)
 
 
 def map_samples():
@@ -195,14 +178,14 @@ def test_diffusion_amplitudes():
     cs = scalar_cs(DriftSpec(), DiffusionSpec(kind="diagonal", gain=0.5),
                    space=space)
     buf = HistoryBuffer.from_tail(1.0, ConstantTail(np.zeros(4)))
-    amp = eval_diffusion_amplitude(cs, 0.0, 1.0, buf)
+    amp = eval_diffusion_amplitude(cs, 0.0, buf)
     np.testing.assert_allclose(amp, 0.5 / np.arange(1, 5))
     assert state_norm(amp) == pytest.approx(0.5 * math.sqrt(np.sum(1.0 / np.arange(1, 5.0) ** 2)))
     # rank-one field: coefficients of the mapped head values
     cs2 = scalar_cs(DriftSpec(), DiffusionSpec(kind="pointwise_field",
                                                pointwise="cos_sqrt_abs", gain=2.0),
                     space=space)
-    amp2 = eval_diffusion_amplitude(cs2, 0.0, 1.0, buf)
+    amp2 = eval_diffusion_amplitude(cs2, 0.0, buf)
     oracle = 2.0 * space.to_coeffs(np.cos(np.sqrt(np.abs(space.to_values(np.zeros(4))))))
     np.testing.assert_allclose(amp2, oracle)
     # applying noise scales by the first Wiener coordinate
@@ -408,7 +391,7 @@ def looped_sample_history(rng, dim, h, radius):
     for _ in range(rng.integers(3, 12)):
         t += 0.05
         x = x + 0.1 * scale * rng.standard_normal(dim)
-        buf = buf.appended(t, x)
+        buf = appended(buf, t, x)
     s = seminorm_h(buf, buf.head_time)
     if s > radius:
         shrink = radius / s

@@ -27,6 +27,7 @@ from avg_sfpde.delay import (
     seminorm_h,
     state_norm,
 )
+from oracles import appended
 
 
 def constant_buffer(c, h=1.0, dim=1):
@@ -101,7 +102,7 @@ def test_seminorm_monotone_in_weight_and_dominates_state(c, h1, h2, t):
         buf = constant_buffer(c, h=h)
         n = 8
         for i in range(1, n + 1):
-            buf = buf.appended(t * i / n, c + math.sin(i))
+            buf = appended(buf, t * i / n, c + math.sin(i))
         return buf
 
     buf1, buf2 = history(h1), history(h2)
@@ -222,7 +223,7 @@ def test_delay_integral_nonfinite_kernel_carries_theta():
 def test_delay_integral_unit_kernel_is_total_mass(c, rate, n):
     buf = constant_buffer(c)
     for i in range(1, n + 1):
-        buf = buf.appended(0.05 * i, c + 0.1 * i)
+        buf = appended(buf, 0.05 * i, c + 0.1 * i)
     for mu in (DelayMeasure.exponential(rate), DelayMeasure.point_mass()):
         assert delay_integral(buf, buf.head_time, mu, 0.0) == pytest.approx(1.0, abs=1e-8)
 
@@ -289,7 +290,7 @@ def test_segment_at_zero_is_initial_datum():
 def test_segment_of_constant_buffer_shift_invariant():
     buf = constant_buffer(2.0)
     for i in range(1, 11):
-        buf = buf.appended(0.1 * i, 2.0)
+        buf = appended(buf, 0.1 * i, 2.0)
     seg = extract_segment(buf, 0.7)
     assert seminorm_h(seg, 0.0) == pytest.approx(seminorm_h(buf, 0.0), rel=1e-12)
     assert seg.value_at(-0.35) == pytest.approx(2.0)
@@ -303,7 +304,7 @@ def test_segment_of_simulated_path_recomputes_from_samples():
     for _ in range(100):
         t += 0.01
         x += 0.05 * rng.standard_normal()
-        buf = buf.appended(t, x)
+        buf = appended(buf, t, x)
     seg = extract_segment(buf, 1.0)
     assert seg.value_at(0.0) == pytest.approx(buf.value_at(1.0))
     assert seminorm_h(seg, 0.0) >= state_norm(buf.value_at(1.0)) - 1e-14
@@ -317,7 +318,7 @@ def test_segment_of_simulated_path_recomputes_from_samples():
 def test_segment_composition_idempotent_on_samples():
     buf = constant_buffer(1.0)
     for i in range(1, 21):
-        buf = buf.appended(0.05 * i, math.sin(i))
+        buf = appended(buf, 0.05 * i, math.sin(i))
     seg = extract_segment(buf, 0.8)
     seg2 = extract_segment(seg, 0.0)
     thetas = np.linspace(-2.0, 0.0, 101)
@@ -364,7 +365,7 @@ def test_segment_is_a_view_of_its_history(seed, dim, n, tail_kind, where, on_gri
 
 @pytest.mark.parametrize("pair", [delay_pair_integral, pair_seminorm])
 def test_pair_functionals_take_segments_only(pair):
-    buf = constant_buffer(1.0).appended(0.1, 1.5)
+    buf = appended(constant_buffer(1.0), 0.1, 1.5)
     seg = extract_segment(buf, buf.head_time)
     args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
     for a, b in ((buf, seg), (seg, buf)):
@@ -376,7 +377,7 @@ def test_pair_functionals_take_segments_only(pair):
 def test_segment_buffer_invariants_hold():
     buf = constant_buffer(1.0)
     for i in range(1, 6):
-        buf = buf.appended(0.2 * i, 1.0 + i)
+        buf = appended(buf, 0.2 * i, 1.0 + i)
     seg = extract_segment(buf, 0.6)
     # freshly constructed buffer re-validates its own invariants
     HistoryBuffer(h=seg.h, tail=seg.tail, times=seg.times,

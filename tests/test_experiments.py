@@ -16,11 +16,11 @@ from avg_sfpde.experiments import (
     averaging_sweep,
     continuity_study,
     fit_loglog_slope,
-    heat_block_residual_oracle,
     hypothesis_audit,
     khasminskii_diagnostic,
 )
 from avg_sfpde.presets import constant_xi, get_preset
+from oracles import heat_block_residual_oracle
 
 LINEAR = get_preset("scalar-linear-osc")
 RD8 = get_preset("reaction-diffusion-delay", k=8)

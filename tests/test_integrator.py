@@ -24,7 +24,6 @@ from avg_sfpde.integrator import (
     SLAB,
     BlowUpError,
     PathRunner,
-    PathState,
     StepperConfig,
     Trajectory,
     _sq_distance,
@@ -32,10 +31,10 @@ from avg_sfpde.integrator import (
     khasminskii_freeze,
     normal_block,
     run_path,
-    step,
 )
 from avg_sfpde.presets import constant_xi, get_preset
 from avg_sfpde.spectral import PdeOperator, SpectralSpace
+from oracles import reference_path, reference_step
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +169,6 @@ def test_ou_terminal_variance_matches_closed_form():
 # runner vs reference step, determinism
 # ---------------------------------------------------------------------------
 
-def drive_reference(preset, cfg, path_id):
-    st = PathState(buffer=preset.initial, t=0.0, path_id=path_id)
-    for _ in range(cfg.n_steps):
-        st = step(st, preset.operator, preset.coefficients, cfg)
-    return st
-
-
 def row_zero_history(r):
     """History of path path_id (row 0) of runner r after its run."""
     return HistoryBuffer(h=r.initial.h, tail=r.initial.tail, times=r.times,
@@ -187,18 +179,20 @@ def test_runner_bit_identical_to_step_without_delay():
     p = get_preset("scalar-linear-osc")
     cfg = StepperConfig(dt=1e-3, T=0.2, noise_modes=1, seed=9, eps=0.5)
     traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=4)
-    st = drive_reference(p, cfg, 4)
-    np.testing.assert_array_equal(traj.states[-1], st.buffer.head)
+    buf = reference_path(p.operator, p.coefficients, cfg, p.initial, path_id=4)
+    np.testing.assert_array_equal(traj.states[-1], buf.head)
 
 
 @pytest.mark.parametrize("name,k", [("scalar-holder-osc", None),
-                                    ("reaction-diffusion-delay", 8)])
+                                    ("reaction-diffusion-delay", 8),
+                                    ("porous-media-sin", 8),
+                                    ("broken-quadratic", None)])
 def test_runner_agrees_with_reference_step(name, k):
     p = get_preset(name, k=k)
     cfg = StepperConfig(dt=0.01, T=0.1, noise_modes=p.k_w, seed=5, eps=1.0)
     traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=0)
-    st = drive_reference(p, cfg, 0)
-    np.testing.assert_allclose(traj.states[-1], st.buffer.head, rtol=1e-10, atol=1e-14)
+    buf = reference_path(p.operator, p.coefficients, cfg, p.initial)
+    np.testing.assert_allclose(traj.states[-1], buf.head, rtol=1e-10, atol=1e-14)
 
 
 def test_delay_accumulator_tracks_reference_integral():
@@ -622,10 +616,7 @@ def test_step_halving_salvages_overflowing_sum():
     # the first step is rescued by one halving: it equals two reference steps
     # at dt/2 (the diffusion gain is 0, so the noise drops out)
     half = StepperConfig(dt=0.5, T=1.0, noise_modes=1, seed=0, eps=1.0)
-    st = PathState(buffer=init, t=0.0)
-    for _ in range(2):
-        st = step(st, op, cs, half)
-    assert traj.states[1, 0] == st.buffer.head[0]
+    assert traj.states[1, 0] == reference_path(op, cs, half, init).head[0]
 
 
 def test_rescued_step_freezes_the_delay_term():
@@ -646,10 +637,10 @@ def test_rescued_step_freezes_the_delay_term():
     assert np.all(np.isfinite(traj.states))
     assert np.max(np.abs(traj.states)) < 1e154
     half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
-    st = step(PathState(buffer=init, t=0.0), op, cs, half)
-    v_half = delay_integral(st.buffer, dt / 2, mu, 1.0)
-    st = step(st, op, cs, half)
-    gap = traj.states[1, 0] - st.buffer.head[0]
+    buf = reference_step(init, op, cs, half)
+    v_half = delay_integral(buf, dt / 2, mu, 1.0)
+    buf = reference_step(buf, op, cs, half)
+    gap = traj.states[1, 0] - buf.head[0]
     assert gap != 0.0  # the frozen cache moves the result
     predicted = (dt / 2) * 1.0 * gain * (v0 - v_half) / (1.0 + a * dt / 2)
     assert gap == pytest.approx(predicted, rel=1e-12, abs=0)
@@ -675,10 +666,10 @@ def test_rescued_step_freezes_the_seminorm_term(rows):
     assert np.all(np.isfinite(traj.states))
     assert np.all(traj.states[:, 1:] == traj.states[:, :1])
     half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
-    st = step(PathState(buffer=init, t=0.0), op, cs, half)
-    s_half = seminorm_h(st.buffer, dt / 2)
-    st = step(st, op, cs, half)
-    gap = traj.states[1, 0, 0] - st.buffer.head[0]
+    buf = reference_step(init, op, cs, half)
+    s_half = seminorm_h(buf, dt / 2)
+    buf = reference_step(buf, op, cs, half)
+    gap = traj.states[1, 0, 0] - buf.head[0]
     assert gap != 0.0  # the frozen cache moves the result
     predicted = (dt / 2) * 1.0 * gain * (s0 - s_half) / (1.0 + a * dt / 2)
     assert gap == pytest.approx(predicted, rel=1e-12, abs=0)
@@ -699,7 +690,7 @@ def test_operator_overflow_is_a_row_blow_up():
 
 @pytest.mark.parametrize("head", [1e308, 1e200])
 def test_reference_step_overflow_raises_blow_up_without_warnings(head):
-    # the same overflow through the reference step(): a BlowUpError at the
+    # the same overflow through the reference step: a BlowUpError at the
     # first step, and no RuntimeWarning on the way to it
     p = get_preset("reaction-diffusion-delay", k=8)
     init = HistoryBuffer.from_tail(p.initial.h, ConstantTail(np.full(8, head)))
@@ -707,7 +698,7 @@ def test_reference_step_overflow_raises_blow_up_without_warnings(head):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BlowUpError) as err:
-            step(PathState(buffer=init, t=0.0), p.operator, p.coefficients, cfg)
+            reference_step(init, p.operator, p.coefficients, cfg)
     assert err.value.t == pytest.approx(1e-3)
     assert err.value.mode_index == 0
 
@@ -723,6 +714,12 @@ def test_config_validation():
         StepperConfig(dt=0.1, T=1.0, eps=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=0.3, T=1.0)  # not an integer multiple
+    with pytest.raises(ValueError, match=r"^T = inf: "):
+        StepperConfig(dt=0.1, T=math.inf)
+    with pytest.raises(ValueError, match=r"^T = nan: "):
+        StepperConfig(dt=0.1, T=math.nan)
+    with pytest.raises(ValueError, match=r"^dt = nan: "):
+        StepperConfig(dt=math.nan, T=1.0)
 
 
 def test_averaged_label_is_not_a_stepper_eps():
