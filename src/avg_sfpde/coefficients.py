@@ -74,6 +74,13 @@ class Oscillator:
     def __call__(self, t: float) -> float:
         return self.scalar_eval(float(t))
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``scalar_eval`` at each entry of a 1-D array t, with its bits."""
+        out = np.full(t.shape, self.offset)
+        for a, w, p in self.terms:
+            out += a * libm_loop(np.sin, w * t + p)
+        return out
+
     def mean(self) -> float:
         """Long-run Cesaro mean; exact for every supported kind."""
         return float(self.offset)
@@ -113,6 +120,21 @@ POINTWISE_MAPS = {
     "cos_sqrt_abs": _cos_sqrt_abs,
     "zero": lambda v: np.zeros_like(v),
 }
+
+
+def libm_loop(ufunc, v: np.ndarray) -> np.ndarray:
+    """ufunc(v) for a 1-D float array, with the bits of the C library's
+    function (``math.log``, ``math.sin``, ...) at every entry.
+
+    numpy's SIMD loops for log and sin may round differently from the C
+    library.  An output that overlaps its input one slot behind keeps numpy on
+    its one-element-at-a-time loop, which calls the C library; the tests pin
+    that this gives the C library's bits.
+    """
+    b = np.empty(v.size + 1)
+    b[1:] = v
+    return ufunc(b[1:], out=b[:-1])
+
 
 def pow_or_inf(base, exponent: float):
     """base ** exponent elementwise, with overflow mapped to inf (so the

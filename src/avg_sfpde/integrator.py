@@ -16,6 +16,10 @@ stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
 stream's raw output at a fixed position, so a block of a path's first
 steps is a prefix of any longer one, and whole-path blocks and the runner's
 slabs of ``SLAB`` steps see bit-identical numbers regardless of scheduling.
+The inverse CDF is a numpy port of Cephes' ndtri with the bits of
+scipy.special.ndtri, so drawing noise loads no scipy module.  The runner
+converts the draws of all its rows in one call per slab, and tabulates the
+oscillators of every twin once per slab.
 
 ``PathRunner`` is the one step kernel.  The one-path reference scheme that it
 is checked against lives with the tests, in ``tests/oracles.py``.
@@ -28,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSet, pow_or_inf
+from .coefficients import CoefficientSet, libm_loop, pow_or_inf
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
 from .spectral import ROW_BLOCK, PdeOperator
 
@@ -63,30 +67,109 @@ def _philox(seed: int, path_id: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-_ndtri = None   # scipy.special.ndtri, imported on the first draw
+# Cephes' ndtri, the algorithm of scipy.special.ndtri: a rational function of
+# y^2, y = u - 1/2, in the centre e^-2 < u <= 1 - e^-2, and of z = 1 / x,
+# x = sqrt(-2 log y), on the tails y = min(u, 1 - u), P1/Q1 for x < 8 and
+# P2/Q2 beyond.  Every Q is monic, its leading 1 written out.
+_EXPM2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coefs):
+    """Cephes' Horner recurrence a = a * x + c from a = coefs[0], in place on
+    one new array (x * 1.0 is x, so a monic polynomial takes p1evl's steps)."""
+    a = x * coefs[0]
+    a += coefs[1]
+    for c in coefs[2:]:
+        a *= x
+        a += c
+    return a
+
+
+def _ndtri_tail(u: np.ndarray) -> np.ndarray:
+    """Cephes' ndtri on u <= e^-2 or u > 1 - e^-2; u = 1 gives +inf."""
+    y = np.minimum(u, 1.0 - u)
+    with np.errstate(divide="ignore", invalid="ignore"):   # log(0) at u = 1
+        x = libm_loop(np.log, y)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        x0 = libm_loop(np.log, x)
+        x0 /= x
+        np.subtract(x, x0, out=x0)                          # x - log(x) / x
+        z = 1.0 / x
+    x1 = z * _polevl(z, _P1)
+    x1 /= _polevl(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)                          # y < e^-32
+    if far.size:
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
+    x0 -= x1
+    x0[y == 0.0] = np.inf
+    return np.copysign(x0, u - 0.5, out=x0)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of a 1-D array of u in (0, 1], with the bits of
+    scipy.special.ndtri: Cephes' coefficients, operation order and branch
+    tests, and the C library's log.  The centre's rational function runs on
+    every entry and the tails overwrite theirs."""
+    y = u - 0.5
+    y2 = y * y
+    out = _polevl(y2, _P0)
+    out *= y2
+    out /= _polevl(y2, _Q0)
+    out *= y
+    out += y
+    out *= _S2PI
+    tail = np.flatnonzero((u <= _EXPM2) | (u > 1.0 - _EXPM2))
+    if tail.size:
+        out[tail] = _ndtri_tail(u[tail])
+    return out
 
 
 def _raw_to_normal(raw: np.ndarray) -> np.ndarray:
-    global _ndtri
-    if _ndtri is None:  # commands that draw no noise never load scipy.special
-        from scipy.special import ndtri as _ndtri
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    """Standard normals of raw 64-bit Philox outputs: the top 53 bits k give
+    u = k 2^-53 + 2^-54, mapped by the inverse normal CDF.  The largest
+    output, 2^64 - 1, gives u = 1 - 2^-54, which rounds (to even) to exactly
+    1.0 and draws +inf, as scipy.special.ndtri does; no other output is
+    infinite, and none warns."""
+    u = np.multiply(raw >> np.uint64(11), 2.0**-53)     # exact: k < 2^53
+    u += 2.0**-54
     return _ndtri(u)
 
 
-def normal_slab(stream: np.random.Philox, path_id: int, first: int, m: int,
-                k_w: int) -> np.ndarray:
-    """Standard normals of path path_id at steps first .. first + m - 1, as an
-    (m, k_w) array: the next m * k_w outputs of the path's stream, which must
-    stand at step ``first``.  The draw reads only the stream: ``path_id`` and
-    ``first`` name the slab, so that a test can substitute one that kicks a
-    given path at a given step."""
-    return _raw_to_normal(stream.random_raw(m * k_w)).reshape(m, k_w)
+def normal_slab(streams, path_id: int, first: int, m: int, k_w: int) -> np.ndarray:
+    """Standard normals of paths path_id, path_id + 1, ... at steps first ..
+    first + m - 1, as an (m, len(streams), k_w) array whose column r holds the
+    next m * k_w outputs of ``streams[r]``, the stream of path path_id + r,
+    which must stand at step ``first``.  The rows are stacked and converted in
+    one call.  The draw reads only the streams: ``path_id`` and ``first`` name
+    the slab, so that a test can substitute one that kicks a given path at a
+    given step."""
+    raw = np.concatenate([stream.random_raw(m * k_w) for stream in streams])
+    return _raw_to_normal(raw).reshape(len(streams), m, k_w).transpose(1, 0, 2)
 
 
 def normal_block(seed: int, path_id: int, n_steps: int, k_w: int) -> np.ndarray:
     """All standard normals of a path as an (n_steps, k_w) array."""
-    return normal_slab(_philox(seed, path_id), path_id, 0, n_steps, k_w)
+    return normal_slab([_philox(seed, path_id)], path_id, 0, n_steps, k_w)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +193,9 @@ class StepperConfig:
         if not (isinstance(self.eps, (int, float)) and 0 < self.eps <= 1):
             raise ValueError(f"eps = {self.eps!r}: must lie in (0, 1]")
         n = self.T / self.dt
+        if not math.isfinite(n):
+            raise ValueError(f"T = {self.T!r}, dt = {self.dt!r}: T / dt overflows, "
+                             "no step count")
         if abs(n - round(n)) > 1e-8:
             raise ValueError("T must be an integer multiple of dt")
 
@@ -227,6 +313,7 @@ class PathRunner:
         self.times = np.arange(cfg.n_steps + 1) * cfg.dt
         self.states = None
         self.sup_sq = None
+        self.xi_slab = None                                     # set per slab by run
         self.twins = []
         self.x = np.empty((0, cs.dim))
         self.errors = []
@@ -283,21 +370,27 @@ class PathRunner:
         self._stack(partners)
 
     # -- stepping --------------------------------------------------------------
-    def _oscillators(self, t):
-        """xi_1(t / eps) and xi_2(t / eps) of every twin, as (twins, 1, 1) columns."""
-        xi = np.array([(cs.osc1.scalar_eval(t / eps), cs.osc2.scalar_eval(t / eps))
-                       for cs, eps, _ in self.twins])
-        return xi[:, 0, None, None], xi[:, 1, None, None]
+    def _oscillators(self, times):
+        """xi_1(t / eps) and xi_2(t / eps) of every twin at each t of ``times``,
+        as a (len(times), 2, twins, 1, 1) table: entry i unpacks to the two
+        (twins, 1, 1) columns at times[i], with the bits of ``scalar_eval``."""
+        xi = np.empty((len(times), 2, len(self.twins), 1, 1))
+        for j, (cs, eps, _) in enumerate(self.twins):
+            s = times / eps
+            xi[:, 0, j, 0, 0] = cs.osc1.values(s)
+            xi[:, 1, j, 0, 0] = cs.osc2.values(s)
+        return xi
 
-    def _update(self, x, t, frac, dW):
-        """Semi-implicit Euler-Maruyama update of every row over frac * dt."""
+    def _update(self, x, xi, frac, dW):
+        """Semi-implicit Euler-Maruyama update of every row over frac * dt,
+        with the oscillator columns ``xi`` (an entry of ``_oscillators``)."""
         cs = self.cs
         dt = self.cfg.dt * frac
         values = x if self.space is None else self.space.to_values(x)
         delay = 0.0 if self.delay_acc is None else self.delay_acc.value
         semi = np.maximum(self.tail_weight * self.tail_sup0, self.head_norm_weighted) \
             if cs.drift.seminorm_power else 0.0
-        xi1, xi2 = self._oscillators(t)
+        xi1, xi2 = xi
         blocks = (len(self.twins), self.rows, x.shape[1])
         rhs = (xi1 * cs.compose_drift(values, delay, semi).reshape(blocks)).reshape(x.shape)
         if self.space is not None:
@@ -309,10 +402,11 @@ class PathRunner:
         return (x + dt * rhs + noise) * factors
 
     def _advance(self, n, dW):
-        t = self.times[n]
-        new = self._update(self.x, t, 1.0, dW)
+        """Step n on the increments dW, with the oscillators of step n from
+        the slab's table ``xi_slab``, whose entry n % SLAB it is."""
+        new = self._update(self.x, self.xi_slab[n % SLAB], 1.0, dW)
         if not np.isfinite(new).all():
-            self._rescue(new, t, dW)
+            self._rescue(new, self.times[n], dW)
         self.x = new
         if self.track_norms:
             norms = _row_norms(new)
@@ -343,7 +437,7 @@ class PathRunner:
             frac = 1.0 / parts
             cur, tt, ok = self.x, t, retry.copy()
             for _ in range(parts):
-                cur = self._update(cur, tt, frac, dW * frac)
+                cur = self._update(cur, self._oscillators(np.array([tt]))[0], frac, dW * frac)
                 tt += self.cfg.dt * frac
                 finite = np.isfinite(cur).all(axis=1)
                 ok &= finite
@@ -365,12 +459,14 @@ class PathRunner:
         """Step to the horizon.  Returns the batch trajectory, states of shape
         (n_steps + 1, rows, dim), unless the runner is coupled.
 
-        Each row reads its path's stream in order, SLAB steps at a time, into
-        one (SLAB, rows, k_w) array of Brownian increments; every twin steps
-        on it, broadcast, never copied."""
+        Each row reads its path's stream in order, SLAB steps at a time; one
+        ``normal_slab`` call converts the draws of all rows into one
+        (SLAB, rows, k_w) array of Brownian increments, which every twin steps
+        on, broadcast, never copied.  The oscillators of the slab's steps are
+        tabulated once per slab, ``xi_slab``."""
         n_steps, k_w, rows = self.cfg.n_steps, self.k_w, self.rows
-        ids = range(self.path_id, self.path_id + rows)
-        streams = [_philox(self.cfg.seed, pid) for pid in ids]
+        streams = [_philox(self.cfg.seed, pid)
+                   for pid in range(self.path_id, self.path_id + rows)]
         slab = np.empty((SLAB, rows, k_w))
         sqrt_dt = math.sqrt(self.cfg.dt)
         coupled = len(self.twins) > 1
@@ -383,9 +479,9 @@ class PathRunner:
             j = n % SLAB
             if j == 0:
                 m = min(SLAB, n_steps - n)
-                for r, (pid, stream) in enumerate(zip(ids, streams)):
-                    slab[:m, r] = normal_slab(stream, pid, n, m, k_w)
-                slab[:m] *= sqrt_dt
+                np.multiply(normal_slab(streams, self.path_id, n, m, k_w), sqrt_dt,
+                            out=slab[:m])
+                self.xi_slab = self._oscillators(self.times[n:n + m])
             self._advance(n, slab[j])
             if coupled:
                 np.maximum(self.sup_sq, self._partner_sq(), out=self.sup_sq)

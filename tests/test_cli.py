@@ -24,29 +24,34 @@ def test_list_presets_prints_the_four_names(capsys):
                    "scalar-linear-osc", "scalar-holder-osc"]
 
 
-def test_audit_path_loads_no_scipy_and_noise_loads_scipy_special(tmp_path):
-    # scipy.special (the noise's inverse normal CDF) and scipy.fft (sine
-    # transforms above 1024 grid points) load where they are first used, so
-    # the import, list-presets and the audit, which draw no noise, load no
-    # scipy module at all
+def test_import_audit_and_noise_drawing_studies_load_no_scipy(tmp_path):
+    # the noise's inverse normal CDF is the package's own; scipy.fft (sine
+    # transforms above 1024 grid points) loads where it is first used.  So
+    # the import, list-presets, the audit and every study that draws noise on
+    # the four presets at k <= 32 load no scipy module at all
     src = str(Path(avg_sfpde.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [["list-presets"],
+            ["audit", "--preset", "reaction-diffusion-delay", "--trials", "20"],
+            ["sweep-averaging", "--preset", "scalar-linear-osc", "--eps", "0.5,0.25",
+             "--paths", "2", "--dt", "0.01", "--T", "0.1", "--format", "csv"],
+            ["sweep-khasminskii", "--preset", "scalar-holder-osc", "--d", "0.1,0.05",
+             "--paths", "2", "--dt", "0.01", "--T", "0.2"],
+            ["sweep-continuity", "--preset", "reaction-diffusion-delay", "--k", "32",
+             "--delta", "0.1,0", "--paths", "2", "--dt", "0.01", "--T", "0.05"],
+            ["simulate", "--preset", "porous-media-sin", "--k", "32", "--dt", "0.01",
+             "--T", "0.05"]]
+    runs = runs[:1] + [argv + ["--out", str(tmp_path / str(i))]
+                       for i, argv in enumerate(runs[1:])]
     code = f"""
 import contextlib, io, sys
 from avg_sfpde.cli import main
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["list-presets"]) == 0
-    assert main(["audit", "--preset", "reaction-diffusion-delay", "--trials", "20",
-                 "--out", {str(tmp_path / "a")!r}]) == 0
-assert scipy_modules() == [], scipy_modules()
-with contextlib.redirect_stdout(io.StringIO()):
-    main(["sweep-averaging", "--preset", "scalar-linear-osc", "--eps", "0.5,0.25",
-          "--paths", "2", "--dt", "0.01", "--T", "0.1", "--format", "csv",
-          "--out", {str(tmp_path / "s")!r}])
-assert "scipy.special" in sys.modules
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 2), argv   # 2: the study ran, its verdict FAIL
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert scipy == [], scipy
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -212,6 +217,7 @@ LIN = ["--preset", "scalar-linear-osc"]
     (AVG + LIN + ["--T", "inf"], "T = inf: "),
     (AVG + LIN + ["--T", "nan"], "T = nan: "),
     (AVG + LIN + ["--dt", "nan"], "dt = nan: "),
+    (AVG + LIN + ["--dt", "1e-300", "--T", "1e10"], "T = 10000000000.0, dt = 1e-300: "),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     # each of these ran, ignoring or clipping the value, or was rejected

@@ -20,6 +20,7 @@ from avg_sfpde.coefficients import (
     estimate_rate,
     eval_diffusion_amplitude,
     eval_drift,
+    libm_loop,
     pow_or_inf,
     sample_history,
 )
@@ -170,6 +171,27 @@ def test_pow_or_inf_bit_identical_to_python_pow(power):
 
     want = [py_pow(float(s)) for s in x]
     np.testing.assert_array_equal(bits(pow_or_inf(x, power)), bits(want))
+
+
+@pytest.mark.parametrize("ufunc, scalar", [(np.log, math.log), (np.sin, math.sin)])
+def test_libm_loop_has_the_bits_of_the_c_library(ufunc, scalar):
+    # numpy's SIMD log differs from the C library's on a fraction of a
+    # percent of inputs on AVX-512 hosts; the noise's inverse CDF and the
+    # oscillator table rely on libm_loop to stay off that path
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(1e-16, 1.0, 2**17), rng.uniform(1.0, 8.0, 2**15),
+                        rng.uniform(-1e4, 1e4, 2**15)])
+    if ufunc is np.log:
+        x = np.abs(x) + 1e-300
+    want = [scalar(float(s)) for s in x]
+    np.testing.assert_array_equal(bits(libm_loop(ufunc, x)), bits(want))
+
+
+def test_oscillator_values_have_the_bits_of_scalar_eval():
+    t = np.random.default_rng(6).uniform(0.0, 1e3, 4096)
+    for osc in (Oscillator.sinusoid(1.0, 0.5, 1.0, 0.25), Oscillator.constant(0.5)):
+        want = [osc.scalar_eval(float(s)) for s in t]
+        np.testing.assert_array_equal(bits(osc.values(t)), bits(want))
 
 
 def test_diffusion_amplitudes():

@@ -147,10 +147,11 @@ def kick_path_one(monkeypatch, step=100):
     explicit reaction term then overflows where the noise reaches it."""
     real_slab = integrator.normal_slab
 
-    def kicked(stream, path_id, first, m, k_w):
-        slab = real_slab(stream, path_id, first, m, k_w)
-        if path_id == 1 and first <= step < first + m:
-            slab[step - first, 0] = 5e5
+    def kicked(streams, path_id, first, m, k_w):
+        slab = real_slab(streams, path_id, first, m, k_w)
+        r = 1 - path_id                   # the column of path 1, if the slab holds it
+        if 0 <= r < len(streams) and first <= step < first + m:
+            slab[step - first, r, 0] = 5e5
         return slab
 
     monkeypatch.setattr(integrator, "normal_slab", kicked)
@@ -283,8 +284,9 @@ def test_rows_sharing_one_batch_have_the_bits_of_one_row_studies(monkeypatch, na
 
 def test_sweep_steps_all_twins_in_one_kernel_call_per_step(monkeypatch):
     # 20 paths are one 32-row batch; 130 steps are ceil(130 / SLAB) slabs.
-    # Each batch row draws one slab of noise per slab of steps, and each step
-    # advances the averaged twin and every eps twin in one call, for any grid.
+    # The batch draws the noise of all its rows in one call per slab of
+    # steps, and each step advances the averaged twin and every eps twin in
+    # one call, for any grid.
     calls = {"normal_slab": 0, "_advance": 0}
     real_slab, real_advance = integrator.normal_slab, integrator.PathRunner._advance
 
@@ -302,7 +304,7 @@ def test_sweep_steps_all_twins_in_one_kernel_call_per_step(monkeypatch):
     for grid in ((0.5, 0.1, 0.02), (0.5,)):
         calls.update(normal_slab=0, _advance=0)
         averaging_sweep(LINEAR, grid, paths=20, dt=0.01, T=1.3, seed=2)
-        assert calls == {"normal_slab": 32 * slabs, "_advance": 130}
+        assert calls == {"normal_slab": slabs, "_advance": 130}
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():

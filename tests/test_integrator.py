@@ -1,6 +1,7 @@
 """Integrator: counter-based noise, stepping oracles, coupling, freezing."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 
 from avg_sfpde.coefficients import (
     AssumptionProfile,
@@ -21,18 +23,22 @@ from avg_sfpde.coefficients import (
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, delay_integral, seminorm_h
 from avg_sfpde.integrator import (
     MAX_WIDTH,
+    RETRY_HALVINGS,
     SLAB,
     BlowUpError,
     PathRunner,
     StepperConfig,
     Trajectory,
+    _ndtri,
+    _philox,
+    _raw_to_normal,
     _sq_distance,
     coupled_run,
     khasminskii_freeze,
     normal_block,
     run_path,
 )
-from avg_sfpde.presets import constant_xi, get_preset
+from avg_sfpde.presets import constant_xi, get_preset, public_names
 from avg_sfpde.spectral import PdeOperator, SpectralSpace
 from oracles import reference_path, reference_step
 
@@ -87,6 +93,75 @@ def test_noise_marginals_are_standard_normal():
     z = normal_block(7, 0, 4000, 4).ravel()
     assert abs(z.mean()) < 4.0 / math.sqrt(len(z))
     assert abs(z.std() - 1.0) < 4.0 / math.sqrt(len(z))
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_inverse_cdf_has_scipy_bits_on_philox_draws():
+    # 2^20 draws of one stream: 27% of them take the tails' two logs, which
+    # must be the C library's, as in scipy's Cephes
+    raw = _philox(2024, 3).random_raw(2**20)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert_same_bits(_raw_to_normal(raw), scipy_ndtri(u))
+
+
+def test_inverse_cdf_has_scipy_bits_on_the_draw_grid_edges():
+    # the 2^20 points of the draw grid k 2^-53 + 2^-54 nearest 0 and nearest
+    # 1; those below e^-32 take the far tail's P2/Q2, and the last rounds to 1
+    k = np.arange(2**20, dtype=np.float64)
+    for u in (k * 2.0**-53 + 2.0**-54, (2.0**53 - 1 - k) * 2.0**-53 + 2.0**-54):
+        assert_same_bits(_ndtri(u), scipy_ndtri(u))
+
+
+def test_inverse_cdf_has_scipy_bits_at_the_branch_edges():
+    # the centre/tail switches at e^-2 and 1 - e^-2, and the switch from
+    # P1/Q1 to P2/Q2 at x = 8, u = e^-32, each with its float neighbours
+    edges = np.array([0.13533528323661269189, 1.0 - 0.13533528323661269189, math.exp(-32)])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    assert_same_bits(_ndtri(u), scipy_ndtri(u))
+
+
+def test_largest_raw_output_draws_inf_without_a_warning():
+    # (2^53 - 1) 2^-53 + 2^-54 rounds to exactly 1.0
+    raw = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _raw_to_normal(raw)
+    assert z[0] == np.inf and z[1] == z[0]
+    assert math.isfinite(z[2]) and z[2] > 8.0
+
+
+# (eps grid, dt) of the benchmark's stepping command lines, all at T = 1
+WORKLOAD_LINES = [((0.5, 0.1, 0.02), 1e-3), ((0.5, 0.1, 0.02), 2e-3),
+                  ((0.1, 0.01, 0.001), 2e-4), ((0.5,), 1e-3)]
+ALL_PRESETS = public_names() + ["heat-deterministic", "broken-quadratic"]
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_PRESETS
+                                  if "sinusoid" in (get_preset(n).coefficients.osc1.kind,
+                                                    get_preset(n).coefficients.osc2.kind)])
+def test_oscillator_table_has_the_bits_of_scalar_eval(name):
+    # run() tabulates xi_1(t / eps) and xi_2(t / eps) of every twin once per
+    # slab; each entry must be scalar_eval's float at that time, on the whole
+    # grid and at the substep times of the halving retry
+    p = get_preset(name, k=8 if name in ("reaction-diffusion-delay", "porous-media-sin") else None)
+    cs = p.coefficients
+    for eps_grid, dt in WORKLOAD_LINES:
+        cfg = StepperConfig(dt=dt, T=1.0, seed=0, eps=eps_grid[0])
+        runner = PathRunner(p.operator, cs, cfg, p.initial)
+        runner.couple([(cs, eps, p.initial) for eps in eps_grid[1:]])
+        # the times at which the finest retry of step n evaluates them
+        parts = 2**RETRY_HALVINGS
+        substeps = list(itertools.accumulate(
+            [runner.times[cfg.n_steps // 3]] + [dt * (1.0 / parts)] * (parts - 1)))
+        for times in (runner.times, np.array(substeps)):
+            table = runner._oscillators(times)
+            for j, (twin, eps, _) in enumerate(runner.twins):
+                for i, osc in enumerate((twin.osc1, twin.osc2)):
+                    want = [osc.scalar_eval(t / eps) for t in times]
+                    assert_same_bits(table[:, i, j, 0, 0], want)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +795,8 @@ def test_config_validation():
         StepperConfig(dt=0.1, T=math.nan)
     with pytest.raises(ValueError, match=r"^dt = nan: "):
         StepperConfig(dt=math.nan, T=1.0)
+    with pytest.raises(ValueError, match=r"^T = 10000000000.0, dt = 1e-300: T / dt overflows"):
+        StepperConfig(dt=1e-300, T=1e10)
 
 
 def test_averaged_label_is_not_a_stepper_eps():
