@@ -460,7 +460,7 @@ def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
     if s > radius:
         shrink = radius / s
         buf = HistoryBuffer(h, ConstantTail(shrink * scale * direction),
-                            buf.times, buf.samples * shrink, buf.horizon)
+                            buf.times, buf.samples * shrink)
     return extract_segment(buf, buf.head_time)
 
 

@@ -16,15 +16,16 @@ buf.  Its exponentially weighted norm is
 
 finite whenever the tail belongs to one of the supported families.  Delay
 integrals integrate a kernel of the state norm against a probability measure
-on (-infty, 0]; the pair functionals ``delay_pair_integral`` and
-``pair_seminorm`` compare two segments, as the hypotheses (H4) and (H5) do.
+on (-infty, 0].  The hypotheses (H4) and (H5) compare two segments phi, psi
+only through phi - psi, and so do the pair functionals: ``delay_pair_integral``
+is ``delay_integral`` of that difference, ``pair_seminorm`` its weighted norm.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +88,11 @@ class Tail:
 
     dim: int
 
-    def value_at(self, theta: float) -> np.ndarray:
+    def values_at(self, thetas) -> np.ndarray:
         raise NotImplementedError
+
+    def value_at(self, theta: float) -> np.ndarray:
+        return self.values_at(np.array([theta]))[0]
 
     def weighted_sup(self, h: float) -> float:
         """sup_{theta <= 0} e^{h theta} ||phi(theta)||: exact for the analytic
@@ -195,9 +199,6 @@ class TabulatedTail(Tail):
     def dim(self):
         return self.values.shape[1]
 
-    def value_at(self, theta):
-        return self.values_at(np.array([theta]))[0]
-
     def values_at(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         out = np.empty((len(thetas), self.dim))
@@ -210,10 +211,9 @@ class TabulatedTail(Tail):
         return out
 
     def weighted_sup(self, h):
-        node_sup = float(np.max(np.exp(h * self.thetas) * np.linalg.norm(self.values, axis=1)))
         # Extrapolated part: e^{(h+b)(theta-theta_0)} <= 1 below theta_0, so the
         # node at theta_0 dominates it.
-        return node_sup
+        return float(np.max(np.exp(h * self.thetas) * np.linalg.norm(self.values, axis=1)))
 
     def check_admissible(self, h):
         if self.extrap_rate < -h:
@@ -222,8 +222,7 @@ class TabulatedTail(Tail):
             )
 
     def kink_nodes(self, lo, hi):
-        inner = self.thetas[(self.thetas > lo) & (self.thetas < hi)]
-        return inner
+        return self.thetas[(self.thetas > lo) & (self.thetas < hi)]
 
 
 class SegmentTail(Tail):
@@ -274,6 +273,38 @@ class SegmentTail(Tail):
         return np.unique(nodes[(nodes > lo) & (nodes < hi)])
 
 
+class _DifferenceTail(Tail):
+    """phi - psi on (-infty, 0] for the tails phi, psi of two segments.
+
+    It reads both tails directly: a segment's head sits at 0, so every
+    theta <= 0 lies in its tail.
+    """
+
+    def __init__(self, a: Tail, b: Tail):
+        self.a, self.b = a, b
+
+    @property
+    def dim(self):
+        return self.a.dim
+
+    def values_at(self, thetas):
+        return self.a.values_at(thetas) - self.b.values_at(thetas)
+
+    def weighted_sup(self, h):
+        """The max over 2048 uniform nodes of [-default_horizon(h), 0]: the
+        checkers need a faithful denominator, not machine precision."""
+        thetas = -np.linspace(0.0, default_horizon(h), 2048)
+        return float(np.max(np.exp(h * thetas) * np.linalg.norm(self.values_at(thetas), axis=1)))
+
+    def check_admissible(self, h):
+        self.a.check_admissible(h)
+        self.b.check_admissible(h)
+
+    def kink_nodes(self, lo, hi):
+        # the kinks of both tails, so swapping the segments keeps every node
+        return np.concatenate([self.a.kink_nodes(lo, hi), self.b.kink_nodes(lo, hi)])
+
+
 # ---------------------------------------------------------------------------
 # Delay measures
 # ---------------------------------------------------------------------------
@@ -286,7 +317,7 @@ class DelayMeasure:
       * ``exponential``: density 2*rate*exp(2*rate*theta) d theta, rate > 0;
         the only kind a drift delay term takes
       * ``point``: unit mass at theta = 0, a profile's mu1 or mu2: its
-        ``exp_moment`` is 1, and the two delay integrals read the head value
+        ``exp_moment`` is 1, and ``delay_integral`` reads the head value
 
     ``mass``, ``moments_centered`` and ``graded_nodes`` serve the quadrature,
     which only an exponential measure reaches (``_quadrature_rule`` rejects
@@ -394,7 +425,6 @@ class HistoryBuffer:
     tail: Tail
     times: np.ndarray
     samples: np.ndarray
-    horizon: float = field(default=0.0)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -417,13 +447,16 @@ class HistoryBuffer:
         if gap > 1e-9 * (1.0 + float(np.max(np.abs(head0)))):
             raise ValueError("history must be continuous at the origin: "
                              "samples[0] must equal the tail value at theta = 0")
-        if self.horizon <= 0.0:
-            self.horizon = default_horizon(self.h)
 
     @classmethod
-    def from_tail(cls, h: float, tail: Tail, horizon: float = 0.0) -> "HistoryBuffer":
+    def from_tail(cls, h: float, tail: Tail) -> "HistoryBuffer":
         return cls(h=h, tail=tail, times=np.array([0.0]),
-                   samples=tail.value_at(0.0)[None, :], horizon=horizon)
+                   samples=tail.value_at(0.0)[None, :])
+
+    @property
+    def horizon(self) -> float:
+        """Where the delay quadrature truncates the tail: fixed by h."""
+        return default_horizon(self.h)
 
     @property
     def dim(self) -> int:
@@ -480,32 +513,24 @@ def seminorm_h(buf: HistoryBuffer, t: float) -> float:
 def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
     """Segment u_t, for any t in [0, head]: a buffer whose head sits at 0 and
     whose tail is a view of buf shifted to t."""
-    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t), horizon=buf.horizon)
-
-
-def _require_segments(*bufs):
-    """The pair functionals compare segments: histories with their head at 0."""
-    for buf in bufs:
-        if buf.head_time != 0.0:
-            raise ValueError(f"history with head at t = {buf.head_time} is not a segment: "
-                             "take extract_segment(buf, t) first")
+    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t))
 
 
 def _powers(norms, p):
     """norms ** p; a zero norm under p < 0 gives inf, which callers report."""
     with np.errstate(divide="ignore"):
-        return np.asarray(norms, dtype=float) ** p
+        return norms ** p
 
 
-def _tail_power_closed_form(tail, mu, p, lo, hi):
-    """Closed form of int_{lo}^{hi} ||tail(theta)||^p mu(dtheta) for an
+def _tail_power_closed_form(tail, mu, p, hi):
+    """Closed form of int_{-infty}^{hi} ||tail(theta)||^p mu(dtheta) for an
     exponential mu, when available."""
     r2 = 2.0 * mu.rate
     if isinstance(tail, ConstantTail):
         norm = state_norm(tail.value)
         if norm == 0.0 and p < 0:
             return None  # quadrature path reports the non-finite kernel value
-        return norm ** p * mu.mass(lo, hi)
+        return norm ** p * mu.mass(-math.inf, hi)
     if isinstance(tail, ExponentialTail):
         # ||a||^p e^{p b theta} against r2 e^{r2 theta}
         norm = state_norm(tail.amplitude)
@@ -514,10 +539,7 @@ def _tail_power_closed_form(tail, mu, p, lo, hi):
         c = p * tail.rate + r2
         if c <= 0:
             return None
-        amp = norm ** p * r2 / c
-        hi_t = math.exp(c * min(hi, 0.0))
-        lo_t = 0.0 if lo == -math.inf else math.exp(c * lo)
-        return amp * (hi_t - lo_t)
+        return norm ** p * r2 / c * math.exp(c * min(hi, 0.0))
     return None
 
 
@@ -612,8 +634,9 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
         return vals
 
     if mu.kind == "point":
-        v = float(_powers(state_norm(buf.value_at(t)), power))
-        check(np.array([v]), np.array([0.0]))
+        # a float64 norm: its power is C's pow, which an array's can miss by a bit
+        v = float(_powers(np.linalg.norm(buf.value_at(t)), power))
+        check(v, 0.0)
         return v
 
     total = 0.0
@@ -630,7 +653,7 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
 
     # analytic-tail part: theta in (-infty, -t]
     # closed forms hold on the untruncated tail
-    closed = _tail_power_closed_form(buf.tail, mu, power, -math.inf, -t)
+    closed = _tail_power_closed_form(buf.tail, mu, power, -t)
     if closed is not None:
         return total + closed
 
@@ -641,67 +664,42 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
     lo = -buf.horizon - t
     kinks = buf.tail.kink_nodes(lo + t, 0.0)
     total += _product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
-    # remainder below the truncation horizon: tail value frozen there
-    rem = mu.mass(-math.inf, lo)
-    if rem > 0.0:
-        total += rem * float(_powers(state_norm(buf.tail.value_at(lo + t)), power))
-    return total
-
-
-def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
-                        mu: DelayMeasure, power: float) -> float:
-    """int ||phi(theta) - psi(theta)||^power mu(dtheta) of two segments phi,
-    psi (heads at t = 0, as extract_segment and sample_history return them).
-
-    Used by the hypothesis checkers; both segments are evaluated on shared
-    quadrature nodes, which include the kinks of both tails.
-    """
-    _require_segments(seg_a, seg_b)
-    if mu.kind == "point":
-        return state_norm(seg_a.value_at(0.0) - seg_b.value_at(0.0)) ** power
-
-    # exact closed form for the common checker family
-    if isinstance(seg_a.tail, ConstantTail) and isinstance(seg_b.tail, ConstantTail):
-        diff = ConstantTail(seg_a.tail.value - seg_b.tail.value)
-        merged = HistoryBuffer.from_tail(seg_a.h, diff, horizon=seg_a.horizon)
-        return delay_integral(merged, 0.0, mu, power)
-
-    def K(thetas):
-        # in place: the audit's largest temporaries are these (nodes, dim) rows
-        diff = seg_a.values_at(thetas)
-        diff -= seg_b.values_at(thetas)
-        return np.linalg.norm(diff, axis=1) ** power
-
-    lo = -max(seg_a.horizon, seg_b.horizon)
-    # the kinks of both tails, so swapping the segments keeps every node
-    kinks = np.concatenate([seg_a.tail.kink_nodes(lo, 0.0), seg_b.tail.kink_nodes(lo, 0.0)])
-    total = _product_quadrature(mu, lo, 0.0, K, extra_nodes=kinks)
+    # remainder below the truncation horizon: the kernel frozen at lo
     rem = mu.mass(-math.inf, lo)
     if rem > 0.0:
         total += rem * float(K(np.array([lo]))[0])
     return total
 
 
-def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:
-    """Weighted norm sup_{theta<=0} e^{h theta}||phi(theta) - psi(theta)|| of
-    the difference of two segments (heads at t = 0).
-
-    Exact for constant/constant tails; dense sampling on 2048 uniform points
-    otherwise (the checkers only need a faithful denominator, not machine
-    precision).
-    """
-    _require_segments(seg_a, seg_b)
+def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
+    """The segment phi - psi of two segments phi, psi of one weight h (heads
+    at t = 0, as extract_segment and sample_history return them); a constant
+    tail when both tails are constant."""
+    for seg in (seg_a, seg_b):
+        if seg.head_time != 0.0:
+            raise ValueError(f"history with head at t = {seg.head_time} is not a segment: "
+                             "take extract_segment(buf, t) first")
     if seg_a.h != seg_b.h:
         raise ValueError("segments must share the same weight h")
     ta, tb = seg_a.tail, seg_b.tail
     if isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
-        tail_sup = state_norm(ta.value - tb.value)
-    else:
-        horizon = max(seg_a.horizon, seg_b.horizon)
-        thetas = -np.linspace(0.0, horizon, 2048)
-        diff = ta.values_at(thetas) - tb.values_at(thetas)
-        tail_sup = float(np.max(np.exp(seg_a.h * thetas) * np.linalg.norm(diff, axis=1)))
+        return HistoryBuffer.from_tail(seg_a.h, ConstantTail(ta.value - tb.value))
+    return HistoryBuffer.from_tail(seg_a.h, _DifferenceTail(ta, tb))
+
+
+def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
+                        mu: DelayMeasure, power: float) -> float:
+    """int ||phi(theta) - psi(theta)||^power mu(dtheta) of two segments phi,
+    psi: ``delay_integral`` of their difference at t = 0."""
+    return delay_integral(_difference(seg_a, seg_b), 0.0, mu, power)
+
+
+def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:
+    """Weighted norm sup_{theta<=0} e^{h theta}||phi(theta) - psi(theta)|| of
+    the difference of two segments: exact for constant tails, the difference
+    tail's sampled sup otherwise."""
+    diff = _difference(seg_a, seg_b)
     # the head difference as a row norm as well: it can differ from
     # state_norm in the last bit, and check_holder divides by the max
-    head = seg_a.values_at(np.zeros(1)) - seg_b.values_at(np.zeros(1))
-    return max(tail_sup, float(np.linalg.norm(head, axis=1)[0]))
+    head = diff.values_at(np.zeros(1))
+    return max(diff.tail.weighted_sup(diff.h), float(np.linalg.norm(head, axis=1)[0]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class ExperimentReport:
     slope: SlopeFit | None
     verdict: bool
     verdict_detail: str
-    metadata: dict = field(default_factory=dict)
 
     def row_means(self):
         return [r.mean for r in self.rows]
@@ -93,12 +92,13 @@ class ExperimentReport:
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _map_paths(fn, n_paths: int, threads: int):
-    """Order-preserving path map; results indexed by path id."""
+def _map_paths(fn, n: int, threads: int):
+    """Order-preserving map of fn over range(n), on ``threads`` workers;
+    ``_map_chunks`` maps batch indices with it."""
     if threads <= 1:
-        return [fn(i) for i in range(n_paths)]
+        return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n_paths)))
+        return list(ex.map(fn, range(n)))
 
 
 def _map_chunks(fn, paths: int, threads: int):
@@ -220,12 +220,12 @@ def stepping(preset: Preset, dt, T, k_w, seed, eps) -> tuple[CoefficientSet, Ste
 
 def _grid(param: str, values, in_range, text: str) -> list:
     """A study's parameter grid as floats; every study rejects a grid that is
-    empty, not strictly decreasing, or has an entry outside the range."""
+    empty, not strictly decreasing, or has a non-finite or out-of-range entry."""
     grid = [float(v) for v in values]
-    if not (grid and all(map(in_range, grid))
+    if not (grid and all(math.isfinite(v) and in_range(v) for v in grid)
             and all(b < a for a, b in zip(grid, grid[1:]))):
         raise ValueError(f"{param}_grid = {','.join(map(repr, grid))}: must be "
-                         f"non-empty, strictly decreasing, every {param} {text}")
+                         f"non-empty, strictly decreasing, every {param} finite and {text}")
     return grid
 
 
@@ -330,8 +330,6 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
     return ExperimentReport(
         kind="khasminskii", param_name="d", rows=rows, slope=slope,
         verdict=ok, verdict_detail=detail,
-        metadata={"notes": [f"eps={eps}"],
-                  "segment_slope": None if seg_slope is None else seg_slope.slope},
     )
 
 
@@ -346,8 +344,8 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     """E sup_t ||x - y||^2 for coupled pairs started from phi and phi + delta psi,
     psi the unit-seminorm constant perturbation along the first coordinate.
 
-    The proof-device stopping times are replaced by blow-up detection, which
-    is recorded in the report notes; blow-ups follow ``_censor``.
+    The proof-device stopping times are replaced by blow-up detection:
+    blow-ups follow ``_censor``.
     """
     delta_grid = _grid("delta", delta_grid, lambda d: d >= 0, ">= 0")
     cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
@@ -358,7 +356,7 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     psi[0] = 1.0  # unit seminorm: constant history along the first coordinate
 
     shifted = [(cs, cfg.eps, HistoryBuffer.from_tail(
-                    init.h, ConstantTail(init.tail.value + delta * psi), horizon=init.horizon))
+                    init.h, ConstantTail(init.tail.value + delta * psi)))
                for delta in delta_grid]
     outcomes = _coupled_outcomes(op, (cs, cfg, init), shifted, paths, threads)
     rows = []
@@ -372,8 +370,6 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     return ExperimentReport(
         kind="continuity", param_name="delta", rows=rows, slope=slope,
         verdict=ok, verdict_detail=detail,
-        metadata={"notes": ["stopping times of the uniqueness proof are "
-                            "replaced by blow-up detection", f"eps={eps}"]},
     )
 
 

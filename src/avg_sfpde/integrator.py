@@ -59,11 +59,8 @@ class BlowUpError(RuntimeError):
 # Counter-based Gaussian increments
 # ---------------------------------------------------------------------------
 
-_U64_MASK = (1 << 64) - 1
-
-
 def _philox(seed: int, path_id: int) -> np.random.Philox:
-    key = np.array([seed & _U64_MASK, path_id & _U64_MASK], dtype=np.uint64)
+    key = np.array([seed, path_id], dtype=np.uint64)
     return np.random.Philox(key=key)
 
 
@@ -192,6 +189,8 @@ class StepperConfig:
             raise ValueError("need dt > 0 and T >= dt")
         if not (isinstance(self.eps, (int, float)) and 0 < self.eps <= 1):
             raise ValueError(f"eps = {self.eps!r}: must lie in (0, 1]")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed = {self.seed!r}: must lie in [0, 2**64), a Philox key word")
         n = self.T / self.dt
         if not math.isfinite(n):
             raise ValueError(f"T = {self.T!r}, dt = {self.dt!r}: T / dt overflows, "
@@ -526,8 +525,9 @@ def block_steps(d: float, dt: float) -> int:
 
 def khasminskii_freeze(traj: Trajectory, d: float) -> Trajectory:
     """Piecewise-frozen trajectory: value at the left endpoint of each block
-    of length d; history (t < 0) is untouched by construction."""
-    m = block_steps(d, traj.times[1] - traj.times[0])
+    of length d; history (t < 0) is untouched by construction.  A block at
+    least as long as the run freezes all of it at its start."""
+    m = min(block_steps(d, traj.times[1] - traj.times[0]), len(traj.times))
     if m < 1:
         raise ValueError("block length d must be an integer multiple of dt")
     idx = (np.arange(len(traj.times)) // m) * m

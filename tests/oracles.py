@@ -22,8 +22,7 @@ from avg_sfpde.integrator import BlowUpError, normal_block
 def appended(buf: HistoryBuffer, t: float, value) -> HistoryBuffer:
     """A new buffer: ``buf`` with one more sample, ``value`` at time t."""
     return HistoryBuffer(h=buf.h, tail=buf.tail, times=np.append(buf.times, t),
-                         samples=np.vstack([buf.samples, as_state(value)[None, :]]),
-                         horizon=buf.horizon)
+                         samples=np.vstack([buf.samples, as_state(value)[None, :]]))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -218,6 +218,13 @@ LIN = ["--preset", "scalar-linear-osc"]
     (AVG + LIN + ["--T", "nan"], "T = nan: "),
     (AVG + LIN + ["--dt", "nan"], "dt = nan: "),
     (AVG + LIN + ["--dt", "1e-300", "--T", "1e10"], "T = 10000000000.0, dt = 1e-300: "),
+    (AVG + LIN + ["--seed", "18446744073709551616"], "seed = 18446744073709551616: "),
+    (AVG + LIN + ["--seed", "-1"], "seed = -1: "),
+    (["simulate", "--preset", "scalar-linear-osc", "--T", "0.01", "--seed", "-1"],
+     "seed = -1: "),
+    (FRZ + LIN + ["--d", "inf,0.1"], "d_grid = inf,0.1: "),
+    (FRZ + LIN + ["--d", "nan,0.1"], "d_grid = nan,0.1: "),
+    (CONT + LIN + ["--delta", "inf,0.1,0"], "delta_grid = inf,0.1,0.0: "),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     # each of these ran, ignoring or clipping the value, or was rejected

@@ -418,7 +418,7 @@ def looped_sample_history(rng, dim, h, radius):
     if s > radius:
         shrink = radius / s
         buf = HistoryBuffer(h, ConstantTail(shrink * scale * direction),
-                            buf.times, buf.samples * shrink, buf.horizon)
+                            buf.times, buf.samples * shrink)
     return extract_segment(buf, buf.head_time)
 
 

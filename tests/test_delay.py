@@ -1,5 +1,6 @@
 """Delay-core: weighted history norms, delay measures, delay integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -381,7 +382,7 @@ def test_segment_buffer_invariants_hold():
     seg = extract_segment(buf, 0.6)
     # freshly constructed buffer re-validates its own invariants
     HistoryBuffer(h=seg.h, tail=seg.tail, times=seg.times,
-                  samples=seg.samples, horizon=seg.horizon)
+                  samples=seg.samples)
     assert state_norm(seg.value_at(0.0)) <= seminorm_h(seg, 0.0) + 1e-14
 
 
@@ -528,3 +529,130 @@ def test_interp_rows_is_bit_identical_to_np_interp():
         rng.shuffle(x)
         ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
         np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)
+
+
+# ---------------------------------------------------------------------------
+# pair functionals: bits of seeded sample_history pairs
+# ---------------------------------------------------------------------------
+
+PAIR_FAMILIES = ("constant", "exponential", "path")
+PAIR_KEYS = list(itertools.product(PAIR_FAMILIES, PAIR_FAMILIES, (1, 8)))
+PAIR_MEASURES = (DelayMeasure.point_mass(), DelayMeasure.exponential(1.0))
+PAIR_POWERS = (1.0, 1.5, 2.0)
+
+# float.hex() of pair_seminorm, then delay_pair_integral under the point and
+# the exponential measure at each power, for the pair sampled from
+# default_rng(100 + i), i the key's place in PAIR_KEYS
+PAIR_BITS = {
+    ("constant", "constant", 1): (
+        "0x1.29d02996042dep+1",
+        "0x1.29d02996042dep+1", "0x1.c6443e8b1be01p+1", "0x1.5a74a9c1b03aap+2",
+        "0x1.29d02996042dep+1", "0x1.c6443e8b1be01p+1", "0x1.5a74a9c1b03aap+2",
+    ),
+    ("constant", "constant", 8): (
+        "0x1.bfe69012f8067p+1",
+        "0x1.bfe69012f8067p+1", "0x1.a2ed1c6f6bf03p+2", "0x1.87d37d64b8a8cp+3",
+        "0x1.bfe69012f8067p+1", "0x1.a2ed1c6f6bf03p+2", "0x1.87d37d64b8a8cp+3",
+    ),
+    ("constant", "exponential", 1): (
+        "0x1.9ee0e88381ebep-1",
+        "0x1.8f13653e943c0p-1", "0x1.6054272d72b67p-1", "0x1.370ebb88a0b3cp-1",
+        "0x1.28ff08020de63p+0", "0x1.461920cfdd81bp+0", "0x1.6a9d63d08d618p+0",
+    ),
+    ("constant", "exponential", 8): (
+        "0x1.0a02c5f2848d3p+1",
+        "0x1.0a02c5f2848d3p+1", "0x1.7f7b2b6995a1ep+1", "0x1.1469c363ac4eap+2",
+        "0x1.0ff6a9290bc50p+1", "0x1.8c75991115712p+1", "0x1.20fd4a2cbeb50p+2",
+    ),
+    ("constant", "path", 1): (
+        "0x1.591d6c6b28422p+1",
+        "0x1.591d6c6b28422p+1", "0x1.1b578055d0e2cp+2", "0x1.d140519a90b3fp+2",
+        "0x1.6028f6719e920p+1", "0x1.241c656af5199p+2", "0x1.e4a8048c4d23dp+2",
+    ),
+    ("constant", "path", 8): (
+        "0x1.f05d61e7314b2p+1",
+        "0x1.f05d61e7314b2p+1", "0x1.e8ba255cfd3fep+2", "0x1.e134feb813370p+3",
+        "0x1.ab25456969c44p+1", "0x1.86874b568e994p+2", "0x1.654aed1f0a867p+3",
+    ),
+    ("exponential", "constant", 1): (
+        "0x1.3f5955b75624fp+1",
+        "0x1.3f5955b75624fp+1", "0x1.f86bd01b4b250p+1", "0x1.8e5fc2cb9edd3p+2",
+        "0x1.27decf8c2de7fp+1", "0x1.c4346764e6c71p+1", "0x1.5a8c3ff03ff6fp+2",
+    ),
+    ("exponential", "constant", 8): (
+        "0x1.1bac18c03bf6dp+0",
+        "0x1.1bac18c03bf6dp+0", "0x1.2a9c540a47c8bp+0", "0x1.3a55f26a4948ep+0",
+        "0x1.b54082d8ad671p-1", "0x1.98e15f875dabep-1", "0x1.812f8f1c808cdp-1",
+    ),
+    ("exponential", "exponential", 1): (
+        "0x1.7a4bc1d1a8c59p+1",
+        "0x1.7a4bc1d1a8c59p+1", "0x1.452be979fb524p+2", "0x1.1781e76524ff1p+3",
+        "0x1.20ab49c6f0f11p+2", "0x1.5140e08989514p+3", "0x1.c70e9a4ff52a9p+4",
+    ),
+    ("exponential", "exponential", 8): (
+        "0x1.271e8e875c718p+1",
+        "0x1.271e8e875c719p+1", "0x1.c01dfded0ca1fp+1", "0x1.54377021ae21dp+2",
+        "0x1.5c997a20dd72ap+0", "0x1.b380671ad4afbp+0", "0x1.18174052890f4p+1",
+    ),
+    ("exponential", "path", 1): (
+        "0x1.3c6d326f6f74bp+1",
+        "0x1.3c6d326f6f74bp+1", "0x1.f18350cc5b61ap+1", "0x1.871dc31717fcbp+2",
+        "0x1.f348f11c37dbbp+0", "0x1.60f6a06b4ab77p+1", "0x1.f6867b2b862f8p+1",
+    ),
+    ("exponential", "path", 8): (
+        "0x1.48f2d92f17b6bp+1",
+        "0x1.48f2d92f17b6cp+1", "0x1.07aaf68804360p+2", "0x1.a6af32e8020e0p+2",
+        "0x1.2b12bdcbc7b88p+1", "0x1.c9f9c10650be7p+1", "0x1.5f2f10285cc6ap+2",
+    ),
+    ("path", "constant", 1): (
+        "0x1.10864968e9339p+0",
+        "0x1.10864968e9339p+0", "0x1.192ec0926dccfp+0", "0x1.221da26fde6ebp+0",
+        "0x1.e2863293680e4p-2", "0x1.65d9716949607p-2", "0x1.183ac8493646ap-2",
+    ),
+    ("path", "constant", 8): (
+        "0x1.231f5f167e42fp+0",
+        "0x1.231f5f167e42fp+0", "0x1.3673961b69ba5p+0", "0x1.4b1056054dd07p+0",
+        "0x1.060507c4fc998p+0", "0x1.09ef18ffb1442p+0", "0x1.0e7b111fe676ep+0",
+    ),
+    ("path", "exponential", 1): (
+        "0x1.2881525b2add8p+0",
+        "0x1.2881525b2add8p+0", "0x1.3f19e6caa1781p+0", "0x1.576b4fc6ed7ffp+0",
+        "0x1.e292185f17d03p-2", "0x1.83c2559922bb9p-2", "0x1.4a6d29cb135f1p-2",
+    ),
+    ("path", "exponential", 8): (
+        "0x1.6e2420a3bdd08p+0",
+        "0x1.6e2420a3bdd08p+0", "0x1.b5e0add8110e5p+0", "0x1.05d5a936b27b7p+1",
+        "0x1.1faa72cf41b65p+0", "0x1.3468767284d4fp+0", "0x1.4d16be36b457bp+0",
+    ),
+    ("path", "path", 1): (
+        "0x1.ec439281872eap+0",
+        "0x1.ccdc1a650b00cp+0", "0x1.352c97ac8d7aap+1", "0x1.9ed3de0c3ff72p+1",
+        "0x1.b3544431941e3p+0", "0x1.1d58cf254e94ap+1", "0x1.77749e48d09afp+1",
+    ),
+    ("path", "path", 8): (
+        "0x1.93eeffd8ce064p-1",
+        "0x1.ecf28a1846480p-2", "0x1.5605008d56328p-2", "0x1.da9a944b5743ep-3",
+        "0x1.9d25891d5a2b2p-1", "0x1.7b12356b8b48ep-1", "0x1.5f507fd405937p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("i, key", list(enumerate(PAIR_KEYS)),
+                         ids=[f"{a}-{b}-dim{dim}" for a, b, dim in PAIR_KEYS])
+def test_pair_functionals_keep_their_recorded_bits(i, key):
+    kind_a, kind_b, dim = key
+    rng = np.random.default_rng(100 + i)
+    a = sample_history(rng, dim, 1.0, 3.0, kind=kind_a)
+    b = sample_history(rng, dim, 1.0, 3.0, kind=kind_b)
+    got = [pair_seminorm(a, b)] + [delay_pair_integral(a, b, mu, p)
+                                   for mu in PAIR_MEASURES for p in PAIR_POWERS]
+    assert tuple(float(v).hex() for v in got) == PAIR_BITS[key]
+
+
+@pytest.mark.parametrize("pair", [delay_pair_integral, pair_seminorm])
+def test_pair_functionals_reject_segments_of_different_weights(pair):
+    a = HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=0.5))
+    b = HistoryBuffer.from_tail(2.0, ExponentialTail(np.array([1.0]), rate=0.5))
+    args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
+    with pytest.raises(ValueError, match="same weight h"):
+        pair(a, b, *args)

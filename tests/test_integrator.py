@@ -247,7 +247,7 @@ def test_ou_terminal_variance_matches_closed_form():
 def row_zero_history(r):
     """History of path path_id (row 0) of runner r after its run."""
     return HistoryBuffer(h=r.initial.h, tail=r.initial.tail, times=r.times,
-                         samples=r.states[:, 0], horizon=r.initial.horizon)
+                         samples=r.states[:, 0])
 
 
 def test_runner_bit_identical_to_step_without_delay():
@@ -463,7 +463,7 @@ def _partner_differing_in(field, p):
             cs, diffusion=dataclasses.replace(cs.diffusion, gain=2.0 * cs.diffusion.gain)), init
     if field == "space":
         return dataclasses.replace(cs, space=SpectralSpace(2.0, cs.dim)), init
-    return cs, HistoryBuffer.from_tail(2.0 * init.h, init.tail, horizon=init.horizon)
+    return cs, HistoryBuffer.from_tail(2.0 * init.h, init.tail)
 
 
 @pytest.mark.parametrize("field", ["drift", "diffusion", "space", "initial.h"])
@@ -496,8 +496,7 @@ def test_partner_has_the_bits_of_two_uncoupled_runs():
     cfg = dataclasses.replace(COUPLE_CFG, T=0.1)
     shift = np.zeros(p.coefficients.dim)
     shift[0] = 1e-4
-    start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift),
-                                    horizon=p.initial.horizon)
+    start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift))
     runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3)
     runner.couple([(p.coefficients, 0.1, start)])
     runner.run()
@@ -550,8 +549,7 @@ def test_stacked_twins_have_the_bits_of_separate_runs(name, width, data, path_id
     for eps, delta, gated in drawn:
         shift = np.zeros(cs.dim)
         shift[0] = delta
-        start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift),
-                                        horizon=p.initial.horizon)
+        start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift))
         partners.append((dataclasses.replace(cs, osc2=GATED) if gated else cs, eps, start))
 
     def stacked(runner_cls=PathRunner, **kick):
@@ -797,6 +795,9 @@ def test_config_validation():
         StepperConfig(dt=math.nan, T=1.0)
     with pytest.raises(ValueError, match=r"^T = 10000000000.0, dt = 1e-300: T / dt overflows"):
         StepperConfig(dt=1e-300, T=1e10)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed = {seed}: "):
+            StepperConfig(dt=0.1, T=1.0, seed=seed)
 
 
 def test_averaged_label_is_not_a_stepper_eps():
