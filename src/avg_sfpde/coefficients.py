@@ -291,23 +291,15 @@ class CoefficientSet:
             grid = extra + POINTWISE_MAPS[d.pointwise](head_values)
         return grid if self.space is None else self.space.to_coeffs(grid)
 
-    def _delay_value(self, buf: HistoryBuffer, t: float) -> float:
-        d = self.drift
-        if d.delay_kernel_power is None:
-            return 0.0
-        return delay_integral(buf, t, d.delay_measure, d.delay_kernel_power)
-
-    def _head_values(self, buf: HistoryBuffer, t: float) -> np.ndarray:
-        head = buf.value_at(t)
-        if self.space is None:
-            return head
-        return self.space.to_values(head)
-
     def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
         """F evaluated on the buffer's segment at its head."""
-        t = buf.head_time
-        semi = seminorm_h(buf, t) if self.drift.seminorm_power else 0.0
-        return self.compose_drift(self._head_values(buf, t), self._delay_value(buf, t), semi)
+        d, t = self.drift, buf.head_time
+        head = buf.value_at(t)
+        values = head if self.space is None else self.space.to_values(head)
+        delay = 0.0 if d.delay_kernel_power is None else \
+            delay_integral(buf, t, d.delay_measure, d.delay_kernel_power)
+        semi = seminorm_h(buf, t) if d.seminorm_power else 0.0
+        return self.compose_drift(values, delay, semi)
 
     # -- diffusion -------------------------------------------------------------
     def diffusion_amplitude(self, buf: HistoryBuffer) -> np.ndarray:
@@ -373,10 +365,6 @@ class AveragingRate:
     raw_phi1: np.ndarray
     raw_phi2: np.ndarray
 
-    def decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.phi1) <= 1e-15)
-                    and np.all(np.diff(self.phi2) <= 1e-15))
-
 
 def _upper_envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
@@ -399,7 +387,6 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows) -> AveragingRate
     M = cs.profile.M
 
     m1 = cs.osc1.mean()
-    m2 = cs.osc2.mean()
     drift_ratio = 0.0
     diff_ratio = 0.0
     for buf in probes:
@@ -468,40 +455,61 @@ def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
 # Falsifiers
 # ---------------------------------------------------------------------------
 
+GROWTH_RADIUS = 10.0    # seminorm radius of the histories check_growth samples
+H5_RADIUS = 3.0         # seminorm radius of the history pairs check_h5 samples
+
+
 @dataclass
 class CheckReport:
     name: str
-    passed: bool
-    max_ratio: float
-    bound: float
-    witness: tuple | None
+    max_ratio: float          # the largest ratio or gap over the draws
+    witness: tuple | None     # the draw that gave it
     detail: str = ""
+    bound: float = 1e-9       # a one-sided gap's rounding allowance, or a ratio's bound
+
+    @property
+    def passed(self) -> bool:
+        return self.max_ratio <= self.bound
+
+
+def worst_draw(trials: int, draw, *gaps) -> list:
+    """The falsifiers' one scan: ``draw()`` called ``trials`` times, each draw
+    scored by every gap function before the next.  Per gap function, the
+    largest gap and the draw that gave it, as a ``(gap, witness)`` pair; a
+    strict comparison keeps the first of tied maxima."""
+    if trials < 1:
+        raise ValueError(f"trials = {trials}: need at least 1 trial")
+    worst = [(-math.inf, None)] * len(gaps)
+    for _ in range(trials):
+        x = draw()
+        for i, gap in enumerate(gaps):
+            g = gap(x)
+            if g > worst[i][0]:
+                worst[i] = (g, x)
+    return worst
+
+
+def _draw(rng: np.random.Generator, cs: CoefficientSet, radius: float, n: int) -> tuple:
+    """n sampled histories with seminorms <= radius, then a time in [0, 20)."""
+    return (*[sample_history(rng, cs.dim, _profile_h(cs), radius) for _ in range(n)],
+            float(rng.uniform(0.0, 20.0)))
 
 
 def check_holder(cs: CoefficientSet, radius: float, trials: int,
                  rng_seed: int) -> CheckReport:
     """Max of ||f(t,phi)-f(t,psi)|| / ||phi-psi||_h^gamma over sampled pairs
     with seminorms <= radius; PASS iff it stays below the profile's L_M."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng_seed)
-    gamma = cs.profile.gamma
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        a = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        b = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        t = float(rng.uniform(0.0, 20.0))
+
+    def ratio(pair):
+        a, b, t = pair
         dist = pair_seminorm(a, b)
         if dist < 1e-12:
-            continue
-        fa, fb = eval_drift(cs, t, a), eval_drift(cs, t, b)
-        ratio = state_norm(fa - fb) / dist**gamma
-        if ratio > worst:
-            worst = ratio
-            witness = (a, b, t)
-    return CheckReport("holder", worst <= cs.profile.L_M, worst,
-                       cs.profile.L_M, witness)
+            return 0.0   # coincident histories bound nothing
+        return state_norm(eval_drift(cs, t, a) - eval_drift(cs, t, b)) / dist**cs.profile.gamma
+
+    [worst] = worst_draw(trials, lambda: _draw(rng, cs, radius, 2), ratio)
+    return CheckReport("holder", *worst, bound=cs.profile.L_M)
 
 
 def check_holder_averaged(cs: CoefficientSet, radius: float, trials: int,
@@ -511,8 +519,8 @@ def check_holder_averaged(cs: CoefficientSet, radius: float, trials: int,
                    name="holder_averaged")
 
 
-def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
-             radius: float = 3.0) -> tuple[CheckReport, CheckReport]:
+def check_h5(cs: CoefficientSet, trials: int,
+             rng_seed: int) -> tuple[CheckReport, CheckReport]:
     """Sampling check of the two one-sided delay bounds.
 
     Drift: <f(phi)-f(psi), phi(0)-psi(0)> <= alpha2 [ ||d0||^{g+1}
@@ -523,55 +531,42 @@ def check_h5(cs: CoefficientSet, trials: int, rng_seed: int,
     gamma = cs.profile.gamma
     a2 = cs.profile.get("h5_alpha2", "alpha2")
     a1 = cs.profile.get("h5_alpha1", "alpha1")
-    worst_f, wit_f = -math.inf, None
-    worst_g, wit_g = -math.inf, None
-    for _ in range(trials):
-        pa = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        pb = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        t = float(rng.uniform(0.0, 20.0))
-        head_diff = pa.value_at(0.0) - pb.value_at(0.0)  # phi(0) - psi(0)
-        d0 = state_norm(head_diff)
-        fa, fb = eval_drift(cs, t, pa), eval_drift(cs, t, pb)
-        lhs_f = float(np.dot(fa - fb, head_diff))
-        mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
-        rhs_f = d0 ** (gamma + 1.0) + mu1_term
-        gap_f = lhs_f - a2 * rhs_f
-        if gap_f > worst_f:
-            worst_f, wit_f = gap_f, (pa, pb, t)
 
+    def drift_gap(pair):
+        pa, pb, t = pair
+        head_diff = pa.value_at(0.0) - pb.value_at(0.0)  # phi(0) - psi(0)
+        lhs = float(np.dot(eval_drift(cs, t, pa) - eval_drift(cs, t, pb), head_diff))
+        mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
+        return lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term)
+
+    def diffusion_gap(pair):
+        pa, pb, t = pair
         ga = eval_diffusion_amplitude(cs, t, pa)
         gb = eval_diffusion_amplitude(cs, t, pb)
-        lhs_g = state_norm(ga - gb) ** 2
         mu2_term = delay_pair_integral(pa, pb, cs.profile.mu2, 2.0 * gamma)
-        gap_g = lhs_g - a1 * mu2_term
-        if gap_g > worst_g:
-            worst_g, wit_g = gap_g, (pa, pb, t)
-    tol = 1e-9
-    rep_f = CheckReport("h5_drift", worst_f <= tol, worst_f, 0.0, wit_f,
-                        detail=f"alpha2 = {a2}")
-    rep_g = CheckReport("h5_diffusion", worst_g <= tol, worst_g, 0.0, wit_g,
-                        detail=f"alpha1 = {a1}")
-    return rep_f, rep_g
+        return state_norm(ga - gb) ** 2 - a1 * mu2_term
+
+    worst_f, worst_g = worst_draw(trials, lambda: _draw(rng, cs, H5_RADIUS, 2),
+                                  drift_gap, diffusion_gap)
+    return (CheckReport("h5_drift", *worst_f, f"alpha2 = {a2}"),
+            CheckReport("h5_diffusion", *worst_g, f"alpha1 = {a1}"))
 
 
-def check_growth(cs: CoefficientSet, trials: int, rng_seed: int,
-                 radius: float = 10.0) -> CheckReport:
+def check_growth(cs: CoefficientSet, trials: int, rng_seed: int) -> CheckReport:
     """Linear growth ||f|| v ||g|| <= alpha1 ||phi||_h + M on sampled histories."""
     rng = np.random.default_rng(rng_seed)
     a1 = cs.profile.get("growth_alpha1", "alpha1")
     M = cs.profile.get("growth_M", "M")
-    worst, witness = -math.inf, None
-    for _ in range(trials):
-        buf = sample_history(rng, cs.dim, _profile_h(cs), radius)
-        t = float(rng.uniform(0.0, 20.0))
+
+    def gap(sample):
+        buf, t = sample
         s = seminorm_h(buf, buf.head_time)
         fn = state_norm(eval_drift(cs, t, buf))
         gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
-        gap = max(fn, gn) - (a1 * s + M)
-        if gap > worst:
-            worst, witness = gap, (buf, t)
-    return CheckReport("growth", worst <= 1e-9, worst, 0.0, witness,
-                       detail=f"alpha1 = {a1}, M = {M}")
+        return max(fn, gn) - (a1 * s + M)
+
+    [worst] = worst_draw(trials, lambda: _draw(rng, cs, GROWTH_RADIUS, 1), gap)
+    return CheckReport("growth", *worst, f"alpha1 = {a1}, M = {M}")
 
 
 def _profile_h(cs: CoefficientSet) -> float:

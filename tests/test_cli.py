@@ -343,3 +343,15 @@ def test_audit_exit_codes(tmp_path, capsys):
     code = run_cli(["audit", "--preset", "broken-quadratic", "--trials", "100",
                     "--out", str(tmp_path / "b")])
     assert code == 2
+
+
+def test_khasminskii_overflowing_segment_residual_is_an_error_not_a_pass(tmp_path, capsys):
+    # e^(2hT) overflows past 2hT ~ 709.8 (T = 360 at h = 1): the segment
+    # residual would be NaN and its column empty under a PASS verdict
+    code = run_cli(["sweep-khasminskii", "--preset", "scalar-linear-osc",
+                    "--d", "0.5,0.25,0.1", "--paths", "2", "--T", "360", "--dt", "0.05",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    assert "T = 360.0, h = 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "manifest.ini").exists()

@@ -263,7 +263,7 @@ def test_estimate_rate_cos_diffusion_table_matches_windowed_quadrature():
     for r, got in zip(windows, rate.raw_phi2):
         oracle = max(window_mean_cos_sq(t0, r) for t0 in starts) * norm
         assert got == pytest.approx(oracle, rel=1e-5)
-    assert rate.decreasing()
+    assert np.all(np.diff(rate.phi1) <= 1e-15) and np.all(np.diff(rate.phi2) <= 1e-15)
     assert rate.phi2[-1] < rate.phi2[0]
     # the table converges to the oscillation power 1/2 (times normalization)
     assert rate.raw_phi2[-1] == pytest.approx(0.5 * norm, rel=1e-2)
@@ -273,7 +273,7 @@ def test_estimate_rate_envelope_decreasing_and_strictly_less_for_oscillation():
     cs = scalar_cs(DriftSpec(pointwise="identity"),
                    osc1=Oscillator.sinusoid(1.0, 1.0, 1.0))
     rate = estimate_rate(cs, probe_set(), [5.0, 50.0, 500.0])
-    assert rate.decreasing()
+    assert np.all(np.diff(rate.phi1) <= 1e-15) and np.all(np.diff(rate.phi2) <= 1e-15)
     assert rate.phi1[-1] < rate.phi1[0]
 
 
@@ -372,6 +372,19 @@ def test_growth_audit_presets_pass_and_quadratic_fails():
     buf, t = rep_bad.witness
     s = seminorm_h(buf, buf.head_time)
     assert s**2 > broken.coefficients.profile.alpha1 * s + broken.coefficients.profile.M
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("check", [
+    lambda cs, n: check_growth(cs, n, 1),
+    lambda cs, n: check_holder(cs, 3.0, n, 1),
+    lambda cs, n: check_holder_averaged(cs, 3.0, n, 1),
+    lambda cs, n: check_h5(cs, n, 1),
+], ids=["growth", "holder", "holder_averaged", "h5"])
+def test_falsifiers_reject_fewer_than_one_trial(check, trials):
+    # no draws is no evidence: a vacuous PASS with max_ratio -inf is refused
+    with pytest.raises(ValueError, match=f"trials = {trials}: need at least 1 trial"):
+        check(get_preset("broken-quadratic").coefficients, trials)
 
 
 def test_profile_measure_membership_enforced():

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 import avg_sfpde.experiments as exp
 from avg_sfpde import integrator
-from avg_sfpde.coefficients import DriftSpec, Oscillator
+from avg_sfpde.coefficients import (
+    DriftSpec,
+    Oscillator,
+    check_growth,
+    check_h5,
+    check_holder,
+    check_holder_averaged,
+    eval_diffusion_amplitude,
+    eval_drift,
+)
+from avg_sfpde.delay import delay_pair_integral, pair_seminorm, seminorm_h, state_norm
 from avg_sfpde.experiments import (
     ReportRow,
     averaging_sweep,
@@ -20,6 +30,7 @@ from avg_sfpde.experiments import (
     khasminskii_diagnostic,
 )
 from avg_sfpde.presets import constant_xi, get_preset
+from avg_sfpde.spectral import coercivity_probe
 from oracles import heat_block_residual_oracle
 
 LINEAR = get_preset("scalar-linear-osc")
@@ -522,3 +533,128 @@ def test_audit_prints_its_recorded_text(name, seed):
     audit = hypothesis_audit(get_preset(name, k=k), trials=20, rng_seed=seed)
     lines = [f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})" for r in audit.results]
     assert "\n".join(lines) + "\n" == AUDIT_TEXT[name, seed]
+
+
+# Every falsifier keeps the draw that gave its max_ratio.  Recomputed from
+# public calls at that witness, the gap (or ratio) must equal max_ratio bit for
+# bit; the float.hex() of each max_ratio is pinned.
+WITNESS_TRIALS = 30
+WITNESS_SEED = 7
+
+
+def _growth(p, seed):
+    return check_growth(p.coefficients, WITNESS_TRIALS, seed)
+
+
+def _growth_at(p, w):
+    cs, prof = p.coefficients, p.coefficients.profile
+    buf, t = w
+    fn = state_norm(eval_drift(cs, t, buf))
+    gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
+    return max(fn, gn) - (prof.get("growth_alpha1", "alpha1") * seminorm_h(buf, buf.head_time)
+                          + prof.get("growth_M", "M"))
+
+
+def _holder_at(cs):
+    def at(p, w):
+        a, b, t = w
+        ratio = state_norm(eval_drift(cs(p), t, a) - eval_drift(cs(p), t, b))
+        return ratio / pair_seminorm(a, b) ** p.coefficients.profile.gamma
+    return at
+
+
+def _h5_drift_at(p, w):
+    cs, prof = p.coefficients, p.coefficients.profile
+    a, b, t = w
+    head_diff = a.value_at(0.0) - b.value_at(0.0)
+    lhs = float(np.dot(eval_drift(cs, t, a) - eval_drift(cs, t, b), head_diff))
+    rhs = (state_norm(head_diff) ** (prof.gamma + 1.0)
+           + delay_pair_integral(a, b, prof.mu1, prof.gamma + 1.0))
+    return lhs - prof.get("h5_alpha2", "alpha2") * rhs
+
+
+def _h5_diffusion_at(p, w):
+    cs, prof = p.coefficients, p.coefficients.profile
+    a, b, t = w
+    lhs = state_norm(eval_diffusion_amplitude(cs, t, a) - eval_diffusion_amplitude(cs, t, b)) ** 2
+    return lhs - prof.get("h5_alpha1", "alpha1") * delay_pair_integral(
+        a, b, prof.mu2, 2.0 * prof.gamma)
+
+
+def _probe(fn):
+    return lambda p, seed: fn(p.operator, p.coefficients, np.random.default_rng(seed),
+                              WITNESS_TRIALS)
+
+
+def _operator_growth_at(p, u):
+    op, space, prof = p.operator, p.coefficients.space, p.coefficients.profile
+    q = op.growth_exponent
+    return op.dual_norm(space, u) ** (q / (q - 1.0)) - (
+        prof.get("growthA_alpha1", "alpha1") * op.b_norm(space, u) ** q
+        + prof.get("growthA_M", "M"))
+
+
+def _coercivity_at(p, u):
+    prof = p.coefficients.profile
+    pairing, bnorm_p = coercivity_probe(p.operator, p.coefficients.space, u)
+    return pairing - (-prof.get("coercivity_alpha1", "alpha1") * bnorm_p
+                      + prof.get("coercivity_alpha2", "alpha2") * float(np.linalg.norm(u)) ** 2
+                      + prof.get("coercivity_M", "M"))
+
+
+def _monotonicity_at(p, w):
+    prof = p.coefficients.profile
+    u, v = w
+    bound = prof.alpha1 * float(np.linalg.norm(u - v)) ** (prof.beta + 1.0)
+    tol = 1e-8 * (np.linalg.norm(u) + np.linalg.norm(v)) ** 2
+    return p.operator.monotonicity_gap(p.coefficients.space, u, v) - bound - tol
+
+
+# check name -> (its report at a preset and seed, its gap at a witness)
+FALSIFIERS = {
+    "growth": (_growth, _growth_at),
+    "holder": (lambda p, seed: check_holder(p.coefficients, 3.0, WITNESS_TRIALS, seed),
+               _holder_at(lambda p: p.coefficients)),
+    "holder_averaged": (
+        lambda p, seed: check_holder_averaged(p.coefficients, 3.0, WITNESS_TRIALS, seed),
+        _holder_at(lambda p: p.coefficients.averaged())),
+    "h5_drift": (lambda p, seed: check_h5(p.coefficients, WITNESS_TRIALS, seed)[0],
+                 _h5_drift_at),
+    "h5_diffusion": (lambda p, seed: check_h5(p.coefficients, WITNESS_TRIALS, seed)[1],
+                     _h5_diffusion_at),
+    "operator_growth": (_probe(exp._operator_growth_probe), _operator_growth_at),
+    "coercivity": (_probe(exp._coercivity_audit), _coercivity_at),
+    "monotonicity": (_probe(exp._monotonicity_audit), _monotonicity_at),
+}
+WITNESS_PRESETS = {"reaction-diffusion-delay": RD8,
+                   "broken-quadratic": get_preset("broken-quadratic")}
+# max_ratio bits recorded before the falsifiers shared one scan
+WITNESS_BITS = {
+    ("broken-quadratic", "coercivity"): "-0x1.17f96567d3712p+0",
+    ("broken-quadratic", "growth"): "0x1.559c21a416422p+6",
+    ("broken-quadratic", "h5_diffusion"): "-0x1.01484e4fbc570p-11",
+    ("broken-quadratic", "h5_drift"): "0x1.80b030824ae16p+2",
+    ("broken-quadratic", "holder"): "0x1.27f8973397d3bp+2",
+    ("broken-quadratic", "holder_averaged"): "0x1.27f8973397d3bp+2",
+    ("broken-quadratic", "monotonicity"): "-0x1.3aabd10528808p-7",
+    ("broken-quadratic", "operator_growth"): "-0x1.ffffffffffff8p-1",
+    ("reaction-diffusion-delay", "coercivity"): "-0x1.504dffd600a00p-5",
+    ("reaction-diffusion-delay", "growth"): "-0x1.4171b8814f749p+1",
+    ("reaction-diffusion-delay", "h5_diffusion"): "-0x1.07db9cd20a738p-1",
+    ("reaction-diffusion-delay", "h5_drift"): "-0x1.463cc65363d8ep+1",
+    ("reaction-diffusion-delay", "holder"): "0x1.600cf7fc4763fp-1",
+    ("reaction-diffusion-delay", "holder_averaged"): "0x1.feb3bcbf1b245p-2",
+    ("reaction-diffusion-delay", "monotonicity"): "-0x1.cef0da2d03d77p+8",
+    ("reaction-diffusion-delay", "operator_growth"): "-0x1.72924133141a4p+4",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WITNESS_PRESETS))
+@pytest.mark.parametrize("check", sorted(FALSIFIERS))
+def test_every_witness_reproduces_its_gap(preset, check):
+    p = WITNESS_PRESETS[preset]
+    run, gap_at = FALSIFIERS[check]
+    report = run(p, WITNESS_SEED)
+    assert report.witness is not None
+    assert gap_at(p, report.witness) == report.max_ratio
+    assert float(report.max_ratio).hex() == WITNESS_BITS[preset, check]
