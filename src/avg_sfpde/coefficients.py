@@ -472,11 +472,15 @@ class CheckReport:
         return self.max_ratio <= self.bound
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def worst_draw(trials: int, draw, *gaps) -> list:
     """The falsifiers' one scan: ``draw()`` called ``trials`` times, each draw
     scored by every gap function before the next.  Per gap function, the
     largest gap and the draw that gave it, as a ``(gap, witness)`` pair; a
-    strict comparison keeps the first of tied maxima."""
+    strict comparison keeps the first of tied maxima.  A NaN gap ranks above
+    every number, so the first NaN draw is the witness, and its check fails
+    (``nan <= bound`` is False).  An overflow shows as an inf or NaN gap, so
+    the scan runs with numpy's overflow and invalid-value warnings silenced."""
     if trials < 1:
         raise ValueError(f"trials = {trials}: need at least 1 trial")
     worst = [(-math.inf, None)] * len(gaps)
@@ -484,7 +488,7 @@ def worst_draw(trials: int, draw, *gaps) -> list:
         x = draw()
         for i, gap in enumerate(gaps):
             g = gap(x)
-            if g > worst[i][0]:
+            if not math.isnan(worst[i][0]) and (math.isnan(g) or g > worst[i][0]):
                 worst[i] = (g, x)
     return worst
 

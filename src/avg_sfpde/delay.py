@@ -104,6 +104,11 @@ class Tail:
     def check_admissible(self, h: float) -> None:
         raise NotImplementedError
 
+    @property
+    def growth(self) -> float:
+        """The rate g >= 0 with ||phi(theta)|| = O(e^{-g theta}) as theta -> -infty."""
+        raise NotImplementedError
+
     def kink_nodes(self, lo: float, hi: float) -> np.ndarray:
         """Interior points in [lo, hi] where the tail is not smooth."""
         return np.empty(0)
@@ -134,6 +139,10 @@ class ConstantTail(Tail):
 
     def check_admissible(self, h):
         pass
+
+    @property
+    def growth(self):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,10 @@ class ExponentialTail(Tail):
                 f"exponential tail rate {self.rate} < -h = {-h}: "
                 "weighted history norm would be infinite"
             )
+
+    @property
+    def growth(self):
+        return max(0.0, -self.rate)
 
 
 @dataclass(frozen=True)
@@ -221,6 +234,10 @@ class TabulatedTail(Tail):
                 f"tabulated tail extrapolation rate {self.extrap_rate} < -h = {-h}"
             )
 
+    @property
+    def growth(self):
+        return max(0.0, -self.extrap_rate)
+
     def kink_nodes(self, lo, hi):
         return self.thetas[(self.thetas > lo) & (self.thetas < hi)]
 
@@ -266,6 +283,10 @@ class SegmentTail(Tail):
     def check_admissible(self, h):
         self.buffer.tail.check_admissible(h)
 
+    @property
+    def growth(self):
+        return self.buffer.tail.growth
+
     def kink_nodes(self, lo, hi):
         buf, t0 = self.buffer, self.t0
         nodes = np.concatenate([buf.times - t0,
@@ -299,6 +320,10 @@ class _DifferenceTail(Tail):
     def check_admissible(self, h):
         self.a.check_admissible(h)
         self.b.check_admissible(h)
+
+    @property
+    def growth(self):
+        return max(self.a.growth, self.b.growth)
 
     def kink_nodes(self, lo, hi):
         # the kinks of both tails, so swapping the segments keeps every node
@@ -538,7 +563,10 @@ def _tail_power_closed_form(tail, mu, p, hi):
             return None
         c = p * tail.rate + r2
         if c <= 0:
-            return None
+            # only a negative power gets here: ||u||^p grows as the tail decays
+            raise MomentDivergenceError(
+                f"delay integral diverges: ||u||^{p} of a tail of rate {tail.rate} "
+                f"grows at {-p * tail.rate} >= 2 * rate = {r2} of exponential({mu.rate})")
         return norm ** p * r2 / c * math.exp(c * min(hi, 0.0))
     return None
 
@@ -621,10 +649,17 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
     The simulated part [-t, 0] is integrated by a trapezoid in kernel values
     against exact interval masses on the sample grid; the analytic-tail part
     uses closed forms where available and a graded product quadrature
-    otherwise.
+    otherwise.  Against an exponential measure the integral diverges when
+    power * g >= 2 * rate, g the tail's ``growth``: that raises
+    MomentDivergenceError before any quadrature.
     """
     buf._check_time(t)
     power = float(power)
+    if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
+        raise MomentDivergenceError(
+            f"delay integral diverges: ||u||^{power} of a tail of growth "
+            f"{buf.tail.growth} grows at {power * buf.tail.growth} >= 2 * rate = "
+            f"{2.0 * mu.rate} of exponential({mu.rate})")
 
     def check(vals, thetas):
         bad = ~np.isfinite(np.atleast_1d(vals))

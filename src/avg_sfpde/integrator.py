@@ -18,8 +18,10 @@ steps is a prefix of any longer one, and whole-path blocks and the runner's
 slabs of ``SLAB`` steps see bit-identical numbers regardless of scheduling.
 The inverse CDF is a numpy port of Cephes' ndtri with the bits of
 scipy.special.ndtri, so drawing noise loads no scipy module.  The runner
-converts the draws of all its rows in one call per slab, and tabulates the
-oscillators of every twin once per slab.
+converts the draws of all its rows in one call per slab.
+
+What a step computes without reading the state is tabulated once per slab,
+by the same float operations with one more leading axis, so every bit stays.
 
 ``PathRunner`` is the one step kernel.  The one-path reference scheme that it
 is checked against lives with the tests, in ``tests/oracles.py``.
@@ -39,6 +41,7 @@ from .spectral import ROW_BLOCK, PdeOperator
 CHUNK = ROW_BLOCK       # rows per transform product; a batch width is a multiple
 MAX_WIDTH = 256         # rows per runner; never derived from threads
 SLAB = 64               # steps of noise drawn at a time
+RECORD_BYTES = 256 * 1024   # largest slab of states a coupled run records
 RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 
 
@@ -284,10 +287,15 @@ class PathRunner:
     of an averaging sweep beside the averaged twin ``cs.averaged()``, or the
     shifted starts of a continuity study beside the unshifted one).  ``run``
     draws each slab of noise once, a (SLAB, rows, k_w) array that every twin
-    steps on, and makes one kernel call per step for all twins.  Each step
-    operation is row-wise except the sine transforms, whose CHUNK-row blocks
-    never straddle two twins, so a row has the bits it has in a runner of its
-    twin alone.  A row that is still non-finite after the halving retry is a
+    steps on, and makes one kernel call per step for all twins.  Per slab it
+    tabulates the oscillators, a drift F without pointwise map, delay or
+    seminorm term, and a diagonal or map-free scalar amplitude G
+    (``_tabulate``).  A coupled run folds its partner distances once per
+    slab while SLAB states take at most RECORD_BYTES, else every step, as a
+    field batch of 64 rows and 32 modes does.  Each step operation is
+    row-wise except the sine transforms, whose CHUNK-row blocks never
+    straddle two twins, so a row has the bits it has in a runner of its twin
+    alone.  A row that is still non-finite after the halving retry is a
     blow-up of that path alone in that twin: its BlowUpError goes to
     ``errors[j * rows + r]``, its state is reset to zero, and the other rows
     run on.  The runner finds non-finite rows itself, so construction and
@@ -312,7 +320,7 @@ class PathRunner:
         self.times = np.arange(cfg.n_steps + 1) * cfg.dt
         self.states = None
         self.sup_sq = None
-        self.xi_slab = None                                     # set per slab by run
+        self.slab_terms = None                                  # set per slab by run
         self.twins = []
         self.x = np.empty((0, cs.dim))
         self.errors = []
@@ -322,6 +330,10 @@ class PathRunner:
         self.delay_acc = None if power is None else _ExpDelayAccumulator(
             cs.drift.delay_measure, power, cfg.dt)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
+        # an F or G that reads no state is tabulated per slab (_tabulate)
+        g = cs.diffusion
+        self.free_drift = cs.drift.pointwise is None and not self.track_norms
+        self.free_noise = g.kind == "diagonal" or (g.kind == "scalar" and g.pointwise is None)
         self.tail_weight = 1.0                                  # e^{-h t_n}
         self.h_decay = math.exp(-initial.h * cfg.dt)
         self._stack([(cs, cfg.eps, initial)])
@@ -380,31 +392,72 @@ class PathRunner:
             xi[:, 1, j, 0, 0] = cs.osc2.values(s)
         return xi
 
-    def _update(self, x, xi, frac, dW):
-        """Semi-implicit Euler-Maruyama update of every row over frac * dt,
-        with the oscillator columns ``xi`` (an entry of ``_oscillators``)."""
-        cs = self.cs
-        dt = self.cfg.dt * frac
-        values = x if self.space is None else self.space.to_values(x)
+    def _drift(self, values, xi1):
+        """xi_1 F of every row, F from the grid values (on scalar states the
+        state itself).  xi1 is the (twins, 1, 1) column of an ``_oscillators``
+        entry, or a table of them, whose leading axes the result keeps."""
+        cs, x = self.cs, self.x
         delay = 0.0 if self.delay_acc is None else self.delay_acc.value
         semi = np.maximum(self.tail_weight * self.tail_sup0, self.head_norm_weighted) \
             if cs.drift.seminorm_power else 0.0
-        xi1, xi2 = xi
         blocks = (len(self.twins), self.rows, x.shape[1])
-        rhs = (xi1 * cs.compose_drift(values, delay, semi).reshape(blocks)).reshape(x.shape)
+        f = cs.compose_drift(values, delay, semi).reshape(blocks)
+        return (xi1 * f).reshape(xi1.shape[:-3] + x.shape)
+
+    def _amplitude(self, head, values, xi2):
+        """xi_2 G of every row, as ``_drift`` takes xi_1; under diagonal noise
+        one (dim,) row per twin."""
+        g = self.cs.diffusion_from_values(head, values)
+        return xi2 * (g.reshape(len(self.twins), self.rows, -1) if g.ndim == 2 else g)
+
+    def _tabulate(self, times, dW, frac):
+        """Tables (xi, drift, amp, noise), one entry per step at ``times``
+        over frac * dt, of the terms that read no state: the oscillators;
+        xi_1 F, or dt xi_1 F on scalar states; xi_2 G; and, on scalar states,
+        xi_2 G dW on the increments dW, (len(times), rows, k_w).  A term that
+        reads the state is None, and ``_update`` builds it per step.  F and
+        G read no value of the zero grids they are given."""
+        x = self.x
+        xi = self._oscillators(times)
+        drift = amp = noise = None
+        if self.free_drift:
+            grid = np.zeros(x.shape if self.space is None else (len(x), self.space.m))
+            drift = self._drift(grid, xi[:, 0])
+            if self.space is None:
+                drift = self.cfg.dt * frac * drift
+        if self.free_noise:
+            amp = self._amplitude(np.zeros(x.shape), None, xi[:, 1])
+            if self.space is None:
+                noise = self.cs.apply_noise(amp, dW[:, None]).reshape((len(times),) + x.shape)
+        return xi, drift, amp, noise
+
+    def _update(self, x, terms, i, frac, dW):
+        """Semi-implicit Euler-Maruyama update of every row over frac * dt on
+        the increments dW, with entry i of the tables ``terms`` of
+        ``_tabulate``; the terms that read the state are built here."""
+        xi, drift, amp, noise = terms
+        dt = self.cfg.dt * frac
+        values = x if self.space is None else self.space.to_values(x)
+        rhs = self._drift(values, xi[i, 0]) if drift is None else drift[i]
         if self.space is not None:
             rhs = self.op.nonlinear_from_values(self.space, values) + rhs
-        amp = cs.diffusion_from_values(x, values)       # diagonal noise: one (dim,) row
-        amp = xi2 * (amp.reshape(blocks) if amp.ndim == 2 else amp)
-        noise = cs.apply_noise(amp, dW).reshape(x.shape)
+        if drift is None or self.space is not None:
+            rhs = dt * rhs                      # a scalar drift table holds dt xi_1 F
+        if noise is None:
+            step_amp = self._amplitude(x, values, xi[i, 1]) if amp is None else amp[i]
+            step_noise = self.cs.apply_noise(step_amp, dW).reshape(x.shape)
+        else:
+            step_noise = noise[i]
         factors = self.implicit_factors if frac == 1.0 else 1.0 / (1.0 + dt * self.stiff)
-        return (x + dt * rhs + noise) * factors
+        return (x + rhs + step_noise) * factors
 
     def _advance(self, n, dW):
-        """Step n on the increments dW, with the oscillators of step n from
-        the slab's table ``xi_slab``, whose entry n % SLAB it is."""
-        new = self._update(self.x, self.xi_slab[n % SLAB], 1.0, dW)
-        if not np.isfinite(new).all():
+        """Step n on the increments dW, with entry n % SLAB of the slab's
+        tables ``slab_terms``."""
+        new = self._update(self.x, self.slab_terms, n % SLAB, 1.0, dW)
+        # a finite sum has finite entries; a sum that overflows on finite
+        # entries only costs a rescue that finds no row to retry
+        if not math.isfinite(np.add.reduce(new, axis=None)):
             self._rescue(new, self.times[n], dW)
         self.x = new
         if self.track_norms:
@@ -436,7 +489,9 @@ class PathRunner:
             frac = 1.0 / parts
             cur, tt, ok = self.x, t, retry.copy()
             for _ in range(parts):
-                cur = self._update(cur, self._oscillators(np.array([tt]))[0], frac, dW * frac)
+                part = dW * frac
+                terms = self._tabulate(np.array([tt]), part[None], frac)
+                cur = self._update(cur, terms, 0, frac, part)
                 tt += self.cfg.dt * frac
                 finite = np.isfinite(cur).all(axis=1)
                 ok &= finite
@@ -448,10 +503,12 @@ class PathRunner:
             self.errors[r] = BlowUpError(t + self.cfg.dt, mode)
         new[~np.isfinite(new).all(axis=1)] = 0.0
 
-    def _partner_sq(self) -> np.ndarray:
-        """(partners, rows): each row's squared distance between partner j and twin 0."""
-        x = self.x.reshape(len(self.twins), self.rows, -1)
-        return _sq_distance(x[1:], x[0])
+    def _partner_sq(self, states) -> np.ndarray:
+        """(partners, rows): each row's squared distance between partner j
+        and twin 0 in a (twins * rows, dim) state; a record of states keeps
+        its leading steps axis."""
+        x = states.reshape(states.shape[:-2] + (len(self.twins), self.rows, -1))
+        return _sq_distance(x[..., 1:, :, :], x[..., :1, :, :])
 
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> Trajectory | None:
@@ -461,8 +518,8 @@ class PathRunner:
         Each row reads its path's stream in order, SLAB steps at a time; one
         ``normal_slab`` call converts the draws of all rows into one
         (SLAB, rows, k_w) array of Brownian increments, which every twin steps
-        on, broadcast, never copied.  The oscillators of the slab's steps are
-        tabulated once per slab, ``xi_slab``."""
+        on, broadcast, never copied; its state-free terms are ``slab_terms``.
+        max is exact, so the fold length moves no bit of ``sup_sq``."""
         n_steps, k_w, rows = self.cfg.n_steps, self.k_w, self.rows
         streams = [_philox(self.cfg.seed, pid)
                    for pid in range(self.path_id, self.path_id + rows)]
@@ -470,7 +527,9 @@ class PathRunner:
         sqrt_dt = math.sqrt(self.cfg.dt)
         coupled = len(self.twins) > 1
         if coupled:
-            self.sup_sq = self._partner_sq()
+            self.sup_sq = self._partner_sq(self.x)
+            fold = SLAB if SLAB * self.x.nbytes <= RECORD_BYTES else 1
+            record = np.empty((fold,) + self.x.shape)
         else:
             self.states = np.empty((n_steps + 1,) + self.x.shape)
             self.states[0] = self.x
@@ -480,12 +539,19 @@ class PathRunner:
                 m = min(SLAB, n_steps - n)
                 np.multiply(normal_slab(streams, self.path_id, n, m, k_w), sqrt_dt,
                             out=slab[:m])
-                self.xi_slab = self._oscillators(self.times[n:n + m])
+                self.slab_terms = self._tabulate(self.times[n:n + m], slab[:m], 1.0)
             self._advance(n, slab[j])
-            if coupled:
-                np.maximum(self.sup_sq, self._partner_sq(), out=self.sup_sq)
-            else:
+            if not coupled:
                 self.states[n + 1] = self.x
+                continue
+            if fold == 1:
+                np.maximum(self.sup_sq, self._partner_sq(self.x), out=self.sup_sq)
+                continue
+            i = n % fold
+            record[i] = self.x
+            if i == fold - 1 or n == n_steps - 1:
+                np.maximum(self.sup_sq, self._partner_sq(record[:i + 1]).max(axis=0),
+                           out=self.sup_sq)
         return None if coupled else Trajectory(self.times, self.states)
 
 

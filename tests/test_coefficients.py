@@ -23,6 +23,7 @@ from avg_sfpde.coefficients import (
     libm_loop,
     pow_or_inf,
     sample_history,
+    worst_draw,
 )
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h, state_norm
 from avg_sfpde.presets import get_preset
@@ -323,6 +324,24 @@ def test_check_holder_constant_drift_zero_ratio():
     report = check_holder(cs, radius=5.0, trials=100, rng_seed=3)
     assert report.passed
     assert report.max_ratio == 0.0
+
+
+def test_worst_draw_ranks_the_first_nan_gap_above_every_number():
+    draws = iter([(1.0, "a"), (math.nan, "b"), (math.inf, "c"), (math.nan, "d")])
+    [(gap, witness)] = worst_draw(4, lambda: next(draws), lambda x: x[0])
+    assert math.isnan(gap) and witness[1] == "b"
+
+
+def test_check_holder_with_nan_gaps_fails_on_the_first_nan_draw():
+    # at radius 1e200 the seminorm term of broken-quadratic overflows, and 40
+    # of the 50 draws score inf - inf: the first of them is the witness, so
+    # the check fails, and no RuntimeWarning escapes the scan
+    cs = get_preset("broken-quadratic").coefficients
+    report = check_holder(cs, 1e200, 50, 0)
+    assert math.isnan(report.max_ratio) and not report.passed
+    a, b, t = report.witness
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(state_norm(eval_drift(cs, t, a) - eval_drift(cs, t, b)))
 
 
 def test_holder_inheritance_averaged_passes_at_same_constant():

@@ -18,6 +18,7 @@ from avg_sfpde.delay import (
     HistoryRangeError,
     MomentDivergenceError,
     TabulatedTail,
+    _difference,
     _interp_rows,
     _product_quadrature,
     _quadrature_rule,
@@ -206,6 +207,38 @@ def test_delay_integral_simulated_part_against_quadrature():
     o1, _ = integrate.quad(integrand, -np.inf, -1.0, epsabs=1e-12, limit=200)
     o2, _ = integrate.quad(integrand, -1.0, 0.0, epsabs=1e-12, limit=200)
     assert got == pytest.approx(o1 + o2, rel=1e-6)
+
+
+def test_every_tail_states_its_growth():
+    h = 1.0
+    grow = HistoryBuffer.from_tail(h, ExponentialTail(np.array([1.0]), rate=-0.75))
+    flat = HistoryBuffer.from_tail(h, ConstantTail(np.array([2.0])))
+    tab = TabulatedTail(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), extrap_rate=-0.25)
+    assert flat.tail.growth == 0.0
+    assert grow.tail.growth == 0.75
+    assert ExponentialTail(np.array([1.0]), rate=0.5).growth == 0.0
+    assert tab.growth == 0.25
+    assert TabulatedTail(tab.thetas, tab.values, extrap_rate=0.5).growth == 0.0
+    assert extract_segment(grow, 0.0).tail.growth == 0.75
+    assert _difference(extract_segment(flat, 0.0), extract_segment(grow, 0.0)).tail.growth == 0.75
+
+
+def test_divergent_delay_integral_raises_before_any_quadrature():
+    # ||u||^3 = e^{-3 theta} against 2 e^{2 theta}: power * growth = 3 >= 2 * rate
+    buf = HistoryBuffer.from_tail(1.0, ExponentialTail([1.0], rate=-1.0))
+    mu = DelayMeasure.exponential(1.0)
+    with pytest.raises(MomentDivergenceError, match=r"growth 1\.0 grows at 3\.0 >= 2 \* rate"):
+        delay_integral(buf, 0.0, mu, 3.0)
+    seg = extract_segment(buf, 0.0)
+    flat = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
+    with pytest.raises(MomentDivergenceError):
+        delay_pair_integral(seg, flat, mu, 3.0)
+    # a negative power of a decaying tail: ||u||^-1 = e^{-3 theta}
+    decaying = HistoryBuffer.from_tail(1.0, ExponentialTail([1.0], rate=3.0))
+    with pytest.raises(MomentDivergenceError, match=r"grows at 3\.0 >= 2 \* rate"):
+        delay_integral(decaying, 0.0, mu, -1.0)
+    # below the bound the closed form holds: int e^{-theta} 2 e^{2 theta} = 2
+    assert delay_integral(buf, 0.0, mu, 1.0) == 2.0
 
 
 def test_delay_integral_nonfinite_kernel_carries_theta():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import avg_sfpde.experiments as exp
 from avg_sfpde import integrator
 from avg_sfpde.coefficients import (
+    CoefficientSet,
     DriftSpec,
     Oscillator,
     check_growth,
@@ -316,6 +317,24 @@ def test_sweep_steps_all_twins_in_one_kernel_call_per_step(monkeypatch):
         calls.update(normal_slab=0, _advance=0)
         averaging_sweep(LINEAR, grid, paths=20, dt=0.01, T=1.3, seed=2)
         assert calls == {"normal_slab": slabs, "_advance": 130}
+
+
+@pytest.mark.parametrize("name,built", [("scalar-linear-osc", "per slab"),
+                                        ("scalar-holder-osc", "per step")])
+def test_state_free_terms_are_built_once_per_slab(monkeypatch, name, built):
+    # scalar-linear-osc's F = 1 and G = 1 read no state, so a 130-step sweep
+    # builds each once per slab of steps; scalar-holder-osc's read the state
+    # and are built at every step
+    calls = dict.fromkeys(("compose_drift", "diffusion_from_values"), 0)
+    for attr in calls:
+        def counted(cs, *args, _attr=attr, _real=getattr(CoefficientSet, attr)):
+            calls[_attr] += 1
+            return _real(cs, *args)
+
+        monkeypatch.setattr(CoefficientSet, attr, counted)
+    averaging_sweep(get_preset(name), (0.5, 0.1, 0.02), paths=20, dt=0.01, T=1.3, seed=2)
+    want = math.ceil(130 / integrator.SLAB) if built == "per slab" else 130
+    assert calls == {"compose_drift": want, "diffusion_from_values": want}
 
 
 def test_statistical_honesty_se_shrinks_with_sqrt_paths():

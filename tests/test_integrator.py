@@ -508,7 +508,8 @@ def test_partner_has_the_bits_of_two_uncoupled_runs():
     assert np.all(dist.max(axis=0) > dist[0])
 
 
-STACKED = {"scalar-holder-osc": (get_preset("scalar-holder-osc"), 1),
+STACKED = {"scalar-linear-osc": (get_preset("scalar-linear-osc"), 1),
+           "scalar-holder-osc": (get_preset("scalar-holder-osc"), 1),
            "reaction-diffusion-delay": (get_preset("reaction-diffusion-delay", k=8), 3),
            "porous-media-sin": (get_preset("porous-media-sin"), 1)}
 GATED = Oscillator.sinusoid(1.0, 0.5, 1.0)      # a partner's xi_2 may oscillate too
