@@ -81,9 +81,9 @@ def _interp_rows(x, xp, fp) -> np.ndarray:
 class Tail:
     """Base for analytic initial-datum descriptors.
 
-    A tail must have a weighted limit lim_{theta -> -infty} e^{h theta} phi(theta)
-    in order to define an admissible history for weight h; admissibility is
-    checked when the tail is attached to a buffer.
+    Each kind states its ``growth`` g, and that one rate decides
+    admissibility: the tail defines a history of finite weighted norm for
+    weight h when g <= h, checked when the tail is attached to a buffer.
     """
 
     dim: int
@@ -99,9 +99,6 @@ class Tail:
         kinds; a tail that interpolates samples (tabulated, segment) takes the
         max over its nodes, which can miss a peak between two nodes by
         O(spacing^2)."""
-        raise NotImplementedError
-
-    def check_admissible(self, h: float) -> None:
         raise NotImplementedError
 
     @property
@@ -137,9 +134,6 @@ class ConstantTail(Tail):
     def weighted_sup(self, h):
         return state_norm(self.value)
 
-    def check_admissible(self, h):
-        pass
-
     @property
     def growth(self):
         return 0.0
@@ -169,13 +163,6 @@ class ExponentialTail(Tail):
         # e^{(h + rate) theta} is nondecreasing on theta <= 0 once rate >= -h,
         # so the supremum sits at theta = 0.
         return state_norm(self.amplitude)
-
-    def check_admissible(self, h):
-        if self.rate < -h:
-            raise ValueError(
-                f"exponential tail rate {self.rate} < -h = {-h}: "
-                "weighted history norm would be infinite"
-            )
 
     @property
     def growth(self):
@@ -228,12 +215,6 @@ class TabulatedTail(Tail):
         # node at theta_0 dominates it.
         return float(np.max(np.exp(h * self.thetas) * np.linalg.norm(self.values, axis=1)))
 
-    def check_admissible(self, h):
-        if self.extrap_rate < -h:
-            raise ValueError(
-                f"tabulated tail extrapolation rate {self.extrap_rate} < -h = {-h}"
-            )
-
     @property
     def growth(self):
         return max(0.0, -self.extrap_rate)
@@ -280,9 +261,6 @@ class SegmentTail(Tail):
         grid = float(np.max(np.exp(h * (np.append(buf.times[mask], t0) - t0)) * norms))
         return max(math.exp(-h * t0) * buf.tail.weighted_sup(h), grid, state_norm(head))
 
-    def check_admissible(self, h):
-        self.buffer.tail.check_admissible(h)
-
     @property
     def growth(self):
         return self.buffer.tail.growth
@@ -316,10 +294,6 @@ class _DifferenceTail(Tail):
         checkers need a faithful denominator, not machine precision."""
         thetas = -np.linspace(0.0, default_horizon(h), 2048)
         return float(np.max(np.exp(h * thetas) * np.linalg.norm(self.values_at(thetas), axis=1)))
-
-    def check_admissible(self, h):
-        self.a.check_admissible(h)
-        self.b.check_admissible(h)
 
     @property
     def growth(self):
@@ -444,7 +418,8 @@ def default_horizon(h: float) -> float:
 
 @dataclass
 class HistoryBuffer:
-    """Analytic tail plus sampled trajectory; the segment process substrate."""
+    """Analytic tail plus sampled trajectory; the segment process substrate.
+    A tail of ``growth`` above h, of infinite weighted norm, is rejected."""
 
     h: float
     tail: Tail
@@ -454,7 +429,9 @@ class HistoryBuffer:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("weight h must be positive")
-        self.tail.check_admissible(self.h)
+        if self.tail.growth > self.h:
+            raise ValueError(f"tail growth {self.tail.growth} > h = {self.h}: "
+                             "weighted history norm would be infinite")
         self.times = np.asarray(self.times, dtype=float)
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim == 1:

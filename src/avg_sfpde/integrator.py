@@ -22,6 +22,8 @@ converts the draws of all its rows in one call per slab.
 
 What a step computes without reading the state is tabulated once per slab,
 by the same float operations with one more leading axis, so every bit stays.
+A coupled run folds its partner distances over records of at most
+``RECORD_BYTES`` of states, or of one state; max is exact, so every bit stays.
 
 ``PathRunner`` is the one step kernel.  The one-path reference scheme that it
 is checked against lives with the tests, in ``tests/oracles.py``.
@@ -41,7 +43,7 @@ from .spectral import ROW_BLOCK, PdeOperator
 CHUNK = ROW_BLOCK       # rows per transform product; a batch width is a multiple
 MAX_WIDTH = 256         # rows per runner; never derived from threads
 SLAB = 64               # steps of noise drawn at a time
-RECORD_BYTES = 256 * 1024   # largest slab of states a coupled run records
+RECORD_BYTES = 256 * 1024   # states a coupled run records per fold, or one state
 RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 
 
@@ -291,15 +293,16 @@ class PathRunner:
     tabulates the oscillators, a drift F without pointwise map, delay or
     seminorm term, and a diagonal or map-free scalar amplitude G
     (``_tabulate``).  A coupled run folds its partner distances once per
-    slab while SLAB states take at most RECORD_BYTES, else every step, as a
-    field batch of 64 rows and 32 modes does.  Each step operation is
-    row-wise except the sine transforms, whose CHUNK-row blocks never
-    straddle two twins, so a row has the bits it has in a runner of its twin
-    alone.  A row that is still non-finite after the halving retry is a
-    blow-up of that path alone in that twin: its BlowUpError goes to
-    ``errors[j * rows + r]``, its state is reset to zero, and the other rows
-    run on.  The runner finds non-finite rows itself, so construction and
-    stepping run with numpy's overflow and invalid-value warnings silenced.
+    record of as many states as RECORD_BYTES holds, 1 to SLAB: once per slab
+    on scalar batches, every 16 steps on a field batch of 64 rows and 32
+    modes.  Each step operation is row-wise except the sine transforms, whose
+    CHUNK-row blocks never straddle two twins, so a row has the bits it has
+    in a runner of its twin alone.  A row that is still non-finite after the
+    halving retry is a blow-up of that path alone in that twin: its
+    BlowUpError goes to ``errors[j * rows + r]``, its state is reset to zero,
+    and the other rows run on.  The runner finds non-finite rows itself, so
+    construction and stepping run with numpy's overflow and invalid-value
+    warnings silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -423,11 +426,11 @@ class PathRunner:
         if self.free_drift:
             grid = np.zeros(x.shape if self.space is None else (len(x), self.space.m))
             drift = self._drift(grid, xi[:, 0])
-            if self.space is None:
+            if self.space is None:      # per step in _update: scalar-studies 21% slower, 2 vCPU
                 drift = self.cfg.dt * frac * drift
         if self.free_noise:
             amp = self._amplitude(np.zeros(x.shape), None, xi[:, 1])
-            if self.space is None:
+            if self.space is None:      # kept out of _update for the same 21%
                 noise = self.cs.apply_noise(amp, dW[:, None]).reshape((len(times),) + x.shape)
         return xi, drift, amp, noise
 
@@ -528,7 +531,7 @@ class PathRunner:
         coupled = len(self.twins) > 1
         if coupled:
             self.sup_sq = self._partner_sq(self.x)
-            fold = SLAB if SLAB * self.x.nbytes <= RECORD_BYTES else 1
+            fold = min(SLAB, max(1, RECORD_BYTES // self.x.nbytes))
             record = np.empty((fold,) + self.x.shape)
         else:
             self.states = np.empty((n_steps + 1,) + self.x.shape)
@@ -543,9 +546,6 @@ class PathRunner:
             self._advance(n, slab[j])
             if not coupled:
                 self.states[n + 1] = self.x
-                continue
-            if fold == 1:
-                np.maximum(self.sup_sq, self._partner_sq(self.x), out=self.sup_sq)
                 continue
             i = n % fold
             record[i] = self.x

@@ -144,7 +144,7 @@ def report_svg_text(report: ExperimentReport, title: str) -> str:
 # ---------------------------------------------------------------------------
 
 def write_manifest(path: Path, sections: dict) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)     # values verbatim, % too
     cp.optionxform = str
     for name, values in sections.items():
         cp[name] = {k: _fmt(v) if isinstance(v, float) else str(v)
@@ -154,9 +154,14 @@ def write_manifest(path: Path, sections: dict) -> None:
 
 
 def read_manifest(path: Path) -> dict:
-    cp = configparser.ConfigParser()
+    """The sections of a config file or manifest; a file that configparser
+    cannot parse is a ValueError that names it."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    read = cp.read(path)
+    try:
+        read = cp.read(str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: " + " ".join(str(exc).split())) from exc
     if not read:
         raise FileNotFoundError(path)
     return {name: dict(cp[name]) for name in cp.sections()}

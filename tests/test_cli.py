@@ -225,19 +225,40 @@ LIN = ["--preset", "scalar-linear-osc"]
     (FRZ + LIN + ["--d", "inf,0.1"], "d_grid = inf,0.1: "),
     (FRZ + LIN + ["--d", "nan,0.1"], "d_grid = nan,0.1: "),
     (CONT + LIN + ["--delta", "inf,0.1,0"], "delta_grid = inf,0.1,0.0: "),
+    (["run", "--config", "seed = 3\n"], "config.ini: File contains no section headers"),
+    (["run", "--config", "[experiment]\npreset = scalar-linear-osc\npreset = nope\n"],
+     "config.ini' [line 3]: option 'preset' in section 'experiment' already exists"),
 ])
 def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
-    # each of these ran, ignoring or clipping the value, or was rejected
-    # without naming its key.  An argument that starts with "[" is the text
-    # of a config file.
+    # each of these ran, ignoring or clipping the value, was rejected
+    # without naming its key, or escaped as a traceback.  An argument that
+    # holds a newline is the text of a config file.
     argv = list(argv)
     for i, a in enumerate(argv):
-        if a.startswith("["):
+        if "\n" in a:
             argv[i] = str(tmp_path / "config.ini")
             (tmp_path / "config.ini").write_text(a, encoding="utf-8")
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.ini").exists()
+
+
+def test_a_percent_in_a_value_is_written_and_read_verbatim(tmp_path):
+    # configparser's default interpolation read "%1" as a reference: the
+    # manifest was not written, and a config file holding it did not parse
+    a, b, c = tmp_path / "o%1", tmp_path / "b", tmp_path / "c%%"
+    audit = ["audit", "--preset", "scalar-linear-osc", "--trials", "5"]
+    assert run_cli(audit + ["--out", str(a)]) == 0
+    assert read_manifest(a / "manifest.ini")["output"]["output_dir"] == str(a)
+    assert run_cli(["run", "--config", str(a / "manifest.ini"), "--out", str(b)]) == 0
+    assert (a / "audit.txt").read_bytes() == (b / "audit.txt").read_bytes()
+    config = tmp_path / "config.ini"
+    config.write_text(f"[output]\noutput_dir = {c}\n", encoding="utf-8")
+    assert run_cli(audit + ["--config", str(config)]) == 0
+    assert (c / "audit.txt").read_bytes() == (a / "audit.txt").read_bytes()
+    assert read_manifest(c / "manifest.ini")["output"]["output_dir"] == str(c)
 
 
 def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):

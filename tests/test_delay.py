@@ -86,6 +86,26 @@ def test_inadmissible_exponential_tail_rejected():
         HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=-2.0))
 
 
+@pytest.mark.parametrize("tail_of", [
+    lambda rate: ExponentialTail(np.array([1.0]), rate=rate),
+    lambda rate: TabulatedTail(np.array([-1.0, 0.0]), np.array([2.0, 1.0]), extrap_rate=rate),
+], ids=["exponential", "tabulated"])
+def test_a_tail_is_admissible_while_its_growth_is_at_most_h(tail_of):
+    HistoryBuffer.from_tail(1.0, tail_of(-1.0))
+    with pytest.raises(ValueError, match=r"growth 1\.0000001 > h = 1\.0"):
+        HistoryBuffer.from_tail(1.0, tail_of(-1.0000001))
+
+
+def test_a_segment_and_a_difference_have_the_growth_of_their_sources():
+    seg = extract_segment(
+        HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=-0.75)), 0.0)
+    diff = _difference(seg, constant_buffer(0.5))
+    for tail in (seg.tail, diff.tail):
+        HistoryBuffer.from_tail(0.75, tail)
+        with pytest.raises(ValueError, match=r"growth 0\.75 > h = 0\.5"):
+            HistoryBuffer.from_tail(0.5, tail)
+
+
 def test_discontinuity_at_origin_rejected():
     with pytest.raises(ValueError, match="continuous at the origin"):
         HistoryBuffer(h=1.0, tail=ConstantTail(np.array([1.0])),

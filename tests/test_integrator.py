@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri as scipy_ndtri
 
+from avg_sfpde import integrator
 from avg_sfpde.coefficients import (
     AssumptionProfile,
     CoefficientSet,
@@ -583,6 +584,45 @@ def test_stacked_twins_have_the_bits_of_separate_runs(name, width, data, path_id
     else:
         moved[block - 1, r] = True
     np.testing.assert_array_equal(kicked.sup_sq[~moved], runner.sup_sq[~moved])
+
+
+class _Folding(PathRunner):
+    """A runner that keeps the length of every record of states it folds."""
+
+    def _partner_sq(self, states):
+        if states.ndim == 3:
+            self.folds.append(len(states))
+        return super()._partner_sq(states)
+
+
+@pytest.mark.parametrize("name", ["reaction-diffusion-delay", "scalar-linear-osc"])
+def test_fold_length_moves_no_bit_of_sup_sq(monkeypatch, name):
+    # records of 1, 3 and 7 states straddle the slab edge at step 64, the
+    # last of 71 steps is partial, and by default a slab is one record
+    p, k_w = STACKED[name]
+    cs = p.coefficients
+    cfg = StepperConfig(dt=2e-3, T=71 * 2e-3, noise_modes=k_w, seed=11, eps=1.0)
+    shift = np.zeros(cs.dim)
+    shift[0] = 0.1
+    partners = [(cs, 0.1, p.initial),
+                (cs, 0.02, HistoryBuffer.from_tail(
+                    p.initial.h, ConstantTail(p.initial.tail.value + shift)))]
+    sups, default = [], integrator.RECORD_BYTES
+    for fold in (1, 3, 7, SLAB):
+        runner = _Folding(p.operator, cs.averaged(), cfg, p.initial, path_id=5, rows=16)
+        runner.couple(partners)
+        runner.folds = []
+        state = runner.x.nbytes
+        record_bytes = {1: state // 2, 3: 3 * state, 7: 7 * state + state // 2,
+                        SLAB: default}[fold]
+        monkeypatch.setattr(integrator, "RECORD_BYTES", record_bytes)
+        runner.run()
+        assert runner.folds == [min(fold, cfg.n_steps - n) for n in range(0, cfg.n_steps, fold)]
+        assert max(runner.folds) * state <= max(record_bytes, state)
+        sups.append(runner.sup_sq)
+    assert sups[0].shape == (2, 16) and np.all(sups[0] > 0)
+    for sup in sups[1:]:
+        np.testing.assert_array_equal(sup, sups[0])
 
 
 # ---------------------------------------------------------------------------
