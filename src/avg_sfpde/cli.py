@@ -139,7 +139,12 @@ def _write_report(report, spec, out, kind, eps_label=None):
 
 
 def _parse(key, raw):
-    """A key's flag, environment or config string, parsed; a bad value names the key."""
+    """A key's flag, environment or config string, parsed; a bad value names the key.
+    A string value must read back from the manifest as it was given, so it
+    may not start or end with whitespace or hold a line break."""
+    if KEYS[key].parse is str and (raw != raw.strip() or "\n" in raw or "\r" in raw):
+        raise UsageError(f"{key} = {raw!r}: a manifest cannot carry surrounding "
+                         "whitespace or a line break")
     try:
         return KEYS[key].parse(raw)
     except ValueError as exc:

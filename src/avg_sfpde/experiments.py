@@ -3,15 +3,14 @@ continuity in initial data, and the hypothesis audit.
 
 Each study takes a built Preset; dt, T and k_w fall back to the preset's
 own values.  A study steps its paths in batches of up to MAX_WIDTH rows,
-a multiple of the 16-row transform block, with path-indexed counter-based
-noise, merges statistics in path order (so neither the worker
-count nor the number of paths affects a path's result), fits a weighted
-log-log slope where one is defined, and emits an ExperimentReport with a
-verdict.  The coupled studies step every row of a batch of paths in one
-runner: the twin all rows share (the averaged system of an averaging sweep,
-the unshifted start of a continuity study) and each row's own twin are
-stacked blocks of one state, stepped by one kernel call per time step on one
-noise draw.
+one row per path, with path-indexed counter-based noise, merges statistics
+in path order (so neither the worker count nor the number of paths affects
+a path's result), fits a weighted log-log slope where one is defined, and
+emits an ExperimentReport with a verdict.  The coupled studies step every
+row of a batch of paths in one runner: the twin all rows share (the averaged
+system of an averaging sweep, the unshifted start of a continuity study) and
+each row's own twin are stacked blocks of one state, stepped by one kernel
+call per time step on one noise draw.
 """
 
 from __future__ import annotations
@@ -106,10 +105,10 @@ def _map_paths(fn, n: int, threads: int):
 def _map_chunks(fn, paths: int, threads: int):
     """Per-path results in path order, computed a batch at a time.
 
-    Batches start at multiples of W = batch_width(paths).  ``fn(first, count,
-    rows)`` steps the ``rows``-row batch that starts at path id ``first``, the
-    narrowest that holds its ``count`` paths, and returns their results; whole
-    batches go to the thread pool, which gets no more workers than batches.
+    Batches start at multiples of W = batch_width(paths).  ``fn(first, count)``
+    steps the ``count`` paths that start at path id ``first`` and returns
+    their results; whole batches go to the thread pool, which gets no more
+    workers than batches.
     Every study steps its paths here, so here it rejects ``paths < 2`` and
     ``threads < 1``.
     """
@@ -121,8 +120,7 @@ def _map_chunks(fn, paths: int, threads: int):
     starts = range(0, paths, width)
 
     def one(i):
-        count = min(width, paths - starts[i])
-        return fn(starts[i], count, batch_width(count))
+        return fn(starts[i], min(width, paths - starts[i]))
 
     batches = _map_paths(one, len(starts), min(threads, len(starts)))
     return [r for batch in batches for r in batch]
@@ -136,15 +134,15 @@ def _coupled_outcomes(op, shared, partners, paths, threads):
     One runner per batch of paths stacks the shared batch and every partner
     as twins of one state, stepped by one kernel call per step on one draw of
     the noise.  The runner's ``errors`` are read a twin block at a time."""
-    def one_batch(first, count, rows):
-        runner = PathRunner(op, *shared, path_id=first, rows=rows)
+    def one_batch(first, count):
+        runner = PathRunner(op, *shared, path_id=first, rows=count)
         runner.couple(partners)
         runner.run()
-        shared_errors, *partner_errors = (runner.errors[i:i + rows]
-                                          for i in range(0, len(runner.errors), rows))
+        shared_errors, *partner_errors = (runner.errors[i:i + count]
+                                          for i in range(0, len(runner.errors), count))
         # a BlowUpError is truthy: the partner's own, else the shared batch's
         per_partner = [[own or err or float(sup)
-                        for own, err, sup in zip(errors[:count], shared_errors, sups)]
+                        for own, err, sup in zip(errors, shared_errors, sups)]
                        for errors, sups in zip(partner_errors, runner.sup_sq)]
         return list(zip(*per_partner))
 
@@ -315,13 +313,13 @@ def khasminskii_diagnostic(preset: Preset, d_grid, paths: int,
                                  f"(e^(2ht) times the squared residual); shorten T")
         return path_res, seg_res
 
-    def one_batch(first, count, rows):
-        runner = PathRunner(op, cs, cfg, init, path_id=first, rows=rows)
+    def one_batch(first, count):
+        runner = PathRunner(op, cs, cfg, init, path_id=first, rows=count)
         traj = runner.run()
         with np.errstate(over="ignore"):
             grow, shrink = np.exp(2.0 * h * traj.times), np.exp(-2.0 * h * traj.times)
         return [err if err is not None else residuals(traj.row(r), grow, shrink)
-                for r, err in enumerate(runner.errors[:count])]
+                for r, err in enumerate(runner.errors)]
 
     outcomes = _map_chunks(one_batch, paths, threads)
     rows = []

@@ -3,14 +3,14 @@
 The stiff linear part of the operator (the Laplacian diagonal, or the decay
 rate of a scalar problem) is treated implicitly per mode; the functional
 drift, the nonlinearity, and the noise are explicit.  A batch of paths is
-stepped as one (W, dim) array, W a multiple of ``CHUNK`` up to ``MAX_WIDTH``
-(``batch_width``), and a short batch is padded with further path ids.  The
-twins of a coupled study, the same paths under other oscillators, time scales
-or starts, are further blocks of W rows of that array: one kernel call steps
-every twin, on one slab of noise broadcast over the twins.  Every step
-operation is row-wise except the sine transforms, which multiply CHUNK rows at
-a time, so the bits of a path never depend on the batch width, on how many
-twins or paths a study runs, or on how the batches are spread over threads.
+stepped as one (W, dim) array, one row per path, W up to ``MAX_WIDTH``
+(``batch_width``).  The twins of a coupled study, the same paths under other
+oscillators, time scales or starts, are further blocks of W rows of that
+array: one kernel call steps every twin, on one slab of noise broadcast over
+the twins.  Every step operation is row-wise except the sine transforms,
+whose 16-row blocks give a row the same bits wherever it sits, so the bits
+of a path never depend on the batch width, on how many twins or paths a
+study runs, or on how the batches are spread over threads.
 Brownian increments are counter-based: path (seed, path_id) keys a Philox
 stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
 stream's raw output at a fixed position, so a block of a path's first
@@ -40,7 +40,6 @@ from .coefficients import CoefficientSet, libm_loop, pow_or_inf
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
 from .spectral import ROW_BLOCK, PdeOperator
 
-CHUNK = ROW_BLOCK       # rows per transform product; a batch width is a multiple
 MAX_WIDTH = 256         # rows per runner; never derived from threads
 SLAB = 64               # steps of noise drawn at a time
 RECORD_BYTES = 256 * 1024   # states a coupled run records per fold, or one state
@@ -268,9 +267,9 @@ class _ExpDelayAccumulator:
 
 
 def batch_width(paths: int) -> int:
-    """Rows of the runner that steps ``paths`` paths: the multiple of CHUNK
-    that holds them, at most MAX_WIDTH."""
-    return min(MAX_WIDTH, CHUNK * math.ceil(paths / CHUNK))
+    """Rows of the runner that steps ``paths`` paths: all of them, at most
+    MAX_WIDTH."""
+    return min(MAX_WIDTH, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,8 @@ class PathRunner:
     """Steps the ``rows`` paths path_id, ..., path_id + rows - 1 to the horizon,
     for one twin or for several stacked twins.
 
-    ``rows`` is a positive multiple of CHUNK.  A twin is this batch of paths
-    under one choice of oscillators, time scale and start.  The twins are
+    ``rows`` is any positive width.  A twin is this batch of paths under one
+    choice of oscillators, time scale and start.  The twins are
     consecutive blocks of ``rows`` rows of one (twins * rows, dim) state: row
     j * rows + r is path path_id + r of twin j.  Twin 0 is the runner's own
     (cs, cfg.eps, initial); ``couple`` stacks partners below it (the eps twins
@@ -294,10 +293,10 @@ class PathRunner:
     seminorm term, and a diagonal or map-free scalar amplitude G
     (``_tabulate``).  A coupled run folds its partner distances once per
     record of as many states as RECORD_BYTES holds, 1 to SLAB: once per slab
-    on scalar batches, every 16 steps on a field batch of 64 rows and 32
-    modes.  Each step operation is row-wise except the sine transforms, whose
-    CHUNK-row blocks never straddle two twins, so a row has the bits it has
-    in a runner of its twin alone.  A row that is still non-finite after the
+    on scalar batches and on a field state of 16 rows and 32 modes.  Each
+    step operation is row-wise, and a row's bits in a 16-row transform block
+    do not depend on the other rows, so a row has the bits it has in a
+    runner of its twin alone.  A row that is still non-finite after the
     halving retry is a blow-up of that path alone in that twin: its
     BlowUpError goes to ``errors[j * rows + r]``, its state is reset to zero,
     and the other rows run on.  The runner finds non-finite rows itself, so
@@ -307,9 +306,9 @@ class PathRunner:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
-                 initial: HistoryBuffer, path_id: int = 0, rows: int = CHUNK):
-        if rows < CHUNK or rows % CHUNK:
-            raise ValueError(f"runner width {rows} is not a positive multiple of {CHUNK}")
+                 initial: HistoryBuffer, path_id: int = 0, rows: int = ROW_BLOCK):
+        if rows < 1:
+            raise ValueError(f"runner width {rows}: need at least 1 row")
         self.op = op
         self.cs = cs
         self.cfg = cfg
@@ -561,8 +560,8 @@ class PathRunner:
 
 def run_path(op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
              initial: HistoryBuffer, path_id: int = 0) -> Trajectory:
-    """One path, stepped as row 0 of the CHUNK-row batch that starts at path_id."""
-    runner = PathRunner(op, cs, cfg, initial, path_id=path_id)
+    """One path, stepped by a 1-row runner."""
+    runner = PathRunner(op, cs, cfg, initial, path_id=path_id, rows=1)
     traj = runner.run()
     if runner.errors[0] is not None:
         raise runner.errors[0]

@@ -31,7 +31,7 @@ from .coefficients import (
     DriftSpec,
     Oscillator,
 )
-from .delay import ConstantTail, DelayMeasure, HistoryBuffer
+from .delay import ConstantTail, DelayMeasure, HistoryBuffer, MomentDivergenceError
 from .spectral import PdeOperator, SpectralSpace
 
 H_WEIGHT = 1.0  # history weight shared by the presets
@@ -47,6 +47,23 @@ class Preset:
     dt: float
     T: float
     k_w: int
+
+    def __post_init__(self):
+        # every h-admissible history has a finite delay integral only if each
+        # (measure, power) pair has a finite exp_moment(power * h)
+        cs, h = self.coefficients, self.initial.h
+        gamma, drift = cs.profile.gamma, cs.drift
+        for name, mu, power in (("profile.mu1", cs.profile.mu1, gamma + 1.0),
+                                ("profile.mu2", cs.profile.mu2, 2.0 * gamma),
+                                ("drift.delay_measure", drift.delay_measure,
+                                 drift.delay_kernel_power)):
+            if mu is None or power is None:
+                continue
+            try:
+                mu.exp_moment(power * h)
+            except MomentDivergenceError as exc:
+                raise MomentDivergenceError(
+                    f"preset {self.name}: {name} with power {power} at h = {h}: {exc}") from None
 
 
 def _scalar_linear_osc() -> Preset:

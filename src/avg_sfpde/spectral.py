@@ -16,9 +16,9 @@ import numpy as np
 
 # dense transform matrices are faster than FFT dispatch for small grids
 _MATMUL_LIMIT = 1024
-# rows per transform product: a larger batch of R = j * ROW_BLOCK rows is
-# multiplied as j stacked blocks, whose bits equal those of j separate
-# ROW_BLOCK-row products (one R-row product rounds differently)
+# rows per transform product: a row's bits in a ROW_BLOCK-row product depend
+# neither on its place nor on the other rows; one R-row product, or one of
+# fewer rows, rounds differently
 ROW_BLOCK = 16
 
 
@@ -45,12 +45,14 @@ def _simpson_weights(m: int, dx: float) -> np.ndarray:
 
 
 def _blocked_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat, a ROW_BLOCK-row product at a time when a 2-D batch holds
-    several whole blocks."""
-    r = rows.shape[0]
-    if rows.ndim != 2 or r <= ROW_BLOCK or r % ROW_BLOCK:
+    """rows @ mat; a 2-D batch of R rows as stacked ROW_BLOCK-row products,
+    the short last block padded with zero rows, cut back to R rows."""
+    if rows.ndim != 2:
         return rows @ mat
-    return (rows.reshape(r // ROW_BLOCK, ROW_BLOCK, -1) @ mat).reshape(r, -1)
+    r = len(rows)
+    if r % ROW_BLOCK:
+        rows = np.concatenate([rows, np.zeros((-r % ROW_BLOCK, rows.shape[1]))])
+    return (rows.reshape(-1, ROW_BLOCK, rows.shape[1]) @ mat).reshape(len(rows), -1)[:r]
 
 
 class SpectralSpace:
@@ -84,7 +86,7 @@ class SpectralSpace:
 
     # -- transforms ----------------------------------------------------------
     # Leading axes are rows: a (P, k) batch of coefficient vectors maps to
-    # (P, m) grid values in matrix products of at most ROW_BLOCK rows, and back.
+    # (P, m) grid values in ROW_BLOCK-row matrix products, and back.
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values on the interior collocation grid."""

@@ -7,7 +7,8 @@ evaluate the coefficients through the same row-batched ``CoefficientSet``
 methods.  For scalar states without a delay term the two are bit-identical;
 otherwise they agree to rounding (the runner accumulates the delay integral
 incrementally, which regroups the same floating-point sums, and transforms
-CHUNK rows in one matrix product).
+a state as a row of a 16-row matrix product, where this scheme transforms
+one vector).
 """
 
 import math

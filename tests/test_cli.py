@@ -261,6 +261,20 @@ def test_a_percent_in_a_value_is_written_and_read_verbatim(tmp_path):
     assert read_manifest(c / "manifest.ini")["output"]["output_dir"] == str(c)
 
 
+@pytest.mark.parametrize("out", [" o", "o ", "o\np"])
+def test_a_string_the_manifest_cannot_carry_is_rejected(tmp_path, monkeypatch, capsys, out):
+    # configparser strips a value and ends it at a line break: a run into
+    # " o" recorded output_dir " o", and its replay wrote into "o"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["audit", "--preset", "scalar-linear-osc", "--trials", "5",
+                    "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [f"usage error: output_dir = {out!r}: a manifest cannot carry surrounding "
+         "whitespace or a line break"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):
     out = tmp_path / "c"
     code = run_cli(["sweep-continuity", "--preset", "broken-quadratic",

@@ -1,5 +1,6 @@
 """Coefficients: oscillators, functional evaluation, falsifiers, rate tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,15 @@ from avg_sfpde.coefficients import (
     sample_history,
     worst_draw,
 )
-from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, seminorm_h, state_norm
-from avg_sfpde.presets import get_preset
+from avg_sfpde.delay import (
+    ConstantTail,
+    DelayMeasure,
+    HistoryBuffer,
+    MomentDivergenceError,
+    seminorm_h,
+    state_norm,
+)
+from avg_sfpde.presets import constant_xi, get_preset, public_names
 from avg_sfpde.spectral import SpectralSpace
 from oracles import appended
 
@@ -417,6 +425,24 @@ def test_profile_measure_membership_enforced():
                             mu2=DelayMeasure.exponential(0.5))
     with pytest.raises(MomentDivergenceError):
         bad.check_measure_membership(1.0)  # (gamma+1) h = 2 >= 2 * 0.5
+
+
+@pytest.mark.parametrize("name", public_names() + ["heat-deterministic", "broken-quadratic"])
+def test_every_preset_builds_with_convergent_moments(name):
+    # mu1 with gamma + 1, mu2 with 2 gamma and the drift's delay measure
+    # with its kernel power all have finite exp_moment(power * h)
+    p = get_preset(name)
+    assert constant_xi(p).initial.h == p.initial.h
+
+
+def test_a_preset_with_a_divergent_measure_pair_is_rejected_at_build():
+    # mu1 = exponential(0.5) lies in P_k only for k < 1; (gamma + 1) h = 1.5
+    p = get_preset("scalar-holder-osc")
+    cs = p.coefficients
+    assert (cs.profile.gamma, p.initial.h) == (0.5, 1.0)
+    profile = dataclasses.replace(cs.profile, mu1=DelayMeasure.exponential(0.5))
+    with pytest.raises(MomentDivergenceError, match=r"profile\.mu1 with power 1\.5 at h = 1"):
+        dataclasses.replace(p, coefficients=dataclasses.replace(cs, profile=profile))
 
 
 def test_sample_history_families_respect_radius():

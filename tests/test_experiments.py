@@ -31,7 +31,7 @@ from avg_sfpde.experiments import (
     khasminskii_diagnostic,
 )
 from avg_sfpde.presets import constant_xi, get_preset
-from avg_sfpde.spectral import coercivity_probe
+from avg_sfpde.spectral import PdeOperator, coercivity_probe
 from oracles import heat_block_residual_oracle
 
 LINEAR = get_preset("scalar-linear-osc")
@@ -139,7 +139,7 @@ def sweep_values(monkeypatch, study=averaging_sweep, **sweep):
 
 
 def test_path_bits_independent_of_path_count_and_threads(monkeypatch):
-    # a study steps 16 * ceil(paths / 16) rows, at most MAX_WIDTH per batch;
+    # a study steps one row per path, at most MAX_WIDTH per batch;
     # capping MAX_WIDTH at 16, 64 and 256 runs the same paths in batches of
     # those widths, one or several per row, on one thread or two
     base = dict(preset=RD8, eps_grid=(0.5, 0.1), dt=2e-3, T=0.2, seed=3)
@@ -294,8 +294,23 @@ def test_rows_sharing_one_batch_have_the_bits_of_one_row_studies(monkeypatch, na
                 assert all(rows[i] == [0.0] * 20 for i in zero_rows)
 
 
+def test_field_sweep_steps_only_the_paths_it_asks_for(monkeypatch):
+    # 4 paths under the averaged twin and 3 eps twins are 16 rows, one
+    # transform block: no twin is padded with further path ids
+    widths = set()
+    real = PdeOperator.nonlinear_from_values
+
+    def spy(op, space, values):
+        widths.add(values.shape)
+        return real(op, space, values)
+
+    monkeypatch.setattr(PdeOperator, "nonlinear_from_values", spy)
+    averaging_sweep(RD8, (0.5, 0.1, 0.02), paths=4, dt=2e-3, T=0.02, seed=0)
+    assert widths == {(16, RD8.coefficients.space.m)}
+
+
 def test_sweep_steps_all_twins_in_one_kernel_call_per_step(monkeypatch):
-    # 20 paths are one 32-row batch; 130 steps are ceil(130 / SLAB) slabs.
+    # 20 paths are one 20-row batch; 130 steps are ceil(130 / SLAB) slabs.
     # The batch draws the noise of all its rows in one call per slab of
     # steps, and each step advances the averaged twin and every eps twin in
     # one call, for any grid.

@@ -423,7 +423,7 @@ def _placed_row(p, cfg, path_id, rows, r, coupled):
 
 @pytest.mark.parametrize("coupled", [False, True])
 @pytest.mark.parametrize("kind", sorted(PLACED))
-@given(width=st.sampled_from([16, 32, 64]), data=st.data(),
+@given(width=st.sampled_from([1, 5, 16, 20, 32, 64]), data=st.data(),
        path_id=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_path_bits_do_not_depend_on_its_place_in_the_batch(kind, coupled, width, data,
@@ -479,6 +479,13 @@ def test_couple_rejects_a_partner_the_stacked_kernel_cannot_step(field):
                        (cs, COUPLE_CFG.eps, initial)])
 
 
+@pytest.mark.parametrize("rows", [0, -16])
+def test_runner_rejects_a_width_below_one_row(rows):
+    p = PLACED["field"]
+    with pytest.raises(ValueError, match=rf"runner width {rows}: need at least 1 row"):
+        PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=rows)
+
+
 def test_couple_accepts_a_partner_at_another_eps():
     p = PLACED["field"]
     runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial)
@@ -532,7 +539,7 @@ class _Kicked(PathRunner):
 
 
 @pytest.mark.parametrize("name", sorted(STACKED))
-@given(width=st.sampled_from([16, 64]), data=st.data(),
+@given(width=st.sampled_from([5, 16, 64]), data=st.data(),
        path_id=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=6, deadline=None)
 def test_stacked_twins_have_the_bits_of_separate_runs(name, width, data, path_id, seed):

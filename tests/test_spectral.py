@@ -51,22 +51,61 @@ def test_matrix_and_fft_paths_agree():
     np.testing.assert_allclose(sm.to_coeffs(vals_mat), sm2.to_coeffs(vals_fft), atol=1e-12)
 
 
+def _by_blocks(batch, mat):
+    """batch @ mat as separate 2-D products of 16 rows, the short last block
+    zero-padded, cut back to the batch's rows."""
+    rows = len(batch)
+    padded = np.zeros((ROW_BLOCK * -(-rows // ROW_BLOCK), batch.shape[1]))
+    padded[:rows] = batch
+    return np.concatenate([padded[i:i + ROW_BLOCK] @ mat
+                           for i in range(0, len(padded), ROW_BLOCK)])[:rows]
+
+
 @pytest.mark.parametrize("k", [8, 16, 32])
-@pytest.mark.parametrize("rows", [16, 64, 256])
+@pytest.mark.parametrize("rows", [1, 5, 16, 17, 40, 64, 256])
 def test_wide_batch_transforms_equal_16_row_products(k, rows):
-    # a batch of whole 16-row blocks has the bits of its blocks transformed
-    # one at a time, so a path's state never depends on the batch width
+    # a batch of any width has the bits of its 16-row blocks transformed one
+    # at a time, a partial last block those of its zero-padded product, so a
+    # path's state never depends on the batch width
     space = SpectralSpace(1.0, k)
     rng = np.random.default_rng(k + rows)
     coeffs = rng.standard_normal((rows, k))
     values = rng.standard_normal((rows, space.m))
-    blocks = range(0, rows, ROW_BLOCK)
-    np.testing.assert_array_equal(
-        space.to_values(coeffs),
-        np.concatenate([space.to_values(coeffs[i:i + ROW_BLOCK]) for i in blocks]))
-    np.testing.assert_array_equal(
-        space.to_coeffs(values),
-        np.concatenate([space.to_coeffs(values[i:i + ROW_BLOCK]) for i in blocks]))
+    np.testing.assert_array_equal(space.to_values(coeffs),
+                                  _by_blocks(coeffs, space._to_values_mat.T))
+    np.testing.assert_array_equal(space.to_coeffs(values),
+                                  _by_blocks(values, space._to_coeffs_mat.T))
+
+
+def _blas_version():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    except (KeyError, TypeError):
+        return "unknown"
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_a_row_of_a_16_row_product_ignores_its_place_and_its_block_mates(k):
+    # the batch layout rests on this BLAS property: a row's bits in a 16-row
+    # transform product do not change when the block is permuted, nor when
+    # its other rows are refilled (with zeros, as padding does, or with new
+    # draws).  A BLAS that breaks it fails here, not as digest mismatches.
+    space = SpectralSpace(1.0, k)
+    rng = np.random.default_rng(100 + k)
+    misses = []
+    for transform, width in ((space.to_values, k), (space.to_coeffs, space.m)):
+        for trial in range(40):
+            block = rng.standard_normal((ROW_BLOCK, width))
+            base = transform(block)
+            perm = rng.permutation(ROW_BLOCK)
+            if not np.array_equal(transform(block[perm]), base[perm]):
+                misses.append(f"{transform.__name__}, trial {trial}: permuted")
+            keep = rng.random(ROW_BLOCK) < 0.5
+            refilled = np.zeros_like(block) if trial % 2 else rng.standard_normal(block.shape)
+            refilled[keep] = block[keep]
+            if not np.array_equal(transform(refilled)[keep], base[keep]):
+                misses.append(f"{transform.__name__}, trial {trial}: refilled")
+    assert not misses, "\n".join(misses + [f"numpy {np.__version__}, BLAS {_blas_version()}"])
 
 
 def test_parseval_identity_against_grid_quadrature():
