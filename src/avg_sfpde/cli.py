@@ -140,8 +140,11 @@ def _write_report(report, spec, out, kind, eps_label=None):
 
 def _parse(key, raw):
     """A key's flag, environment or config string, parsed; a bad value names the key.
-    A string value must read back from the manifest as it was given, so it
-    may not start or end with whitespace or hold a line break."""
+    No value may be empty.  A string value must read back from the manifest as
+    it was given, so it may not start or end with whitespace or hold a line
+    break."""
+    if raw == "":
+        raise UsageError(f"{key} = '': the value is empty")
     if KEYS[key].parse is str and (raw != raw.strip() or "\n" in raw or "\r" in raw):
         raise UsageError(f"{key} = {raw!r}: a manifest cannot carry surrounding "
                          "whitespace or a line break")
@@ -259,8 +262,6 @@ def load_config(path, name) -> dict:
                 raise UsageError(f"unknown config key {key!r} in section [{sec}]")
             if key not in keys:
                 raise UsageError(f"config key {key!r} is not used by {name}")
-            if raw == "":
-                continue
             flat[key] = _parse(key, raw)
             if KEYS[key].choices and flat[key] not in KEYS[key].choices:
                 raise UsageError(f"{key} must be one of "
@@ -290,16 +291,19 @@ def _resolve(name, args):
     return spec, preset
 
 
-def _out_dir(spec) -> Path:
+def _out_dir(spec):
+    """The output directory, made and checked writable, and the directories
+    that making it created, deepest first."""
     out = Path(spec["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        probe = out / ".write-probe"
         probe.write_text("", encoding="utf-8")
         probe.unlink()
     except OSError as exc:
         raise UsageError(f"output directory {out} not writable: {exc}") from exc
-    return out
+    return out, made
 
 
 def _manifest_sections(name, spec):
@@ -315,13 +319,19 @@ def _manifest_sections(name, spec):
 
 def _run_command(name, args):
     spec, preset = _resolve(name, args)
-    out = _out_dir(spec)
+    out, made = _out_dir(spec)
     try:
         verdict = COMMANDS[name].run(spec, preset, out)
     except RuntimeError as exc:  # a blow-up that aborts the study
         (out / "diagnostics.txt").write_text(str(exc) + "\n", encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:            # a rejected input leaves no directory behind
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     write_manifest(out / "manifest.ini", _manifest_sections(name, spec))
     return 0 if verdict else 2
 

@@ -16,6 +16,7 @@ call per time step on one noise draw.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ def _map_chunks(fn, paths: int, threads: int):
     Batches start at multiples of W = batch_width(paths).  ``fn(first, count)``
     steps the ``count`` paths that start at path id ``first`` and returns
     their results; whole batches go to the thread pool, which gets no more
-    workers than batches.
+    workers than batches or than ``os.cpu_count()``.
     Every study steps its paths here, so here it rejects ``paths < 2`` and
     ``threads < 1``.
     """
@@ -122,7 +123,7 @@ def _map_chunks(fn, paths: int, threads: int):
     def one(i):
         return fn(starts[i], min(width, paths - starts[i]))
 
-    batches = _map_paths(one, len(starts), min(threads, len(starts)))
+    batches = _map_paths(one, len(starts), min(threads, len(starts), os.cpu_count() or 1))
     return [r for batch in batches for r in batch]
 
 

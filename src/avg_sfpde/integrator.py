@@ -7,10 +7,10 @@ stepped as one (W, dim) array, one row per path, W up to ``MAX_WIDTH``
 (``batch_width``).  The twins of a coupled study, the same paths under other
 oscillators, time scales or starts, are further blocks of W rows of that
 array: one kernel call steps every twin, on one slab of noise broadcast over
-the twins.  Every step operation is row-wise except the sine transforms,
-whose 16-row blocks give a row the same bits wherever it sits, so the bits
-of a path never depend on the batch width, on how many twins or paths a
-study runs, or on how the batches are spread over threads.
+the twins.  Every step operation is row-wise, and the sine transforms give
+a row the same bits alone and wherever it sits in a batch (``spectral``), so
+the bits of a path never depend on the batch width, on how many twins or
+paths a study runs, or on how the batches are spread over threads.
 Brownian increments are counter-based: path (seed, path_id) keys a Philox
 stream, and the Gaussian at (step, mode) is the inverse-CDF image of the
 stream's raw output at a fixed position, so a block of a path's first
@@ -38,12 +38,13 @@ import numpy as np
 
 from .coefficients import CoefficientSet, libm_loop, pow_or_inf
 from .delay import DelayMeasure, HistoryBuffer, delay_integral
-from .spectral import ROW_BLOCK, PdeOperator
+from .spectral import PdeOperator
 
 MAX_WIDTH = 256         # rows per runner; never derived from threads
 SLAB = 64               # steps of noise drawn at a time
 RECORD_BYTES = 256 * 1024   # states a coupled run records per fold, or one state
 RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
+MAX_STEPS = 10**7       # steps a run may take: T / dt above it is rejected, naming both
 
 
 class BlowUpError(RuntimeError):
@@ -199,6 +200,9 @@ class StepperConfig:
         if not math.isfinite(n):
             raise ValueError(f"T = {self.T!r}, dt = {self.dt!r}: T / dt overflows, "
                              "no step count")
+        if n > MAX_STEPS:                       # checked before anything is allocated
+            raise ValueError(f"T = {self.T!r}, dt = {self.dt!r}: T / dt = {n:.6g} steps, "
+                             f"more than MAX_STEPS = {MAX_STEPS}")
         if abs(n - round(n)) > 1e-8:
             raise ValueError("T must be an integer multiple of dt")
 
@@ -294,19 +298,18 @@ class PathRunner:
     (``_tabulate``).  A coupled run folds its partner distances once per
     record of as many states as RECORD_BYTES holds, 1 to SLAB: once per slab
     on scalar batches and on a field state of 16 rows and 32 modes.  Each
-    step operation is row-wise, and a row's bits in a 16-row transform block
-    do not depend on the other rows, so a row has the bits it has in a
-    runner of its twin alone.  A row that is still non-finite after the
-    halving retry is a blow-up of that path alone in that twin: its
-    BlowUpError goes to ``errors[j * rows + r]``, its state is reset to zero,
-    and the other rows run on.  The runner finds non-finite rows itself, so
-    construction and stepping run with numpy's overflow and invalid-value
-    warnings silenced.
+    step operation is row-wise, and a row's transform bits do not depend on
+    the other rows, so a row has the bits it has in a runner of its twin
+    alone.  A row that is still non-finite after the halving retry is a
+    blow-up of that path alone in that twin: its BlowUpError goes to
+    ``errors[j * rows + r]``, its state is reset to zero, and the other rows
+    run on.  The runner finds non-finite rows itself, so construction and
+    stepping run with numpy's overflow and invalid-value warnings silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
-                 initial: HistoryBuffer, path_id: int = 0, rows: int = ROW_BLOCK):
+                 initial: HistoryBuffer, path_id: int = 0, *, rows: int):
         if rows < 1:
             raise ValueError(f"runner width {rows}: need at least 1 row")
         self.op = op

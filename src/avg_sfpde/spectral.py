@@ -5,6 +5,11 @@ and Laplacian eigenvalues lambda_i = (i pi / L)^2.  Nonlinear operators are
 evaluated pseudospectrally on an m-point collocation grid with m >= 2k for
 anti-aliasing.  Coefficient vectors are plain float arrays; their Euclidean
 norm is the L2(0, L) norm of the field (Parseval).
+
+A transform maps the rows of its last axis, a (P, k) batch of coefficient
+vectors or one (k,) vector to (P, m) or (m,) grid values and back.  On grids
+of at most 1024 points it multiplies them in zero-padded ROW_BLOCK-row blocks,
+so a row has the same bits alone and at any place in any batch.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ import numpy as np
 
 # dense transform matrices are faster than FFT dispatch for small grids
 _MATMUL_LIMIT = 1024
-# rows per transform product: a row's bits in a ROW_BLOCK-row product depend
-# neither on its place nor on the other rows; one R-row product, or one of
-# fewer rows, rounds differently
+# rows per transform product; a product of another row count rounds differently
 ROW_BLOCK = 16
 
 
@@ -45,14 +48,14 @@ def _simpson_weights(m: int, dx: float) -> np.ndarray:
 
 
 def _blocked_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat; a 2-D batch of R rows as stacked ROW_BLOCK-row products,
-    the short last block padded with zero rows, cut back to R rows."""
-    if rows.ndim != 2:
-        return rows @ mat
-    r = len(rows)
+    """rows @ mat, R rows along the last axis (a vector is one), as stacked
+    ROW_BLOCK-row products, the short last block padded with zero rows."""
+    x = rows.reshape(-1, rows.shape[-1])
+    r = len(x)
     if r % ROW_BLOCK:
-        rows = np.concatenate([rows, np.zeros((-r % ROW_BLOCK, rows.shape[1]))])
-    return (rows.reshape(-1, ROW_BLOCK, rows.shape[1]) @ mat).reshape(len(rows), -1)[:r]
+        x = np.concatenate([x, np.zeros((-r % ROW_BLOCK, x.shape[1]))])
+    out = (x.reshape(-1, ROW_BLOCK, x.shape[1]) @ mat).reshape(len(x), -1)[:r]
+    return out.reshape(rows.shape[:-1] + (-1,))
 
 
 class SpectralSpace:
@@ -85,17 +88,14 @@ class SpectralSpace:
             self._to_coeffs_mat = None
 
     # -- transforms ----------------------------------------------------------
-    # Leading axes are rows: a (P, k) batch of coefficient vectors maps to
-    # (P, m) grid values in ROW_BLOCK-row matrix products, and back.
-
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values on the interior collocation grid."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if self._to_values_mat is not None and coeffs.shape[-1] == self.k:
+        if self._to_values_mat is not None:
             return _blocked_product(coeffs, self._to_values_mat.T)
         from scipy import fft as sp_fft  # loaded by the first transform that needs it
         padded = np.zeros(coeffs.shape[:-1] + (self.m,))
-        padded[..., : coeffs.shape[-1]] = coeffs * (self._basis_scale / 2.0)
+        padded[..., :self.k] = coeffs * (self._basis_scale / 2.0)
         return sp_fft.dst(padded, type=1, axis=-1)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:

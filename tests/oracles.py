@@ -4,11 +4,11 @@
 one path on its history buffer, O(history) per step.  ``PathRunner`` is the
 package's one step kernel; the tests check it against this scheme.  Both
 evaluate the coefficients through the same row-batched ``CoefficientSet``
-methods.  For scalar states without a delay term the two are bit-identical;
-otherwise they agree to rounding (the runner accumulates the delay integral
-incrementally, which regroups the same floating-point sums, and transforms
-a state as a row of a 16-row matrix product, where this scheme transforms
-one vector).
+methods, transform a state as one row of a 16-row matrix product, and read
+the oscillators of step n at n * dt / eps.  Without a delay or seminorm term
+the two are bit-identical; with one they agree to rounding (the runner
+accumulates the delay integral and the seminorm incrementally, which regroups
+the same floating-point sums).
 """
 
 import math
@@ -37,13 +37,14 @@ def reference_step(buf, op, cs, cfg, path_id=0) -> HistoryBuffer:
     # the step's draws end the block of its first n + 1 steps
     dW = normal_block(cfg.seed, path_id, n + 1,
                       cs.noise_dim(cfg.noise_modes))[-1] * math.sqrt(cfg.dt)
-    drift = eval_drift(cs, t / cfg.eps, buf)
+    s = n * cfg.dt / cfg.eps            # the runner's oscillator clock
+    drift = eval_drift(cs, s, buf)
     if cs.space is not None:
         values = cs.space.to_values(buf.value_at(t))
         a_nl = op.nonlinear_from_values(cs.space, values)
     else:
         a_nl = np.zeros(1)
-    amp = eval_diffusion_amplitude(cs, t / cfg.eps, buf)
+    amp = eval_diffusion_amplitude(cs, s, buf)
     noise = cs.apply_noise(amp, dW)
     stiff = op.stiff_diagonal(cs.space)
     rhs = a_nl + drift

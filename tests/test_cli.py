@@ -242,7 +242,7 @@ def test_input_the_run_cannot_honour_is_rejected(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
-    assert not (tmp_path / "o" / "manifest.ini").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_percent_in_a_value_is_written_and_read_verbatim(tmp_path):
@@ -273,6 +273,51 @@ def test_a_string_the_manifest_cannot_carry_is_rejected(tmp_path, monkeypatch, c
         [f"usage error: output_dir = {out!r}: a manifest cannot carry surrounding "
          "whitespace or a line break"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", [["--out", ""], ["--config", "[output]\noutput_dir =\n"]])
+def test_an_empty_value_is_rejected(tmp_path, monkeypatch, capsys, given):
+    # an empty --out wrote into the working directory and recorded
+    # "output_dir = " in its manifest; a config file's empty value was
+    # skipped, so a replay of that manifest wrote into out/
+    monkeypatch.chdir(tmp_path)
+    if given[0] == "--config":
+        (tmp_path / "config.ini").write_text(given[1], encoding="utf-8")
+        given = ["--config", "config.ini"]
+    assert run_cli(["simulate", "--preset", "scalar-linear-osc", "--T", "0.01"] + given) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        ["usage error: output_dir = '': the value is empty"]
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["config.ini"])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (FRZ + LIN + ["--paths", "0"], "paths = 0"),
+    (AVG + RD8 + ["--kw", "0"], "k_w = 0"),
+    (["simulate"] + LIN + ["--dt", "0.003", "--T", "0.01"], "integer multiple of dt"),
+    (["simulate"] + LIN + ["--dt", "1e-300"], "T = 1.0, dt = 1e-300: T / dt = 1e+300 steps"),
+])
+def test_a_rejected_input_leaves_no_output_directory(tmp_path, capsys, argv, named):
+    # each exited 1 and left its --out directory behind, made before the
+    # study checked its inputs; directories that were there before stay
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "new" / "deeper", kept / "o"):
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert list(kept.iterdir()) == []
+
+
+def test_an_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    # making the directory raised FileExistsError, which escaped as a traceback
+    (tmp_path / "f").write_text("kept", encoding="utf-8")
+    assert run_cli(["simulate", "--preset", "scalar-linear-osc", "--T", "0.01",
+                    "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: output directory {tmp_path / 'f'} not writable" in err
+    assert (tmp_path / "f").read_text(encoding="utf-8") == "kept"
 
 
 def test_continuity_blow_up_leaves_diagnostics(tmp_path, capsys):

@@ -662,7 +662,9 @@ FALSIFIERS = {
 }
 WITNESS_PRESETS = {"reaction-diffusion-delay": RD8,
                    "broken-quadratic": get_preset("broken-quadratic")}
-# max_ratio bits recorded before the falsifiers shared one scan
+# max_ratio bits recorded before the falsifiers shared one scan; the
+# reaction-diffusion holder entry moved 3 ulp (from 0x1.600cf7fc4763fp-1) when
+# a lone vector became a one-row transform block
 WITNESS_BITS = {
     ("broken-quadratic", "coercivity"): "-0x1.17f96567d3712p+0",
     ("broken-quadratic", "growth"): "0x1.559c21a416422p+6",
@@ -676,7 +678,7 @@ WITNESS_BITS = {
     ("reaction-diffusion-delay", "growth"): "-0x1.4171b8814f749p+1",
     ("reaction-diffusion-delay", "h5_diffusion"): "-0x1.07db9cd20a738p-1",
     ("reaction-diffusion-delay", "h5_drift"): "-0x1.463cc65363d8ep+1",
-    ("reaction-diffusion-delay", "holder"): "0x1.600cf7fc4763fp-1",
+    ("reaction-diffusion-delay", "holder"): "0x1.600cf7fc47642p-1",
     ("reaction-diffusion-delay", "holder_averaged"): "0x1.feb3bcbf1b245p-2",
     ("reaction-diffusion-delay", "monotonicity"): "-0x1.cef0da2d03d77p+8",
     ("reaction-diffusion-delay", "operator_growth"): "-0x1.72924133141a4p+4",
@@ -692,3 +694,34 @@ def test_every_witness_reproduces_its_gap(preset, check):
     assert report.witness is not None
     assert gap_at(p, report.witness) == report.max_ratio
     assert float(report.max_ratio).hex() == WITNESS_BITS[preset, check]
+
+
+def test_the_path_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    # --threads 5000 over a million paths would start 3907 threads, one per
+    # 256-path batch; a stand-in pool records its width and starts none
+    widths = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(exp, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 3)
+    firsts = exp._map_chunks(lambda first, count: [first] * count, 1_000_000, 5000)
+    assert widths == [3]
+    assert len(firsts) == 1_000_000 and firsts[-1] == 999_936    # in path order
+    assert exp._map_chunks(lambda first, count: [first] * count, 600, 2) == \
+        [0] * 256 + [256] * 256 + [512] * 88
+    assert widths == [3, 2]
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: None)      # unknown: one worker
+    exp._map_chunks(lambda first, count: [first] * count, 600, 8)
+    assert widths == [3, 2]

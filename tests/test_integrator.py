@@ -23,6 +23,7 @@ from avg_sfpde.coefficients import (
 )
 from avg_sfpde.delay import ConstantTail, DelayMeasure, HistoryBuffer, delay_integral, seminorm_h
 from avg_sfpde.integrator import (
+    MAX_STEPS,
     MAX_WIDTH,
     RETRY_HALVINGS,
     SLAB,
@@ -151,7 +152,7 @@ def test_oscillator_table_has_the_bits_of_scalar_eval(name):
     cs = p.coefficients
     for eps_grid, dt in WORKLOAD_LINES:
         cfg = StepperConfig(dt=dt, T=1.0, seed=0, eps=eps_grid[0])
-        runner = PathRunner(p.operator, cs, cfg, p.initial)
+        runner = PathRunner(p.operator, cs, cfg, p.initial, rows=16)
         runner.couple([(cs, eps, p.initial) for eps in eps_grid[1:]])
         # the times at which the finest retry of step n evaluates them
         parts = 2**RETRY_HALVINGS
@@ -251,30 +252,36 @@ def row_zero_history(r):
                          samples=r.states[:, 0])
 
 
-def test_runner_bit_identical_to_step_without_delay():
-    p = get_preset("scalar-linear-osc")
-    cfg = StepperConfig(dt=1e-3, T=0.2, noise_modes=1, seed=9, eps=0.5)
-    traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=4)
-    buf = reference_path(p.operator, p.coefficients, cfg, p.initial, path_id=4)
-    np.testing.assert_array_equal(traj.states[-1], buf.head)
+DELAY_FREE = [("scalar-linear-osc", None), ("heat-deterministic", None),
+              ("porous-media-sin", 8), ("porous-media-sin", 32)]
+WITH_MEMORY = [("scalar-holder-osc", None), ("reaction-diffusion-delay", 8),
+               ("broken-quadratic", None)]
+# (seed, eps, dt, T, path_id); 70 and 200 steps cross the runner's first slab edge
+REFERENCE_RUNS = [(5, 1.0, 0.01, 0.7, 0), (2, 0.3, 0.01, 0.7, 3), (7, 0.05, 0.01, 0.7, 17),
+                  (9, 0.5, 1e-3, 0.2, 4)]
 
 
-@pytest.mark.parametrize("name,k", [("scalar-holder-osc", None),
-                                    ("reaction-diffusion-delay", 8),
-                                    ("porous-media-sin", 8),
-                                    ("broken-quadratic", None)])
+@pytest.mark.parametrize("name,k", DELAY_FREE + WITH_MEMORY)
 def test_runner_agrees_with_reference_step(name, k):
+    # a preset without a delay or seminorm term steps bit for bit as the
+    # reference; the runner accumulates those terms step by step, so with
+    # one the two agree to rounding
     p = get_preset(name, k=k)
-    cfg = StepperConfig(dt=0.01, T=0.1, noise_modes=p.k_w, seed=5, eps=1.0)
-    traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=0)
-    buf = reference_path(p.operator, p.coefficients, cfg, p.initial)
-    np.testing.assert_allclose(traj.states[-1], buf.head, rtol=1e-10, atol=1e-14)
+    for seed, eps, dt, T, path_id in REFERENCE_RUNS:
+        cfg = StepperConfig(dt=dt, T=T, noise_modes=p.k_w, seed=seed, eps=eps)
+        traj = run_path(p.operator, p.coefficients, cfg, p.initial, path_id=path_id)
+        buf = reference_path(p.operator, p.coefficients, cfg, p.initial, path_id=path_id)
+        assert np.all(np.isfinite(traj.states)) and np.any(traj.states[-1] != traj.states[0])
+        if (name, k) in DELAY_FREE:
+            np.testing.assert_array_equal(traj.states, buf.samples)
+        else:
+            np.testing.assert_allclose(traj.states, buf.samples, rtol=1e-10, atol=1e-14)
 
 
 def test_delay_accumulator_tracks_reference_integral():
     p = get_preset("scalar-holder-osc")
     cfg = StepperConfig(dt=0.01, T=0.5, noise_modes=1, seed=3, eps=0.5)
-    r = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=2)
+    r = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=2, rows=16)
     r.run()
     mu = p.coefficients.drift.delay_measure
     ref = delay_integral(row_zero_history(r), r.times[-1], mu, 0.5)
@@ -292,7 +299,7 @@ def test_determinism_same_inputs_same_trajectory():
 def test_segment_norm_dominates_state_along_path():
     p = get_preset("scalar-holder-osc")
     cfg = StepperConfig(dt=0.01, T=0.5, noise_modes=1, seed=13, eps=1.0)
-    r = PathRunner(p.operator, p.coefficients, cfg, p.initial)
+    r = PathRunner(p.operator, p.coefficients, cfg, p.initial, rows=16)
     r.run()
     buf = row_zero_history(r)
     for t in (0.1, 0.25, 0.5):
@@ -446,7 +453,7 @@ def test_couple_rejects_a_partner_the_runner_cannot_honour():
     # coefficients, eps and start may differ, and a state shape that differs
     # is named, never ignored
     p = PLACED["field"]
-    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial)
+    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16)
     other = get_preset("reaction-diffusion-delay", k=16).coefficients
     with pytest.raises(ValueError, match=r"partner dim = 16: "):
         runner.couple([(other, COUPLE_CFG.eps, p.initial)])
@@ -473,7 +480,7 @@ def test_couple_rejects_a_partner_the_stacked_kernel_cannot_step(field):
     # partner that differs in one of them is rejected, naming the field
     p = PLACED["field"]
     cs, initial = _partner_differing_in(field, p)
-    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial)
+    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16)
     with pytest.raises(ValueError, match=rf"partner {re.escape(field)}"):
         runner.couple([(p.coefficients.averaged(), 0.1, p.initial),
                        (cs, COUPLE_CFG.eps, initial)])
@@ -488,7 +495,7 @@ def test_runner_rejects_a_width_below_one_row(rows):
 
 def test_couple_accepts_a_partner_at_another_eps():
     p = PLACED["field"]
-    runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial)
+    runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial, rows=16)
     runner.couple([(p.coefficients, e, p.initial) for e in (0.5, 0.1)])
     runner.run()
     assert runner.sup_sq.shape == (2, 16)
@@ -505,12 +512,12 @@ def test_partner_has_the_bits_of_two_uncoupled_runs():
     shift = np.zeros(p.coefficients.dim)
     shift[0] = 1e-4
     start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift))
-    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3)
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3, rows=16)
     runner.couple([(p.coefficients, 0.1, start)])
     runner.run()
-    own = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3).run()
+    own = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3, rows=16).run()
     partner = PathRunner(p.operator, p.coefficients, dataclasses.replace(cfg, eps=0.1),
-                         start, path_id=3).run()
+                         start, path_id=3, rows=16).run()
     dist = np.array([_sq_distance(b, a) for a, b in zip(own.states, partner.states)])
     np.testing.assert_array_equal(runner.sup_sq[0], dist.max(axis=0))
     assert np.all(dist.max(axis=0) > dist[0])
@@ -802,7 +809,7 @@ def test_operator_overflow_is_a_row_blow_up():
     p = get_preset("reaction-diffusion-delay", k=8)
     init = HistoryBuffer.from_tail(p.initial.h, ConstantTail(np.full(8, 1e308)))
     cfg = StepperConfig(dt=1e-3, T=2e-3, noise_modes=8)
-    runner = PathRunner(p.operator, p.coefficients, cfg, init)
+    runner = PathRunner(p.operator, p.coefficients, cfg, init, rows=16)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         runner.run()
@@ -846,6 +853,18 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=rf"^seed = {seed}: "):
             StepperConfig(dt=0.1, T=1.0, seed=seed)
+
+
+def test_a_step_count_above_max_steps_is_rejected_naming_dt_and_t():
+    # T / dt = 1e300 passed every check, and the run died allocating its time
+    # grid with numpy's "Maximum allowed size exceeded", naming neither key;
+    # the bound is checked on construction, so these configs allocate nothing
+    with pytest.raises(ValueError, match=r"^T = 1.0, dt = 1e-300: T / dt = 1e\+300 steps, "
+                                         rf"more than MAX_STEPS = {MAX_STEPS}$"):
+        StepperConfig(dt=1e-300, T=1.0)
+    assert StepperConfig(dt=1.0, T=float(MAX_STEPS)).n_steps == MAX_STEPS
+    with pytest.raises(ValueError, match=r"T / dt = 1e\+07 steps"):
+        StepperConfig(dt=0.5, T=MAX_STEPS / 2 + 0.5)
 
 
 def test_averaged_label_is_not_a_stepper_eps():

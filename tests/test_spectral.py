@@ -84,13 +84,17 @@ def _blas_version():
         return "unknown"
 
 
-@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("k", [8, 16, 32, 513, 600])
 def test_a_row_of_a_16_row_product_ignores_its_place_and_its_block_mates(k):
-    # the batch layout rests on this BLAS property: a row's bits in a 16-row
-    # transform product do not change when the block is permuted, nor when
-    # its other rows are refilled (with zeros, as padding does, or with new
-    # draws).  A BLAS that breaks it fails here, not as digest mismatches.
+    # the batch layout rests on this property of the BLAS products (grids of
+    # up to 1024 points) and of scipy's DST (k = 513 and 600): a row's bits
+    # in a 16-row transform do not change when the block is permuted, nor
+    # when its other rows are refilled (with zeros, as padding does, or with
+    # new draws), nor when the row is transformed alone, as a vector or a
+    # one-row batch, or inside a 17-row batch.  A BLAS or scipy that breaks
+    # it fails here, not as digest mismatches.
     space = SpectralSpace(1.0, k)
+    assert (space._to_values_mat is None) == (k > 512)
     rng = np.random.default_rng(100 + k)
     misses = []
     for transform, width in ((space.to_values, k), (space.to_coeffs, space.m)):
@@ -105,7 +109,26 @@ def test_a_row_of_a_16_row_product_ignores_its_place_and_its_block_mates(k):
             refilled[keep] = block[keep]
             if not np.array_equal(transform(refilled)[keep], base[keep]):
                 misses.append(f"{transform.__name__}, trial {trial}: refilled")
+            r = trial % ROW_BLOCK
+            if not (np.array_equal(transform(block[r]), base[r])
+                    and np.array_equal(transform(block[r:r + 1]), base[r:r + 1])):
+                misses.append(f"{transform.__name__}, trial {trial}: alone")
+            extra = rng.standard_normal((1, width))
+            wide = transform(np.concatenate([block, extra]))
+            if not (np.array_equal(wide[:ROW_BLOCK], base)
+                    and np.array_equal(wide[ROW_BLOCK], transform(extra[0]))):
+                misses.append(f"{transform.__name__}, trial {trial}: in 17 rows")
     assert not misses, "\n".join(misses + [f"numpy {np.__version__}, BLAS {_blas_version()}"])
+
+
+@pytest.mark.parametrize("m", [64, 2048])
+def test_a_vector_of_the_wrong_length_is_an_error_on_both_branches(m):
+    # dense products (m <= 1024) and the DST (m > 1024) both refuse a
+    # coefficient vector that is not k long, rather than padding it
+    space = SpectralSpace(1.0, 8, quad_points=m)
+    for wrong in (np.ones(5), np.ones(9), np.ones((3, 5))):
+        with pytest.raises(ValueError):
+            space.to_values(wrong)
 
 
 def test_parseval_identity_against_grid_quadrature():
