@@ -47,8 +47,10 @@ class DelayEvaluationError(ArithmeticError):
 
 
 def state_norm(value) -> float:
-    """Norm of a state: |.| for scalars, Euclidean (= spectral L2) for vectors."""
-    return float(np.linalg.norm(value))
+    """Norm of a state: |.| for scalars, Euclidean (= spectral L2) for vectors.
+    sqrt(v . v) of the raveled values, as np.linalg.norm computes it."""
+    v = np.asarray(value, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def as_state(value) -> np.ndarray:
@@ -60,17 +62,23 @@ def _interp_rows(x, xp, fp) -> np.ndarray:
 
     One searchsorted for all columns, then np.interp's own arithmetic, so
     the result is bit-identical for finite x and fp: the sample itself below,
-    above and at a node, slope * (x - xp[j]) + fp[j] in between.
+    above and at a node, slope * (x - xp[j]) + fp[j] in between.  A slope is
+    computed once per run of consecutive queries in one panel, so once per
+    hit panel for ascending x; past the searchsorted, the work grows with the
+    queries and not with len(xp).
     """
     x = np.asarray(x, dtype=float)
     last = len(xp) - 1
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, last)
+    # searchsorted gives at most len(xp), so only the low end needs clipping
+    j = np.maximum(np.searchsorted(xp, x, side="right") - 1, 0)
     out = fp[j]
     inner = (j < last) & (x > xp[j])
-    if np.any(inner):
+    if inner.any():
         j, x = j[inner], x[inner]
-        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])[:, None]
-        out[inner] = slope * (x - xp[j])[:, None] + fp[j]
+        first = np.concatenate(([True], j[1:] != j[:-1]))
+        panels = j[first]
+        slope = (fp[panels + 1] - fp[panels]) / (xp[panels + 1] - xp[panels])[:, None]
+        out[inner] = slope[np.cumsum(first) - 1] * (x - xp[j])[:, None] + fp[j]
     return out
 
 
@@ -110,6 +118,12 @@ class Tail:
         """Interior points in [lo, hi] where the tail is not smooth."""
         return np.empty(0)
 
+    def flat_run(self, thetas) -> tuple[int, np.ndarray | None]:
+        """(n, row): at the first n of the ascending nodes thetas the tail's
+        value is the one row ``row``, bit for bit; (0, None) when the kind
+        knows no such run."""
+        return 0, None
+
 
 @dataclass(frozen=True)
 class ConstantTail(Tail):
@@ -137,6 +151,9 @@ class ConstantTail(Tail):
     @property
     def growth(self):
         return 0.0
+
+    def flat_run(self, thetas):
+        return len(thetas), self.value
 
 
 @dataclass(frozen=True)
@@ -271,6 +288,12 @@ class SegmentTail(Tail):
                                 buf.tail.kink_nodes(lo + t0, min(hi + t0, 0.0)) - t0])
         return np.unique(nodes[(nodes > lo) & (nodes < hi)])
 
+    def flat_run(self, thetas):
+        # the nodes with t0 + theta <= 0 read the buffer's tail, as values_at
+        # sends them
+        ss = self.t0 + np.asarray(thetas, dtype=float)
+        return self.buffer.tail.flat_run(ss[:np.searchsorted(ss, 0.0, side="right")])
+
 
 class _DifferenceTail(Tail):
     """phi - psi on (-infty, 0] for the tails phi, psi of two segments.
@@ -286,14 +309,17 @@ class _DifferenceTail(Tail):
     def dim(self):
         return self.a.dim
 
+    def value_at(self, theta):
+        return self.a.value_at(theta) - self.b.value_at(theta)
+
     def values_at(self, thetas):
         return self.a.values_at(thetas) - self.b.values_at(thetas)
 
     def weighted_sup(self, h):
         """The max over 2048 uniform nodes of [-default_horizon(h), 0]: the
         checkers need a faithful denominator, not machine precision."""
-        thetas = -np.linspace(0.0, default_horizon(h), 2048)
-        return float(np.max(np.exp(h * thetas) * np.linalg.norm(self.values_at(thetas), axis=1)))
+        thetas = -np.linspace(0.0, default_horizon(h), 2048)[::-1]  # ascending
+        return float(np.max(np.exp(h * thetas) * _row_norms(self, thetas)))
 
     @property
     def growth(self):
@@ -302,6 +328,24 @@ class _DifferenceTail(Tail):
     def kink_nodes(self, lo, hi):
         # the kinks of both tails, so swapping the segments keeps every node
         return np.concatenate([self.a.kink_nodes(lo, hi), self.b.kink_nodes(lo, hi)])
+
+    def flat_run(self, thetas):
+        na, ra = self.a.flat_run(thetas)
+        nb, rb = self.b.flat_run(thetas)
+        n = min(na, nb)
+        return (n, ra - rb) if n else (0, None)
+
+
+def _row_norms(tail: Tail, thetas: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(tail.values_at(thetas), axis=1) at ascending thetas, bit
+    for bit: the tail's flat run is normed once (a contiguous row's norm does
+    not depend on its batch), and only the nodes past it are evaluated."""
+    n, row = tail.flat_run(thetas)
+    norms = np.empty(len(thetas))
+    if n:
+        norms[:n] = np.linalg.norm(row[None, :], axis=1)
+    norms[n:] = np.linalg.norm(tail.values_at(thetas[n:]), axis=1)
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +499,16 @@ class HistoryBuffer:
         return cls(h=h, tail=tail, times=np.array([0.0]),
                    samples=tail.value_at(0.0)[None, :])
 
+    @classmethod
+    def _built(cls, h: float, tail: Tail) -> "HistoryBuffer":
+        """from_tail for a tail the package built from checked buffers of
+        weight h (a segment, a difference): its checks hold by construction,
+        so they are not run again."""
+        buf = cls.__new__(cls)
+        buf.h, buf.tail = h, tail
+        buf.times, buf.samples = np.array([0.0]), tail.value_at(0.0)[None, :]
+        return buf
+
     @property
     def horizon(self) -> float:
         """Where the delay quadrature truncates the tail: fixed by h."""
@@ -476,21 +530,24 @@ class HistoryBuffer:
         """History value at absolute time s <= head_time."""
         if s <= 0.0:
             return self.tail.value_at(s)
-        if s > self.head_time + 1e-12:
-            raise HistoryRangeError(f"time {s} beyond simulated range {self.head_time}")
+        if s >= self.head_time:
+            if s > self.head_time + 1e-12:
+                raise HistoryRangeError(f"time {s} beyond simulated range {self.head_time}")
+            return self.head  # what interpolation returns at and past the last sample
         return _interp_rows([s], self.times, self.samples)[0]
 
     def values_at(self, ss: np.ndarray) -> np.ndarray:
         ss = np.asarray(ss, dtype=float)
-        out = np.empty((len(ss), self.dim))
         pre = ss <= 0.0
-        if np.any(pre):
-            out[pre] = self.tail.values_at(ss[pre])
-        post = ~pre
-        if np.any(post):
-            if np.max(ss[post]) > self.head_time + 1e-12:
-                raise HistoryRangeError("requested times beyond simulated range")
-            out[post] = _interp_rows(ss[post], self.times, self.samples)
+        if np.all(pre):
+            return self.tail.values_at(ss)
+        if np.max(ss) > self.head_time + 1e-12:
+            raise HistoryRangeError("requested times beyond simulated range")
+        if not np.any(pre):
+            return _interp_rows(ss, self.times, self.samples)
+        out = np.empty((len(ss), self.dim))
+        out[pre] = self.tail.values_at(ss[pre])
+        out[~pre] = _interp_rows(ss[~pre], self.times, self.samples)
         return out
 
     def _check_time(self, t: float):
@@ -515,7 +572,7 @@ def seminorm_h(buf: HistoryBuffer, t: float) -> float:
 def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
     """Segment u_t, for any t in [0, head]: a buffer whose head sits at 0 and
     whose tail is a view of buf shifted to t."""
-    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t))
+    return HistoryBuffer._built(buf.h, SegmentTail(buf, t))
 
 
 def _powers(norms, p):
@@ -670,8 +727,7 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
         return total + closed
 
     def K(thetas):
-        vals = buf.tail.values_at(np.asarray(thetas) + t)
-        return check(_powers(np.linalg.norm(vals, axis=1), power), thetas)
+        return check(_powers(_row_norms(buf.tail, np.asarray(thetas) + t), power), thetas)
 
     lo = -buf.horizon - t
     kinks = buf.tail.kink_nodes(lo + t, 0.0)
@@ -693,10 +749,12 @@ def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
                              "take extract_segment(buf, t) first")
     if seg_a.h != seg_b.h:
         raise ValueError("segments must share the same weight h")
+    if seg_a.dim != seg_b.dim:
+        raise ValueError(f"segments of dimensions {seg_a.dim} and {seg_b.dim}")
     ta, tb = seg_a.tail, seg_b.tail
     if isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
-        return HistoryBuffer.from_tail(seg_a.h, ConstantTail(ta.value - tb.value))
-    return HistoryBuffer.from_tail(seg_a.h, _DifferenceTail(ta, tb))
+        return HistoryBuffer._built(seg_a.h, ConstantTail(ta.value - tb.value))
+    return HistoryBuffer._built(seg_a.h, _DifferenceTail(ta, tb))
 
 
 def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
@@ -713,5 +771,5 @@ def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:
     diff = _difference(seg_a, seg_b)
     # the head difference as a row norm as well: it can differ from
     # state_norm in the last bit, and check_holder divides by the max
-    head = diff.values_at(np.zeros(1))
+    head = diff.head[None, :]
     return max(diff.tail.weighted_sup(diff.h), float(np.linalg.norm(head, axis=1)[0]))

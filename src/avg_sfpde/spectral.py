@@ -103,6 +103,9 @@ class SpectralSpace:
         values = np.asarray(values, dtype=float)
         if self._to_coeffs_mat is not None:
             return _blocked_product(values, self._to_coeffs_mat.T)
+        if values.shape[-1] != self.m:
+            raise ValueError(f"grid values of length {values.shape[-1]}: "
+                             f"the grid has m = {self.m} points")
         from scipy import fft as sp_fft
         full = sp_fft.dst(values, type=1, axis=-1) * (self._dx * self._basis_scale / 2.0)
         return full[..., :self.k]

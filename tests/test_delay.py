@@ -17,11 +17,14 @@ from avg_sfpde.delay import (
     HistoryBuffer,
     HistoryRangeError,
     MomentDivergenceError,
+    SegmentTail,
     TabulatedTail,
     _difference,
+    _DifferenceTail,
     _interp_rows,
     _product_quadrature,
     _quadrature_rule,
+    _row_norms,
     delay_integral,
     delay_pair_integral,
     extract_segment,
@@ -571,17 +574,126 @@ def test_rule_cache_stays_at_its_bound():
 
 
 def test_interp_rows_is_bit_identical_to_np_interp():
+    # queries between, exactly at and beyond both ends of the nodes, in
+    # ascending (one slope per panel) and in shuffled order; the last trials
+    # interpolate a 10^4-sample trajectory
     rng = np.random.default_rng(5)
-    for trial in range(300):
-        n = 1 + trial % 13   # includes one-sample buffers
+    for trial in range(303):
+        n = 10_000 if trial >= 300 else 1 + trial % 13   # includes one-sample buffers
         dim = 1 + trial % 5
         xp = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 3.0)
         fp = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
         x = np.concatenate([rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 40), xp,
                             [xp[0], xp[-1], xp[0] - 5.0, xp[-1] + 5.0]])
-        rng.shuffle(x)
-        ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
-        np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)
+        for x in (np.sort(x), rng.permutation(x)):
+            ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
+            np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)
+
+
+# ---------------------------------------------------------------------------
+# the flat-run kernel and package-built buffers
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("constant", "exponential", "path")
+
+
+def kernel_tails(seed, dim):
+    """Every tail kind the delay kernel meets, by name: the analytic kinds,
+    segments over constant- and exponential-tailed walks and a segment of a
+    segment, and the differences of the nine sampled family pairs."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim)
+    tails = {"constant": ConstantTail(x0),
+             "exponential": ExponentialTail(x0, rate=0.4),
+             "tabulated": TabulatedTail([-1.5, -0.7, 0.0],
+                                        np.vstack([rng.standard_normal((2, dim)), x0]))}
+    for kind in ("constant", "exponential"):
+        buf = simulated_buffer(seed, dim, 6, kind)
+        tails[f"segment of {kind}"] = SegmentTail(buf, float(buf.times[3]))
+    # a walk continued from a segment's head, cut again between two samples
+    seg = tails["segment of constant"]
+    times = np.linspace(0.0, 0.3, 7)
+    samples = seg.value_at(0.0) + np.vstack([np.zeros(dim),
+                                             np.cumsum(rng.standard_normal((6, dim)), axis=0)])
+    tails["segment of a segment"] = SegmentTail(HistoryBuffer(1.0, seg, times, samples), 0.22)
+    a = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
+    b = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
+    for (ka, sa), (kb, sb) in itertools.product(zip(FAMILIES, a), zip(FAMILIES, b)):
+        tails[f"{ka} - {kb}"] = _DifferenceTail(sa.tail, sb.tail)
+    return tails
+
+
+def sample_hits(tail):
+    """The thetas at which a tail reads its buffers' sample times and origins."""
+    if isinstance(tail, SegmentTail):
+        return np.concatenate([tail.buffer.times - tail.t0, [-tail.t0],
+                               sample_hits(tail.buffer.tail) - tail.t0])
+    if isinstance(tail, _DifferenceTail):
+        return np.concatenate([sample_hits(tail.a), sample_hits(tail.b)])
+    return np.empty(0)
+
+
+@given(seed=st.integers(0, 2**16), dim=st.sampled_from([1, 8, 32]))
+@settings(max_examples=12, deadline=None)
+def test_flat_run_kernel_has_the_bits_of_the_row_norms(seed, dim):
+    # on a cached quadrature rule's nodes and on random ascending nodes that
+    # hit every sample time, every origin and 0 exactly, the flat run's row is
+    # the tail's value at each of its nodes, and _row_norms is the norm of
+    # every row of values_at; a one-point lookup at 0, which a package-built
+    # buffer takes for its head, has the bits of values_at there
+    rng = np.random.default_rng(seed)
+    mu = DelayMeasure.exponential(1.0)
+    for name, tail in kernel_tails(seed, dim).items():
+        np.testing.assert_array_equal(tail.value_at(0.0), tail.values_at(np.zeros(1))[0],
+                                      err_msg=name)
+        kinks = np.unique(tail.kink_nodes(-40.0, 0.0))
+        rule = _quadrature_rule(mu, -40.0, 0.0, 1024, kinks.tobytes())
+        hits = sample_hits(tail)
+        random = np.unique(np.concatenate([rng.uniform(-3.0, 0.0, 200), hits[hits <= 0.0], [0.0]]))
+        for thetas in (rule.nodes, random):
+            n, row = tail.flat_run(thetas)
+            vals = tail.values_at(thetas)
+            # a run exactly where every source is constant
+            assert (n > 0) == ("exponential" not in name and "tabulated" not in name), name
+            if n:
+                np.testing.assert_array_equal(vals[:n], np.broadcast_to(row, (n, dim)), err_msg=name)
+            np.testing.assert_array_equal(_row_norms(tail, thetas), np.linalg.norm(vals, axis=1),
+                                          err_msg=name)
+
+
+def test_package_built_buffers_pass_the_public_checks():
+    # segments and differences skip the constructor's checks: rebuilt through
+    # it, each is accepted, and the head lookup reads the head row
+    rng = np.random.default_rng(21)
+    for dim in (1, 8):
+        buf = simulated_buffer(4, dim, 8, "exponential")
+        built = [extract_segment(buf, t) for t in
+                 (0.0, 0.5 * (buf.times[3] + buf.times[4]), buf.head_time)]
+        a = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
+        b = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
+        built += a + b + [_difference(sa, sb) for sa in a for sb in b]
+        for seg in [buf] + built:
+            again = HistoryBuffer(seg.h, seg.tail, seg.times, seg.samples)
+            for one in (seg, again):
+                np.testing.assert_array_equal(one.value_at(one.head_time), one.head)
+    # the public checks would refuse such a difference, so _difference does
+    seg8, seg1 = (extract_segment(simulated_buffer(4, dim, 3, "constant"), 0.0) for dim in (8, 1))
+    with pytest.raises(ValueError, match="dimensions 8 and 1"):
+        _difference(seg8, seg1)
+
+
+def test_head_lookup_keeps_the_tail_value_at_the_origin():
+    # a hand-built buffer whose first sample sits within the continuity
+    # tolerance of its tail: t = 0 reads the tail, the head time reads the
+    # last sample, as interpolation did
+    tail = ConstantTail(np.array([1.0, -2.0]))
+    samples = np.array([[1.0 + 1e-12, -2.0], [0.5, 0.25]])
+    buf = HistoryBuffer(1.0, tail, np.array([0.0, 0.1]), samples)
+    assert buf.value_at(0.0) is tail.value
+    np.testing.assert_array_equal(buf.value_at(0.1), samples[1])
+    np.testing.assert_array_equal(buf.value_at(0.1 + 1e-13), samples[1])
+    with pytest.raises(HistoryRangeError):
+        buf.value_at(0.1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,17 @@ def test_a_vector_of_the_wrong_length_is_an_error_on_both_branches(m):
             space.to_values(wrong)
 
 
+@pytest.mark.parametrize("m", [64, 2048])
+def test_grid_values_of_the_wrong_length_are_an_error_on_both_branches(m):
+    # the DST (m > 1024) once transformed any length and returned k
+    # coefficients of another grid; both branches name the grid's m
+    space = SpectralSpace(1.0, 8, quad_points=m)
+    for wrong in (np.ones(100), np.ones(m - 1), np.ones((3, m + 1))):
+        with pytest.raises(ValueError, match=str(m)):
+            space.to_coeffs(wrong)
+    assert space.to_coeffs(np.ones(m)).shape == (8,)
+
+
 def test_parseval_identity_against_grid_quadrature():
     space = SpectralSpace(1.0, 12, quad_points=64)
     rng = np.random.default_rng(2)
