@@ -47,10 +47,8 @@ class DelayEvaluationError(ArithmeticError):
 
 
 def state_norm(value) -> float:
-    """Norm of a state: |.| for scalars, Euclidean (= spectral L2) for vectors.
-    sqrt(v . v) of the raveled values, as np.linalg.norm computes it."""
-    v = np.asarray(value, dtype=float).ravel(order="K")
-    return math.sqrt(v.dot(v))
+    """Norm of a state: |.| for scalars, Euclidean (= spectral L2) for vectors."""
+    return float(np.linalg.norm(value))
 
 
 def as_state(value) -> np.ndarray:
@@ -62,23 +60,18 @@ def _interp_rows(x, xp, fp) -> np.ndarray:
 
     One searchsorted for all columns, then np.interp's own arithmetic, so
     the result is bit-identical for finite x and fp: the sample itself below,
-    above and at a node, slope * (x - xp[j]) + fp[j] in between.  A slope is
-    computed once per run of consecutive queries in one panel, so once per
-    hit panel for ascending x; past the searchsorted, the work grows with the
-    queries and not with len(xp).
+    above and at a node, slope * (x - xp[j]) + fp[j] in between.  Past the
+    searchsorted, the work grows with the queries, not with len(xp).
     """
     x = np.asarray(x, dtype=float)
     last = len(xp) - 1
-    # searchsorted gives at most len(xp), so only the low end needs clipping
-    j = np.maximum(np.searchsorted(xp, x, side="right") - 1, 0)
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, last)
     out = fp[j]
     inner = (j < last) & (x > xp[j])
-    if inner.any():
+    if np.any(inner):
         j, x = j[inner], x[inner]
-        first = np.concatenate(([True], j[1:] != j[:-1]))
-        panels = j[first]
-        slope = (fp[panels + 1] - fp[panels]) / (xp[panels + 1] - xp[panels])[:, None]
-        out[inner] = slope[np.cumsum(first) - 1] * (x - xp[j])[:, None] + fp[j]
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])[:, None]
+        out[inner] = slope * (x - xp[j])[:, None] + fp[j]
     return out
 
 
@@ -171,7 +164,9 @@ class ExponentialTail(Tail):
         return self.amplitude.shape[0]
 
     def value_at(self, theta):
-        return self.amplitude * math.exp(self.rate * theta)
+        # np.exp, not math.exp: the two differ in the last bit, and a one-point
+        # lookup keeps the bits of values_at
+        return self.amplitude * np.exp(self.rate * theta)
 
     def values_at(self, thetas):
         return np.exp(self.rate * np.asarray(thetas, dtype=float))[:, None] * self.amplitude
@@ -310,6 +305,7 @@ class _DifferenceTail(Tail):
         return self.a.dim
 
     def value_at(self, theta):
+        # every kind's one-point lookup has the bits of its values_at row
         return self.a.value_at(theta) - self.b.value_at(theta)
 
     def values_at(self, thetas):
@@ -460,6 +456,14 @@ def default_horizon(h: float) -> float:
     return 40.0 / h
 
 
+def _check_weight(h: float, tail: Tail):
+    if h <= 0:
+        raise ValueError("weight h must be positive")
+    if tail.growth > h:
+        raise ValueError(f"tail growth {tail.growth} > h = {h}: "
+                         "weighted history norm would be infinite")
+
+
 @dataclass
 class HistoryBuffer:
     """Analytic tail plus sampled trajectory; the segment process substrate.
@@ -471,11 +475,7 @@ class HistoryBuffer:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("weight h must be positive")
-        if self.tail.growth > self.h:
-            raise ValueError(f"tail growth {self.tail.growth} > h = {self.h}: "
-                             "weighted history norm would be infinite")
+        _check_weight(self.h, self.tail)
         self.times = np.asarray(self.times, dtype=float)
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim == 1:
@@ -496,17 +496,14 @@ class HistoryBuffer:
 
     @classmethod
     def from_tail(cls, h: float, tail: Tail) -> "HistoryBuffer":
-        return cls(h=h, tail=tail, times=np.array([0.0]),
-                   samples=tail.value_at(0.0)[None, :])
-
-    @classmethod
-    def _built(cls, h: float, tail: Tail) -> "HistoryBuffer":
-        """from_tail for a tail the package built from checked buffers of
-        weight h (a segment, a difference): its checks hold by construction,
-        so they are not run again."""
+        """The one sample tail(0) at t = 0.  Of the constructor's checks only
+        the weight's can fail: the grid, the shape and continuity at the
+        origin hold by construction, so they are not run."""
+        _check_weight(h, tail)
         buf = cls.__new__(cls)
         buf.h, buf.tail = h, tail
-        buf.times, buf.samples = np.array([0.0]), tail.value_at(0.0)[None, :]
+        buf.times = np.array([0.0])
+        buf.samples = np.asarray(tail.value_at(0.0), dtype=float)[None, :]
         return buf
 
     @property
@@ -533,10 +530,14 @@ class HistoryBuffer:
         if s >= self.head_time:
             if s > self.head_time + 1e-12:
                 raise HistoryRangeError(f"time {s} beyond simulated range {self.head_time}")
-            return self.head  # what interpolation returns at and past the last sample
+            return self.head.copy()  # what interpolation returns at and past the last sample
         return _interp_rows([s], self.times, self.samples)[0]
 
     def values_at(self, ss: np.ndarray) -> np.ndarray:
+        """History values at absolute times ss <= head_time, one row each.
+        When every s <= 0 the result is the tail's own array, which may share
+        memory with it (a constant tail's read-only broadcast): do not write
+        to it."""
         ss = np.asarray(ss, dtype=float)
         pre = ss <= 0.0
         if np.all(pre):
@@ -572,7 +573,7 @@ def seminorm_h(buf: HistoryBuffer, t: float) -> float:
 def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
     """Segment u_t, for any t in [0, head]: a buffer whose head sits at 0 and
     whose tail is a view of buf shifted to t."""
-    return HistoryBuffer._built(buf.h, SegmentTail(buf, t))
+    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t))
 
 
 def _powers(norms, p):
@@ -753,8 +754,8 @@ def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
         raise ValueError(f"segments of dimensions {seg_a.dim} and {seg_b.dim}")
     ta, tb = seg_a.tail, seg_b.tail
     if isinstance(ta, ConstantTail) and isinstance(tb, ConstantTail):
-        return HistoryBuffer._built(seg_a.h, ConstantTail(ta.value - tb.value))
-    return HistoryBuffer._built(seg_a.h, _DifferenceTail(ta, tb))
+        return HistoryBuffer.from_tail(seg_a.h, ConstantTail(ta.value - tb.value))
+    return HistoryBuffer.from_tail(seg_a.h, _DifferenceTail(ta, tb))
 
 
 def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,

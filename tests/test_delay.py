@@ -575,8 +575,8 @@ def test_rule_cache_stays_at_its_bound():
 
 def test_interp_rows_is_bit_identical_to_np_interp():
     # queries between, exactly at and beyond both ends of the nodes, in
-    # ascending (one slope per panel) and in shuffled order; the last trials
-    # interpolate a 10^4-sample trajectory
+    # ascending and in shuffled order; the last trials interpolate a
+    # 10^4-sample trajectory
     rng = np.random.default_rng(5)
     for trial in range(303):
         n = 10_000 if trial >= 300 else 1 + trial % 13   # includes one-sample buffers
@@ -639,13 +639,14 @@ def test_flat_run_kernel_has_the_bits_of_the_row_norms(seed, dim):
     # on a cached quadrature rule's nodes and on random ascending nodes that
     # hit every sample time, every origin and 0 exactly, the flat run's row is
     # the tail's value at each of its nodes, and _row_norms is the norm of
-    # every row of values_at; a one-point lookup at 0, which a package-built
-    # buffer takes for its head, has the bits of values_at there
+    # every row of values_at; a one-point lookup, which from_tail takes at 0
+    # for its head, has the bits of values_at at 0 and inside the history
     rng = np.random.default_rng(seed)
     mu = DelayMeasure.exponential(1.0)
     for name, tail in kernel_tails(seed, dim).items():
-        np.testing.assert_array_equal(tail.value_at(0.0), tail.values_at(np.zeros(1))[0],
-                                      err_msg=name)
+        for theta in (0.0, -0.3718, -2.5):
+            np.testing.assert_array_equal(tail.value_at(theta), tail.values_at([theta])[0],
+                                          err_msg=name)
         kinks = np.unique(tail.kink_nodes(-40.0, 0.0))
         rule = _quadrature_rule(mu, -40.0, 0.0, 1024, kinks.tobytes())
         hits = sample_hits(tail)
@@ -662,8 +663,9 @@ def test_flat_run_kernel_has_the_bits_of_the_row_norms(seed, dim):
 
 
 def test_package_built_buffers_pass_the_public_checks():
-    # segments and differences skip the constructor's checks: rebuilt through
-    # it, each is accepted, and the head lookup reads the head row
+    # from_tail runs only the weight's checks: segments, differences and
+    # sampled histories rebuilt through the constructor are accepted, and the
+    # head lookup past t = 0 copies the head row
     rng = np.random.default_rng(21)
     for dim in (1, 8):
         buf = simulated_buffer(4, dim, 8, "exponential")
@@ -675,7 +677,10 @@ def test_package_built_buffers_pass_the_public_checks():
         for seg in [buf] + built:
             again = HistoryBuffer(seg.h, seg.tail, seg.times, seg.samples)
             for one in (seg, again):
-                np.testing.assert_array_equal(one.value_at(one.head_time), one.head)
+                head = one.value_at(one.head_time)
+                np.testing.assert_array_equal(head, one.head)
+                # at t = 0 the lookup reads the tail, as it always has
+                assert one.head_time == 0.0 or not np.shares_memory(head, one.samples)
     # the public checks would refuse such a difference, so _difference does
     seg8, seg1 = (extract_segment(simulated_buffer(4, dim, 3, "constant"), 0.0) for dim in (8, 1))
     with pytest.raises(ValueError, match="dimensions 8 and 1"):
