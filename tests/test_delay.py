@@ -826,3 +826,67 @@ def test_pair_functionals_reject_segments_of_different_weights(pair):
     args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
     with pytest.raises(ValueError, match="same weight h"):
         pair(a, b, *args)
+
+
+# ---------------------------------------------------------------------------
+# head functionals: bits of seeded multi-sample buffers
+# ---------------------------------------------------------------------------
+
+HEAD_KEYS = list(itertools.product(("constant", "exponential", "tabulated"), (1, 8, 32)))
+HEAD_MEASURES = ((DelayMeasure.exponential(1.0), 0.5), (DelayMeasure.exponential(0.7), 1.0),
+                 (DelayMeasure.point_mass(), 1.5))
+
+# float.hex() of seminorm_h of the buffer and of its segment at the head, then
+# delay_integral at each (measure, power) of HEAD_MEASURES, for the 12-step
+# walk simulated_buffer(200 + i, dim, 12, kind), i the key's place in HEAD_KEYS
+HEAD_BITS = {
+    ("constant", 1): (
+        "0x1.f3ce3aa0f129cp-2", "0x1.f3ce3aa0f129cp-2",
+        "0x1.1333098835dbep-1", "0x1.343988c02cdfcp-2", "0x1.5d2e8e6e9d8bap-2",
+    ),
+    ("constant", 8): (
+        "0x1.0118926881edfp+2", "0x1.0118926881edfp+2",
+        "0x1.ef8543e3b8b74p+0", "0x1.d864e79891608p+1", "0x1.b73a2ca0b66f4p+2",
+    ),
+    ("constant", 32): (
+        "0x1.29d20c3bc9fe2p+3", "0x1.29d20c3bc9fe2p+3",
+        "0x1.569fa52f399ecp+1", "0x1.b1fa614eb8b76p+2", "0x1.c6488eda75524p+4",
+    ),
+    ("exponential", 1): (
+        "0x1.391cd3155849dp+0", "0x1.391cd3155849dp+0",
+        "0x1.a4c7e9532bedep-1", "0x1.479f3a468a8c2p-1", "0x1.5a48609d27befp+0",
+    ),
+    ("exponential", 8): (
+        "0x1.f19e661aa918cp+1", "0x1.f19e661aa918cp+1",
+        "0x1.c469075695290p+0", "0x1.71bcd842e5a73p+1", "0x1.bedfc30982eddp+2",
+    ),
+    ("exponential", 32): (
+        "0x1.14903c43a9a3ap+3", "0x1.14903c43a9a3ap+3",
+        "0x1.400e4b4546424p+1", "0x1.73cef3d389464p+2", "0x1.96865de3c5133p+4",
+    ),
+    ("tabulated", 1): (
+        "0x1.09e185eca8e2ap+1", "0x1.09e185eca8e2ap+1",
+        "0x1.40e90c0695edbp+0", "0x1.76f21e94d95b0p+0", "0x1.7f334743e6916p+1",
+    ),
+    ("tabulated", 8): (
+        "0x1.48229bcc240f5p+1", "0x1.48229bcc240f5p+1",
+        "0x1.9d85a4fd3e6cep+0", "0x1.50e60c959231cp+1", "0x1.06b0bf31a3474p+2",
+    ),
+    ("tabulated", 32): (
+        "0x1.0bdecb26bab57p+3", "0x1.0bdecb26bab57p+3",
+        "0x1.53ecb9f2feb4ap+1", "0x1.ac13ab0152948p+2", "0x1.83824ffbdbdf1p+4",
+    ),
+}
+
+
+@pytest.mark.parametrize("i, key", list(enumerate(HEAD_KEYS)),
+                         ids=[f"{kind}-dim{dim}" for kind, dim in HEAD_KEYS])
+def test_head_functionals_keep_their_recorded_bits(i, key):
+    # the simulated part of the delay integral (t > 0) and the sampled part of
+    # the weighted norm, at the head of a walk over each tail kind
+    kind, dim = key
+    buf = simulated_buffer(200 + i, dim, 12, kind)
+    t = buf.head_time
+    got = [seminorm_h(buf, t), seminorm_h(extract_segment(buf, t), 0.0)]
+    got += [delay_integral(buf, t, mu, p) for mu, p in HEAD_MEASURES]
+    assert tuple(float(v).hex() for v in got) == HEAD_BITS[key]
