@@ -293,12 +293,11 @@ class CoefficientSet:
 
     def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
         """F evaluated on the buffer's segment at its head."""
-        d, t = self.drift, buf.head_time
-        head = buf.value_at(t)
+        d, head = self.drift, buf.head
         values = head if self.space is None else self.space.to_values(head)
         delay = 0.0 if d.delay_kernel_power is None else \
-            delay_integral(buf, t, d.delay_measure, d.delay_kernel_power)
-        semi = seminorm_h(buf, t) if d.seminorm_power else 0.0
+            delay_integral(buf, d.delay_measure, d.delay_kernel_power)
+        semi = seminorm_h(buf) if d.seminorm_power else 0.0
         return self.compose_drift(values, delay, semi)
 
     # -- diffusion -------------------------------------------------------------
@@ -306,7 +305,7 @@ class CoefficientSet:
         """G(phi) as an array: shape (1,) scalar amplitude, (k,) rank-one field
         coefficients, or (k_w,) diagonal amplitudes."""
         kind = self.diffusion.kind
-        head = None if kind == "diagonal" else buf.value_at(buf.head_time)
+        head = None if kind == "diagonal" else buf.head
         values = self.space.to_values(head) if kind == "pointwise_field" else None
         return self.diffusion_from_values(head, values)
 
@@ -390,7 +389,7 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows) -> AveragingRate
     drift_ratio = 0.0
     diff_ratio = 0.0
     for buf in probes:
-        s = seminorm_h(buf, buf.head_time)
+        s = seminorm_h(buf)
         fnorm = state_norm(cs.drift_functional(buf))
         gnorm = state_norm(cs.diffusion_amplitude(buf))
         drift_ratio = max(drift_ratio, fnorm / (s + M))
@@ -443,12 +442,12 @@ def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
     times = np.cumsum(np.concatenate([[0.0], np.full(n, 0.05)]))
     samples = np.cumsum(np.vstack([x0, increments]), axis=0)
     buf = HistoryBuffer(h, ConstantTail(x0), times, samples)
-    s = seminorm_h(buf, buf.head_time)
+    s = seminorm_h(buf)
     if s > radius:
         shrink = radius / s
         buf = HistoryBuffer(h, ConstantTail(shrink * scale * direction),
                             buf.times, buf.samples * shrink)
-    return extract_segment(buf, buf.head_time)
+    return extract_segment(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +537,7 @@ def check_h5(cs: CoefficientSet, trials: int,
 
     def drift_gap(pair):
         pa, pb, t = pair
-        head_diff = pa.value_at(0.0) - pb.value_at(0.0)  # phi(0) - psi(0)
+        head_diff = pa.head - pb.head  # phi(0) - psi(0)
         lhs = float(np.dot(eval_drift(cs, t, pa) - eval_drift(cs, t, pb), head_diff))
         mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
         return lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term)
@@ -564,7 +563,7 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int) -> CheckReport:
 
     def gap(sample):
         buf, t = sample
-        s = seminorm_h(buf, buf.head_time)
+        s = seminorm_h(buf)
         fn = state_norm(eval_drift(cs, t, buf))
         gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
         return max(fn, gn) - (a1 * s + M)

@@ -7,12 +7,13 @@ problems, length k for spectral coefficient vectors.  The state norm is the
 Euclidean norm of the array, which coincides with |.| for scalars and with
 the L2 norm for spectral fields (Parseval).
 
-The segment u_t is the history seen from t, theta -> u(t + theta) on
-(-infty, 0].  ``extract_segment(buf, t)`` returns it for any t in [0, head]
-as a buffer whose head is at 0 and whose tail (``SegmentTail``) is a view of
-buf.  Its exponentially weighted norm is
+A history is read at its head t, the time of its last sample, as the
+coefficients f(t/eps, u_t) and g(t/eps, u_t) read it.  The segment u_t is the
+history seen from there, theta -> u(t + theta) on (-infty, 0].
+``extract_segment(buf)`` returns it as a buffer whose head is at 0 and whose
+tail (``SegmentTail``) is a view of buf.  Its exponentially weighted norm is
 
-    seminorm_h(u, t) = sup_{theta <= 0} exp(h*theta) * ||u(t + theta)||,
+    seminorm_h(u) = sup_{theta <= 0} exp(h*theta) * ||u(t + theta)||,
 
 finite whenever the tail belongs to one of the supported families.  Delay
 integrals integrate a kernel of the state norm against a probability measure
@@ -92,8 +93,10 @@ class Tail:
     def values_at(self, thetas) -> np.ndarray:
         raise NotImplementedError
 
-    def value_at(self, theta: float) -> np.ndarray:
-        return self.values_at(np.array([theta]))[0]
+    @property
+    def origin(self) -> np.ndarray:
+        """The value at theta = 0, the head of a buffer built on the tail."""
+        return self.values_at(np.zeros(1))[0]
 
     def weighted_sup(self, h: float) -> float:
         """sup_{theta <= 0} e^{h theta} ||phi(theta)||: exact for the analytic
@@ -131,7 +134,8 @@ class ConstantTail(Tail):
     def dim(self):
         return self.value.shape[0]
 
-    def value_at(self, theta):
+    @property
+    def origin(self):
         return self.value
 
     def values_at(self, thetas):
@@ -162,11 +166,6 @@ class ExponentialTail(Tail):
     @property
     def dim(self):
         return self.amplitude.shape[0]
-
-    def value_at(self, theta):
-        # np.exp, not math.exp: the two differ in the last bit, and a one-point
-        # lookup keeps the bits of values_at
-        return self.amplitude * np.exp(self.rate * theta)
 
     def values_at(self, thetas):
         return np.exp(self.rate * np.asarray(thetas, dtype=float))[:, None] * self.amplitude
@@ -236,42 +235,40 @@ class TabulatedTail(Tail):
 
 
 class SegmentTail(Tail):
-    """The history of ``buffer`` up to time t0, viewed as an initial datum:
-    value_at(theta) is the buffer's value at t0 + theta.
+    """The history of ``buffer`` up to its head time t0, viewed as an initial
+    datum: its value at theta is the buffer's value at t0 + theta.
 
     A view, not a copy: it holds the buffer and reads its tail and samples.
     """
 
-    def __init__(self, buffer: "HistoryBuffer", t0: float):
-        buffer._check_time(t0)
+    def __init__(self, buffer: "HistoryBuffer"):
         self.buffer = buffer
-        self.t0 = float(t0)
+        self.t0 = buffer.head_time
 
     @property
     def dim(self):
         return self.buffer.dim
 
-    def value_at(self, theta):
-        return self.buffer.value_at(self.t0 + theta)
+    @property
+    def origin(self):
+        return self.buffer.head
 
     def values_at(self, thetas):
         return self.buffer.values_at(self.t0 + np.asarray(thetas, dtype=float))
 
     def weighted_sup(self, h):
         """The max of three parts: the source tail's weighted sup, weighted
-        back from t0; e^{h (t_j - t0)} ||u(t_j)|| over the sample nodes t_j <=
-        t0; and the head u(t0).  Between two nodes the weighted linear
+        back from t0; e^{h (t_j - t0)} ||u(t_j)|| over the sample nodes t_j;
+        and the head u(t0).  Between two nodes the weighted linear
         interpolant can peak above both ends, and that peak is not sampled:
         this is the sup over the nodes, not the continuous sup, and the gap
         shrinks like the squared step."""
         # u(t0) as a row norm and as state_norm: the two a segment's buffer
         # reads at 0
         buf, t0 = self.buffer, self.t0
-        head = buf.value_at(t0)
-        mask = buf.times <= t0 + 1e-15
-        norms = np.linalg.norm(np.vstack([buf.samples[mask], head]), axis=1)
-        grid = float(np.max(np.exp(h * (np.append(buf.times[mask], t0) - t0)) * norms))
-        return max(math.exp(-h * t0) * buf.tail.weighted_sup(h), grid, state_norm(head))
+        norms = np.linalg.norm(buf.samples, axis=1)
+        grid = float(np.max(np.exp(h * (buf.times - t0)) * norms))
+        return max(math.exp(-h * t0) * buf.tail.weighted_sup(h), grid, state_norm(buf.head))
 
     @property
     def growth(self):
@@ -304,9 +301,9 @@ class _DifferenceTail(Tail):
     def dim(self):
         return self.a.dim
 
-    def value_at(self, theta):
-        # every kind's one-point lookup has the bits of its values_at row
-        return self.a.value_at(theta) - self.b.value_at(theta)
+    @property
+    def origin(self):
+        return self.a.origin - self.b.origin
 
     def values_at(self, thetas):
         return self.a.values_at(thetas) - self.b.values_at(thetas)
@@ -480,6 +477,10 @@ class HistoryBuffer:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim == 1:
             self.samples = self.samples[:, None]
+        # a NaN passes every comparison below, so non-finite entries go first
+        for name, arr in (("times", self.times), ("samples", self.samples)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if len(self.times) != self.samples.shape[0]:
             raise ValueError("times and samples length mismatch")
         if len(self.times) == 0 or self.times[0] != 0.0:
@@ -488,7 +489,7 @@ class HistoryBuffer:
             raise ValueError("sample grid must be strictly increasing")
         if self.samples.shape[1] != self.tail.dim:
             raise ValueError("tail and samples dimension mismatch")
-        head0 = self.tail.value_at(0.0)
+        head0 = self.tail.origin
         gap = float(np.max(np.abs(self.samples[0] - head0)))
         if gap > 1e-9 * (1.0 + float(np.max(np.abs(head0)))):
             raise ValueError("history must be continuous at the origin: "
@@ -496,14 +497,15 @@ class HistoryBuffer:
 
     @classmethod
     def from_tail(cls, h: float, tail: Tail) -> "HistoryBuffer":
-        """The one sample tail(0) at t = 0.  Of the constructor's checks only
-        the weight's can fail: the grid, the shape and continuity at the
-        origin hold by construction, so they are not run."""
+        """The one sample tail(0) at t = 0, a copy of the tail's origin, so the
+        buffer shares no rows with the tail's source.  Of the constructor's
+        checks only the weight's can fail: the grid, the shape and continuity
+        at the origin hold by construction, so they are not run."""
         _check_weight(h, tail)
         buf = cls.__new__(cls)
         buf.h, buf.tail = h, tail
         buf.times = np.array([0.0])
-        buf.samples = np.asarray(tail.value_at(0.0), dtype=float)[None, :]
+        buf.samples = np.array(tail.origin, dtype=float)[None, :]
         return buf
 
     @property
@@ -523,16 +525,6 @@ class HistoryBuffer:
     def head(self) -> np.ndarray:
         return self.samples[-1]
 
-    def value_at(self, s: float) -> np.ndarray:
-        """History value at absolute time s <= head_time."""
-        if s <= 0.0:
-            return self.tail.value_at(s)
-        if s >= self.head_time:
-            if s > self.head_time + 1e-12:
-                raise HistoryRangeError(f"time {s} beyond simulated range {self.head_time}")
-            return self.head.copy()  # what interpolation returns at and past the last sample
-        return _interp_rows([s], self.times, self.samples)[0]
-
     def values_at(self, ss: np.ndarray) -> np.ndarray:
         """History values at absolute times ss <= head_time, one row each.
         When every s <= 0 the result is the tail's own array, which may share
@@ -551,29 +543,24 @@ class HistoryBuffer:
         out[~pre] = _interp_rows(ss[~pre], self.times, self.samples)
         return out
 
-    def _check_time(self, t: float):
-        if not (0.0 <= t <= self.head_time + 1e-12):
-            raise HistoryRangeError(
-                f"time {t} outside simulated range [0, {self.head_time}]"
-            )
-
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def seminorm_h(buf: HistoryBuffer, t: float) -> float:
-    """Weighted history norm sup_{theta<=0} e^{h*theta} ||u(t+theta)||, h the
-    buffer's own weight, as ``SegmentTail.weighted_sup`` computes it: over the
-    tail, the sample nodes up to t and the head, not between nodes, so a
-    sampled path's value may fall short of the continuous sup by O(dt^2)."""
-    return SegmentTail(buf, t).weighted_sup(buf.h)
+def seminorm_h(buf: HistoryBuffer) -> float:
+    """Weighted history norm sup_{theta<=0} e^{h*theta} ||u(t+theta)|| at the
+    head t, h the buffer's own weight, as ``SegmentTail.weighted_sup``
+    computes it: over the tail, the sample nodes and the head, not between
+    nodes, so a sampled path's value may fall short of the continuous sup by
+    O(dt^2)."""
+    return SegmentTail(buf).weighted_sup(buf.h)
 
 
-def extract_segment(buf: HistoryBuffer, t: float) -> HistoryBuffer:
-    """Segment u_t, for any t in [0, head]: a buffer whose head sits at 0 and
-    whose tail is a view of buf shifted to t."""
-    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf, t))
+def extract_segment(buf: HistoryBuffer) -> HistoryBuffer:
+    """Segment u_t at the head t: a buffer whose head sits at 0 and whose tail
+    is a view of buf shifted to t."""
+    return HistoryBuffer.from_tail(buf.h, SegmentTail(buf))
 
 
 def _powers(norms, p):
@@ -677,9 +664,8 @@ def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
     return total
 
 
-def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
-                   power: float) -> float:
-    """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta).
+def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
+    """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta) at the head t.
 
     The simulated part [-t, 0] is integrated by a trapezoid in kernel values
     against exact interval masses on the sample grid; the analytic-tail part
@@ -688,7 +674,7 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
     power * g >= 2 * rate, g the tail's ``growth``: that raises
     MomentDivergenceError before any quadrature.
     """
-    buf._check_time(t)
+    t = buf.head_time
     power = float(power)
     if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
         raise MomentDivergenceError(
@@ -705,17 +691,15 @@ def delay_integral(buf: HistoryBuffer, t: float, mu: DelayMeasure,
 
     if mu.kind == "point":
         # a float64 norm: its power is C's pow, which an array's can miss by a bit
-        v = float(_powers(np.linalg.norm(buf.value_at(t)), power))
+        v = float(_powers(np.linalg.norm(buf.head), power))
         check(v, 0.0)
         return v
 
     total = 0.0
 
-    # simulated part: theta in [-t, 0]
+    # simulated part: theta in [-t, 0], at the sample nodes
     if t > 0.0:
-        grid_thetas = buf.times[(buf.times <= t + 1e-15)] - t
-        nodes = np.concatenate([grid_thetas, [-t, 0.0]])
-        nodes = np.unique(nodes[(nodes >= -t - 1e-15) & (nodes <= 1e-15)])
+        nodes = buf.times - t
         norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
         ks = check(_powers(norms, power), nodes)
         masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
@@ -747,7 +731,7 @@ def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
     for seg in (seg_a, seg_b):
         if seg.head_time != 0.0:
             raise ValueError(f"history with head at t = {seg.head_time} is not a segment: "
-                             "take extract_segment(buf, t) first")
+                             "take extract_segment(buf) first")
     if seg_a.h != seg_b.h:
         raise ValueError("segments must share the same weight h")
     if seg_a.dim != seg_b.dim:
@@ -761,8 +745,8 @@ def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
 def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
                         mu: DelayMeasure, power: float) -> float:
     """int ||phi(theta) - psi(theta)||^power mu(dtheta) of two segments phi,
-    psi: ``delay_integral`` of their difference at t = 0."""
-    return delay_integral(_difference(seg_a, seg_b), 0.0, mu, power)
+    psi: ``delay_integral`` of their difference."""
+    return delay_integral(_difference(seg_a, seg_b), mu, power)
 
 
 def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:

@@ -45,6 +45,7 @@ SLAB = 64               # steps of noise drawn at a time
 RECORD_BYTES = 256 * 1024   # states a coupled run records per fold, or one state
 RETRY_HALVINGS = 4      # a failed step is retried as 2, 4, 8 and 16 substeps
 MAX_STEPS = 10**7       # steps a run may take: T / dt above it is rejected, naming both
+MAX_TRAJECTORY_BYTES = 2**30    # bytes of a stored trajectory: 16x the largest a study stores
 
 
 class BlowUpError(RuntimeError):
@@ -260,7 +261,7 @@ class _ExpDelayAccumulator:
     def add_starts(self, starts, rows: int) -> None:
         mu, power = self.mu, self.power
         self.value = np.append(
-            self.value, np.repeat([delay_integral(s, 0.0, mu, power) for s in starts], rows))
+            self.value, np.repeat([delay_integral(s, mu, power) for s in starts], rows))
         self.k_prev = np.append(
             self.k_prev, np.repeat([np.linalg.norm(s.head) ** power for s in starts], rows))
 
@@ -536,6 +537,12 @@ class PathRunner:
             fold = min(SLAB, max(1, RECORD_BYTES // self.x.nbytes))
             record = np.empty((fold,) + self.x.shape)
         else:
+            nbytes = (n_steps + 1) * self.x.nbytes  # checked before the states exist
+            if nbytes > MAX_TRAJECTORY_BYTES:
+                raise ValueError(
+                    f"T = {self.cfg.T!r}, dt = {self.cfg.dt!r}: a stored trajectory of "
+                    f"{n_steps + 1} steps x {rows} rows x dim {self.x.shape[1]} takes "
+                    f"{nbytes} bytes, more than MAX_TRAJECTORY_BYTES = {MAX_TRAJECTORY_BYTES}")
             self.states = np.empty((n_steps + 1,) + self.x.shape)
             self.states[0] = self.x
         for n in range(n_steps):

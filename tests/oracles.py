@@ -40,7 +40,7 @@ def reference_step(buf, op, cs, cfg, path_id=0) -> HistoryBuffer:
     s = n * cfg.dt / cfg.eps            # the runner's oscillator clock
     drift = eval_drift(cs, s, buf)
     if cs.space is not None:
-        values = cs.space.to_values(buf.value_at(t))
+        values = cs.space.to_values(buf.head)
         a_nl = op.nonlinear_from_values(cs.space, values)
     else:
         a_nl = np.zeros(1)

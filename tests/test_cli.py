@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import avg_sfpde
+from avg_sfpde import integrator
 from avg_sfpde.cli import main
 from avg_sfpde.reporting import read_manifest
 
@@ -308,6 +309,25 @@ def test_a_rejected_input_leaves_no_output_directory(tmp_path, capsys, argv, nam
         assert named in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["kept"]
     assert list(kept.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate"] + LIN + ["--dt", "0.01", "--T", "0.1"],
+     "T = 0.1, dt = 0.01: a stored trajectory of 11 steps x 1 rows x dim 1 takes 88 bytes"),
+    (FRZ + LIN + ["--paths", "2"],
+     "T = 0.1, dt = 0.01: a stored trajectory of 11 steps x 2 rows x dim 1 takes 176 bytes"),
+])
+def test_a_trajectory_too_large_to_store_is_rejected_by_name(tmp_path, capsys, monkeypatch,
+                                                             argv, named):
+    # the step bound alone let (n_steps + 1, rows, dim) states of any size be
+    # allocated; the byte bound is lowered here, so nothing large is asked for
+    monkeypatch.setattr(integrator, "MAX_TRAJECTORY_BYTES", 64)
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: {named}, more than MAX_TRAJECTORY_BYTES = 64"]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_estimate_rate_sinusoid_bounded_by_two_over_r():
                    osc1=Oscillator.sinusoid(2.0, 1.0, 1.0))
     rate = estimate_rate(cs, probe_set(), [10.0, 100.0, 1000.0])
     norm = max(np.linalg.norm(cs.drift_functional(b)) /
-               (seminorm_h(b, 0.0) + cs.profile.M) for b in probe_set())
+               (seminorm_h(b) + cs.profile.M) for b in probe_set())
     for r, phi in zip(rate.windows, rate.raw_phi1):
         assert phi <= 2.0 / r * norm + 1e-12
     # the start-time maximization gets within 10% of the sharp 2|sin(r/2)|/r
@@ -263,7 +263,7 @@ def test_estimate_rate_cos_diffusion_table_matches_windowed_quadrature():
     rate = estimate_rate(cs, probe_set(), windows)
     starts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     norm = max(state_norm(cs.diffusion_amplitude(b)) ** 2 /
-               (seminorm_h(b, 0.0) ** 2 + cs.profile.M) for b in probe_set())
+               (seminorm_h(b) ** 2 + cs.profile.M) for b in probe_set())
 
     def window_mean_cos_sq(t0, r):
         s = np.linspace(t0, t0 + r, 20_001)
@@ -397,7 +397,7 @@ def test_growth_audit_presets_pass_and_quadratic_fails():
     assert not rep_bad.passed
     assert rep_bad.witness is not None
     buf, t = rep_bad.witness
-    s = seminorm_h(buf, buf.head_time)
+    s = seminorm_h(buf)
     assert s**2 > broken.coefficients.profile.alpha1 * s + broken.coefficients.profile.M
 
 
@@ -450,7 +450,7 @@ def test_sample_history_families_respect_radius():
     for kind in ("constant", "exponential", "path"):
         for _ in range(20):
             buf = sample_history(rng, 3, 1.0, 2.0, kind=kind)
-            assert seminorm_h(buf, buf.head_time) <= 2.0 + 1e-9
+            assert seminorm_h(buf) <= 2.0 + 1e-9
 
 
 def looped_sample_history(rng, dim, h, radius):
@@ -472,12 +472,12 @@ def looped_sample_history(rng, dim, h, radius):
         t += 0.05
         x = x + 0.1 * scale * rng.standard_normal(dim)
         buf = appended(buf, t, x)
-    s = seminorm_h(buf, buf.head_time)
+    s = seminorm_h(buf)
     if s > radius:
         shrink = radius / s
         buf = HistoryBuffer(h, ConstantTail(shrink * scale * direction),
                             buf.times, buf.samples * shrink)
-    return extract_segment(buf, buf.head_time)
+    return extract_segment(buf)
 
 
 @pytest.mark.parametrize("seed", [0, 17])

@@ -39,19 +39,24 @@ def constant_buffer(c, h=1.0, dim=1):
     return HistoryBuffer.from_tail(h, ConstantTail(np.full(dim, float(c))))
 
 
+def upto(buf, j):
+    """The history of buf up to its sample j: the buffer a run holds there."""
+    return HistoryBuffer(buf.h, buf.tail, buf.times[:j + 1], buf.samples[:j + 1])
+
+
 # ---------------------------------------------------------------------------
 # seminorm_h
 # ---------------------------------------------------------------------------
 
 def test_seminorm_constant_history():
     buf = constant_buffer(-3.5)
-    assert seminorm_h(buf, 0.0) == pytest.approx(3.5, abs=0)
+    assert seminorm_h(buf) == pytest.approx(3.5, abs=0)
 
 
 def test_seminorm_weight_cancels_exponential_tail():
     # phi(theta) = e^{-h theta}: weighted value is identically 1
     buf = HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=-1.0))
-    assert seminorm_h(buf, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert seminorm_h(buf) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_seminorm_tabulated_linear_tail_matches_dense_oracle():
@@ -59,7 +64,7 @@ def test_seminorm_tabulated_linear_tail_matches_dense_oracle():
     thetas = np.linspace(-50.0, 0.0, 50_001)
     oracle = float(np.max(np.exp(thetas) * np.abs(thetas)))
     buf = HistoryBuffer.from_tail(1.0, TabulatedTail(thetas, thetas.copy()))
-    got = seminorm_h(buf, 0.0)
+    got = seminorm_h(buf)
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(1.0 / math.e, rel=1e-6)
 
@@ -69,19 +74,11 @@ def test_seminorm_is_the_sup_over_the_sample_nodes():
     # weighted interpolant e^{theta}(0.4 - 0.6 theta) peaks at theta = -1/3
     # between the two samples.  seminorm_h takes the max over the nodes.
     buf = HistoryBuffer(1.0, ConstantTail([1.0]), [0.0, 1.0], [[1.0], [0.4]])
-    assert seminorm_h(buf, 1.0) == 0.4
+    assert seminorm_h(buf) == 0.4
     thetas = np.linspace(-1.0, 0.0, 30_001)
     dense = float(np.max(np.exp(thetas) * np.abs(buf.values_at(1.0 + thetas)[:, 0])))
     assert dense == pytest.approx(0.6 * math.exp(-1.0 / 3.0), rel=1e-8)
     assert round(dense, 4) == 0.4299
-
-
-def test_seminorm_rejects_time_outside_range():
-    buf = constant_buffer(1.0)
-    with pytest.raises(HistoryRangeError):
-        seminorm_h(buf, 0.5)
-    with pytest.raises(HistoryRangeError):
-        seminorm_h(buf, -0.5)
 
 
 def test_inadmissible_exponential_tail_rejected():
@@ -101,12 +98,24 @@ def test_a_tail_is_admissible_while_its_growth_is_at_most_h(tail_of):
 
 def test_a_segment_and_a_difference_have_the_growth_of_their_sources():
     seg = extract_segment(
-        HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=-0.75)), 0.0)
+        HistoryBuffer.from_tail(1.0, ExponentialTail(np.array([1.0]), rate=-0.75)))
     diff = _difference(seg, constant_buffer(0.5))
     for tail in (seg.tail, diff.tail):
         HistoryBuffer.from_tail(0.75, tail)
         with pytest.raises(ValueError, match=r"growth 0\.75 > h = 0\.5"):
             HistoryBuffer.from_tail(0.5, tail)
+
+
+@pytest.mark.parametrize("times, samples, name", [
+    ([0.0, 0.1], [[math.nan], [2.0]], "samples"),
+    ([0.0, math.nan], [[1.0], [2.0]], "times"),
+    ([0.0, math.inf], [[1.0], [2.0]], "times"),
+], ids=["nan-sample", "nan-time", "inf-time"])
+def test_non_finite_times_and_samples_are_rejected(times, samples, name):
+    # a NaN passes the grid's and the continuity's comparisons, and the
+    # weighted norm's max would drop it
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HistoryBuffer(1.0, ConstantTail([1.0]), times, samples)
 
 
 def test_discontinuity_at_origin_rejected():
@@ -131,11 +140,10 @@ def test_seminorm_monotone_in_weight_and_dominates_state(c, h1, h2, t):
         return buf
 
     buf1, buf2 = history(h1), history(h2)
-    head = buf1.head_time
-    s1 = seminorm_h(buf1, head)
-    s2 = seminorm_h(buf2, head)
+    s1 = seminorm_h(buf1)
+    s2 = seminorm_h(buf2)
     assert s2 <= s1 + 1e-12
-    assert state_norm(buf1.value_at(head)) <= s1 + 1e-12
+    assert state_norm(buf1.head) <= s1 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +196,7 @@ def test_exp_moment_point_mass_and_tabulated():
 ])
 def test_delay_integral_constant_four_sqrt_kernel(mu):
     buf = constant_buffer(4.0)
-    assert delay_integral(buf, 0.0, mu, 0.5) == pytest.approx(2.0, rel=1e-10)
+    assert delay_integral(buf, mu, 0.5) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_delay_integral_exponential_tail_closed_form_and_quadrature():
@@ -198,7 +206,7 @@ def test_delay_integral_exponential_tail_closed_form_and_quadrature():
         tail = ExponentialTail(np.array([1.0]), rate=4.0 * r)
         buf = HistoryBuffer.from_tail(1.0, tail)
         mu = DelayMeasure.exponential(r)
-        got = delay_integral(buf, 0.0, mu, 0.5)
+        got = delay_integral(buf, mu, 0.5)
         oracle, _ = integrate.quad(
             lambda th: math.sqrt(math.exp(4 * r * th)) * 2 * r * math.exp(2 * r * th),
             -np.inf, 0.0, epsabs=1e-13,
@@ -209,7 +217,7 @@ def test_delay_integral_exponential_tail_closed_form_and_quadrature():
 
 def test_delay_integral_zero_history_zero_kernel_at_zero():
     buf = constant_buffer(0.0)
-    assert delay_integral(buf, 0.0, DelayMeasure.exponential(1.0), 0.5) == 0.0
+    assert delay_integral(buf, DelayMeasure.exponential(1.0), 0.5) == 0.0
 
 
 def test_delay_integral_simulated_part_against_quadrature():
@@ -221,7 +229,7 @@ def test_delay_integral_simulated_part_against_quadrature():
         buf = HistoryBuffer(h, buf.tail, np.append(buf.times, t),
                             np.vstack([buf.samples, [[1.0 + t * t]]]))
     mu = DelayMeasure.exponential(1.0)
-    got = delay_integral(buf, 1.0, mu, 0.5)
+    got = delay_integral(buf, mu, 0.5)
 
     def integrand(th):
         u = 1.0 if 1.0 + th <= 0 else 1.0 + (1.0 + th) ** 2
@@ -242,8 +250,8 @@ def test_every_tail_states_its_growth():
     assert ExponentialTail(np.array([1.0]), rate=0.5).growth == 0.0
     assert tab.growth == 0.25
     assert TabulatedTail(tab.thetas, tab.values, extrap_rate=0.5).growth == 0.0
-    assert extract_segment(grow, 0.0).tail.growth == 0.75
-    assert _difference(extract_segment(flat, 0.0), extract_segment(grow, 0.0)).tail.growth == 0.75
+    assert extract_segment(grow).tail.growth == 0.75
+    assert _difference(extract_segment(flat), extract_segment(grow)).tail.growth == 0.75
 
 
 def test_divergent_delay_integral_raises_before_any_quadrature():
@@ -251,23 +259,23 @@ def test_divergent_delay_integral_raises_before_any_quadrature():
     buf = HistoryBuffer.from_tail(1.0, ExponentialTail([1.0], rate=-1.0))
     mu = DelayMeasure.exponential(1.0)
     with pytest.raises(MomentDivergenceError, match=r"growth 1\.0 grows at 3\.0 >= 2 \* rate"):
-        delay_integral(buf, 0.0, mu, 3.0)
-    seg = extract_segment(buf, 0.0)
+        delay_integral(buf, mu, 3.0)
+    seg = extract_segment(buf)
     flat = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
     with pytest.raises(MomentDivergenceError):
         delay_pair_integral(seg, flat, mu, 3.0)
     # a negative power of a decaying tail: ||u||^-1 = e^{-3 theta}
     decaying = HistoryBuffer.from_tail(1.0, ExponentialTail([1.0], rate=3.0))
     with pytest.raises(MomentDivergenceError, match=r"grows at 3\.0 >= 2 \* rate"):
-        delay_integral(decaying, 0.0, mu, -1.0)
+        delay_integral(decaying, mu, -1.0)
     # below the bound the closed form holds: int e^{-theta} 2 e^{2 theta} = 2
-    assert delay_integral(buf, 0.0, mu, 1.0) == 2.0
+    assert delay_integral(buf, mu, 1.0) == 2.0
 
 
 def test_delay_integral_nonfinite_kernel_carries_theta():
     buf = constant_buffer(0.0)
     with pytest.raises(DelayEvaluationError) as err:
-        delay_integral(buf, 0.0, DelayMeasure.exponential(1.0), -0.5)
+        delay_integral(buf, DelayMeasure.exponential(1.0), -0.5)
     assert err.value.theta <= 0.0
 
 
@@ -282,7 +290,7 @@ def test_delay_integral_unit_kernel_is_total_mass(c, rate, n):
     for i in range(1, n + 1):
         buf = appended(buf, 0.05 * i, c + 0.1 * i)
     for mu in (DelayMeasure.exponential(rate), DelayMeasure.point_mass()):
-        assert delay_integral(buf, buf.head_time, mu, 0.0) == pytest.approx(1.0, abs=1e-8)
+        assert delay_integral(buf, mu, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_delay_pair_integral_matches_direct_quadrature():
@@ -338,19 +346,19 @@ def test_pair_seminorm_equal_rate_exponential_tails(rate):
 
 def test_segment_at_zero_is_initial_datum():
     buf = constant_buffer(5.0)
-    seg = extract_segment(buf, 0.0)
+    seg = extract_segment(buf)
     assert seg.head_time == 0.0
-    assert seg.value_at(0.0) == pytest.approx(5.0)
-    assert seminorm_h(seg, 0.0) == seminorm_h(buf, 0.0)
+    assert seg.head == pytest.approx(5.0)
+    assert seminorm_h(seg) == seminorm_h(buf)
 
 
 def test_segment_of_constant_buffer_shift_invariant():
     buf = constant_buffer(2.0)
     for i in range(1, 11):
         buf = appended(buf, 0.1 * i, 2.0)
-    seg = extract_segment(buf, 0.7)
-    assert seminorm_h(seg, 0.0) == pytest.approx(seminorm_h(buf, 0.0), rel=1e-12)
-    assert seg.value_at(-0.35) == pytest.approx(2.0)
+    seg = extract_segment(upto(buf, 7))
+    assert seminorm_h(seg) == pytest.approx(seminorm_h(constant_buffer(2.0)), rel=1e-12)
+    assert seg.values_at([-0.35])[0] == pytest.approx(2.0)
 
 
 def test_segment_of_simulated_path_recomputes_from_samples():
@@ -362,22 +370,22 @@ def test_segment_of_simulated_path_recomputes_from_samples():
         t += 0.01
         x += 0.05 * rng.standard_normal()
         buf = appended(buf, t, x)
-    seg = extract_segment(buf, 1.0)
-    assert seg.value_at(0.0) == pytest.approx(buf.value_at(1.0))
-    assert seminorm_h(seg, 0.0) >= state_norm(buf.value_at(1.0)) - 1e-14
-    assert seminorm_h(seg, 0.0) == pytest.approx(seminorm_h(buf, 1.0), rel=1e-12)
+    seg = extract_segment(buf)
+    np.testing.assert_array_equal(seg.head, buf.head)
+    assert seminorm_h(seg) >= state_norm(buf.head) - 1e-14
+    assert seminorm_h(seg) == pytest.approx(seminorm_h(buf), rel=1e-12)
     # value lookup inside the sampled part agrees with the parent
-    assert seg.value_at(-0.42) == pytest.approx(buf.value_at(0.58))
+    assert seg.values_at([-0.42])[0] == pytest.approx(buf.values_at([buf.head_time - 0.42])[0])
     # and inside the analytic tail
-    assert seg.value_at(-1.5) == pytest.approx(0.3)
+    assert seg.values_at([-1.5])[0] == pytest.approx(0.3)
 
 
 def test_segment_composition_idempotent_on_samples():
     buf = constant_buffer(1.0)
     for i in range(1, 21):
         buf = appended(buf, 0.05 * i, math.sin(i))
-    seg = extract_segment(buf, 0.8)
-    seg2 = extract_segment(seg, 0.0)
+    seg = extract_segment(upto(buf, 16))
+    seg2 = extract_segment(seg)
     thetas = np.linspace(-2.0, 0.0, 101)
     va = seg.values_at(thetas)
     vb = seg2.values_at(thetas)
@@ -404,42 +412,44 @@ def simulated_buffer(seed, dim, n, tail_kind):
     n=st.integers(1, 20),
     tail_kind=st.sampled_from(["constant", "exponential", "tabulated"]),
     where=st.floats(0.0, 1.0),
-    on_grid=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_segment_is_a_view_of_its_history(seed, dim, n, tail_kind, where, on_grid):
-    # a segment at any t in [0, head], on a sample or between two, reads its
-    # history bit for bit and has the history's weighted norm at t
-    buf = simulated_buffer(seed, dim, n, tail_kind)
-    t = float(buf.times[round(where * n)]) if on_grid else where * buf.head_time
-    seg = extract_segment(buf, t)
+def test_segment_is_a_view_of_its_history(seed, dim, n, tail_kind, where):
+    # the segment at the head t of a run's history, cut at any sample, reads
+    # that history and the whole run bit for bit, and has the history's
+    # weighted norm
+    run = simulated_buffer(seed, dim, n, tail_kind)
+    buf = upto(run, round(where * n))
+    t = buf.head_time
+    seg = extract_segment(buf)
     assert seg.head_time == 0.0 and seg.tail.buffer is buf
-    thetas = np.concatenate([-np.linspace(0.0, t + 3.0, 97), -t + buf.times[buf.times <= t]])
+    thetas = np.concatenate([-np.linspace(0.0, t + 3.0, 97), -t + buf.times])
     np.testing.assert_array_equal(seg.values_at(thetas), buf.values_at(t + thetas))
-    np.testing.assert_array_equal(seg.value_at(0.0), buf.value_at(t))
-    assert seminorm_h(seg, 0.0) == seminorm_h(buf, t)
+    np.testing.assert_array_equal(seg.values_at(thetas), run.values_at(t + thetas))
+    np.testing.assert_array_equal(seg.head, buf.head)
+    assert seminorm_h(seg) == seminorm_h(buf)
 
 
 @pytest.mark.parametrize("pair", [delay_pair_integral, pair_seminorm])
 def test_pair_functionals_take_segments_only(pair):
     buf = appended(constant_buffer(1.0), 0.1, 1.5)
-    seg = extract_segment(buf, buf.head_time)
+    seg = extract_segment(buf)
     args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
     for a, b in ((buf, seg), (seg, buf)):
-        with pytest.raises(ValueError, match="extract_segment"):
+        with pytest.raises(ValueError, match=r"extract_segment\(buf\)"):
             pair(a, b, *args)
-    assert pair(seg, extract_segment(buf, 0.05), *args) > 0.0
+    assert pair(seg, extract_segment(upto(buf, 0)), *args) > 0.0
 
 
 def test_segment_buffer_invariants_hold():
     buf = constant_buffer(1.0)
     for i in range(1, 6):
         buf = appended(buf, 0.2 * i, 1.0 + i)
-    seg = extract_segment(buf, 0.6)
+    seg = extract_segment(upto(buf, 3))
     # freshly constructed buffer re-validates its own invariants
     HistoryBuffer(h=seg.h, tail=seg.tail, times=seg.times,
                   samples=seg.samples)
-    assert state_norm(seg.value_at(0.0)) <= seminorm_h(seg, 0.0) + 1e-14
+    assert state_norm(seg.head) <= seminorm_h(seg) + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +618,13 @@ def kernel_tails(seed, dim):
              "tabulated": TabulatedTail([-1.5, -0.7, 0.0],
                                         np.vstack([rng.standard_normal((2, dim)), x0]))}
     for kind in ("constant", "exponential"):
-        buf = simulated_buffer(seed, dim, 6, kind)
-        tails[f"segment of {kind}"] = SegmentTail(buf, float(buf.times[3]))
-    # a walk continued from a segment's head, cut again between two samples
+        tails[f"segment of {kind}"] = SegmentTail(upto(simulated_buffer(seed, dim, 6, kind), 3))
+    # a walk continued from a segment's head, cut again at an inner sample
     seg = tails["segment of constant"]
     times = np.linspace(0.0, 0.3, 7)
-    samples = seg.value_at(0.0) + np.vstack([np.zeros(dim),
-                                             np.cumsum(rng.standard_normal((6, dim)), axis=0)])
-    tails["segment of a segment"] = SegmentTail(HistoryBuffer(1.0, seg, times, samples), 0.22)
+    samples = seg.origin + np.vstack([np.zeros(dim),
+                                      np.cumsum(rng.standard_normal((6, dim)), axis=0)])
+    tails["segment of a segment"] = SegmentTail(upto(HistoryBuffer(1.0, seg, times, samples), 4))
     a = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
     b = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
     for (ka, sa), (kb, sb) in itertools.product(zip(FAMILIES, a), zip(FAMILIES, b)):
@@ -639,14 +648,12 @@ def test_flat_run_kernel_has_the_bits_of_the_row_norms(seed, dim):
     # on a cached quadrature rule's nodes and on random ascending nodes that
     # hit every sample time, every origin and 0 exactly, the flat run's row is
     # the tail's value at each of its nodes, and _row_norms is the norm of
-    # every row of values_at; a one-point lookup, which from_tail takes at 0
-    # for its head, has the bits of values_at at 0 and inside the history
+    # every row of values_at; the origin, which from_tail copies for its head,
+    # has the bits of values_at at 0
     rng = np.random.default_rng(seed)
     mu = DelayMeasure.exponential(1.0)
     for name, tail in kernel_tails(seed, dim).items():
-        for theta in (0.0, -0.3718, -2.5):
-            np.testing.assert_array_equal(tail.value_at(theta), tail.values_at([theta])[0],
-                                          err_msg=name)
+        np.testing.assert_array_equal(tail.origin, tail.values_at([0.0])[0], err_msg=name)
         kinks = np.unique(tail.kink_nodes(-40.0, 0.0))
         rule = _quadrature_rule(mu, -40.0, 0.0, 1024, kinks.tobytes())
         hits = sample_hits(tail)
@@ -662,43 +669,53 @@ def test_flat_run_kernel_has_the_bits_of_the_row_norms(seed, dim):
                                           err_msg=name)
 
 
+def source_rows(tail):
+    """The arrays a tail reads its origin from."""
+    if isinstance(tail, SegmentTail):
+        return [tail.buffer.samples]
+    if isinstance(tail, _DifferenceTail):
+        return source_rows(tail.a) + source_rows(tail.b)
+    return [tail.value if isinstance(tail, ConstantTail) else tail.amplitude]
+
+
 def test_package_built_buffers_pass_the_public_checks():
     # from_tail runs only the weight's checks: segments, differences and
-    # sampled histories rebuilt through the constructor are accepted, and the
-    # head lookup past t = 0 copies the head row
+    # sampled histories rebuilt through the constructor are accepted; each
+    # one's head is its tail's origin, copied, so it shares no memory with
+    # the rows it was read from, and the tail reads it back at 0
     rng = np.random.default_rng(21)
     for dim in (1, 8):
         buf = simulated_buffer(4, dim, 8, "exponential")
-        built = [extract_segment(buf, t) for t in
-                 (0.0, 0.5 * (buf.times[3] + buf.times[4]), buf.head_time)]
+        built = [extract_segment(upto(buf, j)) for j in (0, 3, 8)]
         a = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
         b = [sample_history(rng, dim, 1.0, 3.0, kind=k) for k in FAMILIES]
         built += a + b + [_difference(sa, sb) for sa in a for sb in b]
-        for seg in [buf] + built:
-            again = HistoryBuffer(seg.h, seg.tail, seg.times, seg.samples)
-            for one in (seg, again):
-                head = one.value_at(one.head_time)
-                np.testing.assert_array_equal(head, one.head)
-                # at t = 0 the lookup reads the tail, as it always has
-                assert one.head_time == 0.0 or not np.shares_memory(head, one.samples)
+        for seg in built:
+            HistoryBuffer(seg.h, seg.tail, seg.times, seg.samples)
+            np.testing.assert_array_equal(seg.head, seg.tail.origin)
+            np.testing.assert_array_equal(seg.values_at([0.0])[0], seg.head)
+            assert not any(np.shares_memory(seg.samples, rows) for rows in source_rows(seg.tail))
     # the public checks would refuse such a difference, so _difference does
-    seg8, seg1 = (extract_segment(simulated_buffer(4, dim, 3, "constant"), 0.0) for dim in (8, 1))
+    seg8, seg1 = (extract_segment(simulated_buffer(4, dim, 3, "constant")) for dim in (8, 1))
     with pytest.raises(ValueError, match="dimensions 8 and 1"):
         _difference(seg8, seg1)
 
 
 def test_head_lookup_keeps_the_tail_value_at_the_origin():
     # a hand-built buffer whose first sample sits within the continuity
-    # tolerance of its tail: t = 0 reads the tail, the head time reads the
-    # last sample, as interpolation did
+    # tolerance of its tail: t = 0 reads the tail, the head time and up to
+    # 1e-12 past it read the last sample, as interpolation does, and further
+    # past the head is out of range
     tail = ConstantTail(np.array([1.0, -2.0]))
     samples = np.array([[1.0 + 1e-12, -2.0], [0.5, 0.25]])
     buf = HistoryBuffer(1.0, tail, np.array([0.0, 0.1]), samples)
-    assert buf.value_at(0.0) is tail.value
-    np.testing.assert_array_equal(buf.value_at(0.1), samples[1])
-    np.testing.assert_array_equal(buf.value_at(0.1 + 1e-13), samples[1])
+    np.testing.assert_array_equal(buf.values_at([0.0]), tail.value[None, :])
+    np.testing.assert_array_equal(buf.values_at([0.0, 0.1, 0.1 + 1e-13]),
+                                  np.vstack([tail.value, samples[1], samples[1]]))
     with pytest.raises(HistoryRangeError):
-        buf.value_at(0.1 + 1e-9)
+        buf.values_at([0.1 + 1e-9])
+    with pytest.raises(HistoryRangeError):
+        buf.values_at([0.05, 0.1 + 1e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +903,6 @@ def test_head_functionals_keep_their_recorded_bits(i, key):
     # the weighted norm, at the head of a walk over each tail kind
     kind, dim = key
     buf = simulated_buffer(200 + i, dim, 12, kind)
-    t = buf.head_time
-    got = [seminorm_h(buf, t), seminorm_h(extract_segment(buf, t), 0.0)]
-    got += [delay_integral(buf, t, mu, p) for mu, p in HEAD_MEASURES]
+    got = [seminorm_h(buf), seminorm_h(extract_segment(buf))]
+    got += [delay_integral(buf, mu, p) for mu, p in HEAD_MEASURES]
     assert tuple(float(v).hex() for v in got) == HEAD_BITS[key]

@@ -585,7 +585,7 @@ def _growth_at(p, w):
     buf, t = w
     fn = state_norm(eval_drift(cs, t, buf))
     gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
-    return max(fn, gn) - (prof.get("growth_alpha1", "alpha1") * seminorm_h(buf, buf.head_time)
+    return max(fn, gn) - (prof.get("growth_alpha1", "alpha1") * seminorm_h(buf)
                           + prof.get("growth_M", "M"))
 
 
@@ -600,7 +600,7 @@ def _holder_at(cs):
 def _h5_drift_at(p, w):
     cs, prof = p.coefficients, p.coefficients.profile
     a, b, t = w
-    head_diff = a.value_at(0.0) - b.value_at(0.0)
+    head_diff = a.head - b.head
     lhs = float(np.dot(eval_drift(cs, t, a) - eval_drift(cs, t, b), head_diff))
     rhs = (state_norm(head_diff) ** (prof.gamma + 1.0)
            + delay_pair_integral(a, b, prof.mu1, prof.gamma + 1.0))

@@ -284,7 +284,7 @@ def test_delay_accumulator_tracks_reference_integral():
     r = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=2, rows=16)
     r.run()
     mu = p.coefficients.drift.delay_measure
-    ref = delay_integral(row_zero_history(r), r.times[-1], mu, 0.5)
+    ref = delay_integral(row_zero_history(r), mu, 0.5)
     assert r.delay_acc.value[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -303,14 +303,18 @@ def test_segment_norm_dominates_state_along_path():
     r.run()
     buf = row_zero_history(r)
     for t in (0.1, 0.25, 0.5):
-        assert np.linalg.norm(buf.value_at(t)) <= seminorm_h(buf, t) + 1e-12
+        # the history up to t: its samples through step t / dt
+        j = round(t / cfg.dt)
+        upto = HistoryBuffer(buf.h, buf.tail, buf.times[:j + 1], buf.samples[:j + 1])
+        assert upto.head_time == pytest.approx(t, abs=1e-15)
+        assert np.linalg.norm(upto.head) <= seminorm_h(upto) + 1e-12
 
 
 def test_apriori_bound_stable_under_path_doubling():
     # E sup ||u||^2 <= C (1 + ||phi||_h^2), C fitted once, stable within 20%
     p = get_preset("scalar-holder-osc")
     cfg = StepperConfig(dt=2e-3, T=1.0, noise_modes=1, seed=17, eps=1.0)
-    phi_sq = seminorm_h(p.initial, 0.0) ** 2
+    phi_sq = seminorm_h(p.initial) ** 2
 
     def fit_c(n_paths):
         sups = np.empty(n_paths)
@@ -759,14 +763,14 @@ def test_rescued_step_freezes_the_delay_term():
     op = PdeOperator("scalar_linear", a=a)
     init = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
     cfg = StepperConfig(dt=dt, T=3.0, noise_modes=1, seed=0, eps=1.0)
-    v0 = delay_integral(init, 0.0, mu, 1.0)
+    v0 = delay_integral(init, mu, 1.0)
     assert not math.isfinite(dt * (1.5e308 + gain * v0))
     traj = run_path(op, cs, cfg, init)
     assert np.all(np.isfinite(traj.states))
     assert np.max(np.abs(traj.states)) < 1e154
     half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
     buf = reference_step(init, op, cs, half)
-    v_half = delay_integral(buf, dt / 2, mu, 1.0)
+    v_half = delay_integral(buf, mu, 1.0)
     buf = reference_step(buf, op, cs, half)
     gap = traj.states[1, 0] - buf.head[0]
     assert gap != 0.0  # the frozen cache moves the result
@@ -786,7 +790,7 @@ def test_rescued_step_freezes_the_seminorm_term(rows):
     op = PdeOperator("scalar_linear", a=a)
     init = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
     cfg = StepperConfig(dt=dt, T=3.0, noise_modes=1, seed=0, eps=1.0)
-    s0 = seminorm_h(init, 0.0)
+    s0 = seminorm_h(init)
     assert not math.isfinite(dt * (1.5e308 + gain * s0))
     runner = PathRunner(op, cs, cfg, init, rows=rows)
     traj = runner.run()
@@ -795,7 +799,7 @@ def test_rescued_step_freezes_the_seminorm_term(rows):
     assert np.all(traj.states[:, 1:] == traj.states[:, :1])
     half = StepperConfig(dt=dt / 2, T=dt, noise_modes=1, seed=0, eps=1.0)
     buf = reference_step(init, op, cs, half)
-    s_half = seminorm_h(buf, dt / 2)
+    s_half = seminorm_h(buf)
     buf = reference_step(buf, op, cs, half)
     gap = traj.states[1, 0, 0] - buf.head[0]
     assert gap != 0.0  # the frozen cache moves the result
