@@ -68,7 +68,6 @@ class ReportRow:
 @dataclass
 class SlopeFit:
     slope: float
-    intercept: float
     ci_half: float
     n_rows: int
     excluded: tuple = ()
@@ -127,29 +126,6 @@ def _map_chunks(fn, paths: int, threads: int):
     return [r for batch in batches for r in batch]
 
 
-def _coupled_outcomes(op, shared, partners, paths, threads):
-    """Per partner, in path order: sup_t of the squared distance between the
-    partner's batch and the shared one, or the path's BlowUpError.
-
-    ``shared`` is ``(cs, cfg, initial)``, each partner ``(cs, eps, initial)``.
-    One runner per batch of paths stacks the shared batch and every partner
-    as twins of one state, stepped by one kernel call per step on one draw of
-    the noise.  The runner's ``errors`` are read a twin block at a time."""
-    def one_batch(first, count):
-        runner = PathRunner(op, *shared, path_id=first, rows=count)
-        runner.couple(partners)
-        runner.run()
-        shared_errors, *partner_errors = (runner.errors[i:i + count]
-                                          for i in range(0, len(runner.errors), count))
-        # a BlowUpError is truthy: the partner's own, else the shared batch's
-        per_partner = [[own or err or float(sup)
-                        for own, err, sup in zip(errors, shared_errors, sups)]
-                       for errors, sups in zip(partner_errors, runner.sup_sq)]
-        return list(zip(*per_partner))
-
-    return list(zip(*_map_chunks(one_batch, paths, threads)))
-
-
 def _censor(outcomes, row, param_name, param, preset, dt):
     """The blow-up policy of every study, applied to one row's outcomes.
 
@@ -179,12 +155,13 @@ def _row_stats(values, param, d, n_paths, censored, extra=None):
 def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
     """Inverse-variance weighted least squares on (log param, log mean).
 
-    Rows with mean 0, NaN, or censoring above the fit threshold are excluded.
+    Rows with param <= 0 (no log), mean 0, NaN, or censoring above the fit
+    threshold are excluded; below 3 usable rows there is no fit.
     """
     usable, excluded = [], []
     for r in rows:
         mean = r.extra_mean if use_extra else r.mean
-        bad = (mean is None or not math.isfinite(mean) or mean <= 0.0
+        bad = (r.param <= 0.0 or mean is None or not math.isfinite(mean) or mean <= 0.0
                or (r.paths and r.censored / r.paths > CENSOR_FIT_FRACTION))
         (excluded if bad else usable).append(r)
     if len(usable) < 3:
@@ -202,9 +179,8 @@ def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
     scale = float(resid @ (w * resid)) / dof
     # widen the formal CI by the residual scatter when the fit is poor
     var_slope = cov[0, 0] * max(scale, 1.0)
-    return SlopeFit(slope=float(beta[0]), intercept=float(beta[1]),
-                    ci_half=1.96 * math.sqrt(var_slope), n_rows=len(usable),
-                    excluded=tuple(r.param for r in excluded))
+    return SlopeFit(slope=float(beta[0]), ci_half=1.96 * math.sqrt(var_slope),
+                    n_rows=len(usable), excluded=tuple(r.param for r in excluded))
 
 
 def stepping(preset: Preset, dt, T, k_w, seed, eps) -> tuple[CoefficientSet, StepperConfig]:
@@ -230,6 +206,37 @@ def _grid(param: str, values, in_range, text: str) -> list:
     return grid
 
 
+def _coupled_study(kind, param_name, grid, d, verdict, preset, shared, partners,
+                   paths, threads) -> ExperimentReport:
+    """A coupled study's report: row j is E sup_t of the squared distance
+    between partner j's paths and the shared ones, ``shared`` a
+    ``(cs, cfg, initial)`` and each partner a ``(cs, eps, initial)``, stepped
+    as twins of one runner per batch of paths.  A path's outcome is its
+    partner's BlowUpError, else the shared batch's, else its sup, censored by
+    ``_censor``.  Row j's block length is ``d(grid[j])``, or NaN for no ``d``;
+    the verdict is ``verdict(rows)`` and the slope is fitted on all rows."""
+    def one_batch(first, count):
+        runner = PathRunner(preset.operator, *shared, path_id=first, rows=count,
+                            partners=partners)
+        runner.run()
+        shared_errors, *partner_errors = (runner.errors[i:i + count]
+                                          for i in range(0, len(runner.errors), count))
+        # a BlowUpError is truthy: the partner's own, else the shared batch's
+        per_partner = [[own or err or float(sup)
+                        for own, err, sup in zip(errors, shared_errors, sups)]
+                       for errors, sups in zip(partner_errors, runner.sup_sq)]
+        return list(zip(*per_partner))
+
+    rows = []
+    for j, (param, row) in enumerate(zip(grid, zip(*_map_chunks(one_batch, paths, threads)))):
+        values, censored = _censor(row, j, param_name, param, preset, shared[1].dt)
+        rows.append(_row_stats(values, param, math.nan if d is None else d(param),
+                               paths, censored))
+    ok, detail = verdict(rows)
+    return ExperimentReport(kind=kind, param_name=param_name, rows=rows,
+                            slope=fit_loglog_slope(rows), verdict=ok, verdict_detail=detail)
+
+
 # ---------------------------------------------------------------------------
 # averaging sweep
 # ---------------------------------------------------------------------------
@@ -249,21 +256,10 @@ def averaging_sweep(preset: Preset, eps_grid, paths: int,
         raise ValueError(f"d_rule = {d_rule!r}: must be sqrt_eps or none")
     init = preset.initial
     averaged, cfg = stepping(preset, dt, T, k_w, seed, AVERAGED)
-    twins = [(preset.coefficients, eps, init) for eps in eps_grid]
-    outcomes = _coupled_outcomes(preset.operator, (averaged, cfg, init), twins,
-                                 paths, threads)
-    rows = []
-    for j, (eps, row) in enumerate(zip(eps_grid, outcomes)):
-        values, censored = _censor(row, j, "eps", eps, preset, cfg.dt)
-        d = math.sqrt(eps) if d_rule == "sqrt_eps" else math.nan
-        rows.append(_row_stats(values, eps, d, paths, censored))
-
-    decay_ok, detail = _monotone_decay_verdict(rows)
-    slope = fit_loglog_slope(rows)
-    return ExperimentReport(
-        kind="averaging", param_name="eps", rows=rows, slope=slope,
-        verdict=decay_ok, verdict_detail=detail,
-    )
+    return _coupled_study(
+        "averaging", "eps", eps_grid, math.sqrt if d_rule == "sqrt_eps" else None,
+        _monotone_decay_verdict, preset, (averaged, cfg, init),
+        [(preset.coefficients, eps, init) for eps in eps_grid], paths, threads)
 
 
 def _monotone_decay_verdict(rows):
@@ -355,7 +351,7 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     """
     delta_grid = _grid("delta", delta_grid, lambda d: d >= 0, ">= 0")
     cs, cfg = stepping(preset, dt, T, k_w, seed, eps)
-    op, init = preset.operator, preset.initial
+    init = preset.initial
     if not isinstance(init.tail, ConstantTail):
         raise ValueError("continuity study needs a constant-tail initial datum")
     psi = np.zeros(cs.dim)
@@ -364,19 +360,8 @@ def continuity_study(preset: Preset, delta_grid, paths: int,
     shifted = [(cs, cfg.eps, HistoryBuffer.from_tail(
                     init.h, ConstantTail(init.tail.value + delta * psi)))
                for delta in delta_grid]
-    outcomes = _coupled_outcomes(op, (cs, cfg, init), shifted, paths, threads)
-    rows = []
-    for j, (delta, row) in enumerate(zip(delta_grid, outcomes)):
-        vals, censored = _censor(row, j, "delta", delta, preset, cfg.dt)
-        rows.append(_row_stats(vals, delta, math.nan, paths, censored))
-
-    ok, detail = _continuity_verdict(rows)
-    pos_rows = [r for r in rows if r.param > 0]
-    slope = fit_loglog_slope(pos_rows) if len(pos_rows) >= 3 else None
-    return ExperimentReport(
-        kind="continuity", param_name="delta", rows=rows, slope=slope,
-        verdict=ok, verdict_detail=detail,
-    )
+    return _coupled_study("continuity", "delta", delta_grid, None, _continuity_verdict,
+                          preset, (cs, cfg, init), shifted, paths, threads)
 
 
 def _continuity_verdict(rows):

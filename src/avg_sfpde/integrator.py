@@ -248,22 +248,15 @@ class _ExpDelayAccumulator:
 
     With interval masses m_j = e^{2r t_{j+1}} - e^{2r t_j} the trapezoid value
     at the head factors as V_{n+1} = q V_n + (1 - q)(K_n + K_{n+1})/2 with
-    q = e^{-2r dt}; V_0 is the full tail integral at t = 0.  It starts with
-    no rows; ``add_starts`` appends a block of rows per start.
+    q = e^{-2r dt}; V_0 is the full tail integral at t = 0, one block of
+    ``rows`` rows per start.
     """
 
-    def __init__(self, mu: DelayMeasure, power: float, dt: float):
-        self.mu = mu
+    def __init__(self, mu: DelayMeasure, power: float, dt: float, starts, rows: int):
         self.power = power
         self.decay = math.exp(-2.0 * mu.rate * dt)
-        self.value = self.k_prev = np.empty(0)
-
-    def add_starts(self, starts, rows: int) -> None:
-        mu, power = self.mu, self.power
-        self.value = np.append(
-            self.value, np.repeat([delay_integral(s, mu, power) for s in starts], rows))
-        self.k_prev = np.append(
-            self.k_prev, np.repeat([np.linalg.norm(s.head) ** power for s in starts], rows))
+        self.value = np.repeat([delay_integral(s, mu, power) for s in starts], rows)
+        self.k_prev = np.repeat([np.linalg.norm(s.head) ** power for s in starts], rows)
 
     def advance(self, norms: np.ndarray) -> None:
         k_new = pow_or_inf(norms, self.power)
@@ -289,30 +282,50 @@ class PathRunner:
     choice of oscillators, time scale and start.  The twins are
     consecutive blocks of ``rows`` rows of one (twins * rows, dim) state: row
     j * rows + r is path path_id + r of twin j.  Twin 0 is the runner's own
-    (cs, cfg.eps, initial); ``couple`` stacks partners below it (the eps twins
-    of an averaging sweep beside the averaged twin ``cs.averaged()``, or the
-    shifted starts of a continuity study beside the unshifted one).  ``run``
-    draws each slab of noise once, a (SLAB, rows, k_w) array that every twin
-    steps on, and makes one kernel call per step for all twins.  Per slab it
-    tabulates the oscillators, a drift F without pointwise map, delay or
-    seminorm term, and a diagonal or map-free scalar amplitude G
-    (``_tabulate``).  A coupled run folds its partner distances once per
-    record of as many states as RECORD_BYTES holds, 1 to SLAB: once per slab
-    on scalar batches and on a field state of 16 rows and 32 modes.  Each
-    step operation is row-wise, and a row's transform bits do not depend on
-    the other rows, so a row has the bits it has in a runner of its twin
-    alone.  A row that is still non-finite after the halving retry is a
-    blow-up of that path alone in that twin: its BlowUpError goes to
-    ``errors[j * rows + r]``, its state is reset to zero, and the other rows
-    run on.  The runner finds non-finite rows itself, so construction and
-    stepping run with numpy's overflow and invalid-value warnings silenced.
+    (cs, cfg.eps, initial); each of ``partners``, a ``(cs, eps, initial)``, is
+    a further twin on the same grid and noise (the eps twins of an averaging
+    sweep beside the averaged twin ``cs.averaged()``, or the shifted starts
+    of a continuity study beside the unshifted one).  A partner's ``cs`` may
+    differ from the runner's only in ``osc1`` and ``osc2``, its eps must lie in
+    (0, 1], and its start may not change the weight h; a partner that differs
+    in anything else is rejected, naming the field, before any array is built.
+
+    ``run`` draws each slab of noise once, a (SLAB, rows, k_w) array that
+    every twin steps on, and makes one kernel call per step for all twins.
+    Per slab it tabulates the oscillators, a drift F without pointwise map,
+    delay or seminorm term, and a diagonal or map-free scalar amplitude G
+    (``_tabulate``).  With partners, ``run`` records no trajectory and keeps
+    in ``sup_sq``, a (partners, rows) array, the running sup over the grid of
+    each row's squared distance between partner j and twin 0.  It folds the
+    distances once per record of as many states as RECORD_BYTES holds, 1 to
+    SLAB: once per slab on scalar batches and on a field state of 16 rows and
+    32 modes.  Each step operation is row-wise, and a row's transform bits do
+    not depend on the other rows, so a row has the bits it has in a runner of
+    its twin alone.  A row that is still non-finite after the halving retry is
+    a blow-up of that path alone in that twin: its BlowUpError goes to
+    ``errors[j * rows + r]`` (partner j's are ``errors[(j + 1) * rows:(j + 2)
+    * rows]``), its state is reset to zero, and the other rows run on.  The
+    runner finds non-finite rows itself, so construction and stepping run
+    with numpy's overflow and invalid-value warnings silenced.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, op: PdeOperator, cs: CoefficientSet, cfg: StepperConfig,
-                 initial: HistoryBuffer, path_id: int = 0, *, rows: int):
+                 initial: HistoryBuffer, path_id: int = 0, *, rows: int, partners=()):
         if rows < 1:
             raise ValueError(f"runner width {rows}: need at least 1 row")
+        partners = list(partners)
+        for p_cs, eps, start in partners:
+            if p_cs.dim != cs.dim:
+                raise ValueError(f"partner dim = {p_cs.dim}: the runner steps dim = {cs.dim}")
+            for name in ("drift", "diffusion", "space"):
+                if getattr(p_cs, name) != getattr(cs, name):
+                    raise ValueError(f"partner {name} differs from the runner's: a partner "
+                                     "may differ only in osc1, osc2, eps and its start")
+            if start.h != initial.h:
+                raise ValueError(f"partner initial.h = {start.h}: the runner's "
+                                 f"history weight is h = {initial.h}")
+            replace(cfg, eps=eps)               # rejects an eps outside (0, 1]
         self.op = op
         self.cs = cs
         self.cfg = cfg
@@ -327,14 +340,15 @@ class PathRunner:
         self.states = None
         self.sup_sq = None
         self.slab_terms = None                                  # set per slab by run
-        self.twins = []
-        self.x = np.empty((0, cs.dim))
-        self.errors = []
-        self.head_norm_weighted = np.empty(0)                   # Q_n
-        self.tail_sup0 = np.empty(0)
+        self.twins = [(cs, cfg.eps, initial)] + partners
+        starts = [start for _, _, start in self.twins]
+        self.x = np.concatenate([np.tile(s.head, (rows, 1)) for s in starts])
+        self.errors = [None] * len(self.x)
+        self.head_norm_weighted = np.repeat([np.linalg.norm(s.head) for s in starts], rows)
+        self.tail_sup0 = np.repeat([s.tail.weighted_sup(s.h) for s in starts], rows)
         power = cs.drift.delay_kernel_power
         self.delay_acc = None if power is None else _ExpDelayAccumulator(
-            cs.drift.delay_measure, power, cfg.dt)
+            cs.drift.delay_measure, power, cfg.dt, starts, rows)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
         # an F or G that reads no state is tabulated per slab (_tabulate)
         g = cs.diffusion
@@ -342,49 +356,6 @@ class PathRunner:
         self.free_noise = g.kind == "diagonal" or (g.kind == "scalar" and g.pointwise is None)
         self.tail_weight = 1.0                                  # e^{-h t_n}
         self.h_decay = math.exp(-initial.h * cfg.dt)
-        self._stack([(cs, cfg.eps, initial)])
-
-    def _stack(self, twins) -> None:
-        """Stack ``twins``, each (cs, eps, initial), below the blocks already in
-        the state, with their rows of the delay and seminorm caches."""
-        rows = self.rows
-        starts = [initial for _, _, initial in twins]
-        self.twins += twins
-        self.x = np.concatenate([self.x] + [np.tile(s.head, (rows, 1)) for s in starts])
-        self.errors += [None] * (rows * len(starts))
-        if self.delay_acc is not None:
-            self.delay_acc.add_starts(starts, rows)
-        self.head_norm_weighted = np.append(
-            self.head_norm_weighted, np.repeat([np.linalg.norm(s.head) for s in starts], rows))
-        self.tail_sup0 = np.append(
-            self.tail_sup0, np.repeat([s.tail.weighted_sup(s.h) for s in starts], rows))
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def couple(self, partners) -> None:
-        """Stack partner twins of the same paths below this batch, on its grid
-        and noise.  Each partner is ``(cs, eps, initial)``, all that may set it
-        apart from this batch: its ``cs`` may differ from the runner's only in
-        ``osc1`` and ``osc2``, and its start may not change the weight h.  A
-        partner that differs in anything else is rejected, naming the field.
-
-        ``run`` then keeps in ``sup_sq``, a (partners, rows) array, the running
-        sup over the grid of each row's squared distance between partner j
-        and this batch, and records no trajectory; partner j's blow-ups are
-        ``errors[(j + 1) * rows:(j + 2) * rows]``.
-        """
-        partners = list(partners)
-        for cs, eps, initial in partners:
-            if cs.dim != self.cs.dim:
-                raise ValueError(f"partner dim = {cs.dim}: the runner steps dim = {self.cs.dim}")
-            for name in ("drift", "diffusion", "space"):
-                if getattr(cs, name) != getattr(self.cs, name):
-                    raise ValueError(f"partner {name} differs from the runner's: a partner "
-                                     "may differ only in osc1, osc2, eps and its start")
-            if initial.h != self.initial.h:
-                raise ValueError(f"partner initial.h = {initial.h}: the runner's "
-                                 f"history weight is h = {self.initial.h}")
-            replace(self.cfg, eps=eps)          # rejects an eps outside (0, 1]
-        self._stack(partners)
 
     # -- stepping --------------------------------------------------------------
     def _oscillators(self, times):
@@ -519,7 +490,7 @@ class PathRunner:
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> Trajectory | None:
         """Step to the horizon.  Returns the batch trajectory, states of shape
-        (n_steps + 1, rows, dim), unless the runner is coupled.
+        (n_steps + 1, rows, dim), unless the runner has partners.
 
         Each row reads its path's stream in order, SLAB steps at a time; one
         ``normal_slab`` call converts the draws of all rows into one

@@ -40,7 +40,6 @@ H_WEIGHT = 1.0  # history weight shared by the presets
 @dataclass(frozen=True)
 class Preset:
     name: str
-    description: str
     operator: PdeOperator
     coefficients: CoefficientSet
     initial: HistoryBuffer
@@ -81,7 +80,6 @@ def _scalar_linear_osc() -> Preset:
     )
     return Preset(
         name="scalar-linear-osc",
-        description="scalar du = (-u + sin(t/eps)) dt + dW; closed-form oracle",
         operator=PdeOperator("scalar_linear", a=1.0),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.0]))),
@@ -107,8 +105,6 @@ def _scalar_holder_osc() -> Preset:
     )
     return Preset(
         name="scalar-holder-osc",
-        description="scalar Holder drift with sqrt delay integral and "
-                    "multiplicative Holder noise",
         operator=PdeOperator("scalar_linear", a=1.0),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.5]))),
@@ -142,8 +138,6 @@ def _reaction_diffusion_delay(k: int = 32) -> Preset:
                            for i in range(1, k + 1)])
     return Preset(
         name="reaction-diffusion-delay",
-        description="reaction-diffusion field with delayed Holder drift and "
-                    "diagonal additive noise",
         operator=PdeOperator("reaction_diffusion", q=3.0),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(init)),
@@ -175,8 +169,6 @@ def _porous_media_sin(k: int = 16) -> Preset:
     init = 0.5 * space.basis_vector(1)
     return Preset(
         name="porous-media-sin",
-        description="generalized porous-media field with Holder drift and "
-                    "rank-one multiplicative noise",
         operator=PdeOperator("porous_media", q=3.0),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(init)),
@@ -200,7 +192,6 @@ def _heat_deterministic(k: int = 8) -> Preset:
     )
     return Preset(
         name="heat-deterministic",
-        description="noise-free heat decay of the first mode (diagnostics)",
         operator=PdeOperator("pure_laplacian"),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(space.basis_vector(1))),
@@ -222,7 +213,6 @@ def _broken_quadratic() -> Preset:
     )
     return Preset(
         name="broken-quadratic",
-        description="deliberately super-linear drift; growth audit must fail",
         operator=PdeOperator("scalar_linear", a=1.0),
         coefficients=cs,
         initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.0]))),

@@ -77,3 +77,27 @@ def heat_block_residual_oracle(lam: float, T: float, d: float) -> float:
         total += (math.exp(-2.0 * lam * a) * ((1.0 - math.exp(-2.0 * lam * rem)) / (2.0 * lam)
                   - 2.0 * (1.0 - math.exp(-lam * rem)) / lam + rem))
     return total
+
+
+def linear_freeze_residual_oracle(xi1, dt: float, T: float, d: float) -> float:
+    """Exact mean of the block-freezing diagnostic's path residual on
+    ``scalar-linear-osc``, whose step is X_{n+1} = q (X_n + dt xi1(n dt) + dW_n),
+    q = 1 / (1 + dt), from X_0 = 0; ``xi1(t)`` is the drift's oscillator at
+    step time t (xi_1(t / eps), or the averaged constant).
+
+    X_n = m_n + Z_n with m_{n+1} = q (m_n + dt xi1(n dt)) and v_n = Var Z_n,
+    v_{n+1} = q^2 (v_n + dt); for j <= n, Cov(Z_n, Z_j) = q^{n-j} v_j, so
+    E(X_n - X_j)^2 = (m_n - m_j)^2 + v_n + v_j - 2 q^{n-j} v_j.  With
+    j = floor(n / m) m for blocks of m steps, the trapezoid of that over n is
+    the residual's mean, free of discretization bias."""
+    n_steps = round(T / dt)
+    m = min(round(d / dt), n_steps + 1)
+    q = 1.0 / (1.0 + dt)
+    mean, var = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    for n in range(n_steps):
+        mean[n + 1] = q * (mean[n] + dt * xi1(n * dt))
+        var[n + 1] = q * q * (var[n] + dt)
+    n = np.arange(n_steps + 1)
+    j = (n // m) * m
+    e = (mean - mean[j]) ** 2 + var + var[j] - 2.0 * q ** (n - j) * var[j]
+    return float(np.trapezoid(e, dx=dt))

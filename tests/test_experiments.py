@@ -32,7 +32,7 @@ from avg_sfpde.experiments import (
 )
 from avg_sfpde.presets import constant_xi, get_preset
 from avg_sfpde.spectral import PdeOperator, coercivity_probe
-from oracles import heat_block_residual_oracle
+from oracles import heat_block_residual_oracle, linear_freeze_residual_oracle
 
 LINEAR = get_preset("scalar-linear-osc")
 RD8 = get_preset("reaction-diffusion-delay", k=8)
@@ -67,6 +67,17 @@ def test_slope_fit_weighted_and_censoring_exclusion():
     rows[0] = ReportRow(param=0.5, d=0.5, paths=100, mean=0.0, std_err=0.0,
                         censored=0)
     assert fit_loglog_slope(rows) is None  # only 2 usable rows remain
+
+
+def test_slope_fit_excludes_a_row_without_a_log_param():
+    # log 0 is undefined: a delta = 0 row with a positive mean leaves the fit
+    # of the three rows beside it, and the rows it excludes name it
+    good = [ReportRow(param=p, d=p, paths=100, mean=p**2, std_err=0.01 * p**2,
+                      censored=0) for p in (0.5, 0.25, 0.125)]
+    zero = ReportRow(param=0.0, d=0.0, paths=100, mean=0.01, std_err=0.001, censored=0)
+    fit = fit_loglog_slope(good + [zero])
+    assert fit == dataclasses.replace(fit_loglog_slope(good), excluded=(0.0,))
+    assert fit_loglog_slope(good[:2] + [zero]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +394,23 @@ def test_khasminskii_ou_slope_in_expected_band():
     assert 0.5 <= rep.slope.slope <= 1.2
     # segment variant also decays
     assert fit_loglog_slope(rep.rows, use_extra=True).slope >= 0.35
+
+
+@pytest.mark.parametrize("eps", [exp.AVERAGED, 0.1])
+def test_khasminskii_ou_rows_match_the_exact_mean(eps):
+    # 400 paths at seed 3, each row within 4 of its std errors of the exact
+    # mean (the rows share their paths); the numbers were fixed before the
+    # test first ran.  The segment residual bounds the path residual on every
+    # path, so on every row's mean too.
+    d_grid = [0.2, 0.1, 0.05, 0.025]
+    rep = khasminskii_diagnostic(LINEAR, d_grid, paths=400, dt=1e-3, T=1.0, seed=3, eps=eps)
+    cs = LINEAR.coefficients
+    osc, clock = (cs.averaged().osc1, 1.0) if eps == exp.AVERAGED else (cs.osc1, eps)
+    for row, d in zip(rep.rows, d_grid):
+        want = linear_freeze_residual_oracle(lambda t: osc(t / clock), 1e-3, 1.0, d)
+        assert abs(row.mean - want) <= 4.0 * row.std_err
+        assert row.censored == 0
+        assert row.extra_mean >= row.mean
 
 
 def test_khasminskii_deterministic_heat_matches_block_oracle():

@@ -152,8 +152,8 @@ def test_oscillator_table_has_the_bits_of_scalar_eval(name):
     cs = p.coefficients
     for eps_grid, dt in WORKLOAD_LINES:
         cfg = StepperConfig(dt=dt, T=1.0, seed=0, eps=eps_grid[0])
-        runner = PathRunner(p.operator, cs, cfg, p.initial, rows=16)
-        runner.couple([(cs, eps, p.initial) for eps in eps_grid[1:]])
+        runner = PathRunner(p.operator, cs, cfg, p.initial, rows=16,
+                            partners=[(cs, eps, p.initial) for eps in eps_grid[1:]])
         # the times at which the finest retry of step n evaluates them
         parts = 2**RETRY_HALVINGS
         substeps = list(itertools.accumulate(
@@ -377,6 +377,40 @@ def test_coupled_rerun_reproduces_sup_error_exactly():
 
 
 # ---------------------------------------------------------------------------
+# the Galerkin limit
+# ---------------------------------------------------------------------------
+
+def _galerkin_states(name, k, k_w, T):
+    """Paths 0-7 of the k-mode projection of a field preset at eps = 0.1."""
+    p = get_preset(name, k=k)
+    cfg = StepperConfig(dt=1e-3, T=T, noise_modes=k_w, seed=0, eps=0.1)
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, rows=8)
+    states = runner.run().states
+    assert runner.errors == [None] * 8
+    return states
+
+
+@pytest.mark.parametrize("name, k_w, T, ks", [
+    ("porous-media-sin", 1, 1.0, (8, 16, 32)),
+    ("reaction-diffusion-delay", 8, 1.0, (8, 16, 32)),
+    ("porous-media-sin", 1, 0.05, (256, 512, 1024)),    # k = 1024 steps on the DST
+])
+def test_galerkin_projections_converge_as_k_doubles(name, k_w, T, ks):
+    # the k-mode runs share their noise (k_w fixed), so the mean over the
+    # paths of sup_t ||u_k - u_2k||, u_k zero-padded, falls by a factor of
+    # 0.18-0.26 per doubling; a broken transform, scaling or noise mapping
+    # shows as a factor near 1
+    small, mid, big = (_galerkin_states(name, k, k_w, T) for k in ks)
+
+    def distance(a, b):
+        pad = np.zeros(b.shape)
+        pad[..., :a.shape[-1]] = a
+        return np.sqrt(_sq_distance(pad, b)).max(axis=0).mean()
+
+    assert distance(mid, big) <= 0.5 * distance(small, mid)
+
+
+# ---------------------------------------------------------------------------
 # the averaged system
 # ---------------------------------------------------------------------------
 
@@ -424,9 +458,10 @@ PLACED = {"scalar": get_preset("scalar-holder-osc"),
 def _placed_row(p, cfg, path_id, rows, r, coupled):
     """Row r of the runner of ``rows`` rows that starts at path_id: its
     trajectory, or its sup distance to the averaged twin when coupled."""
-    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=path_id, rows=rows)
+    partners = [(p.coefficients.averaged(), cfg.eps, p.initial)] if coupled else []
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=path_id, rows=rows,
+                        partners=partners)
     if coupled:
-        runner.couple([(p.coefficients.averaged(), cfg.eps, p.initial)])
         runner.run()
         return runner.sup_sq[0, r]
     return runner.run().states[:, r]
@@ -457,10 +492,10 @@ def test_couple_rejects_a_partner_the_runner_cannot_honour():
     # coefficients, eps and start may differ, and a state shape that differs
     # is named, never ignored
     p = PLACED["field"]
-    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16)
     other = get_preset("reaction-diffusion-delay", k=16).coefficients
     with pytest.raises(ValueError, match=r"partner dim = 16: "):
-        runner.couple([(other, COUPLE_CFG.eps, p.initial)])
+        PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16,
+                   partners=[(other, COUPLE_CFG.eps, p.initial)])
 
 
 def _partner_differing_in(field, p):
@@ -484,10 +519,10 @@ def test_couple_rejects_a_partner_the_stacked_kernel_cannot_step(field):
     # partner that differs in one of them is rejected, naming the field
     p = PLACED["field"]
     cs, initial = _partner_differing_in(field, p)
-    runner = PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16)
     with pytest.raises(ValueError, match=rf"partner {re.escape(field)}"):
-        runner.couple([(p.coefficients.averaged(), 0.1, p.initial),
-                       (cs, COUPLE_CFG.eps, initial)])
+        PathRunner(p.operator, p.coefficients, COUPLE_CFG, p.initial, rows=16,
+                   partners=[(p.coefficients.averaged(), 0.1, p.initial),
+                             (cs, COUPLE_CFG.eps, initial)])
 
 
 @pytest.mark.parametrize("rows", [0, -16])
@@ -499,8 +534,8 @@ def test_runner_rejects_a_width_below_one_row(rows):
 
 def test_couple_accepts_a_partner_at_another_eps():
     p = PLACED["field"]
-    runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial, rows=16)
-    runner.couple([(p.coefficients, e, p.initial) for e in (0.5, 0.1)])
+    runner = PathRunner(p.operator, p.coefficients.averaged(), COUPLE_CFG, p.initial, rows=16,
+                        partners=[(p.coefficients, e, p.initial) for e in (0.5, 0.1)])
     runner.run()
     assert runner.sup_sq.shape == (2, 16)
     assert np.all(runner.sup_sq > 0.0)
@@ -516,8 +551,8 @@ def test_partner_has_the_bits_of_two_uncoupled_runs():
     shift = np.zeros(p.coefficients.dim)
     shift[0] = 1e-4
     start = HistoryBuffer.from_tail(p.initial.h, ConstantTail(p.initial.tail.value + shift))
-    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3, rows=16)
-    runner.couple([(p.coefficients, 0.1, start)])
+    runner = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3, rows=16,
+                        partners=[(p.coefficients, 0.1, start)])
     runner.run()
     own = PathRunner(p.operator, p.coefficients, cfg, p.initial, path_id=3, rows=16).run()
     partner = PathRunner(p.operator, p.coefficients, dataclasses.replace(cfg, eps=0.1),
@@ -573,8 +608,8 @@ def test_stacked_twins_have_the_bits_of_separate_runs(name, width, data, path_id
         partners.append((dataclasses.replace(cs, osc2=GATED) if gated else cs, eps, start))
 
     def stacked(runner_cls=PathRunner, **kick):
-        runner = runner_cls(op, shared, cfg, p.initial, path_id=path_id, rows=width, **kick)
-        runner.couple(partners)
+        runner = runner_cls(op, shared, cfg, p.initial, path_id=path_id, rows=width,
+                            partners=partners, **kick)
         runner.run()
         return runner
 
@@ -627,8 +662,8 @@ def test_fold_length_moves_no_bit_of_sup_sq(monkeypatch, name):
                     p.initial.h, ConstantTail(p.initial.tail.value + shift)))]
     sups, default = [], integrator.RECORD_BYTES
     for fold in (1, 3, 7, SLAB):
-        runner = _Folding(p.operator, cs.averaged(), cfg, p.initial, path_id=5, rows=16)
-        runner.couple(partners)
+        runner = _Folding(p.operator, cs.averaged(), cfg, p.initial, path_id=5, rows=16,
+                          partners=partners)
         runner.folds = []
         state = runner.x.nbytes
         record_bytes = {1: state // 2, 3: 3 * state, 7: 7 * state + state // 2,
