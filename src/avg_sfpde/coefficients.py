@@ -118,7 +118,6 @@ POINTWISE_MAPS = {
     "identity": lambda v: v,
     "sin_sqrt_abs": _sin_sqrt_abs,
     "cos_sqrt_abs": _cos_sqrt_abs,
-    "zero": lambda v: np.zeros_like(v),
 }
 
 
@@ -151,15 +150,22 @@ def pow_or_inf(base, exponent: float):
 # Assumption profiles
 # ---------------------------------------------------------------------------
 
+# the per-check constants that the hypothesis checks read
+OVERRIDE_KEYS = ("growth_alpha1", "growth_M", "growthA_alpha1", "growthA_M",
+                 "coercivity_alpha1", "coercivity_alpha2", "coercivity_M",
+                 "h5_alpha1", "h5_alpha2")
+
+
 @dataclass(frozen=True)
 class AssumptionProfile:
     """Constants and delay measures entering the structural hypotheses.
 
     The generic constants follow the usual convention that they may differ
     between inequalities; ``overrides`` holds per-check values keyed by
-    ``growth_alpha1``, ``growth_M``, ``coercivity_alpha1``, ``coercivity_alpha2``,
-    ``coercivity_M``, ``h5_alpha1``, ``h5_alpha2``, falling back to the primary
-    fields when absent.
+    ``growth_alpha1``, ``growth_M``, ``growthA_alpha1``, ``growthA_M``,
+    ``coercivity_alpha1``, ``coercivity_alpha2``, ``coercivity_M``,
+    ``h5_alpha1``, ``h5_alpha2`` (``OVERRIDE_KEYS``), falling back to the
+    primary fields when absent.  Any other key is rejected.
     """
 
     alpha1: float
@@ -175,6 +181,10 @@ class AssumptionProfile:
     def __post_init__(self):
         if not (0 < self.gamma <= 1 and 0 < self.beta <= 1):
             raise ValueError("Holder exponents must lie in (0, 1]")
+        for key in self.overrides:
+            if key not in OVERRIDE_KEYS:
+                raise ValueError(f"profile override {key!r}: no check reads it; "
+                                 f"the keys are {', '.join(OVERRIDE_KEYS)}")
 
     def get(self, name: str, default_field: str) -> float:
         return float(self.overrides.get(name, getattr(self, default_field)))
@@ -214,7 +224,7 @@ class DiffusionSpec:
     kinds:
       * ``scalar``: g = gain * map(phi(0)) against a single Wiener coordinate
       * ``pointwise_field``: rank-one field map(phi(0)) * gain against a single
-        Wiener coordinate
+        Wiener coordinate; it needs a map
       * ``diagonal``: state-independent diagonal operator with mode-i amplitude
         gain / i on the first k_w modes
     """
@@ -226,6 +236,8 @@ class DiffusionSpec:
     def __post_init__(self):
         if self.kind not in ("scalar", "pointwise_field", "diagonal"):
             raise ValueError(f"unknown diffusion kind {self.kind!r}")
+        if self.kind == "pointwise_field" and self.pointwise is None:
+            raise ValueError("diffusion kind 'pointwise_field' needs a pointwise map")
 
 
 @dataclass(frozen=True)
@@ -321,9 +333,7 @@ class CoefficientSet:
             if g.pointwise is None:
                 return np.full(np.shape(head), g.gain)
             return g.gain * POINTWISE_MAPS[g.pointwise](head)
-        mapped = POINTWISE_MAPS[g.pointwise](values) if g.pointwise is not None \
-            else np.ones_like(values)
-        return g.gain * self.space.to_coeffs(mapped)
+        return g.gain * self.space.to_coeffs(POINTWISE_MAPS[g.pointwise](values))
 
     def apply_noise(self, amplitude: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """G(phi) dW in state coordinates.  Leading axes of the amplitude and

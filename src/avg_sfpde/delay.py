@@ -40,7 +40,7 @@ class MomentDivergenceError(ValueError):
 
 
 class DelayEvaluationError(ArithmeticError):
-    """A delay kernel produced a non-finite value; carries the offending theta."""
+    """A delay kernel value overflowed; carries the offending theta."""
 
     def __init__(self, message, theta):
         super().__init__(message)
@@ -563,33 +563,17 @@ def extract_segment(buf: HistoryBuffer) -> HistoryBuffer:
     return HistoryBuffer.from_tail(buf.h, SegmentTail(buf))
 
 
-def _powers(norms, p):
-    """norms ** p; a zero norm under p < 0 gives inf, which callers report."""
-    with np.errstate(divide="ignore"):
-        return norms ** p
-
-
 def _tail_power_closed_form(tail, mu, p, hi):
     """Closed form of int_{-infty}^{hi} ||tail(theta)||^p mu(dtheta) for an
     exponential mu, when available."""
     r2 = 2.0 * mu.rate
     if isinstance(tail, ConstantTail):
-        norm = state_norm(tail.value)
-        if norm == 0.0 and p < 0:
-            return None  # quadrature path reports the non-finite kernel value
-        return norm ** p * mu.mass(-math.inf, hi)
+        return state_norm(tail.value) ** p * mu.mass(-math.inf, hi)
     if isinstance(tail, ExponentialTail):
-        # ||a||^p e^{p b theta} against r2 e^{r2 theta}
-        norm = state_norm(tail.amplitude)
-        if norm == 0.0 and p < 0:
-            return None
+        # ||a||^p e^{p b theta} against r2 e^{r2 theta}; c > 0 for p >= 0,
+        # since delay_integral has rejected p * growth >= r2
         c = p * tail.rate + r2
-        if c <= 0:
-            # only a negative power gets here: ||u||^p grows as the tail decays
-            raise MomentDivergenceError(
-                f"delay integral diverges: ||u||^{p} of a tail of rate {tail.rate} "
-                f"grows at {-p * tail.rate} >= 2 * rate = {r2} of exponential({mu.rate})")
-        return norm ** p * r2 / c * math.exp(c * min(hi, 0.0))
+        return state_norm(tail.amplitude) ** p * r2 / c * math.exp(c * min(hi, 0.0))
     return None
 
 
@@ -670,12 +654,16 @@ def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
     The simulated part [-t, 0] is integrated by a trapezoid in kernel values
     against exact interval masses on the sample grid; the analytic-tail part
     uses closed forms where available and a graded product quadrature
-    otherwise.  Against an exponential measure the integral diverges when
+    otherwise.  The power must be >= 0 (ValueError otherwise, NaN
+    included).  Against an exponential measure the integral diverges when
     power * g >= 2 * rate, g the tail's ``growth``: that raises
-    MomentDivergenceError before any quadrature.
+    MomentDivergenceError before any quadrature.  A kernel value that
+    overflows raises DelayEvaluationError with its theta.
     """
     t = buf.head_time
     power = float(power)
+    if not power >= 0.0:
+        raise ValueError(f"delay kernel power {power}: must be >= 0")
     if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
         raise MomentDivergenceError(
             f"delay integral diverges: ||u||^{power} of a tail of growth "
@@ -691,7 +679,7 @@ def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
 
     if mu.kind == "point":
         # a float64 norm: its power is C's pow, which an array's can miss by a bit
-        v = float(_powers(np.linalg.norm(buf.head), power))
+        v = float(np.linalg.norm(buf.head) ** power)
         check(v, 0.0)
         return v
 
@@ -701,7 +689,7 @@ def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
     if t > 0.0:
         nodes = buf.times - t
         norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
-        ks = check(_powers(norms, power), nodes)
+        ks = check(norms ** power, nodes)
         masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
         total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
 
@@ -712,7 +700,7 @@ def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
         return total + closed
 
     def K(thetas):
-        return check(_powers(_row_norms(buf.tail, np.asarray(thetas) + t), power), thetas)
+        return check(_row_norms(buf.tail, np.asarray(thetas) + t) ** power, thetas)
 
     lo = -buf.horizon - t
     kinks = buf.tail.kink_nodes(lo + t, 0.0)

@@ -63,6 +63,7 @@ class ReportRow:
     std_err: float
     censored: int
     extra_mean: float | None = None   # segment-variant mean for the diagnostic
+    extra_std_err: float | None = None  # and its standard error
 
 
 @dataclass
@@ -70,7 +71,6 @@ class SlopeFit:
     slope: float
     ci_half: float
     n_rows: int
-    excluded: tuple = ()
 
     def __str__(self):
         return f"{self.slope:.3f} +/- {self.ci_half:.3f} ({self.n_rows} rows)"
@@ -142,34 +142,38 @@ def _censor(outcomes, row, param_name, param, preset, dt):
     return [o for o in outcomes if not isinstance(o, BlowUpError)], len(blew)
 
 
-def _row_stats(values, param, d, n_paths, censored, extra=None):
+def _mean_and_std_err(values):
     values = np.asarray(values, dtype=float)
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(values.mean()), se
+
+
+def _row_stats(values, param, d, n_paths, censored, extra=None):
     if len(values) == 0:
         return ReportRow(param, d, n_paths, math.nan, math.nan, censored)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    extra_mean = float(np.mean(extra)) if extra is not None and len(extra) else None
-    return ReportRow(param, d, n_paths, mean, se, censored, extra_mean)
+    extra = _mean_and_std_err(extra) if extra is not None else (None, None)
+    return ReportRow(param, d, n_paths, *_mean_and_std_err(values), censored, *extra)
 
 
 def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
-    """Inverse-variance weighted least squares on (log param, log mean).
+    """Inverse-variance weighted least squares on (log param, log mean), a
+    row's log mean of standard error std_err / mean.  With use_extra the fit
+    reads each row's segment pair (extra_mean, extra_std_err) instead.
 
     Rows with param <= 0 (no log), mean 0, NaN, or censoring above the fit
     threshold are excluded; below 3 usable rows there is no fit.
     """
-    usable, excluded = [], []
+    usable = []
     for r in rows:
-        mean = r.extra_mean if use_extra else r.mean
-        bad = (r.param <= 0.0 or mean is None or not math.isfinite(mean) or mean <= 0.0
-               or (r.paths and r.censored / r.paths > CENSOR_FIT_FRACTION))
-        (excluded if bad else usable).append(r)
+        mean, se = (r.extra_mean, r.extra_std_err) if use_extra else (r.mean, r.std_err)
+        if not (r.param <= 0.0 or mean is None or not math.isfinite(mean) or mean <= 0.0
+                or (r.paths and r.censored / r.paths > CENSOR_FIT_FRACTION)):
+            usable.append((r.param, mean, se))
     if len(usable) < 3:
         return None
-    x = np.log([r.param for r in usable])
-    y = np.log([(r.extra_mean if use_extra else r.mean) for r in usable])
-    sig = np.array([max(r.std_err / r.mean, 1e-12) if r.mean > 0 else 1e-12
-                    for r in usable])
+    x = np.log([p for p, _, _ in usable])
+    y = np.log([mean for _, mean, _ in usable])
+    sig = np.array([max(se / mean, 1e-12) for _, mean, se in usable])
     w = 1.0 / sig**2
     X = np.column_stack([x, np.ones_like(x)])
     cov = np.linalg.inv(X.T @ (w[:, None] * X))
@@ -180,7 +184,7 @@ def fit_loglog_slope(rows, use_extra=False) -> SlopeFit | None:
     # widen the formal CI by the residual scatter when the fit is poor
     var_slope = cov[0, 0] * max(scale, 1.0)
     return SlopeFit(slope=float(beta[0]), ci_half=1.96 * math.sqrt(var_slope),
-                    n_rows=len(usable), excluded=tuple(r.param for r in excluded))
+                    n_rows=len(usable))
 
 
 def stepping(preset: Preset, dt, T, k_w, seed, eps) -> tuple[CoefficientSet, StepperConfig]:

@@ -224,6 +224,11 @@ def test_diffusion_amplitudes():
     np.testing.assert_allclose(out, 0.3 * amp2)
 
 
+def test_a_rank_one_field_diffusion_without_a_map_is_rejected():
+    with pytest.raises(ValueError, match="'pointwise_field' needs a pointwise map"):
+        DiffusionSpec(kind="pointwise_field", gain=2.0)
+
+
 # ---------------------------------------------------------------------------
 # estimate_rate
 # ---------------------------------------------------------------------------
@@ -425,6 +430,16 @@ def test_profile_measure_membership_enforced():
                             mu2=DelayMeasure.exponential(0.5))
     with pytest.raises(MomentDivergenceError):
         bad.check_measure_membership(1.0)  # (gamma+1) h = 2 >= 2 * 0.5
+
+
+def test_a_profile_override_no_check_reads_is_rejected_by_name():
+    # a misspelt key would leave its check on the generic constant
+    args = dict(alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=0.5,
+                mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass())
+    with pytest.raises(ValueError, match="profile override 'growth_alpa1'"):
+        AssumptionProfile(**args, overrides={"growth_alpha1": 1.0, "growth_alpa1": 2.0})
+    profile = AssumptionProfile(**args, overrides={"growthA_M": 2.0})
+    assert profile.get("growthA_M", "M") == 2.0
 
 
 @pytest.mark.parametrize("name", public_names() + ["heat-deterministic", "broken-quadratic"])

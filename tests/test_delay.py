@@ -264,19 +264,25 @@ def test_divergent_delay_integral_raises_before_any_quadrature():
     flat = HistoryBuffer.from_tail(1.0, ConstantTail(np.array([1.0])))
     with pytest.raises(MomentDivergenceError):
         delay_pair_integral(seg, flat, mu, 3.0)
-    # a negative power of a decaying tail: ||u||^-1 = e^{-3 theta}
-    decaying = HistoryBuffer.from_tail(1.0, ExponentialTail([1.0], rate=3.0))
-    with pytest.raises(MomentDivergenceError, match=r"grows at 3\.0 >= 2 \* rate"):
-        delay_integral(decaying, mu, -1.0)
     # below the bound the closed form holds: int e^{-theta} 2 e^{2 theta} = 2
     assert delay_integral(buf, mu, 1.0) == 2.0
 
 
 def test_delay_integral_nonfinite_kernel_carries_theta():
-    buf = constant_buffer(0.0)
-    with pytest.raises(DelayEvaluationError) as err:
-        delay_integral(buf, DelayMeasure.exponential(1.0), -0.5)
+    # a 1e200 sample squares to inf on the simulated part
+    buf = appended(appended(constant_buffer(1.0), 0.05, 1e200), 0.1, 1.0)
+    seg = extract_segment(buf)
+    with np.errstate(over="ignore"), pytest.raises(DelayEvaluationError) as err:
+        delay_integral(seg, DelayMeasure.exponential(1.0), 2.0)
     assert err.value.theta <= 0.0
+
+
+@pytest.mark.parametrize("power", [-0.5, math.nan])
+@pytest.mark.parametrize("mu", [DelayMeasure.exponential(1.0), DelayMeasure.point_mass()],
+                         ids=["exponential", "point"])
+def test_a_negative_delay_power_is_rejected_by_name(power, mu):
+    with pytest.raises(ValueError, match=rf"delay kernel power {power}: must be >= 0"):
+        delay_integral(constant_buffer(2.0), mu, power)
 
 
 @given(

@@ -62,7 +62,7 @@ def test_slope_fit_weighted_and_censoring_exclusion():
                         std_err=0.01, censored=6)  # 6% censored
     fit2 = fit_loglog_slope(rows)
     assert fit2.n_rows == 3
-    assert 0.25 in fit2.excluded
+    assert fit2 == fit_loglog_slope([rows[0], rows[2], rows[3]])
     # zero-mean rows cannot enter a log fit
     rows[0] = ReportRow(param=0.5, d=0.5, paths=100, mean=0.0, std_err=0.0,
                         censored=0)
@@ -71,13 +71,24 @@ def test_slope_fit_weighted_and_censoring_exclusion():
 
 def test_slope_fit_excludes_a_row_without_a_log_param():
     # log 0 is undefined: a delta = 0 row with a positive mean leaves the fit
-    # of the three rows beside it, and the rows it excludes name it
+    # of the three rows beside it
     good = [ReportRow(param=p, d=p, paths=100, mean=p**2, std_err=0.01 * p**2,
                       censored=0) for p in (0.5, 0.25, 0.125)]
     zero = ReportRow(param=0.0, d=0.0, paths=100, mean=0.01, std_err=0.001, censored=0)
     fit = fit_loglog_slope(good + [zero])
-    assert fit == dataclasses.replace(fit_loglog_slope(good), excluded=(0.0,))
+    assert fit == fit_loglog_slope(good)
     assert fit_loglog_slope(good[:2] + [zero]) is None
+
+
+def test_segment_slope_fit_reads_the_segment_std_errors():
+    # the segment fit is the plain fit of the segment pair (extra_mean,
+    # extra_std_err): the path residual's std errors do not weight it
+    rows = [ReportRow(param=p, d=p, paths=100, mean=p**2, std_err=0.01 * p**2, censored=0,
+                      extra_mean=3.0 * p**1.5 * (1.0 + 0.1 * (-1) ** i),
+                      extra_std_err=0.05 * p**(1.0 + 0.3 * i))
+            for i, p in enumerate((0.5, 0.25, 0.125, 0.0625))]
+    moved = [dataclasses.replace(r, mean=r.extra_mean, std_err=r.extra_std_err) for r in rows]
+    assert fit_loglog_slope(rows, use_extra=True) == fit_loglog_slope(moved)
 
 
 # ---------------------------------------------------------------------------
