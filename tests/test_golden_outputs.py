@@ -3,11 +3,13 @@
 The runs are the benchmark's study command lines at size tiny, for benchmark
 seeds 0 and 3 (perfbench/workloads.py derives each study's seed from the
 benchmark seed and the study name; the seeds are written out here), one
-``simulate`` per public preset, and the broken-quadratic continuity blow-up.
-Each run goes in-process through ``cli.main``.  The sha256 of every
-``report.csv``, ``report.svg``, ``audit.txt``, ``trajectory.csv`` and
-``diagnostics.txt`` it writes, and of its ``manifest.ini`` without the
-``output_dir`` line, must match the digest recorded here.
+``simulate`` per public preset, the broken-quadratic continuity blow-up, and
+three sweeps that reach CLI branches no benchmark study does.  Each run goes
+in-process through ``cli.main``.  The sha256 of every ``report.csv``,
+``report.svg``, ``audit.txt``, ``trajectory.csv`` and ``diagnostics.txt`` it
+writes, of its ``manifest.ini`` without the ``output_dir`` line, and of its
+stdout with the output directory replaced by a fixed token, must match the
+digest recorded here.
 
 A change that moves any output bit on purpose re-records these digests and
 says so.  The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31; a
@@ -69,6 +71,18 @@ RUNS.update({
                                   "--T", "0.1", "--k", "8"),
     "broken-quadratic-blowup": ("sweep-continuity", "--preset", "broken-quadratic",
                                 "--delta", "100,10,1", "--paths", "2", "--eps", "0.5"),
+    # the degenerate twin without a block rule, a csv-only Khasminskii report
+    # at a numeric eps, and a sweep at its preset's own dt and T
+    "pm-constant-xi": ("sweep-averaging", "--preset", "porous-media-sin", "--k", "8",
+                       "--eps", "0.5,0.1,0.02", "--paths", "2", "--dt", "0.002",
+                       "--T", "0.2", "--constant-xi", "--d-rule", "none",
+                       "--threads", "2"),
+    "rd-freeze-csv": ("sweep-khasminskii", "--preset", "reaction-diffusion-delay",
+                      "--k", "8", "--eps", "0.5", "--d", "0.1,0.05,0.02",
+                      "--paths", "2", "--dt", "0.002", "--T", "0.2",
+                      "--format", "csv"),
+    "heat-freeze": ("sweep-khasminskii", "--preset", "heat-deterministic",
+                    "--d", "0.2,0.1,0.05,0.025", "--paths", "2"),
 })
 
 
@@ -88,12 +102,15 @@ def digests(out_dir) -> dict:
     return found
 
 
-def run_digests(name, out_dir) -> tuple[int, dict]:
-    """The exit code of run ``name`` in ``out_dir`` and its files' digests."""
-    with contextlib.redirect_stdout(io.StringIO()), \
+def run_digests(name, out_dir) -> tuple[int, dict, str]:
+    """The exit code of run ``name`` in ``out_dir``, its files' digests, and
+    the digest of its stdout with ``out_dir`` written as ``<out>``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(list(RUNS[name]) + ["--out", str(out_dir)])
-    return code, digests(out_dir)
+    printed = stdout.getvalue().replace(str(out_dir), "<out>")
+    return code, digests(out_dir), hashlib.sha256(printed.encode()).hexdigest()
 
 
 def _blas_version():
@@ -107,6 +124,14 @@ GOLDEN = {
     "broken-quadratic-blowup": (1, {
         "diagnostics.txt":
             "139e67e9d69dff5841d8a6c8819f16f044ec716c678163d82146bd5d8c944449",
+    }),
+    "heat-freeze": (0, {
+        "manifest.ini":
+            "86c742f0912d390d072903d52760e502e9e4e924749ae56fe01cc5c45abfef5d",
+        "report.csv":
+            "00ae57f23616955a9b4e792b8b3068925b32c60bef202c29ce981be9ba65b288",
+        "report.svg":
+            "2885f7177e20acfa569e4ea2c0403d530cdb1bd501f5bf0cef17abe8cefd03da",
     }),
     "holder-continuity-0": (0, {
         "report.csv":
@@ -156,6 +181,14 @@ GOLDEN = {
         "manifest.ini":
             "3288f6d223078aeafc13f93f91ff0ce679795b72550795d9706e405e81bd8300",
     }),
+    "pm-constant-xi": (0, {
+        "manifest.ini":
+            "92c91f3ad769f48bffaf8bcd223899c34ab45acd4ff7f51c87d69924ea8b6619",
+        "report.csv":
+            "acf1cb2ab5355b6600e568a837845c92aef1e1711c87fea9da456fe961086051",
+        "report.svg":
+            "0295a0c29dabcc4c133c05b6786ede24f58baac1721794bd5fe2da3d1d254331",
+    }),
     "pm-sweep-0": (0, {
         "report.csv":
             "7f87696c491b9def7cbf41a71129597b24e28d6aed33b6fec7adf258e1b40421",
@@ -183,6 +216,12 @@ GOLDEN = {
             "f011a1ebf2434a3802fc25ece98e04fc6031bd7cee8432fa9ebb4b6c8ea2939c",
         "manifest.ini":
             "83a1b6e87bd3c1b1a73367b557642af7206e6eab0c75afcbf274fd5b4d853d34",
+    }),
+    "rd-freeze-csv": (0, {
+        "manifest.ini":
+            "769a0c4ca11accef01a3aebbb02708e6e49b98007cf91973982b621ac6912f66",
+        "report.csv":
+            "7b6f0f758c5af90ebc20e93da0405ec158684d35d74bd04c0dcfeabe99cdcea8",
     }),
     "rd-sweep-0": (0, {
         "report.csv":
@@ -226,12 +265,57 @@ GOLDEN = {
     }),
 }
 
+# each run's stdout, its output directory written as <out>
+STDOUT = {
+    "broken-quadratic-blowup":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "heat-freeze":
+        "142e217ee547821ea087cacf0849d72813baae12b5938eb69dd65f796b19ed33",
+    "holder-continuity-0":
+        "1d77db2666013e243b13b535f42e228b9d4a421719452c36f4f9baa27d0ac91f",
+    "holder-continuity-3":
+        "7f67f0e2705c883781d5e061c938dfde8456e9abba88af4e71400feee423916c",
+    "linear-freeze-0":
+        "b040b5fa8cfe277f8726638ce1545af534fdbd75ccfe280de3c55956edabad64",
+    "linear-freeze-3":
+        "a31cf43b19509a15ba74d69adc53d5426b8cff2ffd63d5916c468efcbb5e2320",
+    "linear-rate-0":
+        "b663a653788d294991819978df200f21bf9b61c7ddcaabf0de708458f5847fb5",
+    "linear-rate-3":
+        "7782d761563c3e5a282cf623e4e0d400841402c813d2ba3d669a74e8a9c61c13",
+    "pm-constant-xi":
+        "a26c58750b334c5fb1cc42d16966a948db852575ea99c56fe715b11778f59bbb",
+    "pm-sweep-0":
+        "fb9a65ce6e577aef6fc79fc9f07f17e242bbe1104987b852c9c43ebcc44837e8",
+    "pm-sweep-3":
+        "bc8f75c7b902c0f754dc4429bc25183c53213dfb1dbdcb7724103436604c312c",
+    "rd-audit-0":
+        "423557bb2a65c0150ff241d20d8168fcf0028524c0b75b2f029bdeeab9678958",
+    "rd-audit-3":
+        "f011a1ebf2434a3802fc25ece98e04fc6031bd7cee8432fa9ebb4b6c8ea2939c",
+    "rd-freeze-csv":
+        "6982685317717fd736286ade6e27de60183dea7431bdc2385d7de7f202c79ce0",
+    "rd-sweep-0":
+        "de49b6054a6692ec01dddaabc8dbeda5d9bbfffba866bccd292e8c2a16f23d61",
+    "rd-sweep-3":
+        "f3697251632367bf8d6e0bd8bf57fbae0672c127aed28e4244ad3c79540d303e",
+    "simulate-porous-media-sin":
+        "5539cad0ac414565526527d09818c6c87377cd862510f64d35310b8dcc594502",
+    "simulate-reaction-diffusion-delay":
+        "5539cad0ac414565526527d09818c6c87377cd862510f64d35310b8dcc594502",
+    "simulate-scalar-holder-osc":
+        "22052b48e84e9f290b74ba65391b0f2ec6cd6a7541ba2f2ffdeac827af11a06f",
+    "simulate-scalar-linear-osc":
+        "cc1908393a68fc2505c61937db97a64a0f25d06b882c6c2fcfc2212f23787938",
+}
+
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_writes_its_recorded_bytes(tmp_path, name):
-    code, got = run_digests(name, tmp_path)
+    code, got, printed = run_digests(name, tmp_path)
     want_code, want = GOLDEN[name]
     assert code == want_code
+    assert printed == STDOUT[name]
     assert sorted(got) == sorted(want)
     changed = [f"{f}: recorded {want[f]}, got {got[f]}" for f in sorted(want)
                if got[f] != want[f]]
