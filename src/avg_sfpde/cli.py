@@ -110,34 +110,6 @@ KEYS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# study calls: run the study on a resolved spec and its built preset, write
-# its files, return the verdict
-# ---------------------------------------------------------------------------
-
-def _echo_rows(report):
-    for r in report.rows:
-        extra = "" if r.extra_mean is None else f" seg={r.extra_mean:.6e}"
-        se = f" se={r.std_err:.3e}" if r.std_err == r.std_err else ""
-        print(f"  {report.param_name}={r.param:g} mean={r.mean:.6e}{se}"
-              f" censored={r.censored}{extra}")
-    if report.slope is not None:
-        print(f"  fitted log-log slope: {report.slope}")
-    print(f"  verdict: {'PASS' if report.verdict else 'FAIL'}"
-          f" ({report.verdict_detail})")
-
-
-def _write_report(report, spec, out, kind, eps_label=None):
-    _echo_rows(report)
-    (out / "report.csv").write_text(report_csv_text(report, eps_label=eps_label),
-                                    encoding="utf-8")
-    if spec["format"] != "csv":
-        title = f"{kind}: {spec['preset']}"
-        (out / "report.svg").write_text(report_svg_text(report, title),
-                                        encoding="utf-8")
-    return report.verdict
-
-
 def _parse(key, raw):
     """A key's flag, environment or config string, parsed; a bad value names the key.
     No value may be empty.  A string value must read back from the manifest as
@@ -154,10 +126,10 @@ def _parse(key, raw):
         raise UsageError(f"{key} = {raw!r}: {exc}") from exc
 
 
-def _sweep_args(spec):
-    return dict(dt=spec["dt"], T=spec["T"], k_w=spec["k_w"], seed=spec["seed"],
-                threads=spec["threads"])
-
+# ---------------------------------------------------------------------------
+# study calls: run the study on a resolved spec and its built preset, write
+# its files, return the verdict
+# ---------------------------------------------------------------------------
 
 def _simulate(spec, preset, out):
     cs, cfg = stepping(preset, spec["dt"], spec["T"], spec["k_w"], spec["seed"],
@@ -169,28 +141,33 @@ def _simulate(spec, preset, out):
     return True
 
 
-def _sweep_averaging(spec, preset, out):
-    if spec["constant_xi"]:
-        preset = constant_xi(preset)
-    report = averaging_sweep(preset, spec["eps_grid"], spec["paths"],
-                             d_rule=spec["d_rule"], **_sweep_args(spec))
-    print(f"averaging sweep on {spec['preset']}:")
-    return _write_report(report, spec, out, "sweep-averaging")
-
-
-def _sweep_khasminskii(spec, preset, out):
-    report = khasminskii_diagnostic(preset, spec["d_grid"], spec["paths"],
-                                    eps=spec["eps"], **_sweep_args(spec))
-    print(f"khasminskii diagnostic on {spec['preset']} (eps={spec['eps']}):")
-    return _write_report(report, spec, out, "sweep-khasminskii",
-                         eps_label=str(spec["eps"]))
-
-
-def _sweep_continuity(spec, preset, out):
-    report = continuity_study(preset, spec["delta_grid"], spec["paths"],
-                              eps=spec["eps"], **_sweep_args(spec))
-    print(f"continuity study on {spec['preset']}:")
-    return _write_report(report, spec, out, "sweep-continuity")
+def _sweep(name, study, grid_key, header, *keys):
+    """Sweep ``name``'s study call: ``study`` over the spec's ``grid_key``, on
+    the constant-xi twin if the spec asks; ``header``, formatted from the
+    spec, heads the printed rows."""
+    def run(spec, preset, out):
+        if spec.get("constant_xi"):
+            preset = constant_xi(preset)
+        report = study(preset, spec[grid_key], spec["paths"], **{
+            k: spec[k] for k in (*keys, "dt", "T", "k_w", "seed", "threads")})
+        print(header.format(**spec) + ":")
+        for r in report.rows:
+            extra = "" if r.extra_mean is None else f" seg={r.extra_mean:.6e}"
+            se = f" se={r.std_err:.3e}" if r.std_err == r.std_err else ""
+            print(f"  {report.param_name}={r.param:g} mean={r.mean:.6e}{se}"
+                  f" censored={r.censored}{extra}")
+        if report.slope is not None:
+            print(f"  fitted log-log slope: {report.slope}")
+        print(f"  verdict: {'PASS' if report.verdict else 'FAIL'}"
+              f" ({report.verdict_detail})")
+        eps_label = str(spec["eps"]) if "eps" in spec else None
+        (out / "report.csv").write_text(report_csv_text(report, eps_label=eps_label),
+                                        encoding="utf-8")
+        if spec["format"] != "csv":
+            (out / "report.svg").write_text(
+                report_svg_text(report, f"{name}: {spec['preset']}"), encoding="utf-8")
+        return report.verdict
+    return run
 
 
 def _audit(spec, preset, out):
@@ -226,15 +203,21 @@ COMMANDS = {
     "sweep-averaging": Command(
         "fast-vs-averaged coupled error per eps",
         frozenset(_SWEEP - {"eps"} | {"eps_grid", "d_rule", "constant_xi"}),
-        ("preset", "eps_grid"), _sweep_averaging),
+        ("preset", "eps_grid"),
+        _sweep("sweep-averaging", averaging_sweep, "eps_grid",
+               "averaging sweep on {preset}", "d_rule")),
     "sweep-khasminskii": Command(
         "block-freezing residual per block length d",
-        frozenset(_SWEEP | {"d_grid"}), ("preset", "d_grid"), _sweep_khasminskii,
+        frozenset(_SWEEP | {"d_grid"}), ("preset", "d_grid"),
+        _sweep("sweep-khasminskii", khasminskii_diagnostic, "d_grid",
+               "khasminskii diagnostic on {preset} (eps={eps})", "eps"),
         {"eps": AVERAGED}),
     "sweep-continuity": Command(
         "coupled error under initial-data perturbations",
         frozenset(_SWEEP | {"delta_grid"}), ("preset", "delta_grid"),
-        _sweep_continuity, {"eps": 1.0}),
+        _sweep("sweep-continuity", continuity_study, "delta_grid",
+               "continuity study on {preset}", "eps"),
+        {"eps": 1.0}),
     "audit": Command(
         "hypothesis audit of one preset",
         frozenset({"preset", "trials", "seed", "k", "output_dir"}), ("preset",),

@@ -65,158 +65,128 @@ class Preset:
                     f"preset {self.name}: {name} with power {power} at h = {h}: {exc}") from None
 
 
+def _preset(name, *, operator, drift, diffusion, profile, start, dt, k_w=1,
+            space=None, osc1=Oscillator.sinusoid(1.0, 0.5, 1.0)) -> Preset:
+    """The frame every preset shares: xi_2 = 1, T = 1, and a constant history
+    ``start`` in the weight-H_WEIGHT phase space."""
+    cs = CoefficientSet(drift=drift, diffusion=diffusion, osc1=osc1,
+                        osc2=Oscillator.constant(1.0), profile=profile, space=space)
+    return Preset(name=name, operator=operator, coefficients=cs,
+                  initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(start)),
+                  dt=dt, T=1.0, k_w=k_w)
+
+
 def _scalar_linear_osc() -> Preset:
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
-        mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
-        overrides={"growth_alpha1": 1.0, "growth_M": 1.5},
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "scalar-linear-osc",
+        operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(constant=1.0),
         diffusion=DiffusionSpec(kind="scalar", gain=1.0),
         osc1=Oscillator.sinusoid(0.0, 1.0, 1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
-    )
-    return Preset(
-        name="scalar-linear-osc",
-        operator=PdeOperator("scalar_linear", a=1.0),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.0]))),
-        dt=2e-4, T=1.0, k_w=1,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
+            mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
+            overrides={"growth_alpha1": 1.0, "growth_M": 1.5},
+        ),
+        start=np.array([0.0]), dt=2e-4,
     )
 
 
 def _scalar_holder_osc() -> Preset:
     mu = DelayMeasure.exponential(H_WEIGHT)
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=2.5, M=2.5, L_M=3.5, beta=1.0, gamma=0.5,
-        mu1=mu, mu2=DelayMeasure.point_mass(),
-        overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
-                   "h5_alpha1": 1.0, "h5_alpha2": 2.5},
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "scalar-holder-osc",
+        operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(pointwise="sin_sqrt_abs", delay_kernel_power=0.5,
                         delay_measure=mu),
         diffusion=DiffusionSpec(kind="scalar", pointwise="cos_sqrt_abs", gain=0.5),
-        osc1=Oscillator.sinusoid(1.0, 0.5, 1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
-    )
-    return Preset(
-        name="scalar-holder-osc",
-        operator=PdeOperator("scalar_linear", a=1.0),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.5]))),
-        dt=1e-3, T=1.0, k_w=1,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=2.5, M=2.5, L_M=3.5, beta=1.0, gamma=0.5,
+            mu1=mu, mu2=DelayMeasure.point_mass(),
+            overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
+                       "h5_alpha1": 1.0, "h5_alpha2": 2.5},
+        ),
+        start=np.array([0.5]), dt=1e-3,
     )
 
 
 def _reaction_diffusion_delay(k: int = 32) -> Preset:
-    space = SpectralSpace(1.0, k)
     mu = DelayMeasure.exponential(H_WEIGHT)
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=2.5, M=2.6, L_M=3.5, beta=1.0, gamma=0.5,
-        mu1=mu, mu2=mu,
-        overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
-                   "h5_alpha1": 1.0, "h5_alpha2": 2.5,
-                   "growthA_alpha1": 10.0, "growthA_M": 1.0,
-                   "coercivity_alpha1": 1.0, "coercivity_alpha2": 0.0,
-                   "coercivity_M": 1e-9},
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "reaction-diffusion-delay",
+        operator=PdeOperator("reaction_diffusion", q=3.0),
         drift=DriftSpec(pointwise="cos_sqrt_abs", delay_kernel_power=0.5,
                         delay_measure=mu),
         diffusion=DiffusionSpec(kind="diagonal", gain=0.3),
-        osc1=Oscillator.sinusoid(1.0, 0.5, 1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
-        space=space,
-    )
-    # smooth initial profile: 3 * projection of x(1-x)
-    init = 3.0 * np.array([4.0 * math.sqrt(2.0) / (i * math.pi) ** 3 if i % 2 else 0.0
-                           for i in range(1, k + 1)])
-    return Preset(
-        name="reaction-diffusion-delay",
-        operator=PdeOperator("reaction_diffusion", q=3.0),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(init)),
-        dt=1e-3, T=1.0, k_w=k,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=2.5, M=2.6, L_M=3.5, beta=1.0, gamma=0.5,
+            mu1=mu, mu2=mu,
+            overrides={"growth_alpha1": 1.0, "growth_M": 3.0,
+                       "h5_alpha1": 1.0, "h5_alpha2": 2.5,
+                       "growthA_alpha1": 10.0, "growthA_M": 1.0,
+                       "coercivity_alpha1": 1.0, "coercivity_alpha2": 0.0,
+                       "coercivity_M": 1e-9},
+        ),
+        space=SpectralSpace(1.0, k),
+        # smooth initial profile: 3 * projection of x(1-x)
+        start=3.0 * np.array([4.0 * math.sqrt(2.0) / (i * math.pi) ** 3
+                              if i % 2 else 0.0 for i in range(1, k + 1)]),
+        dt=1e-3, k_w=k,
     )
 
 
 def _porous_media_sin(k: int = 16) -> Preset:
     space = SpectralSpace(1.0, k)
     pm = DelayMeasure.point_mass()
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.5, M=2.0, L_M=1.5, beta=1.0, gamma=0.5,
-        mu1=pm, mu2=pm,
-        overrides={"growth_alpha1": 1.0, "growth_M": 2.0,
-                   "h5_alpha1": 1.0, "h5_alpha2": 1.5,
-                   "growthA_alpha1": 3.0, "growthA_M": 1.0,
-                   "coercivity_alpha1": 1.0, "coercivity_alpha2": 0.0,
-                   "coercivity_M": 1e-9},
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "porous-media-sin",
+        operator=PdeOperator("porous_media", q=3.0),
         drift=DriftSpec(pointwise="sin_sqrt_abs"),
         diffusion=DiffusionSpec(kind="pointwise_field", pointwise="cos_sqrt_abs",
                                 gain=0.5),
-        osc1=Oscillator.sinusoid(1.0, 0.5, 1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=1.5, M=2.0, L_M=1.5, beta=1.0, gamma=0.5,
+            mu1=pm, mu2=pm,
+            overrides={"growth_alpha1": 1.0, "growth_M": 2.0,
+                       "h5_alpha1": 1.0, "h5_alpha2": 1.5,
+                       "growthA_alpha1": 3.0, "growthA_M": 1.0,
+                       "coercivity_alpha1": 1.0, "coercivity_alpha2": 0.0,
+                       "coercivity_M": 1e-9},
+        ),
         space=space,
-    )
-    init = 0.5 * space.basis_vector(1)
-    return Preset(
-        name="porous-media-sin",
-        operator=PdeOperator("porous_media", q=3.0),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(init)),
-        dt=1e-3, T=1.0, k_w=1,
+        start=0.5 * space.basis_vector(1), dt=1e-3,
     )
 
 
 def _heat_deterministic(k: int = 8) -> Preset:
     space = SpectralSpace(1.0, k)
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=0.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
-        mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "heat-deterministic",
+        operator=PdeOperator("pure_laplacian"),
         drift=DriftSpec(),
         diffusion=DiffusionSpec(kind="diagonal", gain=0.0),
         osc1=Oscillator.constant(1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=0.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
+            mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
+        ),
         space=space,
-    )
-    return Preset(
-        name="heat-deterministic",
-        operator=PdeOperator("pure_laplacian"),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(space.basis_vector(1))),
-        dt=2.5e-4, T=1.0, k_w=1,
+        start=space.basis_vector(1), dt=2.5e-4,
     )
 
 
 def _broken_quadratic() -> Preset:
-    profile = AssumptionProfile(
-        alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
-        mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
-    )
-    cs = CoefficientSet(
+    return _preset(
+        "broken-quadratic",
+        operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(seminorm_power=2.0, seminorm_gain=1.0),
         diffusion=DiffusionSpec(kind="scalar", gain=0.1),
         osc1=Oscillator.constant(1.0),
-        osc2=Oscillator.constant(1.0),
-        profile=profile,
-    )
-    return Preset(
-        name="broken-quadratic",
-        operator=PdeOperator("scalar_linear", a=1.0),
-        coefficients=cs,
-        initial=HistoryBuffer.from_tail(H_WEIGHT, ConstantTail(np.array([0.0]))),
-        dt=1e-3, T=1.0, k_w=1,
+        profile=AssumptionProfile(
+            alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
+            mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass(),
+        ),
+        start=np.array([0.0]), dt=1e-3,
     )
 
 

@@ -13,36 +13,32 @@ from pathlib import Path
 
 from .experiments import ExperimentReport
 
-CSV_HEADERS = {
-    "averaging": "eps,d,paths,mean_sup_sq_error,std_err,censored",
-    "khasminskii": "eps,d,paths,mean_int_sq_error,mean_int_sq_seg_error,std_err,censored",
-    "continuity": "delta,paths,mean_sup_sq_error,std_err,censored",
+# each report kind's CSV columns, header: the ReportRow field written there;
+# None is the khasminskii eps column, which holds the run's eps label
+CSV_COLUMNS = {
+    "averaging": {"eps": "param", "d": "d", "paths": "paths",
+                  "mean_sup_sq_error": "mean", "std_err": "std_err",
+                  "censored": "censored"},
+    "khasminskii": {"eps": None, "d": "d", "paths": "paths",
+                    "mean_int_sq_error": "mean", "mean_int_sq_seg_error": "extra_mean",
+                    "std_err": "std_err", "censored": "censored"},
+    "continuity": {"delta": "param", "paths": "paths", "mean_sup_sq_error": "mean",
+                   "std_err": "std_err", "censored": "censored"},
 }
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return repr(x)
-    return str(x)
+    if x is None or x != x:        # None and NaN are empty cells
+        return ""
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def report_csv_text(report: ExperimentReport, eps_label: str | None = None) -> str:
-    kind = report.kind
-    lines = [CSV_HEADERS[kind]]
+    columns = CSV_COLUMNS[report.kind]
+    lines = [",".join(columns)]
     for r in report.rows:
-        if kind == "averaging":
-            cells = [_fmt(r.param), _fmt(r.d), r.paths, _fmt(r.mean),
-                     _fmt(r.std_err), r.censored]
-        elif kind == "khasminskii":
-            cells = [eps_label or "", _fmt(r.d), r.paths, _fmt(r.mean),
-                     _fmt(r.extra_mean if r.extra_mean is not None else math.nan),
-                     _fmt(r.std_err), r.censored]
-        else:
-            cells = [_fmt(r.param), r.paths, _fmt(r.mean), _fmt(r.std_err),
-                     r.censored]
-        lines.append(",".join(str(c) for c in cells))
+        lines.append(",".join(_fmt(eps_label if f is None else getattr(r, f))
+                              for f in columns.values()))
     return "\n".join(lines) + "\n"
 
 
