@@ -150,10 +150,12 @@ def pow_or_inf(base, exponent: float):
 # Assumption profiles
 # ---------------------------------------------------------------------------
 
-# the per-check constants that the hypothesis checks read
-OVERRIDE_KEYS = ("growth_alpha1", "growth_M", "growthA_alpha1", "growthA_M",
-                 "coercivity_alpha1", "coercivity_alpha2", "coercivity_M",
-                 "h5_alpha1", "h5_alpha2")
+# the per-check constants that the hypothesis checks read, each with the
+# primary field it falls back to
+OVERRIDE_KEYS = {"growth_alpha1": "alpha1", "growth_M": "M",
+                 "growthA_alpha1": "alpha1", "growthA_M": "M",
+                 "coercivity_alpha1": "alpha1", "coercivity_alpha2": "alpha2",
+                 "coercivity_M": "M", "h5_alpha1": "alpha1", "h5_alpha2": "alpha2"}
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,8 @@ class AssumptionProfile:
     between inequalities; ``overrides`` holds per-check values keyed by
     ``growth_alpha1``, ``growth_M``, ``growthA_alpha1``, ``growthA_M``,
     ``coercivity_alpha1``, ``coercivity_alpha2``, ``coercivity_M``,
-    ``h5_alpha1``, ``h5_alpha2`` (``OVERRIDE_KEYS``), falling back to the
-    primary fields when absent.  Any other key is rejected.
+    ``h5_alpha1``, ``h5_alpha2`` (``OVERRIDE_KEYS``), each falling back to its
+    primary field when absent.  Any other key is rejected.
     """
 
     alpha1: float
@@ -186,8 +188,10 @@ class AssumptionProfile:
                 raise ValueError(f"profile override {key!r}: no check reads it; "
                                  f"the keys are {', '.join(OVERRIDE_KEYS)}")
 
-    def get(self, name: str, default_field: str) -> float:
-        return float(self.overrides.get(name, getattr(self, default_field)))
+    def get(self, name: str) -> float:
+        """Per-check constant ``name``: its override, else its primary field; a
+        key no check reads is a KeyError naming it."""
+        return float(self.overrides.get(name, getattr(self, OVERRIDE_KEYS[name])))
 
     def check_measure_membership(self, h: float) -> None:
         """mu1 in P_{(gamma+1)h} and mu2 in P_{2 gamma h}; raises if not."""
@@ -542,8 +546,8 @@ def check_h5(cs: CoefficientSet, trials: int,
     """
     rng = np.random.default_rng(rng_seed)
     gamma = cs.profile.gamma
-    a2 = cs.profile.get("h5_alpha2", "alpha2")
-    a1 = cs.profile.get("h5_alpha1", "alpha1")
+    a2 = cs.profile.get("h5_alpha2")
+    a1 = cs.profile.get("h5_alpha1")
 
     def drift_gap(pair):
         pa, pb, t = pair
@@ -568,8 +572,8 @@ def check_h5(cs: CoefficientSet, trials: int,
 def check_growth(cs: CoefficientSet, trials: int, rng_seed: int) -> CheckReport:
     """Linear growth ||f|| v ||g|| <= alpha1 ||phi||_h + M on sampled histories."""
     rng = np.random.default_rng(rng_seed)
-    a1 = cs.profile.get("growth_alpha1", "alpha1")
-    M = cs.profile.get("growth_M", "M")
+    a1 = cs.profile.get("growth_alpha1")
+    M = cs.profile.get("growth_M")
 
     def gap(sample):
         buf, t = sample

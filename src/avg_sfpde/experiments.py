@@ -472,8 +472,8 @@ def _rate_decays(phi):
 
 
 def _operator_growth_probe(op, cs, rng, trials):
-    a1 = cs.profile.get("growthA_alpha1", "alpha1")
-    M = cs.profile.get("growthA_M", "M")
+    a1 = cs.profile.get("growthA_alpha1")
+    M = cs.profile.get("growthA_M")
     p = op.growth_exponent
 
     def gap(u):
@@ -486,9 +486,9 @@ def _operator_growth_probe(op, cs, rng, trials):
 
 
 def _coercivity_audit(op, cs, rng, trials):
-    a1 = cs.profile.get("coercivity_alpha1", "alpha1")
-    a2 = cs.profile.get("coercivity_alpha2", "alpha2")
-    M = cs.profile.get("coercivity_M", "M")
+    a1 = cs.profile.get("coercivity_alpha1")
+    a2 = cs.profile.get("coercivity_alpha2")
+    M = cs.profile.get("coercivity_M")
 
     def gap(u):
         pairing, bnorm_p = coercivity_probe(op, cs.space, u)

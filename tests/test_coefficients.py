@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from avg_sfpde.coefficients import (
+    OVERRIDE_KEYS,
     POINTWISE_MAPS,
     AssumptionProfile,
     CoefficientSet,
@@ -439,7 +440,20 @@ def test_a_profile_override_no_check_reads_is_rejected_by_name():
     with pytest.raises(ValueError, match="profile override 'growth_alpa1'"):
         AssumptionProfile(**args, overrides={"growth_alpha1": 1.0, "growth_alpa1": 2.0})
     profile = AssumptionProfile(**args, overrides={"growthA_M": 2.0})
-    assert profile.get("growthA_M", "M") == 2.0
+    assert profile.get("growthA_M") == 2.0
+    with pytest.raises(KeyError, match="growth_alpa1"):
+        profile.get("growth_alpa1")
+
+
+def test_every_per_check_constant_falls_back_to_its_primary_field():
+    profile = AssumptionProfile(alpha1=1.0, alpha2=2.0, M=3.0, L_M=4.0, beta=1.0,
+                                gamma=0.5, mu1=DelayMeasure.point_mass(),
+                                mu2=DelayMeasure.point_mass())
+    got = {key: profile.get(key) for key in OVERRIDE_KEYS}
+    assert got == {"growth_alpha1": 1.0, "growth_M": 3.0,
+                   "growthA_alpha1": 1.0, "growthA_M": 3.0,
+                   "coercivity_alpha1": 1.0, "coercivity_alpha2": 2.0,
+                   "coercivity_M": 3.0, "h5_alpha1": 1.0, "h5_alpha2": 2.0}
 
 
 @pytest.mark.parametrize("name", public_names() + ["heat-deterministic", "broken-quadratic"])

@@ -624,8 +624,8 @@ def _growth_at(p, w):
     buf, t = w
     fn = state_norm(eval_drift(cs, t, buf))
     gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
-    return max(fn, gn) - (prof.get("growth_alpha1", "alpha1") * seminorm_h(buf)
-                          + prof.get("growth_M", "M"))
+    return max(fn, gn) - (prof.get("growth_alpha1") * seminorm_h(buf)
+                          + prof.get("growth_M"))
 
 
 def _holder_at(cs):
@@ -643,14 +643,14 @@ def _h5_drift_at(p, w):
     lhs = float(np.dot(eval_drift(cs, t, a) - eval_drift(cs, t, b), head_diff))
     rhs = (state_norm(head_diff) ** (prof.gamma + 1.0)
            + delay_pair_integral(a, b, prof.mu1, prof.gamma + 1.0))
-    return lhs - prof.get("h5_alpha2", "alpha2") * rhs
+    return lhs - prof.get("h5_alpha2") * rhs
 
 
 def _h5_diffusion_at(p, w):
     cs, prof = p.coefficients, p.coefficients.profile
     a, b, t = w
     lhs = state_norm(eval_diffusion_amplitude(cs, t, a) - eval_diffusion_amplitude(cs, t, b)) ** 2
-    return lhs - prof.get("h5_alpha1", "alpha1") * delay_pair_integral(
+    return lhs - prof.get("h5_alpha1") * delay_pair_integral(
         a, b, prof.mu2, 2.0 * prof.gamma)
 
 
@@ -663,16 +663,16 @@ def _operator_growth_at(p, u):
     op, space, prof = p.operator, p.coefficients.space, p.coefficients.profile
     q = op.growth_exponent
     return op.dual_norm(space, u) ** (q / (q - 1.0)) - (
-        prof.get("growthA_alpha1", "alpha1") * op.b_norm(space, u) ** q
-        + prof.get("growthA_M", "M"))
+        prof.get("growthA_alpha1") * op.b_norm(space, u) ** q
+        + prof.get("growthA_M"))
 
 
 def _coercivity_at(p, u):
     prof = p.coefficients.profile
     pairing, bnorm_p = coercivity_probe(p.operator, p.coefficients.space, u)
-    return pairing - (-prof.get("coercivity_alpha1", "alpha1") * bnorm_p
-                      + prof.get("coercivity_alpha2", "alpha2") * float(np.linalg.norm(u)) ** 2
-                      + prof.get("coercivity_M", "M"))
+    return pairing - (-prof.get("coercivity_alpha1") * bnorm_p
+                      + prof.get("coercivity_alpha2") * float(np.linalg.norm(u)) ** 2
+                      + prof.get("coercivity_M"))
 
 
 def _monotonicity_at(p, w):
