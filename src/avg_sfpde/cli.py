@@ -8,8 +8,10 @@ the manifest alone reproduces the report files byte for byte.
 
 ``KEYS`` is the one table of config keys: each key's manifest section, its
 flag, and its parser.  ``COMMANDS`` gives each subcommand the keys it reads,
-the keys it requires, its defaults, and its study call; its flags are made
-from its keys, and ``_run_command`` runs every subcommand the same way.
+the keys it requires, its defaults, and its study call; each sweep's study
+call is made by ``_sweep``, which prints and writes every sweep's report the
+same way.  A subcommand's flags are made from its keys, and ``_run_command``
+runs every subcommand the same way.
 ``_resolve`` is the one place that resolves a run's inputs: it builds the
 preset once, fills the preset's ``dt``, ``T`` and ``k_w`` in as defaults, and
 the study receives the built preset.

@@ -14,6 +14,9 @@ Diagnostic configurations (not listed, addressable by name where a sweep
 needs them): ``heat-deterministic`` and the deliberately broken
 ``broken-quadratic`` used by the falsifier tests.
 
+Every builder returns through ``_preset``, which states the frame all presets
+share once: xi_2 = 1, T = 1, the history weight ``H_WEIGHT`` and a start from
+a constant history; xi_1 is 1 + 0.5 sin t unless a builder passes its own.
 Constant derivations for the assumption profiles are recorded in the README.
 """
 

@@ -1,7 +1,9 @@
 """Deterministic report files: CSV rows, self-contained SVG plots, manifests.
 
 Floats are written with repr (shortest round-trip form) and the SVG is built
-from string templates only, so identical runs produce identical bytes.
+from string templates only, so identical runs produce identical bytes.  Each
+report kind's CSV schema is one table, ``CSV_COLUMNS``, of headers and the
+row fields written under them.
 """
 
 from __future__ import annotations
