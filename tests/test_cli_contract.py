@@ -13,8 +13,8 @@ flags or, in some examples, as a config file.  The test asserts:
   * on exit 0 or 2, ``run --config <manifest>`` exits the same and rewrites
     every file of the output directory with the same bytes.
 
-A run steps at most T / dt = 10 steps of at most 3 paths, on at most 2
-threads, so no example steps more than a few thousand path-steps.
+A run steps at most T / dt = 8 steps of at most 3 paths, on at most 2
+threads, so no example steps more than a few hundred path-steps.
 """
 
 import contextlib
