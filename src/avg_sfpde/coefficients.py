@@ -39,37 +39,33 @@ from .spectral import SpectralSpace
 
 @dataclass(frozen=True)
 class Oscillator:
-    """Bounded oscillation profile with a closed-form long-run mean.
+    """Bounded oscillation offset + amp sin(omega t + phase) with a closed-form
+    long-run mean; amp = 0 is the constant offset, any other amp needs omega != 0."""
 
-    kinds: ``constant`` (offset), ``sinusoid`` (offset + amp*sin(omega t + phase)).
-    """
-
-    kind: str
     offset: float = 0.0
-    terms: tuple = ()            # (amp, omega, phase) triples
+    amp: float = 0.0
+    omega: float = 0.0
+    phase: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sinusoid"):
-            raise ValueError(f"unknown oscillator kind {self.kind!r}")
-        if self.kind == "sinusoid" and len(self.terms) != 1:
-            raise ValueError("sinusoid takes exactly one (amp, omega, phase) term")
+        if self.amp and not self.omega:
+            raise ValueError(f"oscillator amp = {self.amp} needs omega != 0")
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def constant(c: float) -> "Oscillator":
-        return Oscillator("constant", offset=c)
+        return Oscillator(offset=c)
 
     @staticmethod
     def sinusoid(offset: float, amp: float, omega: float, phase: float = 0.0) -> "Oscillator":
-        return Oscillator("sinusoid", offset=offset, terms=((amp, omega, phase),))
+        return Oscillator(offset, amp, omega, phase)
 
     # -- evaluation ----------------------------------------------------------
     def scalar_eval(self, t: float) -> float:
-        """Fast float evaluation shared by the stepper and the public ops."""
-        out = self.offset
-        for a, w, p in self.terms:
-            out += a * math.sin(w * t + p)
-        return out
+        """Float value at one time, for the public ops; the stepper reads ``values``."""
+        if not self.amp:
+            return self.offset
+        return self.offset + self.amp * math.sin(self.omega * t + self.phase)
 
     def __call__(self, t: float) -> float:
         return self.scalar_eval(float(t))
@@ -77,28 +73,29 @@ class Oscillator:
     def values(self, t: np.ndarray) -> np.ndarray:
         """``scalar_eval`` at each entry of a 1-D array t, with its bits."""
         out = np.full(t.shape, self.offset)
-        for a, w, p in self.terms:
-            out += a * libm_loop(np.sin, w * t + p)
+        if self.amp:
+            out += self.amp * libm_loop(np.sin, self.omega * t + self.phase)
         return out
 
     def mean(self) -> float:
-        """Long-run Cesaro mean; exact for every supported kind."""
+        """Long-run Cesaro mean; exact."""
         return float(self.offset)
 
     def integral(self, a: float, b: float) -> float:
         """int_a^b xi(s) ds in closed form."""
         total = self.offset * (b - a)
-        for amp, w, p in self.terms:
-            total += -amp / w * (math.cos(w * b + p) - math.cos(w * a + p))
+        if self.amp:
+            w, p = self.omega, self.phase
+            total += -self.amp / w * (math.cos(w * b + p) - math.cos(w * a + p))
         return total
 
     def square_deviation_integral(self, a: float, b: float) -> float:
         """int_a^b (xi(s) - mean)^2 ds."""
-        if self.kind == "constant":
+        if not self.amp:
             return 0.0
-        amp, w, p = self.terms[0]
+        w, p = self.omega, self.phase
         # amp^2 sin^2 = amp^2/2 (1 - cos(2wt+2p))
-        return amp * amp / 2.0 * (
+        return self.amp * self.amp / 2.0 * (
             (b - a) - (math.sin(2 * w * b + 2 * p) - math.sin(2 * w * a + 2 * p)) / (2 * w))
 
 
@@ -119,6 +116,11 @@ POINTWISE_MAPS = {
     "sin_sqrt_abs": _sin_sqrt_abs,
     "cos_sqrt_abs": _cos_sqrt_abs,
 }
+
+
+def _check_map(spec) -> None:
+    if spec.pointwise not in (None, *POINTWISE_MAPS):
+        raise ValueError(f"{type(spec).__name__}: unknown pointwise map {spec.pointwise!r}")
 
 
 def libm_loop(ufunc, v: np.ndarray) -> np.ndarray:
@@ -220,28 +222,32 @@ class DriftSpec:
     seminorm_power: float = 0.0
     seminorm_gain: float = 0.0
 
+    def __post_init__(self):
+        _check_map(self)
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """G(phi) applied to a noise increment.
 
     kinds:
-      * ``scalar``: g = gain * map(phi(0)) against a single Wiener coordinate
-      * ``pointwise_field``: rank-one field map(phi(0)) * gain against a single
-        Wiener coordinate; it needs a map
+      * ``rank_one``: gain * map(phi(0)) against a single Wiener coordinate, the
+        map read at ``grid_values`` as the drift's is; no map is the constant 1
       * ``diagonal``: state-independent diagonal operator with mode-i amplitude
-        gain / i on the first k_w modes
+        gain / i on the first k_w modes; it takes no map
     """
 
+    KINDS = ("rank_one", "diagonal")
     kind: str
     pointwise: str | None = None
     gain: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("scalar", "pointwise_field", "diagonal"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown diffusion kind {self.kind!r}")
-        if self.kind == "pointwise_field" and self.pointwise is None:
-            raise ValueError("diffusion kind 'pointwise_field' needs a pointwise map")
+        if self.kind == "diagonal" and self.pointwise is not None:
+            raise ValueError(f"diagonal noise takes no pointwise map, not {self.pointwise!r}")
+        _check_map(self)
 
 
 @dataclass(frozen=True)
@@ -266,6 +272,10 @@ class CoefficientSet:
     def dim(self) -> int:
         return 1 if self.space is None else self.space.k
 
+    def grid_values(self, state: np.ndarray) -> np.ndarray:
+        """What the pointwise maps read: a scalar state, or a field's grid values."""
+        return state if self.space is None else self.space.to_values(state)
+
     def averaged(self) -> "CoefficientSet":
         """The averaged system f* = xi_1^* F, g* = xi_2^* G: each oscillator
         replaced by the constant of its long-run mean."""
@@ -274,13 +284,9 @@ class CoefficientSet:
 
     def noise_dim(self, k_w: int) -> int:
         """Brownian coordinates of the noise: k_w of the k modes under
-        diagonal noise, one under the one-coordinate kinds; any other k_w
-        is rejected."""
-        kind = self.diffusion.kind
-        if kind in ("scalar", "pointwise_field"):
-            if k_w != 1:
-                raise ValueError(f"k_w = {k_w}: {kind} noise has 1 Brownian coordinate")
-            return 1
+        diagonal noise, one under rank-one noise; any other k_w is rejected."""
+        if self.diffusion.kind == "rank_one" and k_w != 1:
+            raise ValueError(f"k_w = {k_w}: rank_one noise has 1 Brownian coordinate")
         if not 1 <= k_w <= self.dim:
             raise ValueError(f"k_w = {k_w}: diagonal noise needs 1 <= k_w <= k = {self.dim}")
         return k_w
@@ -288,9 +294,8 @@ class CoefficientSet:
     # -- functional composition (single source of truth) ---------------------
     def compose_drift(self, head_values: np.ndarray, delay_value,
                       seminorm_value=0.0) -> np.ndarray:
-        """F(phi) in state coordinates, given grid values of phi(0) (fields)
-        or the scalar state (dim 1), the delay-term value, and optionally the
-        history seminorm for the broken-preset term.
+        """F(phi) in state coordinates from the ``grid_values`` of phi(0), the
+        delay-term value and, for the broken-preset term, the history seminorm.
 
         Leading axes of ``head_values`` are rows (paths): (P, m) grid values
         give (P, k) coefficients, and the delay and seminorm values are then
@@ -301,43 +306,36 @@ class CoefficientSet:
         if d.seminorm_power:
             extra = extra + d.seminorm_gain * pow_or_inf(seminorm_value, d.seminorm_power)
         extra = np.asarray(extra)[..., None]
-        if d.pointwise is None:
-            grid = np.full(np.shape(head_values), extra)
-        else:
-            grid = extra + POINTWISE_MAPS[d.pointwise](head_values)
+        grid = np.full(np.shape(head_values), extra) if d.pointwise is None else \
+            extra + POINTWISE_MAPS[d.pointwise](head_values)
         return grid if self.space is None else self.space.to_coeffs(grid)
 
     def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
         """F evaluated on the buffer's segment at its head."""
-        d, head = self.drift, buf.head
-        values = head if self.space is None else self.space.to_values(head)
+        d = self.drift
         delay = 0.0 if d.delay_kernel_power is None else \
             delay_integral(buf, d.delay_measure, d.delay_kernel_power)
         semi = seminorm_h(buf) if d.seminorm_power else 0.0
-        return self.compose_drift(values, delay, semi)
+        return self.compose_drift(self.grid_values(buf.head), delay, semi)
 
     # -- diffusion -------------------------------------------------------------
     def diffusion_amplitude(self, buf: HistoryBuffer) -> np.ndarray:
         """G(phi) as an array: shape (1,) scalar amplitude, (k,) rank-one field
         coefficients, or (k_w,) diagonal amplitudes."""
-        kind = self.diffusion.kind
-        head = None if kind == "diagonal" else buf.head
-        values = self.space.to_values(head) if kind == "pointwise_field" else None
-        return self.diffusion_from_values(head, values)
+        diagonal = self.diffusion.kind == "diagonal"
+        return self.diffusion_from_values(None if diagonal else self.grid_values(buf.head))
 
-    def diffusion_from_values(self, head: np.ndarray, values: np.ndarray | None) -> np.ndarray:
-        """G(phi) amplitudes from the head state and, for the rank-one field
-        kind, its grid values.  Leading axes are rows (paths); the diagonal
+    def diffusion_from_values(self, values: np.ndarray | None) -> np.ndarray:
+        """G(phi) amplitudes from the ``grid_values`` of phi(0), which diagonal
+        noise does not read.  Leading axes are rows (paths); the diagonal
         amplitudes are state independent and shared by every row."""
         g = self.diffusion
         if g.kind == "diagonal":
             modes = np.arange(1, self.dim + 1, dtype=float)
             return g.gain / modes
-        if g.kind == "scalar":
-            if g.pointwise is None:
-                return np.full(np.shape(head), g.gain)
-            return g.gain * POINTWISE_MAPS[g.pointwise](head)
-        return g.gain * self.space.to_coeffs(POINTWISE_MAPS[g.pointwise](values))
+        grid = np.ones(np.shape(values)) if g.pointwise is None else \
+            POINTWISE_MAPS[g.pointwise](values)
+        return g.gain * (grid if self.space is None else self.space.to_coeffs(grid))
 
     def apply_noise(self, amplitude: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """G(phi) dW in state coordinates.  Leading axes of the amplitude and

@@ -360,15 +360,15 @@ class DelayMeasure:
     any other kind).
     """
 
+    KINDS = ("exponential", "point")
     kind: str
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "exponential":
-            if self.rate <= 0:
-                raise ValueError("exponential measure needs rate > 0")
-        elif self.kind != "point":
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.kind == "exponential" and self.rate <= 0:
+            raise ValueError("exponential measure needs rate > 0")
 
     # -- constructors ------------------------------------------------------
     @staticmethod

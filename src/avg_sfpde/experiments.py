@@ -419,7 +419,10 @@ def hypothesis_audit(preset: Preset, trials: int = 1000,
     """Sampling-based falsification of the structural hypotheses.
 
     Continuity of the operator pairing holds by construction for the shipped
-    coefficient families and is recorded as such rather than sampled.
+    coefficient families and is recorded as such rather than sampled.  Draws:
+    ``trials`` each for growth and Holder, ``max(trials // 2, 200)`` pairs
+    for H5, 200 fields (or pairs of fields) for each operator probe, and four
+    probe histories for H6.
     """
     if rng_seed < 0:
         raise ValueError(f"seed = {rng_seed}: must be non-negative")

@@ -293,7 +293,7 @@ class PathRunner:
     ``run`` draws each slab of noise once, a (SLAB, rows, k_w) array that
     every twin steps on, and makes one kernel call per step for all twins.
     Per slab it tabulates the oscillators, a drift F without pointwise map,
-    delay or seminorm term, and a diagonal or map-free scalar amplitude G
+    delay or seminorm term, and a diagonal or map-free amplitude G
     (``_tabulate``).  With partners, ``run`` records no trajectory and keeps
     in ``sup_sq``, a (partners, rows) array, the running sup over the grid of
     each row's squared distance between partner j and twin 0.  It folds the
@@ -351,9 +351,8 @@ class PathRunner:
             cs.drift.delay_measure, power, cfg.dt, starts, rows)
         self.track_norms = self.delay_acc is not None or bool(cs.drift.seminorm_power)
         # an F or G that reads no state is tabulated per slab (_tabulate)
-        g = cs.diffusion
         self.free_drift = cs.drift.pointwise is None and not self.track_norms
-        self.free_noise = g.kind == "diagonal" or (g.kind == "scalar" and g.pointwise is None)
+        self.free_noise = cs.diffusion.kind == "diagonal" or cs.diffusion.pointwise is None
         self.tail_weight = 1.0                                  # e^{-h t_n}
         self.h_decay = math.exp(-initial.h * cfg.dt)
 
@@ -381,10 +380,10 @@ class PathRunner:
         f = cs.compose_drift(values, delay, semi).reshape(blocks)
         return (xi1 * f).reshape(xi1.shape[:-3] + x.shape)
 
-    def _amplitude(self, head, values, xi2):
+    def _amplitude(self, values, xi2):
         """xi_2 G of every row, as ``_drift`` takes xi_1; under diagonal noise
         one (dim,) row per twin."""
-        g = self.cs.diffusion_from_values(head, values)
+        g = self.cs.diffusion_from_values(values)
         return xi2 * (g.reshape(len(self.twins), self.rows, -1) if g.ndim == 2 else g)
 
     def _tabulate(self, times, dW, frac):
@@ -393,17 +392,17 @@ class PathRunner:
         xi_1 F, or dt xi_1 F on scalar states; xi_2 G; and, on scalar states,
         xi_2 G dW on the increments dW, (len(times), rows, k_w).  A term that
         reads the state is None, and ``_update`` builds it per step.  F and
-        G read no value of the zero grids they are given."""
+        G read no value of the zero grid they are given."""
         x = self.x
         xi = self._oscillators(times)
         drift = amp = noise = None
+        grid = np.zeros(x.shape if self.space is None else (len(x), self.space.m))
         if self.free_drift:
-            grid = np.zeros(x.shape if self.space is None else (len(x), self.space.m))
             drift = self._drift(grid, xi[:, 0])
             if self.space is None:      # per step in _update: scalar-studies 21% slower, 2 vCPU
                 drift = self.cfg.dt * frac * drift
         if self.free_noise:
-            amp = self._amplitude(np.zeros(x.shape), None, xi[:, 1])
+            amp = self._amplitude(grid, xi[:, 1])
             if self.space is None:      # kept out of _update for the same 21%
                 noise = self.cs.apply_noise(amp, dW[:, None]).reshape((len(times),) + x.shape)
         return xi, drift, amp, noise
@@ -414,14 +413,14 @@ class PathRunner:
         ``_tabulate``; the terms that read the state are built here."""
         xi, drift, amp, noise = terms
         dt = self.cfg.dt * frac
-        values = x if self.space is None else self.space.to_values(x)
+        values = self.cs.grid_values(x)
         rhs = self._drift(values, xi[i, 0]) if drift is None else drift[i]
         if self.space is not None:
             rhs = self.op.nonlinear_from_values(self.space, values) + rhs
         if drift is None or self.space is not None:
             rhs = dt * rhs                      # a scalar drift table holds dt xi_1 F
         if noise is None:
-            step_amp = self._amplitude(x, values, xi[i, 1]) if amp is None else amp[i]
+            step_amp = self._amplitude(values, xi[i, 1]) if amp is None else amp[i]
             step_noise = self.cs.apply_noise(step_amp, dW).reshape(x.shape)
         else:
             step_noise = noise[i]

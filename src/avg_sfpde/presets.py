@@ -51,9 +51,12 @@ class Preset:
     k_w: int
 
     def __post_init__(self):
+        cs, h = self.coefficients, self.initial.h
+        if self.operator.is_scalar != (cs.space is None):
+            raise ValueError(f"preset {self.name}: operator {self.operator.kind!r} on "
+                             f"{'scalar' if cs.space is None else 'field'} coefficients")
         # every h-admissible history has a finite delay integral only if each
         # (measure, power) pair has a finite exp_moment(power * h)
-        cs, h = self.coefficients, self.initial.h
         gamma, drift = cs.profile.gamma, cs.drift
         for name, mu, power in (("profile.mu1", cs.profile.mu1, gamma + 1.0),
                                 ("profile.mu2", cs.profile.mu2, 2.0 * gamma),
@@ -84,7 +87,7 @@ def _scalar_linear_osc() -> Preset:
         "scalar-linear-osc",
         operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(constant=1.0),
-        diffusion=DiffusionSpec(kind="scalar", gain=1.0),
+        diffusion=DiffusionSpec(kind="rank_one", gain=1.0),
         osc1=Oscillator.sinusoid(0.0, 1.0, 1.0),
         profile=AssumptionProfile(
             alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
@@ -102,7 +105,7 @@ def _scalar_holder_osc() -> Preset:
         operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(pointwise="sin_sqrt_abs", delay_kernel_power=0.5,
                         delay_measure=mu),
-        diffusion=DiffusionSpec(kind="scalar", pointwise="cos_sqrt_abs", gain=0.5),
+        diffusion=DiffusionSpec(kind="rank_one", pointwise="cos_sqrt_abs", gain=0.5),
         profile=AssumptionProfile(
             alpha1=1.0, alpha2=2.5, M=2.5, L_M=3.5, beta=1.0, gamma=0.5,
             mu1=mu, mu2=DelayMeasure.point_mass(),
@@ -145,8 +148,7 @@ def _porous_media_sin(k: int = 16) -> Preset:
         "porous-media-sin",
         operator=PdeOperator("porous_media", q=3.0),
         drift=DriftSpec(pointwise="sin_sqrt_abs"),
-        diffusion=DiffusionSpec(kind="pointwise_field", pointwise="cos_sqrt_abs",
-                                gain=0.5),
+        diffusion=DiffusionSpec(kind="rank_one", pointwise="cos_sqrt_abs", gain=0.5),
         profile=AssumptionProfile(
             alpha1=1.0, alpha2=1.5, M=2.0, L_M=1.5, beta=1.0, gamma=0.5,
             mu1=pm, mu2=pm,
@@ -183,7 +185,7 @@ def _broken_quadratic() -> Preset:
         "broken-quadratic",
         operator=PdeOperator("scalar_linear", a=1.0),
         drift=DriftSpec(seminorm_power=2.0, seminorm_gain=1.0),
-        diffusion=DiffusionSpec(kind="scalar", gain=0.1),
+        diffusion=DiffusionSpec(kind="rank_one", gain=0.1),
         osc1=Oscillator.constant(1.0),
         profile=AssumptionProfile(
             alpha1=1.0, alpha2=1.0, M=1.0, L_M=1.0, beta=1.0, gamma=1.0,
@@ -201,7 +203,6 @@ _BUILDERS = {
     "heat-deterministic": _heat_deterministic,
     "broken-quadratic": _broken_quadratic,
 }
-_FIELDS = {"reaction-diffusion-delay", "porous-media-sin", "heat-deterministic"}
 
 
 def public_names() -> list[str]:
@@ -216,7 +217,7 @@ def get_preset(name: str, k: int | None = None) -> Preset:
         raise KeyError(f"unknown preset {name!r}; known: {sorted(_BUILDERS)}")
     if k is None:
         return _BUILDERS[name]()
-    if name not in _FIELDS:
+    if _BUILDERS[name]().coefficients.space is None:
         raise ValueError(f"k = {k}: preset {name} is scalar and has no modes")
     if k < 1:
         raise ValueError(f"k = {k}: preset {name} needs at least 1 mode")

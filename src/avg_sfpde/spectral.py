@@ -147,19 +147,21 @@ class PdeOperator:
       * ``porous_media``: A(u) = Laplace(|u|^{q-2} u + u)
       * ``reaction_diffusion``: A(u) = Laplace(u) - u |u|^{q-2}
       * ``pure_laplacian``: A(u) = Laplace(u)
-      * ``scalar_linear``: A(u) = -a u on scalar states
+      * ``scalar_linear``: A(u) = -a u on scalar states, the one kind with a rate a
     """
 
+    KINDS = ("porous_media", "reaction_diffusion", "pure_laplacian", "scalar_linear")
     kind: str
     q: float = 0.0
     a: float = 1.0
 
     def __post_init__(self):
-        if self.kind in ("porous_media", "reaction_diffusion") and self.q <= 2:
-            raise ValueError("nonlinearity exponent q must exceed 2")
-        if self.kind not in ("porous_media", "reaction_diffusion",
-                             "pure_laplacian", "scalar_linear"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.kind in ("porous_media", "reaction_diffusion") and not self.q > 2:
+            raise ValueError("nonlinearity exponent q must exceed 2")
+        if self.a != 1.0 and not self.is_scalar:
+            raise ValueError(f"a = {self.a}: operator {self.kind!r} has no rate a")
 
     @property
     def is_scalar(self) -> bool:
@@ -173,16 +175,13 @@ class PdeOperator:
         return space.eigenvalues.copy()
 
     def nonlinear_from_values(self, space: SpectralSpace, values: np.ndarray) -> np.ndarray:
-        """Explicitly treated part of A(u) as coefficients, from grid values
-        (leading axes are rows)."""
-        if self.kind == "pure_laplacian" or self.is_scalar:
-            return np.zeros(1 if self.is_scalar else space.k)
-        if self.kind == "porous_media":
-            w = np.abs(values) ** (self.q - 2.0) * values
-            return -space.eigenvalues * space.to_coeffs(w)
-        # reaction_diffusion: -u|u|^{q-2}
-        w = values * np.abs(values) ** (self.q - 2.0)
-        return -space.to_coeffs(w)
+        """Explicitly treated part of a field operator's A(u) as coefficients,
+        from grid values (leading axes are rows)."""
+        if self.kind == "pure_laplacian":
+            return np.zeros(space.k)
+        w = space.to_coeffs(self._power(values))
+        # porous media: Laplace(|u|^{q-2} u); reaction-diffusion: -u|u|^{q-2}
+        return -space.eigenvalues * w if self.kind == "porous_media" else -w
 
     def apply(self, space: SpectralSpace | None, coeffs: np.ndarray) -> np.ndarray:
         """Full A(u) as coefficients in the retained modes."""
@@ -192,8 +191,12 @@ class PdeOperator:
         return self.nonlinear_from_values(space, values) - space.eigenvalues * coeffs
 
     # -- probes ----------------------------------------------------------------
+    def _power(self, values):
+        """|u|^{q-2} u at each grid value."""
+        return np.abs(values) ** (self.q - 2.0) * values
+
     def _psi(self, values):
-        return np.abs(values) ** (self.q - 2.0) * values + values
+        return self._power(values) + values
 
     def pairing(self, space: SpectralSpace | None, u: np.ndarray, v: np.ndarray) -> float:
         """Duality pairing <A(u), v> in the operator's native triple.
@@ -203,31 +206,26 @@ class PdeOperator:
         """
         if self.is_scalar:
             return float(-self.a * u[0] * v[0])
-        uv = space.to_values(u)
-        vv = space.to_values(v)
+        uv, vv = space.to_values(u), space.to_values(v)
         if self.kind == "porous_media":
             return -space.quad(self._psi(uv) * vv)
+        pair = -float(np.sum(space.eigenvalues * u * v))
         if self.kind == "reaction_diffusion":
-            lin = -float(np.sum(space.eigenvalues * u * v))
-            return lin - space.quad(uv * np.abs(uv) ** (self.q - 2.0) * vv)
-        return -float(np.sum(space.eigenvalues * u * v))
+            pair -= space.quad(self._power(uv) * vv)
+        return pair
 
     def monotonicity_gap(self, space: SpectralSpace | None,
                          u: np.ndarray, v: np.ndarray) -> float:
         """2 <A(u) - A(v), u - v>; nonpositive for the monotone kinds."""
         if self.is_scalar:
             return float(-2.0 * self.a * (u[0] - v[0]) ** 2)
-        uv = space.to_values(u)
-        vv = space.to_values(v)
-        dv = uv - vv
+        uv, vv = space.to_values(u), space.to_values(v)
         if self.kind == "porous_media":
-            return -2.0 * space.quad((self._psi(uv) - self._psi(vv)) * dv)
+            return -2.0 * space.quad((self._psi(uv) - self._psi(vv)) * (uv - vv))
+        gap = -2.0 * float(np.sum(space.eigenvalues * (u - v) ** 2))
         if self.kind == "reaction_diffusion":
-            lin = -2.0 * float(np.sum(space.eigenvalues * (u - v) ** 2))
-            nl = -2.0 * space.quad(
-                (uv * np.abs(uv) ** (self.q - 2.0) - vv * np.abs(vv) ** (self.q - 2.0)) * dv)
-            return lin + nl
-        return -2.0 * float(np.sum(space.eigenvalues * (u - v) ** 2))
+            gap -= 2.0 * space.quad((self._power(uv) - self._power(vv)) * (uv - vv))
+        return gap
 
     def b_norm(self, space: SpectralSpace | None, coeffs: np.ndarray) -> float:
         """Norm of the coercivity space: L^q for porous media, the H1

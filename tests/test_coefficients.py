@@ -35,8 +35,10 @@ from avg_sfpde.delay import (
     seminorm_h,
     state_norm,
 )
+from avg_sfpde import presets
+from avg_sfpde.integrator import PathRunner, StepperConfig
 from avg_sfpde.presets import constant_xi, get_preset, public_names
-from avg_sfpde.spectral import SpectralSpace
+from avg_sfpde.spectral import PdeOperator, SpectralSpace
 from oracles import appended
 
 
@@ -46,7 +48,7 @@ def scalar_cs(drift, diffusion=None, osc1=None, osc2=None, profile=None, space=N
         mu1=DelayMeasure.point_mass(), mu2=DelayMeasure.point_mass())
     return CoefficientSet(
         drift=drift,
-        diffusion=diffusion or DiffusionSpec(kind="scalar", gain=1.0),
+        diffusion=diffusion or DiffusionSpec(kind="rank_one", gain=1.0),
         osc1=osc1 or Oscillator.constant(1.0),
         osc2=osc2 or Oscillator.constant(1.0),
         profile=profile,
@@ -214,7 +216,7 @@ def test_diffusion_amplitudes():
     np.testing.assert_allclose(amp, 0.5 / np.arange(1, 5))
     assert state_norm(amp) == pytest.approx(0.5 * math.sqrt(np.sum(1.0 / np.arange(1, 5.0) ** 2)))
     # rank-one field: coefficients of the mapped head values
-    cs2 = scalar_cs(DriftSpec(), DiffusionSpec(kind="pointwise_field",
+    cs2 = scalar_cs(DriftSpec(), DiffusionSpec(kind="rank_one",
                                                pointwise="cos_sqrt_abs", gain=2.0),
                     space=space)
     amp2 = eval_diffusion_amplitude(cs2, 0.0, buf)
@@ -225,9 +227,58 @@ def test_diffusion_amplitudes():
     np.testing.assert_allclose(out, 0.3 * amp2)
 
 
-def test_a_rank_one_field_diffusion_without_a_map_is_rejected():
-    with pytest.raises(ValueError, match="'pointwise_field' needs a pointwise map"):
-        DiffusionSpec(kind="pointwise_field", gain=2.0)
+def test_rank_one_noise_reads_its_map_like_the_drift():
+    # G reads CoefficientSet.grid_values, as F does: the state on scalars,
+    # its grid values on a field
+    rng = np.random.default_rng(12)
+    pm = get_preset("porous-media-sin")
+    cs, space = pm.coefficients, pm.coefficients.space
+    x = rng.standard_normal((37, space.k))
+    batch = cs.diffusion_from_values(cs.grid_values(x))
+    for r in range(len(x)):
+        np.testing.assert_array_equal(
+            bits(batch[r]), bits(cs.diffusion_from_values(cs.grid_values(x[r]))))
+    scalar = get_preset("scalar-holder-osc").coefficients
+    g = scalar.diffusion
+    s = rng.standard_normal((37, 1))
+    np.testing.assert_array_equal(bits(scalar.diffusion_from_values(scalar.grid_values(s))),
+                                  bits(g.gain * POINTWISE_MAPS[g.pointwise](s)))
+    # without a map a field's G is the constant field, with no branch of its own
+    free = dataclasses.replace(cs, diffusion=DiffusionSpec(kind="rank_one", gain=0.5))
+    want = 0.5 * space.to_coeffs(np.ones(space.m))
+    np.testing.assert_array_equal(bits(free.diffusion_amplitude(pm.initial)), bits(want))
+    # ... which the runner tabulates per slab with the bits of a per-step G
+    cfg = StepperConfig(dt=pm.dt, T=pm.T, seed=0, eps=0.5)
+    runner = PathRunner(pm.operator, free, cfg, pm.initial, rows=3,
+                        partners=[(free.averaged(), 1.0, pm.initial)])
+    assert runner.free_noise
+    times = runner.times[:5]
+    xi, _, amp, _ = runner._tabulate(times, np.zeros((len(times), 3, 1)), 1.0)
+    for i in range(len(times)):
+        per_step = runner._amplitude(free.grid_values(runner.x), xi[i, 1])
+        np.testing.assert_array_equal(bits(amp[i]), bits(per_step))
+        np.testing.assert_array_equal(bits(amp[i][0, 0]), bits(free.osc2(times[i]) * want))
+
+
+@pytest.mark.parametrize("spec", [DriftSpec, DiffusionSpec])
+def test_a_descriptor_rejects_an_unknown_pointwise_map(spec):
+    # it used to be a KeyError at the first evaluation
+    args = {} if spec is DriftSpec else {"kind": "rank_one"}
+    with pytest.raises(ValueError, match=f"{spec.__name__}: unknown pointwise map 'sin'"):
+        spec(pointwise="sin", **args)
+
+
+def test_diagonal_noise_rejects_a_pointwise_map():
+    # the map used to be silently ignored
+    with pytest.raises(ValueError, match="diagonal noise .* not 'cos_sqrt_abs'"):
+        DiffusionSpec(kind="diagonal", pointwise="cos_sqrt_abs")
+
+
+def test_an_oscillation_without_a_frequency_is_rejected():
+    # its integral used to divide by omega = 0
+    with pytest.raises(ValueError, match="amp = 0.5 needs omega != 0"):
+        Oscillator.sinusoid(1.0, 0.5, 0.0)
+    assert Oscillator.sinusoid(1.0, 0.0, 0.0) == Oscillator.constant(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +314,7 @@ def test_estimate_rate_cos_diffusion_table_matches_windowed_quadrature():
     # g(t, phi) = cos(t) * G(phi), g* = 0: the windowed square deviation
     # converges to the oscillation power 1/2, reported rather than hidden
     cs = scalar_cs(DriftSpec(pointwise="identity"),
-                   DiffusionSpec(kind="scalar", gain=1.0),
+                   DiffusionSpec(kind="rank_one", gain=1.0),
                    osc2=Oscillator.sinusoid(0.0, 1.0, 1.0, phase=math.pi / 2))
     windows = [10.0, 100.0, 1000.0]
     rate = estimate_rate(cs, probe_set(), windows)
@@ -370,7 +421,7 @@ def test_holder_inheritance_averaged_passes_at_same_constant():
 
 
 def test_check_h5_constant_coefficients_pass():
-    cs = scalar_cs(DriftSpec(constant=2.0), DiffusionSpec(kind="scalar", gain=1.0))
+    cs = scalar_cs(DriftSpec(constant=2.0), DiffusionSpec(kind="rank_one", gain=1.0))
     rep_f, rep_g = check_h5(cs, trials=50, rng_seed=5)
     assert rep_f.passed and rep_g.passed
 
@@ -381,7 +432,7 @@ def test_check_h5_identity_diffusion_equality_case():
                                 gamma=1.0, mu1=DelayMeasure.point_mass(),
                                 mu2=DelayMeasure.point_mass())
     cs = scalar_cs(DriftSpec(constant=0.0),
-                   DiffusionSpec(kind="scalar", pointwise="identity", gain=1.0),
+                   DiffusionSpec(kind="rank_one", pointwise="identity", gain=1.0),
                    profile=profile)
     _, rep_g = check_h5(cs, trials=200, rng_seed=6)
     assert rep_g.passed
@@ -472,6 +523,29 @@ def test_a_preset_with_a_divergent_measure_pair_is_rejected_at_build():
     profile = dataclasses.replace(cs.profile, mu1=DelayMeasure.exponential(0.5))
     with pytest.raises(MomentDivergenceError, match=r"profile\.mu1 with power 1\.5 at h = 1"):
         dataclasses.replace(p, coefficients=dataclasses.replace(cs, profile=profile))
+
+
+@pytest.mark.parametrize("name,operator,space", [
+    ("scalar-linear-osc", PdeOperator("pure_laplacian"), "scalar"),
+    ("porous-media-sin", PdeOperator("scalar_linear", a=1.0), "field"),
+], ids=["laplacian-on-scalars", "scalar-rate-on-a-field"])
+def test_a_preset_operator_on_the_wrong_state_space_is_rejected(name, operator, space):
+    # a Laplacian on scalars, or a scalar rate on every mode of a field
+    with pytest.raises(ValueError, match=f"operator '{operator.kind}' on {space} coefficients"):
+        dataclasses.replace(get_preset(name), operator=operator)
+
+
+def test_every_descriptor_kind_is_reached_by_a_preset():
+    # a kind that no preset uses is code that no preset reaches
+    reached = {DiffusionSpec: set(), PdeOperator: set(), DelayMeasure: set()}
+    for name in presets._BUILDERS:
+        p = get_preset(name)
+        cs = p.coefficients
+        reached[DiffusionSpec].add(cs.diffusion.kind)
+        reached[PdeOperator].add(p.operator.kind)
+        reached[DelayMeasure] |= {mu.kind for mu in (cs.profile.mu1, cs.profile.mu2,
+                                                     cs.drift.delay_measure) if mu}
+    assert {cls: set(cls.KINDS) for cls in reached} == reached
 
 
 def test_sample_history_families_respect_radius():

@@ -272,7 +272,7 @@ def test_blow_up_in_later_continuity_row_is_censored(monkeypatch):
 def test_double_blow_up_in_first_sweep_row_names_the_eps_twin(monkeypatch):
     # path 1 blows up in both twins: the averaged twin at t = 0.11, the eps
     # twin at t = 0.31.  The abort names the eps twin's time and mode.
-    poison_path_one(monkeypatch, lambda cs, init: 30 if cs.osc1.terms else 10)
+    poison_path_one(monkeypatch, lambda cs, init: 30 if cs.osc1.amp else 10)
     with pytest.raises(RuntimeError, match=r"largest eps = 0\.5: state blew up "
                                            r"at t = 0\.31 \(mode 0\)"):
         averaging_sweep(LINEAR, (0.5, 0.1), paths=4, dt=0.01, T=0.5, seed=0)

@@ -142,8 +142,8 @@ ALL_PRESETS = public_names() + ["heat-deterministic", "broken-quadratic"]
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_PRESETS
-                                  if "sinusoid" in (get_preset(n).coefficients.osc1.kind,
-                                                    get_preset(n).coefficients.osc2.kind)])
+                                  if get_preset(n).coefficients.osc1.amp
+                                  or get_preset(n).coefficients.osc2.amp])
 def test_oscillator_table_has_the_bits_of_scalar_eval(name):
     # run() tabulates xi_1(t / eps) and xi_2(t / eps) of every twin once per
     # slab; each entry must be scalar_eval's float at that time, on the whole
@@ -736,7 +736,7 @@ def noiseless_coefficients(drift):
                                 mu2=DelayMeasure.point_mass())
     return CoefficientSet(
         drift=drift,
-        diffusion=DiffusionSpec(kind="scalar", gain=0.0),
+        diffusion=DiffusionSpec(kind="rank_one", gain=0.0),
         osc1=Oscillator.constant(1.0), osc2=Oscillator.constant(1.0),
         profile=profile,
     )

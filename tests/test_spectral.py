@@ -223,6 +223,19 @@ def test_operator_rejects_q_not_above_two():
         PdeOperator("porous_media", q=2.0)
 
 
+@pytest.mark.parametrize("kind", ["porous_media", "reaction_diffusion", "pure_laplacian"])
+def test_a_field_operator_rejects_a_rate(kind):
+    # only scalar_linear reads a; a field kind used to ignore it
+    with pytest.raises(ValueError, match=f"a = 2.0: operator '{kind}' has no rate a"):
+        PdeOperator(kind, q=3.0 if kind != "pure_laplacian" else 0.0, a=2.0)
+
+
+def test_a_nonlinear_operator_rejects_a_nan_exponent():
+    # nan <= 2 is False, so a NaN q used to pass the exponent check
+    with pytest.raises(ValueError, match="q must exceed 2"):
+        PdeOperator("porous_media", q=float("nan"))
+
+
 def test_aliasing_guard_doubling_m():
     op = PdeOperator("porous_media", q=3.0)
     s1 = SpectralSpace(1.0, 8, quad_points=64)
