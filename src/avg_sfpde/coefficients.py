@@ -24,7 +24,7 @@ from .delay import (
     ExponentialTail,
     HistoryBuffer,
     delay_integral,
-    delay_pair_integral,
+    delay_pair_integrals,
     extract_segment,
     pair_seminorm,
     seminorm_h,
@@ -484,21 +484,23 @@ class CheckReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def worst_draw(trials: int, draw, *gaps) -> list:
-    """The falsifiers' one scan: ``draw()`` called ``trials`` times, each draw
-    scored by every gap function before the next.  Per gap function, the
-    largest gap and the draw that gave it, as a ``(gap, witness)`` pair; a
-    strict comparison keeps the first of tied maxima.  A NaN gap ranks above
-    every number, so the first NaN draw is the witness, and its check fails
-    (``nan <= bound`` is False).  An overflow shows as an inf or NaN gap, so
-    the scan runs with numpy's overflow and invalid-value warnings silenced."""
+def worst_draw(trials: int, draw, score) -> list:
+    """The falsifiers' one scan: ``draw()`` called ``trials`` times, and each
+    draw scored once by ``score``, which returns the tuple of its gaps.  Per
+    place in that tuple, the largest gap and the draw that gave it, as a
+    ``(gap, witness)`` pair; a strict comparison keeps the first of tied
+    maxima.  A NaN gap ranks above every number, so the first NaN draw is the
+    witness, and its check fails (``nan <= bound`` is False).  An overflow
+    shows as an inf or NaN gap, so the scan runs with numpy's overflow and
+    invalid-value warnings silenced."""
     if trials < 1:
         raise ValueError(f"trials = {trials}: need at least 1 trial")
-    worst = [(-math.inf, None)] * len(gaps)
+    worst = None
     for _ in range(trials):
         x = draw()
-        for i, gap in enumerate(gaps):
-            g = gap(x)
+        gaps = score(x)
+        worst = worst or [(-math.inf, None)] * len(gaps)
+        for i, g in enumerate(gaps):
             if not math.isnan(worst[i][0]) and (math.isnan(g) or g > worst[i][0]):
                 worst[i] = (g, x)
     return worst
@@ -520,8 +522,8 @@ def check_holder(cs: CoefficientSet, radius: float, trials: int,
         a, b, t = pair
         dist = pair_seminorm(a, b)
         if dist < 1e-12:
-            return 0.0   # coincident histories bound nothing
-        return state_norm(eval_drift(cs, t, a) - eval_drift(cs, t, b)) / dist**cs.profile.gamma
+            return (0.0,)   # coincident histories bound nothing
+        return (state_norm(eval_drift(cs, t, a) - eval_drift(cs, t, b)) / dist**cs.profile.gamma,)
 
     [worst] = worst_draw(trials, lambda: _draw(rng, cs, radius, 2), ratio)
     return CheckReport("holder", *worst, bound=cs.profile.L_M)
@@ -547,22 +549,20 @@ def check_h5(cs: CoefficientSet, trials: int,
     a2 = cs.profile.get("h5_alpha2")
     a1 = cs.profile.get("h5_alpha1")
 
-    def drift_gap(pair):
+    terms = [(cs.profile.mu1, gamma + 1.0), (cs.profile.mu2, 2.0 * gamma)]
+
+    def gaps(pair):
         pa, pb, t = pair
         head_diff = pa.head - pb.head  # phi(0) - psi(0)
         lhs = float(np.dot(eval_drift(cs, t, pa) - eval_drift(cs, t, pb), head_diff))
-        mu1_term = delay_pair_integral(pa, pb, cs.profile.mu1, gamma + 1.0)
-        return lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term)
-
-    def diffusion_gap(pair):
-        pa, pb, t = pair
+        # one difference kernel for both terms, its norms shared when mu1 == mu2
+        mu1_term, mu2_term = delay_pair_integrals(pa, pb, terms)
         ga = eval_diffusion_amplitude(cs, t, pa)
         gb = eval_diffusion_amplitude(cs, t, pb)
-        mu2_term = delay_pair_integral(pa, pb, cs.profile.mu2, 2.0 * gamma)
-        return state_norm(ga - gb) ** 2 - a1 * mu2_term
+        return (lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term),
+                state_norm(ga - gb) ** 2 - a1 * mu2_term)
 
-    worst_f, worst_g = worst_draw(trials, lambda: _draw(rng, cs, H5_RADIUS, 2),
-                                  drift_gap, diffusion_gap)
+    worst_f, worst_g = worst_draw(trials, lambda: _draw(rng, cs, H5_RADIUS, 2), gaps)
     return (CheckReport("h5_drift", *worst_f, f"alpha2 = {a2}"),
             CheckReport("h5_diffusion", *worst_g, f"alpha1 = {a1}"))
 
@@ -578,7 +578,7 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int) -> CheckReport:
         s = seminorm_h(buf)
         fn = state_norm(eval_drift(cs, t, buf))
         gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
-        return max(fn, gn) - (a1 * s + M)
+        return (max(fn, gn) - (a1 * s + M),)
 
     [worst] = worst_draw(trials, lambda: _draw(rng, cs, GROWTH_RADIUS, 1), gap)
     return CheckReport("growth", *worst, f"alpha1 = {a1}, M = {M}")

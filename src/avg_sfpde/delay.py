@@ -59,20 +59,22 @@ def as_state(value) -> np.ndarray:
 def _interp_rows(x, xp, fp) -> np.ndarray:
     """np.interp of every column of fp (len(xp), dim) at the points x.
 
-    One searchsorted for all columns, then np.interp's own arithmetic, so
-    the result is bit-identical for finite x and fp: the sample itself below,
-    above and at a node, slope * (x - xp[j]) + fp[j] in between.  Past the
-    searchsorted, the work grows with the queries, not with len(xp).
+    One searchsorted for all columns and one slope per panel, then np.interp's
+    own arithmetic, so the result is bit-identical for finite x and fp: the
+    sample itself below, above and at a node, slope * (x - xp[j]) + fp[j] in
+    between, with slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).
     """
     x = np.asarray(x, dtype=float)
     last = len(xp) - 1
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, last)
+    j = np.searchsorted(xp, x, side="right") - 1
+    np.maximum(j, 0, out=j)
+    np.minimum(j, last, out=j)
     out = fp[j]
     inner = (j < last) & (x > xp[j])
     if np.any(inner):
+        slope = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])[:, None]
         j, x = j[inner], x[inner]
-        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])[:, None]
-        out[inner] = slope * (x - xp[j])[:, None] + fp[j]
+        out[inner] = slope[j] * (x - xp[j])[:, None] + fp[j]
     return out
 
 
@@ -526,15 +528,16 @@ class HistoryBuffer:
         return self.samples[-1]
 
     def values_at(self, ss: np.ndarray) -> np.ndarray:
-        """History values at absolute times ss <= head_time, one row each.
-        When every s <= 0 the result is the tail's own array, which may share
-        memory with it (a constant tail's read-only broadcast): do not write
-        to it."""
+        """History values at absolute times ss <= head_time, one row each; a
+        later or a NaN time raises HistoryRangeError.  When every s <= 0 the
+        result is the tail's own array, which may share memory with it (a
+        constant tail's read-only broadcast): do not write to it."""
         ss = np.asarray(ss, dtype=float)
         pre = ss <= 0.0
         if np.all(pre):
             return self.tail.values_at(ss)
-        if np.max(ss) > self.head_time + 1e-12:
+        # a NaN time fails this test too
+        if not np.max(ss) <= self.head_time + 1e-12:
             raise HistoryRangeError("requested times beyond simulated range")
         if not np.any(pre):
             return _interp_rows(ss, self.times, self.samples)
@@ -591,11 +594,22 @@ class _QuadratureRule:
     keep: np.ndarray
     odd: tuple | None
 
+    def integrate(self, ks) -> float:
+        """The rule applied to the kernel values ks at its nodes."""
+        last = len(ks) - 1
+        end = last - last % 2
+        terms = self.w0 * ks[0:end:2] + self.w1 * ks[1:end:2] + self.w2 * ks[2:end + 1:2]
+        total = float(np.sum(terms[self.keep]))
+        if self.odd is not None:
+            total += ks[end] * self.odd[0] + ks[last] * self.odd[1]
+        return total
+
 
 @functools.lru_cache(maxsize=64)
 def _quadrature_rule(mu, lo, hi, n, extra_bytes):
     """The rule of mu's graded nodes on [lo, hi] with the extra nodes
-    (sorted and unique, as raw float64 bytes); built once per key."""
+    (sorted and unique, as raw float64 bytes); built once per key.  Its first
+    node is lo: graded_nodes starts at lo, and no extra node lies below it."""
     if mu.kind != "exponential":
         raise ValueError(f"product quadrature needs an exponential measure, not {mu.kind!r}")
     extra = np.frombuffer(extra_bytes, dtype=float)
@@ -622,94 +636,118 @@ def _quadrature_rule(mu, lo, hi, n, extra_bytes):
     return rule
 
 
-def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
-    """int_lo^hi K(theta) mu(dtheta), K interpolated against exact moments.
+def _rule_on(mu, lo, hi, n=1024, extra_nodes=None) -> _QuadratureRule:
+    """The product quadrature's rule for int_lo^hi K(theta) mu(dtheta), hi > lo.
 
     Quadratic (Lagrange) interpolation of the kernel over pairs of panels,
     integrated against the measure's exact zeroth/first/second moments; the
     final odd panel, if any, falls back to linear.  The nodes and weights
     depend on (mu, lo, hi, n) and the set of extra nodes only, so they come
-    from a cache of rules (``_quadrature_rule``), and a call evaluates the
-    kernel at the rule's nodes and sums.  A constant kernel integrates to the
-    interval mass exactly.
+    from a cache of rules (``_quadrature_rule``); a caller evaluates the
+    kernel at the rule's nodes and sums with ``integrate``.  A constant
+    kernel integrates to the interval mass exactly.
     """
-    if hi <= lo:
-        return 0.0
     extra = np.unique(np.asarray(() if extra_nodes is None else extra_nodes, dtype=float))
     # + 0.0 turns a -0.0 end into 0.0, so the two share one key and one rule
-    rule = _quadrature_rule(mu, lo + 0.0, hi + 0.0, n, extra.tobytes())
-    ks = np.asarray(values_of_theta(rule.nodes), dtype=float)
-    last = len(ks) - 1
-    end = last - last % 2
-    terms = rule.w0 * ks[0:end:2] + rule.w1 * ks[1:end:2] + rule.w2 * ks[2:end + 1:2]
-    total = float(np.sum(terms[rule.keep]))
-    if rule.odd is not None:
-        total += ks[end] * rule.odd[0] + ks[last] * rule.odd[1]
-    return total
+    return _quadrature_rule(mu, lo + 0.0, hi + 0.0, n, extra.tobytes())
 
 
-def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
-    """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta) at the head t.
+def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
+    """int_lo^hi K(theta) mu(dtheta) by ``_rule_on``'s rule; 0 when hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    rule = _rule_on(mu, lo, hi, n, extra_nodes)
+    return rule.integrate(np.asarray(values_of_theta(rule.nodes), dtype=float))
+
+
+def _checked(vals, thetas):
+    """vals, or DelayEvaluationError at the theta of its first non-finite entry."""
+    bad = ~np.isfinite(np.atleast_1d(vals))
+    if np.any(bad):
+        th = np.atleast_1d(thetas)[bad][0]
+        raise DelayEvaluationError(f"kernel not finite at theta = {th}", float(th))
+    return vals
+
+
+def delay_integrals(buf: HistoryBuffer, terms) -> list[float]:
+    """[int_{-infty}^0 ||u(t+theta)||^p mu(dtheta) for (mu, p) in terms] at the
+    head t.
 
     The simulated part [-t, 0] is integrated by a trapezoid in kernel values
     against exact interval masses on the sample grid; the analytic-tail part
     uses closed forms where available and a graded product quadrature
-    otherwise.  The power must be >= 0 (ValueError otherwise, NaN
-    included).  Against an exponential measure the integral diverges when
-    power * g >= 2 * rate, g the tail's ``growth``: that raises
+    otherwise.  Below lo = -horizon - t the kernel is frozen at its value at
+    lo, the rule's first node.  A power must be >= 0 (ValueError otherwise,
+    NaN included).  Against an exponential measure the integral diverges
+    when power * g >= 2 * rate, g the tail's ``growth``: that raises
     MomentDivergenceError before any quadrature.  A kernel value that
     overflows raises DelayEvaluationError with its theta.
+
+    The terms are integrated in order, each to the bits and the error of its
+    one-term call.  The kernel norms at a measure's quadrature nodes are
+    evaluated once, and each term of that measure raises them to its power.
     """
     t = buf.head_time
-    power = float(power)
-    if not power >= 0.0:
-        raise ValueError(f"delay kernel power {power}: must be >= 0")
-    if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
-        raise MomentDivergenceError(
-            f"delay integral diverges: ||u||^{power} of a tail of growth "
-            f"{buf.tail.growth} grows at {power * buf.tail.growth} >= 2 * rate = "
-            f"{2.0 * mu.rate} of exponential({mu.rate})")
-
-    def check(vals, thetas):
-        bad = ~np.isfinite(np.atleast_1d(vals))
-        if np.any(bad):
-            th = np.atleast_1d(thetas)[bad][0]
-            raise DelayEvaluationError(f"kernel not finite at theta = {th}", float(th))
-        return vals
-
-    if mu.kind == "point":
-        # a float64 norm: its power is C's pow, which an array's can miss by a bit
-        v = float(np.linalg.norm(buf.head) ** power)
-        check(v, 0.0)
-        return v
-
-    total = 0.0
-
-    # simulated part: theta in [-t, 0], at the sample nodes
-    if t > 0.0:
-        nodes = buf.times - t
-        norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
-        ks = check(norms ** power, nodes)
-        masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
-        total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
-
-    # analytic-tail part: theta in (-infty, -t]
-    # closed forms hold on the untruncated tail
-    closed = _tail_power_closed_form(buf.tail, mu, power, -t)
-    if closed is not None:
-        return total + closed
-
-    def K(thetas):
-        return check(_row_norms(buf.tail, np.asarray(thetas) + t) ** power, thetas)
-
     lo = -buf.horizon - t
-    kinks = buf.tail.kink_nodes(lo + t, 0.0)
-    total += _product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
-    # remainder below the truncation horizon: the kernel frozen at lo
-    rem = mu.mass(-math.inf, lo)
-    if rem > 0.0:
-        total += rem * float(K(np.array([lo]))[0])
-    return total
+    quadrature = {}  # measure -> its rule on [lo, -t], the kernel norms at its nodes
+
+    def term(mu, power):
+        power = float(power)
+        if not power >= 0.0:
+            raise ValueError(f"delay kernel power {power}: must be >= 0")
+        if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
+            raise MomentDivergenceError(
+                f"delay integral diverges: ||u||^{power} of a tail of growth "
+                f"{buf.tail.growth} grows at {power * buf.tail.growth} >= 2 * rate = "
+                f"{2.0 * mu.rate} of exponential({mu.rate})")
+
+        if mu.kind == "point":
+            # a float64 norm: its power is C's pow, which an array's can miss by a bit
+            return float(_checked(np.linalg.norm(buf.head) ** power, 0.0))
+
+        total = 0.0
+
+        # simulated part: theta in [-t, 0], at the sample nodes
+        if t > 0.0:
+            nodes = buf.times - t
+            norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
+            ks = _checked(norms ** power, nodes)
+            masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
+            total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
+
+        # analytic-tail part: theta in (-infty, -t]
+        # closed forms hold on the untruncated tail
+        closed = _tail_power_closed_form(buf.tail, mu, power, -t)
+        if closed is not None:
+            return total + closed
+
+        k_lo = None
+        if -t > lo:
+            if mu not in quadrature:
+                kinks = buf.tail.kink_nodes(lo + t, 0.0)
+                rule = _rule_on(mu, lo, -t, extra_nodes=np.asarray(kinks) - t)
+                quadrature[mu] = rule, _row_norms(buf.tail, rule.nodes + t)
+            rule, norms = quadrature[mu]
+            ks = _checked(norms ** power, rule.nodes)
+            total += rule.integrate(ks)
+            k_lo = ks[0]
+        # remainder below the truncation horizon: the kernel frozen at lo
+        rem = mu.mass(-math.inf, lo)
+        if rem > 0.0:
+            if k_lo is None:  # no quadrature node reads lo
+                at_lo = np.array([lo])
+                k_lo = _checked(_row_norms(buf.tail, at_lo + t) ** power, at_lo)[0]
+            total += rem * float(k_lo)
+        return total
+
+    return [term(mu, power) for mu, power in terms]
+
+
+def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
+    """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta) at the head t: the one
+    term of ``delay_integrals``."""
+    [value] = delay_integrals(buf, [(mu, power)])
+    return value
 
 
 def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
@@ -730,11 +768,19 @@ def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
     return HistoryBuffer.from_tail(seg_a.h, _DifferenceTail(ta, tb))
 
 
+def delay_pair_integrals(seg_a: HistoryBuffer, seg_b: HistoryBuffer, terms) -> list[float]:
+    """[int ||phi(theta) - psi(theta)||^p mu(dtheta) for (mu, p) in terms] of two
+    segments phi, psi: ``delay_integrals`` of their difference, whose kernel
+    norms the terms of one measure share."""
+    return delay_integrals(_difference(seg_a, seg_b), terms)
+
+
 def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,
                         mu: DelayMeasure, power: float) -> float:
     """int ||phi(theta) - psi(theta)||^power mu(dtheta) of two segments phi,
-    psi: ``delay_integral`` of their difference."""
-    return delay_integral(_difference(seg_a, seg_b), mu, power)
+    psi: the one term of ``delay_pair_integrals``."""
+    [value] = delay_pair_integrals(seg_a, seg_b, [(mu, power)])
+    return value
 
 
 def pair_seminorm(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> float:

@@ -481,7 +481,7 @@ def _operator_growth_probe(op, cs, rng, trials):
 
     def gap(u):
         dual = op.dual_norm(cs.space, u)
-        return dual ** (p / (p - 1.0)) - (a1 * op.b_norm(cs.space, u) ** p + M)
+        return (dual ** (p / (p - 1.0)) - (a1 * op.b_norm(cs.space, u) ** p + M),)
 
     [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim), gap)
     return CheckReport("operator_growth", *worst,
@@ -496,7 +496,7 @@ def _coercivity_audit(op, cs, rng, trials):
     def gap(u):
         pairing, bnorm_p = coercivity_probe(op, cs.space, u)
         l2 = float(np.linalg.norm(u))
-        return pairing - (-a1 * bnorm_p + a2 * l2**2 + M)
+        return (pairing - (-a1 * bnorm_p + a2 * l2**2 + M),)
 
     [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim), gap)
     return CheckReport("coercivity", *worst, f"coercivity gap {worst[0]:.3e}")
@@ -509,7 +509,7 @@ def _monotonicity_audit(op, cs, rng, trials):
         u, v = pair
         bound = prof.alpha1 * float(np.linalg.norm(u - v)) ** (prof.beta + 1.0)
         tol = 1e-8 * (np.linalg.norm(u) + np.linalg.norm(v)) ** 2
-        return op.monotonicity_gap(cs.space, u, v) - bound - tol
+        return (op.monotonicity_gap(cs.space, u, v) - bound - tol,)
 
     [worst] = worst_draw(
         trials, lambda: (_sample_field(rng, cs.dim), _sample_field(rng, cs.dim)), gap)

@@ -393,7 +393,7 @@ def test_check_holder_constant_drift_zero_ratio():
 
 def test_worst_draw_ranks_the_first_nan_gap_above_every_number():
     draws = iter([(1.0, "a"), (math.nan, "b"), (math.inf, "c"), (math.nan, "d")])
-    [(gap, witness)] = worst_draw(4, lambda: next(draws), lambda x: x[0])
+    [(gap, witness)] = worst_draw(4, lambda: next(draws), lambda x: (x[0],))
     assert math.isnan(gap) and witness[1] == "b"
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import avg_sfpde.delay as delay_module
 from avg_sfpde.coefficients import sample_history
 from avg_sfpde.delay import (
     ConstantTail,
@@ -27,6 +28,7 @@ from avg_sfpde.delay import (
     _row_norms,
     delay_integral,
     delay_pair_integral,
+    delay_pair_integrals,
     extract_segment,
     pair_seminorm,
     seminorm_h,
@@ -589,6 +591,87 @@ def test_rule_cache_stays_at_its_bound():
     assert info.misses == 100 and info.currsize == bound
 
 
+def reference_delay_integral(buf, mu, power):
+    """delay_integral with the kernel evaluated apart for the remainder: the
+    trapezoid on the samples, the product quadrature on [lo, -t], then
+    rem * K(lo) from one more evaluation at lo."""
+    t = buf.head_time
+    total = 0.0
+    if t > 0.0:
+        nodes = buf.times - t
+        ks = np.linalg.norm(buf.values_at(nodes + t), axis=1) ** power
+        masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
+        total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
+
+    def K(thetas):
+        return _row_norms(buf.tail, np.asarray(thetas) + t) ** power
+
+    lo = -buf.horizon - t
+    kinks = buf.tail.kink_nodes(lo + t, 0.0)
+    total += _product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
+    rem = mu.mass(-math.inf, lo)
+    if rem > 0.0:
+        total += rem * float(K(np.array([lo]))[0])
+    return total
+
+
+@given(
+    h=st.floats(0.2, 4.0),
+    t=st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 1e3)),
+    kinks=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=6, unique=True),
+    dim=st.sampled_from([1, 3]),
+    power=st.sampled_from([0.5, 1.0, 1.5]),
+    rate=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_remainder_reads_the_rules_first_node(h, t, kinks, dim, power, rate, seed):
+    # every rule delay_integral builds starts at lo, so the kernel frozen
+    # below lo is the rule's first kernel value: the integral keeps the bits
+    # of a separate evaluation at lo, on a tabulated tail with kinks inside
+    # and below the horizon, at the buffer's head t and at its segment; a
+    # measure slower than h leaves the remainder a mass the bits can see
+    rng = np.random.default_rng(seed)
+    horizon = 40.0 / h
+    thetas = np.unique(np.concatenate([-horizon * np.asarray(kinks), [0.0]]))
+    tail = TabulatedTail(thetas, rng.standard_normal((len(thetas), dim)), extrap_rate=0.5 * h)
+    times = np.linspace(0.0, t, 6) if t > 0.0 else np.zeros(1)
+    samples = tail.origin + np.vstack([np.zeros(dim), rng.standard_normal((len(times) - 1, dim))])
+    buf = HistoryBuffer(h, tail, times, samples)
+    mu = DelayMeasure.exponential(rate * h)
+    built = []
+
+    def recorded(mu, lo, hi, n, extra_bytes):
+        rule = _quadrature_rule(mu, lo, hi, n, extra_bytes)
+        built.append((lo, rule))
+        return rule
+
+    bufs = (buf, extract_segment(buf))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delay_module, "_quadrature_rule", recorded)
+        got = [delay_integral(b, mu, power) for b in bufs]
+    assert len(built) == 2 and all(rule.nodes[0] == lo for lo, rule in built)
+    for g, b in zip(got, bufs):
+        assert float(g).hex() == float(reference_delay_integral(b, mu, power)).hex()
+
+
+def test_an_empty_quadrature_still_reads_the_kernel_at_lo():
+    # 40 / h below the float spacing at t: lo == -t, no rule is built, and
+    # the remainder, of mass e^{-2 rate t} > 0, reads the kernel at lo itself
+    t = 2.0 ** 60
+    tail = TabulatedTail([-2.0, -1.0, 0.0], [[3.0], [-1.0], [2.0]])
+    buf = HistoryBuffer(1.0, tail, [0.0, t], [[2.0], [5.0]])
+    mu = DelayMeasure.exponential(1e-18)
+    lo = -buf.horizon - t
+    assert lo == -t and mu.mass(-math.inf, lo) > 0.0
+    _quadrature_rule.cache_clear()
+    got = delay_integral(buf, mu, 1.5)
+    assert _quadrature_rule.cache_info().misses == 0
+    assert float(got).hex() == float(reference_delay_integral(buf, mu, 1.5)).hex()
+    with_lo = mu.mass(-t, 0.0) * 0.5 * (2.0 ** 1.5 + 5.0 ** 1.5) + mu.mass(-math.inf, lo) * 2.0 ** 1.5
+    assert got == pytest.approx(with_lo, rel=1e-12)
+
+
 def test_interp_rows_is_bit_identical_to_np_interp():
     # queries between, exactly at and beyond both ends of the nodes, in
     # ascending and in shuffled order; the last trials interpolate a
@@ -601,6 +684,18 @@ def test_interp_rows_is_bit_identical_to_np_interp():
         fp = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
         x = np.concatenate([rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 40), xp,
                             [xp[0], xp[-1], xp[0] - 5.0, xp[-1] + 5.0]])
+        for x in (np.sort(x), rng.permutation(x)):
+            ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
+            np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)
+    # panel widths from 1e-9 to 1e3 in one grid, queried at every node, one
+    # ulp on either side of it, inside every panel and beyond both ends
+    for dim in (1, 3):
+        widths = 10.0 ** rng.permutation(np.repeat(np.arange(-9, 4), 2))
+        xp = np.concatenate([[-7.0], -7.0 + np.cumsum(widths)])
+        fp = rng.standard_normal((len(xp), dim)) * 10.0 ** rng.uniform(-3, 3, (len(xp), 1))
+        x = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                            xp[:-1] + rng.uniform(0.0, 1.0, len(widths)) * widths,
+                            [xp[0] - 1e-9, xp[0] - 1e3, xp[-1] + 1e-9, xp[-1] + 1e3]])
         for x in (np.sort(x), rng.permutation(x)):
             ref = np.stack([np.interp(x, xp, fp[:, d]) for d in range(dim)], axis=1)
             np.testing.assert_array_equal(_interp_rows(x, xp, fp), ref)
@@ -722,6 +817,19 @@ def test_head_lookup_keeps_the_tail_value_at_the_origin():
         buf.values_at([0.1 + 1e-9])
     with pytest.raises(HistoryRangeError):
         buf.values_at([0.05, 0.1 + 1e-9])
+
+
+@pytest.mark.parametrize("ss", [[math.nan], [-1.0, math.nan], [math.nan, 0.05],
+                                [-1.0, 0.05, math.nan, 0.1]],
+                         ids=["alone", "with a pre-origin time", "with an in-range time",
+                              "with both"])
+def test_values_at_rejects_a_nan_time(ss):
+    # a NaN time is no time of the history: it is rejected as a time past the
+    # head is, not read as the head row
+    buf = HistoryBuffer(1.0, ConstantTail(np.array([1.0, 2.0])), np.array([0.0, 0.05, 0.1]),
+                        np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    with pytest.raises(HistoryRangeError):
+        buf.values_at(np.array(ss))
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +957,55 @@ def test_pair_functionals_reject_segments_of_different_weights(pair):
     args = (DelayMeasure.exponential(1.0), 2.0) if pair is delay_pair_integral else ()
     with pytest.raises(ValueError, match="same weight h"):
         pair(a, b, *args)
+
+
+# the two H5 terms, int ||phi-psi||^{gamma+1} mu1 and int ||phi-psi||^{2 gamma} mu2
+# at gamma = 1/2, with the measures of reaction-diffusion-delay (mu1 == mu2)
+# and of scalar-holder-osc (mu2 a point mass)
+H5_TERMS = {
+    "mu1 == mu2": [(DelayMeasure.exponential(1.0), 1.5), (DelayMeasure.exponential(1.0), 1.0)],
+    "mu2 a point mass": [(DelayMeasure.exponential(1.0), 1.5), (DelayMeasure.point_mass(), 1.0)],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 8, 32])
+@pytest.mark.parametrize("terms", H5_TERMS.values(), ids=H5_TERMS)
+def test_shared_terms_have_the_bits_of_one_call_per_term(terms, dim):
+    # one difference kernel for both terms, against one delay_pair_integral
+    # call per term, on every family pair
+    rng = np.random.default_rng(60 + dim)
+    for ka, kb in itertools.product(PAIR_FAMILIES, PAIR_FAMILIES):
+        a = sample_history(rng, dim, 1.0, 3.0, kind=ka)
+        b = sample_history(rng, dim, 1.0, 3.0, kind=kb)
+        shared = delay_pair_integrals(a, b, terms)
+        alone = [delay_pair_integral(a, b, mu, p) for mu, p in terms]
+        assert [float(v).hex() for v in shared] == [float(v).hex() for v in alone], (ka, kb)
+
+
+# the theta of the first non-finite kernel value of the walk below under one
+# delay_pair_integral call per power, recorded before the terms shared a kernel
+OVERFLOW_THETAS = {4.0: "-0x1.9335e5d594989p-5", 5.0: "-0x1.314f1e1d35ce4p-3", "point": "0x0.0p+0"}
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_shared_terms_raise_the_first_overflowing_terms_theta(dim):
+    # a walk up to 1e80: its kernel norms are finite, the 5th power overflows
+    # early on the first ramp and the 4th only on the last, and the point
+    # mass's 4th power of the head difference overflows at theta = 0; the
+    # first term that overflows names its theta, whatever the terms after it
+    exp1, point = DelayMeasure.exponential(1.0), DelayMeasure.point_mass()
+    x0 = np.ones(dim)
+    walk = HistoryBuffer(1.0, ConstantTail(x0), [0.0, 0.05, 0.1, 0.15],
+                         np.vstack([x0, 1e70 * x0, 1e75 * x0, 1e80 * x0]))
+    a = extract_segment(walk)
+    b = HistoryBuffer.from_tail(1.0, ExponentialTail(0.5 * x0, rate=0.3))
+    cases = [([(exp1, 4.0), (exp1, 5.0)], 4.0), ([(exp1, 5.0), (exp1, 4.0)], 5.0),
+             ([(exp1, 1.5), (exp1, 4.0)], 4.0), ([(exp1, 1.5), (point, 4.0)], "point"),
+             ([(point, 4.0), (exp1, 5.0)], "point"), ([(point, 1.0), (exp1, 4.0)], 4.0)]
+    for terms, first in cases:
+        with np.errstate(over="ignore"), pytest.raises(DelayEvaluationError) as err:
+            delay_pair_integrals(a, b, terms)
+        assert float(err.value.theta).hex() == OVERFLOW_THETAS[first], terms
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avg_sfpde.coefficients as coefficients
+import avg_sfpde.delay as delay
 import avg_sfpde.experiments as exp
 from avg_sfpde import integrator
 from avg_sfpde.coefficients import (
@@ -733,6 +735,42 @@ def test_every_witness_reproduces_its_gap(preset, check):
     assert report.witness is not None
     assert gap_at(p, report.witness) == report.max_ratio
     assert float(report.max_ratio).hex() == WITNESS_BITS[preset, check]
+
+
+def test_h5_evaluates_one_difference_kernel_per_draw(monkeypatch):
+    # inside check_h5 of a 20-trial audit, the kernel norms of phi - psi are
+    # evaluated once per draw that is not two constant histories (whose
+    # difference has a closed form), though mu1 and mu2 both read them
+    inside, draws, kernels = [], [], []
+    check, draw, row_norms = exp.check_h5, coefficients._draw, delay._row_norms
+
+    def in_h5(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    def recorded_draw(*args):
+        x = draw(*args)
+        if inside:
+            draws.append(x)
+        return x
+
+    def counted_row_norms(tail, thetas):
+        if inside and isinstance(tail, delay._DifferenceTail):
+            kernels.append(tail)
+        return row_norms(tail, thetas)
+
+    monkeypatch.setattr(exp, "check_h5", in_h5)
+    monkeypatch.setattr(coefficients, "_draw", recorded_draw)
+    monkeypatch.setattr(delay, "_row_norms", counted_row_norms)
+    hypothesis_audit(RD8, trials=20, rng_seed=0)
+    assert RD8.coefficients.profile.mu1 == RD8.coefficients.profile.mu2
+    flat = [isinstance(a.tail, delay.ConstantTail) and isinstance(b.tail, delay.ConstantTail)
+            for a, b, _ in draws]
+    assert len(draws) == 200 and 0 < flat.count(False) < 200
+    assert len(kernels) == flat.count(False)
 
 
 def test_the_path_pool_has_at_most_one_worker_per_cpu(monkeypatch):
