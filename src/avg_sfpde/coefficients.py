@@ -23,7 +23,7 @@ from .delay import (
     DelayMeasure,
     ExponentialTail,
     HistoryBuffer,
-    delay_integral,
+    delay_integrals,
     delay_pair_integrals,
     extract_segment,
     pair_seminorm,
@@ -310,20 +310,37 @@ class CoefficientSet:
             extra + POINTWISE_MAPS[d.pointwise](head_values)
         return grid if self.space is None else self.space.to_coeffs(grid)
 
-    def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
-        """F evaluated on the buffer's segment at its head."""
+    def drift_functionals(self, bufs) -> np.ndarray:
+        """F on the segment of each buffer at its head, one row per buffer:
+        the stacked heads take one ``grid_values`` and one ``compose_drift``
+        call, and the delay terms one ``delay_integrals`` call.  Each row has
+        the bits of its buffer alone."""
         d = self.drift
         delay = 0.0 if d.delay_kernel_power is None else \
-            delay_integral(buf, d.delay_measure, d.delay_kernel_power)
-        semi = seminorm_h(buf) if d.seminorm_power else 0.0
-        return self.compose_drift(self.grid_values(buf.head), delay, semi)
+            delay_integrals(bufs, [(d.delay_measure, d.delay_kernel_power)])[:, 0]
+        semi = np.array([seminorm_h(buf) for buf in bufs]) if d.seminorm_power else 0.0
+        return self.compose_drift(self.grid_values(_heads(bufs)), delay, semi)
+
+    def drift_functional(self, buf: HistoryBuffer) -> np.ndarray:
+        """F evaluated on the buffer's segment at its head: the one row of
+        ``drift_functionals``."""
+        return self.drift_functionals([buf])[0]
 
     # -- diffusion -------------------------------------------------------------
+    def diffusion_amplitudes(self, bufs) -> np.ndarray:
+        """G(phi) of each buffer's segment, one row per buffer: (P, 1) scalar
+        amplitudes or (P, k) rank-one field coefficients, from one
+        ``grid_values`` call on the stacked heads; under diagonal noise the
+        one (k,) row of amplitudes, broadcast read-only to (P, k)."""
+        diagonal = self.diffusion.kind == "diagonal"
+        amp = self.diffusion_from_values(None if diagonal else self.grid_values(_heads(bufs)))
+        return np.broadcast_to(amp, (len(bufs), self.dim))
+
     def diffusion_amplitude(self, buf: HistoryBuffer) -> np.ndarray:
         """G(phi) as an array: shape (1,) scalar amplitude, (k,) rank-one field
-        coefficients, or (k_w,) diagonal amplitudes."""
-        diagonal = self.diffusion.kind == "diagonal"
-        return self.diffusion_from_values(None if diagonal else self.grid_values(buf.head))
+        coefficients, or (k,) diagonal amplitudes; the one row of
+        ``diffusion_amplitudes``."""
+        return self.diffusion_amplitudes([buf])[0]
 
     def diffusion_from_values(self, values: np.ndarray | None) -> np.ndarray:
         """G(phi) amplitudes from the ``grid_values`` of phi(0), which diagonal
@@ -354,14 +371,32 @@ class CoefficientSet:
 # Spec operations: oscillating coefficients
 # ---------------------------------------------------------------------------
 
+def _heads(bufs) -> np.ndarray:
+    """The head states phi(0) of the buffers, stacked as rows."""
+    return np.stack([buf.head for buf in bufs])
+
+
+def eval_drifts(cs: CoefficientSet, ts, bufs) -> np.ndarray:
+    """Row i is xi_1(ts[i]) * F(phi_i) of bufs[i], with the bits of
+    ``Oscillator.scalar_eval`` for xi_1 (``Oscillator.values``)."""
+    return cs.osc1.values(np.asarray(ts, dtype=float))[:, None] * cs.drift_functionals(bufs)
+
+
 def eval_drift(cs: CoefficientSet, t: float, buf: HistoryBuffer) -> np.ndarray:
-    """xi_1(t) * F(phi), t on the oscillator's clock (t / eps for a path at eps)."""
-    return cs.osc1(t) * cs.drift_functional(buf)
+    """xi_1(t) * F(phi), t on the oscillator's clock (t / eps for a path at
+    eps): the one row of ``eval_drifts``."""
+    return eval_drifts(cs, [t], [buf])[0]
+
+
+def eval_diffusion_amplitudes(cs: CoefficientSet, ts, bufs) -> np.ndarray:
+    """Row i is xi_2(ts[i]) * G(phi_i) of bufs[i]."""
+    return cs.osc2.values(np.asarray(ts, dtype=float))[:, None] * cs.diffusion_amplitudes(bufs)
 
 
 def eval_diffusion_amplitude(cs: CoefficientSet, t: float, buf: HistoryBuffer) -> np.ndarray:
-    """xi_2(t) * G(phi) amplitudes, t on the oscillator's clock."""
-    return cs.osc2(t) * cs.diffusion_amplitude(buf)
+    """xi_2(t) * G(phi) amplitudes, t on the oscillator's clock: the one row
+    of ``eval_diffusion_amplitudes``."""
+    return eval_diffusion_amplitudes(cs, [t], [buf])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +461,9 @@ def estimate_rate(cs: CoefficientSet, probe_histories, windows) -> AveragingRate
 # History samplers for the falsifiers
 # ---------------------------------------------------------------------------
 
+SAMPLER_FAMILIES = ("constant", "exponential", "path")
+
+
 def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
                    kind: str | None = None) -> HistoryBuffer:
     """One random admissible history with seminorm <= radius.
@@ -435,7 +473,9 @@ def sample_history(rng: np.random.Generator, dim: int, h: float, radius: float,
     returned as segments at their heads, so every sampled history is an
     element of the same function space on (-infty, 0] and pairs align.
     """
-    kind = kind or rng.choice(["constant", "exponential", "path"])
+    # integers(3) draws what choice() of the three names draws, without
+    # building an array of them on every call
+    kind = kind or SAMPLER_FAMILIES[rng.integers(3)]
     direction = rng.standard_normal(dim)
     norm = np.linalg.norm(direction)
     if norm > 0:
@@ -483,26 +523,34 @@ class CheckReport:
         return self.max_ratio <= self.bound
 
 
+# draws that a scan takes before it scores them as one batch: memory does not
+# grow with the number of trials
+SCORE_CHUNK = 256
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def worst_draw(trials: int, draw, score) -> list:
-    """The falsifiers' one scan: ``draw()`` called ``trials`` times, and each
-    draw scored once by ``score``, which returns the tuple of its gaps.  Per
-    place in that tuple, the largest gap and the draw that gave it, as a
-    ``(gap, witness)`` pair; a strict comparison keeps the first of tied
-    maxima.  A NaN gap ranks above every number, so the first NaN draw is the
-    witness, and its check fails (``nan <= bound`` is False).  An overflow
-    shows as an inf or NaN gap, so the scan runs with numpy's overflow and
-    invalid-value warnings silenced."""
+    """The falsifiers' one scan: ``draw()`` called ``trials`` times, in
+    chunks of at most SCORE_CHUNK draws.  Each chunk is drawn first and then
+    scored as one batch by ``score``, which takes the list of the chunk's
+    draws and returns, for each in order, the tuple of its gaps; so memory
+    stays bounded whatever ``trials`` is.  Per place in that tuple, the
+    largest gap and the draw that gave it, as a ``(gap, witness)`` pair; a
+    strict comparison keeps the first of tied maxima.  A NaN gap ranks above
+    every number, so the first NaN draw is the witness, and its check fails
+    (``nan <= bound`` is False).  An overflow shows as an inf or NaN gap, so
+    the scan runs with numpy's overflow and invalid-value warnings
+    silenced."""
     if trials < 1:
         raise ValueError(f"trials = {trials}: need at least 1 trial")
     worst = None
-    for _ in range(trials):
-        x = draw()
-        gaps = score(x)
-        worst = worst or [(-math.inf, None)] * len(gaps)
-        for i, g in enumerate(gaps):
-            if not math.isnan(worst[i][0]) and (math.isnan(g) or g > worst[i][0]):
-                worst[i] = (g, x)
+    for first in range(0, trials, SCORE_CHUNK):
+        xs = [draw() for _ in range(min(SCORE_CHUNK, trials - first))]
+        for x, gaps in zip(xs, score(xs), strict=True):
+            worst = worst or [(-math.inf, None)] * len(gaps)
+            for i, g in enumerate(gaps):
+                if not math.isnan(worst[i][0]) and (math.isnan(g) or g > worst[i][0]):
+                    worst[i] = (g, x)
     return worst
 
 
@@ -512,20 +560,30 @@ def _draw(rng: np.random.Generator, cs: CoefficientSet, radius: float, n: int) -
             float(rng.uniform(0.0, 20.0)))
 
 
+def _pair_differences(cs: CoefficientSet, pairs, evaluate) -> np.ndarray:
+    """Row i is evaluate(a) - evaluate(b) at the time t of the i-th draw
+    (a, b, t): one batched ``eval_drifts`` or ``eval_diffusion_amplitudes``
+    call on both histories of every draw."""
+    ts = np.repeat([t for _, _, t in pairs], 2)
+    rows = evaluate(cs, ts, [x for a, b, _ in pairs for x in (a, b)])
+    return rows[0::2] - rows[1::2]
+
+
 def check_holder(cs: CoefficientSet, radius: float, trials: int,
                  rng_seed: int) -> CheckReport:
     """Max of ||f(t,phi)-f(t,psi)|| / ||phi-psi||_h^gamma over sampled pairs
     with seminorms <= radius; PASS iff it stays below the profile's L_M."""
     rng = np.random.default_rng(rng_seed)
 
-    def ratio(pair):
-        a, b, t = pair
-        dist = pair_seminorm(a, b)
-        if dist < 1e-12:
-            return (0.0,)   # coincident histories bound nothing
-        return (state_norm(eval_drift(cs, t, a) - eval_drift(cs, t, b)) / dist**cs.profile.gamma,)
+    def ratios(pairs):
+        dists = [pair_seminorm(a, b) for a, b, _ in pairs]
+        # coincident histories bound nothing, and their drifts are not evaluated
+        far = [pair for pair, dist in zip(pairs, dists) if not dist < 1e-12]
+        diffs = iter(_pair_differences(cs, far, eval_drifts) if far else ())
+        return [(0.0,) if dist < 1e-12 else (state_norm(next(diffs)) / dist**cs.profile.gamma,)
+                for dist in dists]
 
-    [worst] = worst_draw(trials, lambda: _draw(rng, cs, radius, 2), ratio)
+    [worst] = worst_draw(trials, lambda: _draw(rng, cs, radius, 2), ratios)
     return CheckReport("holder", *worst, bound=cs.profile.L_M)
 
 
@@ -551,16 +609,18 @@ def check_h5(cs: CoefficientSet, trials: int,
 
     terms = [(cs.profile.mu1, gamma + 1.0), (cs.profile.mu2, 2.0 * gamma)]
 
-    def gaps(pair):
-        pa, pb, t = pair
-        head_diff = pa.head - pb.head  # phi(0) - psi(0)
-        lhs = float(np.dot(eval_drift(cs, t, pa) - eval_drift(cs, t, pb), head_diff))
-        # one difference kernel for both terms, its norms shared when mu1 == mu2
-        mu1_term, mu2_term = delay_pair_integrals(pa, pb, terms)
-        ga = eval_diffusion_amplitude(cs, t, pa)
-        gb = eval_diffusion_amplitude(cs, t, pb)
-        return (lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term),
-                state_norm(ga - gb) ** 2 - a1 * mu2_term)
+    def gaps(pairs):
+        drift_diffs = _pair_differences(cs, pairs, eval_drifts)
+        diffusion_diffs = _pair_differences(cs, pairs, eval_diffusion_amplitudes)
+        out = []
+        for (pa, pb, _), df, dg in zip(pairs, drift_diffs, diffusion_diffs):
+            head_diff = pa.head - pb.head  # phi(0) - psi(0)
+            lhs = float(np.dot(df, head_diff))
+            # one difference kernel for both terms, its norms shared when mu1 == mu2
+            mu1_term, mu2_term = delay_pair_integrals(pa, pb, terms)
+            out.append((lhs - a2 * (state_norm(head_diff) ** (gamma + 1.0) + mu1_term),
+                        state_norm(dg) ** 2 - a1 * mu2_term))
+        return out
 
     worst_f, worst_g = worst_draw(trials, lambda: _draw(rng, cs, H5_RADIUS, 2), gaps)
     return (CheckReport("h5_drift", *worst_f, f"alpha2 = {a2}"),
@@ -573,14 +633,14 @@ def check_growth(cs: CoefficientSet, trials: int, rng_seed: int) -> CheckReport:
     a1 = cs.profile.get("growth_alpha1")
     M = cs.profile.get("growth_M")
 
-    def gap(sample):
-        buf, t = sample
-        s = seminorm_h(buf)
-        fn = state_norm(eval_drift(cs, t, buf))
-        gn = state_norm(eval_diffusion_amplitude(cs, t, buf))
-        return (max(fn, gn) - (a1 * s + M),)
+    def gaps(samples):
+        bufs, ts = [buf for buf, _ in samples], [t for _, t in samples]
+        drifts = eval_drifts(cs, ts, bufs)
+        amplitudes = eval_diffusion_amplitudes(cs, ts, bufs)
+        return [(max(state_norm(f), state_norm(g)) - (a1 * seminorm_h(buf) + M),)
+                for buf, f, g in zip(bufs, drifts, amplitudes)]
 
-    [worst] = worst_draw(trials, lambda: _draw(rng, cs, GROWTH_RADIUS, 1), gap)
+    [worst] = worst_draw(trials, lambda: _draw(rng, cs, GROWTH_RADIUS, 1), gaps)
     return CheckReport("growth", *worst, f"alpha1 = {a1}, M = {M}")
 
 

@@ -122,6 +122,12 @@ class Tail:
         knows no such run."""
         return 0, None
 
+    def sample_grid(self, thetas):
+        """(n, row, ss, times, samples) when, at the ascending nodes thetas,
+        the tail is its ``flat_run`` (n, row) and then
+        ``_interp_rows(ss, times, samples)``, bit for bit; else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantTail(Tail):
@@ -288,6 +294,15 @@ class SegmentTail(Tail):
         ss = self.t0 + np.asarray(thetas, dtype=float)
         return self.buffer.tail.flat_run(ss[:np.searchsorted(ss, 0.0, side="right")])
 
+    def sample_grid(self, thetas):
+        # past the flat run, the nodes with 0 < t0 + theta <= t0 read the
+        # samples alone, as values_at interpolates them
+        n, row = self.flat_run(thetas)
+        ss = self.t0 + np.asarray(thetas[n:], dtype=float)
+        if len(ss) and ss[0] > 0.0 and ss[-1] <= self.t0 + 1e-12:
+            return n, row, ss, self.buffer.times, self.buffer.samples
+        return None
+
 
 class _DifferenceTail(Tail):
     """phi - psi on (-infty, 0] for the tails phi, psi of two segments.
@@ -331,6 +346,12 @@ class _DifferenceTail(Tail):
         return (n, ra - rb) if n else (0, None)
 
 
+# elements of one interpolated piece in _tail_norms: a piece of queries times
+# the tails of one sample grid times the state dimension.  _interp_rows makes
+# about four temporaries of a piece's size, so this bounds the batch's memory
+PIECE_ELEMENTS = 8192
+
+
 def _row_norms(tail: Tail, thetas: np.ndarray) -> np.ndarray:
     """np.linalg.norm(tail.values_at(thetas), axis=1) at ascending thetas, bit
     for bit: the tail's flat run is normed once (a contiguous row's norm does
@@ -341,6 +362,39 @@ def _row_norms(tail: Tail, thetas: np.ndarray) -> np.ndarray:
         norms[:n] = np.linalg.norm(row[None, :], axis=1)
     norms[n:] = np.linalg.norm(tail.values_at(thetas[n:]), axis=1)
     return norms
+
+
+def _tail_norms(tails, thetas: np.ndarray) -> np.ndarray:
+    """Row i is ``_row_norms(tails[i], thetas)``, bit for bit.
+
+    Tails whose values past their flat runs interpolate one sample grid
+    (``Tail.sample_grid``) are interpolated together: one ``_interp_rows``
+    call on the (len(times), G, dim) table of their samples, in pieces of at
+    most PIECE_ELEMENTS elements, so memory does not grow with G.  Every
+    other tail takes ``_row_norms``.
+    """
+    out = np.empty((len(tails), len(thetas)))
+    grids = {}  # (flat-run length, sample times) -> (queries, times, [(row, samples)])
+    for i, tail in enumerate(tails):
+        grid = tail.sample_grid(thetas)
+        if grid is None:
+            out[i] = _row_norms(tail, thetas)
+            continue
+        n, row, ss, times, samples = grid
+        if n:
+            out[i, :n] = np.linalg.norm(row[None, :], axis=1)
+        grids.setdefault((n, times.tobytes()), (ss, times, []))[2].append((i, samples))
+    for (n, _), (ss, times, members) in grids.items():
+        rows = [i for i, _ in members]
+        table = np.stack([samples for _, samples in members], axis=1)
+        width = table.shape[1] * table.shape[2]
+        table = table.reshape(len(times), width)
+        step = max(1, PIECE_ELEMENTS // width)
+        for a in range(0, len(ss), step):
+            vals = _interp_rows(ss[a:a + step], times, table)
+            norms = np.linalg.norm(vals.reshape(len(vals), len(rows), -1), axis=2)
+            out[rows, n + a:n + a + len(vals)] = norms.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +648,48 @@ class _QuadratureRule:
     keep: np.ndarray
     odd: tuple | None
 
-    def integrate(self, ks) -> float:
-        """The rule applied to the kernel values ks at its nodes."""
-        last = len(ks) - 1
+    def integrate(self, ks) -> np.ndarray:
+        """The rule applied to the kernel values ks at its nodes, along the
+        last axis: one integral per row of a (G, len(nodes)) array, each with
+        the bits of its row alone (a contiguous row sums the same in any
+        batch; the odd panel adds as one term)."""
+        last = ks.shape[-1] - 1
         end = last - last % 2
-        terms = self.w0 * ks[0:end:2] + self.w1 * ks[1:end:2] + self.w2 * ks[2:end + 1:2]
-        total = float(np.sum(terms[self.keep]))
+        terms = (self.w0 * ks[..., 0:end:2] + self.w1 * ks[..., 1:end:2]
+                 + self.w2 * ks[..., 2:end + 1:2])
+        total = np.sum(np.ascontiguousarray(terms[..., self.keep]), axis=-1)
         if self.odd is not None:
-            total += ks[end] * self.odd[0] + ks[last] * self.odd[1]
+            total = total + (ks[..., end] * self.odd[0] + ks[..., last] * self.odd[1])
         return total
+
+
+def _nonfinite(vals, thetas, what="kernel"):
+    """DelayEvaluationError at the theta of the first non-finite entry of
+    vals, or None when every entry is finite."""
+    bad = ~np.isfinite(np.atleast_1d(vals))
+    if np.any(bad):
+        th = np.atleast_1d(thetas)[bad][0]
+        return DelayEvaluationError(f"{what} not finite at theta = {th}", float(th))
+    return None
+
+
+def _checked(vals, thetas, what="kernel"):
+    """vals, or DelayEvaluationError at the theta of its first non-finite entry."""
+    error = _nonfinite(vals, thetas, what)
+    if error is not None:
+        raise error
+    return vals
 
 
 @functools.lru_cache(maxsize=64)
 def _quadrature_rule(mu, lo, hi, n, extra_bytes):
     """The rule of mu's graded nodes on [lo, hi] with the extra nodes
     (sorted and unique, as raw float64 bytes); built once per key.  Its first
-    node is lo: graded_nodes starts at lo, and no extra node lies below it."""
+    node is lo: graded_nodes starts at lo, and no extra node lies below it.
+
+    Nodes closer than about 1e-161 underflow a weight's denominator: a panel
+    with mass whose weights are not finite raises DelayEvaluationError at
+    the theta of its pair's middle node (the odd panel's first node)."""
     if mu.kind != "exponential":
         raise ValueError(f"product quadrature needs an exponential measure, not {mu.kind!r}")
     extra = np.frombuffer(extra_bytes, dtype=float)
@@ -620,20 +700,32 @@ def _quadrature_rule(mu, lo, hi, n, extra_bytes):
     x0, x1, x2 = nodes[0:end:2], nodes[1:end:2], nodes[2:end + 1:2]
     m0, m1, m2 = mu.moments_centered(x0, x2, x1)
     u0, u2 = x0 - x1, x2 - x1
-    w0 = (m2 - u2 * m1) / (u0 * (u0 - u2))
-    w1 = (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2)
-    w2 = (m2 - u0 * m1) / (u2 * (u2 - u0))
+    keep = m0 != 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w0 = (m2 - u2 * m1) / (u0 * (u0 - u2))
+        w1 = (m2 - (u0 + u2) * m1 + u0 * u2 * m0) / (u0 * u2)
+        w2 = (m2 - u0 * m1) / (u2 * (u2 - u0))
+        _checked(np.where(keep, w0 + w1 + w2, 0.0), x1, "quadrature weight")
     odd = None
     if end < last:
         a, b = nodes[end], nodes[last]
         m0_odd, m1_odd, _ = mu.moments_centered(a, b, a)
         if m0_odd != 0.0:
             w = b - a
-            odd = (m0_odd - m1_odd / w, m1_odd / w)
-    rule = _QuadratureRule(nodes, w0, w1, w2, m0 != 0.0, odd)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                odd = (m0_odd - m1_odd / w, m1_odd / w)
+                _checked(odd[0] + odd[1], a, "quadrature weight")
+    rule = _QuadratureRule(nodes, w0, w1, w2, keep, odd)
     for arr in (nodes, w0, w1, w2, rule.keep):
         arr.flags.writeable = False  # shared by every later call with this key
     return rule
+
+
+def _rule_key(mu, lo, hi, n=1024, extra_nodes=None) -> tuple:
+    """The key of ``_rule_on``'s rule in the cache of rules."""
+    extra = np.unique(np.asarray(() if extra_nodes is None else extra_nodes, dtype=float))
+    # + 0.0 turns a -0.0 end into 0.0, so the two share one key and one rule
+    return mu, lo + 0.0, hi + 0.0, n, extra.tobytes()
 
 
 def _rule_on(mu, lo, hi, n=1024, extra_nodes=None) -> _QuadratureRule:
@@ -647,31 +739,56 @@ def _rule_on(mu, lo, hi, n=1024, extra_nodes=None) -> _QuadratureRule:
     kernel at the rule's nodes and sums with ``integrate``.  A constant
     kernel integrates to the interval mass exactly.
     """
-    extra = np.unique(np.asarray(() if extra_nodes is None else extra_nodes, dtype=float))
-    # + 0.0 turns a -0.0 end into 0.0, so the two share one key and one rule
-    return _quadrature_rule(mu, lo + 0.0, hi + 0.0, n, extra.tobytes())
+    return _quadrature_rule(*_rule_key(mu, lo, hi, n, extra_nodes))
 
 
-def _product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
-    """int_lo^hi K(theta) mu(dtheta) by ``_rule_on``'s rule; 0 when hi <= lo."""
-    if hi <= lo:
-        return 0.0
-    rule = _rule_on(mu, lo, hi, n, extra_nodes)
-    return rule.integrate(np.asarray(values_of_theta(rule.nodes), dtype=float))
+def _term_parts(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> tuple:
+    """One term of ``delay_integrals`` up to its tail quadrature: (value,
+    False) when nothing is left, (partial total, True) when the rule's
+    quadrature on [lo, -t] and the remainder below lo follow."""
+    power = float(power)
+    if not power >= 0.0:
+        raise ValueError(f"delay kernel power {power}: must be >= 0")
+    if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
+        raise MomentDivergenceError(
+            f"delay integral diverges: ||u||^{power} of a tail of growth "
+            f"{buf.tail.growth} grows at {power * buf.tail.growth} >= 2 * rate = "
+            f"{2.0 * mu.rate} of exponential({mu.rate})")
+
+    if mu.kind == "point":
+        # a float64 norm: its power is C's pow, which an array's can miss by a bit
+        return float(_checked(np.linalg.norm(buf.head) ** power, 0.0)), False
+
+    t = buf.head_time
+    lo = -buf.horizon - t
+    total = 0.0
+
+    # simulated part: theta in [-t, 0], at the sample nodes
+    if t > 0.0:
+        nodes = buf.times - t
+        norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
+        ks = _checked(norms ** power, nodes)
+        masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
+        total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
+
+    # analytic-tail part: theta in (-infty, -t]
+    # closed forms hold on the untruncated tail
+    closed = _tail_power_closed_form(buf.tail, mu, power, -t)
+    if closed is not None:
+        return total + closed, False
+    if -t > lo:
+        return total, True
+    # remainder below the truncation horizon, with no quadrature node at lo
+    rem = mu.mass(-math.inf, lo)
+    if rem > 0.0:
+        at_lo = np.array([lo])
+        total += rem * float(_checked(_row_norms(buf.tail, at_lo + t) ** power, at_lo)[0])
+    return total, False
 
 
-def _checked(vals, thetas):
-    """vals, or DelayEvaluationError at the theta of its first non-finite entry."""
-    bad = ~np.isfinite(np.atleast_1d(vals))
-    if np.any(bad):
-        th = np.atleast_1d(thetas)[bad][0]
-        raise DelayEvaluationError(f"kernel not finite at theta = {th}", float(th))
-    return vals
-
-
-def delay_integrals(buf: HistoryBuffer, terms) -> list[float]:
-    """[int_{-infty}^0 ||u(t+theta)||^p mu(dtheta) for (mu, p) in terms] at the
-    head t.
+def delay_integrals(bufs, terms) -> np.ndarray:
+    """out[i, j] = int_{-infty}^0 ||u(t+theta)||^p mu(dtheta) at the head t of
+    bufs[i], for the j-th (mu, p) of terms.
 
     The simulated part [-t, 0] is integrated by a trapezoid in kernel values
     against exact interval masses on the sample grid; the analytic-tail part
@@ -683,71 +800,76 @@ def delay_integrals(buf: HistoryBuffer, terms) -> list[float]:
     MomentDivergenceError before any quadrature.  A kernel value that
     overflows raises DelayEvaluationError with its theta.
 
-    The terms are integrated in order, each to the bits and the error of its
-    one-term call.  The kernel norms at a measure's quadrature nodes are
-    evaluated once, and each term of that measure raises them to its power.
+    Every entry has the bits of its one-term call on its buffer alone, and
+    the error raised is the first that those calls, buffer by buffer and
+    term by term, would raise.  The tail quadratures are batched: buffers
+    whose rules share one key (the measure, the head time and the kink
+    nodes) form a group, the kernel norms at the rule's nodes are evaluated
+    once per group (``_tail_norms``), and each term of that measure raises
+    them to its power and integrates every row at once.
     """
-    t = buf.head_time
-    lo = -buf.horizon - t
-    quadrature = {}  # measure -> its rule on [lo, -t], the kernel norms at its nodes
+    out = np.empty((len(bufs), len(terms)))
+    groups = {}    # rule key -> (rule, head time, {buffer index: row}, {powers})
+    pending = []   # (i, j, partial total, rule key) of the entries left to finish
+    failure = None
+    for i, buf in enumerate(bufs):
+        kinks = None
+        for j, (mu, power) in enumerate(terms):
+            try:
+                total, quadrature = _term_parts(buf, mu, power)
+                if quadrature:
+                    t = buf.head_time
+                    lo = -buf.horizon - t
+                    if kinks is None:
+                        kinks = np.asarray(buf.tail.kink_nodes(lo + t, 0.0)) - t
+                    key = _rule_key(mu, lo, -t, extra_nodes=kinks)
+                    if key not in groups:
+                        groups[key] = (_rule_on(mu, lo, -t, extra_nodes=kinks), t, {}, set())
+            except (ValueError, ArithmeticError) as exc:  # raised after the entries before it
+                failure = exc
+                break
+            if quadrature:
+                rows, powers = groups[key][2:]
+                rows.setdefault(i, len(rows))
+                powers.add(float(power))
+                pending.append((i, j, total, key))
+            else:
+                out[i, j] = total
+        if failure is not None:
+            break
 
-    def term(mu, power):
-        power = float(power)
-        if not power >= 0.0:
-            raise ValueError(f"delay kernel power {power}: must be >= 0")
-        if mu.kind == "exponential" and power * buf.tail.growth >= 2.0 * mu.rate:
-            raise MomentDivergenceError(
-                f"delay integral diverges: ||u||^{power} of a tail of growth "
-                f"{buf.tail.growth} grows at {power * buf.tail.growth} >= 2 * rate = "
-                f"{2.0 * mu.rate} of exponential({mu.rate})")
-
-        if mu.kind == "point":
-            # a float64 norm: its power is C's pow, which an array's can miss by a bit
-            return float(_checked(np.linalg.norm(buf.head) ** power, 0.0))
-
-        total = 0.0
-
-        # simulated part: theta in [-t, 0], at the sample nodes
-        if t > 0.0:
-            nodes = buf.times - t
-            norms = np.linalg.norm(buf.values_at(nodes + t), axis=1)
-            ks = _checked(norms ** power, nodes)
-            masses = np.array([mu.mass(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
-            total += float(np.sum(masses * 0.5 * (ks[:-1] + ks[1:])))
-
-        # analytic-tail part: theta in (-infty, -t]
-        # closed forms hold on the untruncated tail
-        closed = _tail_power_closed_form(buf.tail, mu, power, -t)
-        if closed is not None:
-            return total + closed
-
-        k_lo = None
-        if -t > lo:
-            if mu not in quadrature:
-                kinks = buf.tail.kink_nodes(lo + t, 0.0)
-                rule = _rule_on(mu, lo, -t, extra_nodes=np.asarray(kinks) - t)
-                quadrature[mu] = rule, _row_norms(buf.tail, rule.nodes + t)
-            rule, norms = quadrature[mu]
-            ks = _checked(norms ** power, rule.nodes)
-            total += rule.integrate(ks)
-            k_lo = ks[0]
+    # one group at a time, so that one group's kernel values are alive: per
+    # power, every row's integral, its kernel value at lo and its error
+    done = {}
+    for key, (rule, t, rows, powers) in groups.items():
+        norms = _tail_norms([bufs[m].tail for m in rows], rule.nodes + t)
+        for power in powers:
+            ks = norms ** power
+            with np.errstate(over="ignore", invalid="ignore"):  # a row's error is raised instead
+                integrals = rule.integrate(ks)
+            errors = None if np.isfinite(ks).all() else [_nonfinite(row, rule.nodes) for row in ks]
+            done[key, power] = integrals, ks[:, 0].copy(), errors
+    for i, j, total, key in pending:
+        rule, t, rows, _ = groups[key]
+        integrals, k_lo, errors = done[key, float(terms[j][1])]
+        r = rows[i]
+        if errors is not None and errors[r] is not None:
+            raise errors[r]
+        total += integrals[r]
         # remainder below the truncation horizon: the kernel frozen at lo
-        rem = mu.mass(-math.inf, lo)
+        rem = terms[j][0].mass(-math.inf, -bufs[i].horizon - t)
         if rem > 0.0:
-            if k_lo is None:  # no quadrature node reads lo
-                at_lo = np.array([lo])
-                k_lo = _checked(_row_norms(buf.tail, at_lo + t) ** power, at_lo)[0]
-            total += rem * float(k_lo)
-        return total
-
-    return [term(mu, power) for mu, power in terms]
+            total += rem * float(k_lo[r])
+        out[i, j] = total
+    if failure is not None:
+        raise failure
+    return out
 
 
 def delay_integral(buf: HistoryBuffer, mu: DelayMeasure, power: float) -> float:
     """int_{-infty}^0 ||u(t+theta)||^power mu(dtheta) at the head t: the one
-    term of ``delay_integrals``."""
-    [value] = delay_integrals(buf, [(mu, power)])
-    return value
+    entry of ``delay_integrals``."""
+    return float(delay_integrals([buf], [(mu, power)])[0, 0])
 
 
 def _difference(seg_a: HistoryBuffer, seg_b: HistoryBuffer) -> HistoryBuffer:
@@ -772,7 +894,7 @@ def delay_pair_integrals(seg_a: HistoryBuffer, seg_b: HistoryBuffer, terms) -> l
     """[int ||phi(theta) - psi(theta)||^p mu(dtheta) for (mu, p) in terms] of two
     segments phi, psi: ``delay_integrals`` of their difference, whose kernel
     norms the terms of one measure share."""
-    return delay_integrals(_difference(seg_a, seg_b), terms)
+    return [float(v) for v in delay_integrals([_difference(seg_a, seg_b)], terms)[0]]
 
 
 def delay_pair_integral(seg_a: HistoryBuffer, seg_b: HistoryBuffer,

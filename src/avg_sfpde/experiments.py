@@ -422,7 +422,9 @@ def hypothesis_audit(preset: Preset, trials: int = 1000,
     coefficient families and is recorded as such rather than sampled.  Draws:
     ``trials`` each for growth and Holder, ``max(trials // 2, 200)`` pairs
     for H5, 200 fields (or pairs of fields) for each operator probe, and four
-    probe histories for H6.
+    probe histories for H6.  Each check takes its draws a chunk at a time
+    (``coefficients.worst_draw``) and scores every chunk as one batch, so
+    memory stays bounded as ``trials`` grows.
     """
     if rng_seed < 0:
         raise ValueError(f"seed = {rng_seed}: must be non-negative")
@@ -483,7 +485,8 @@ def _operator_growth_probe(op, cs, rng, trials):
         dual = op.dual_norm(cs.space, u)
         return (dual ** (p / (p - 1.0)) - (a1 * op.b_norm(cs.space, u) ** p + M),)
 
-    [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim), gap)
+    [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim),
+                         lambda us: [gap(u) for u in us])
     return CheckReport("operator_growth", *worst,
                        f"growth gap {worst[0]:.3e} (alpha1={a1}, M={M})")
 
@@ -498,7 +501,8 @@ def _coercivity_audit(op, cs, rng, trials):
         l2 = float(np.linalg.norm(u))
         return (pairing - (-a1 * bnorm_p + a2 * l2**2 + M),)
 
-    [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim), gap)
+    [worst] = worst_draw(trials, lambda: _sample_field(rng, cs.dim),
+                         lambda us: [gap(u) for u in us])
     return CheckReport("coercivity", *worst, f"coercivity gap {worst[0]:.3e}")
 
 
@@ -512,6 +516,7 @@ def _monotonicity_audit(op, cs, rng, trials):
         return (op.monotonicity_gap(cs.space, u, v) - bound - tol,)
 
     [worst] = worst_draw(
-        trials, lambda: (_sample_field(rng, cs.dim), _sample_field(rng, cs.dim)), gap)
+        trials, lambda: (_sample_field(rng, cs.dim), _sample_field(rng, cs.dim)),
+        lambda pairs: [gap(pair) for pair in pairs])
     return CheckReport("monotonicity", *worst,
                        f"monotonicity gap {worst[0]:.3e} (beta={prof.beta})")

@@ -21,7 +21,9 @@ from avg_sfpde.coefficients import (
     check_holder_averaged,
     estimate_rate,
     eval_diffusion_amplitude,
+    eval_diffusion_amplitudes,
     eval_drift,
+    eval_drifts,
     libm_loop,
     pow_or_inf,
     sample_history,
@@ -32,9 +34,11 @@ from avg_sfpde.delay import (
     DelayMeasure,
     HistoryBuffer,
     MomentDivergenceError,
+    delay_integral,
     seminorm_h,
     state_norm,
 )
+import avg_sfpde.delay as delay
 from avg_sfpde import presets
 from avg_sfpde.integrator import PathRunner, StepperConfig
 from avg_sfpde.presets import constant_xi, get_preset, public_names
@@ -393,7 +397,7 @@ def test_check_holder_constant_drift_zero_ratio():
 
 def test_worst_draw_ranks_the_first_nan_gap_above_every_number():
     draws = iter([(1.0, "a"), (math.nan, "b"), (math.inf, "c"), (math.nan, "d")])
-    [(gap, witness)] = worst_draw(4, lambda: next(draws), lambda x: (x[0],))
+    [(gap, witness)] = worst_draw(4, lambda: next(draws), lambda xs: [(x[0],) for x in xs])
     assert math.isnan(gap) and witness[1] == "b"
 
 
@@ -554,6 +558,60 @@ def test_sample_history_families_respect_radius():
         for _ in range(20):
             buf = sample_history(rng, 3, 1.0, 2.0, kind=kind)
             assert seminorm_h(buf) <= 2.0 + 1e-9
+
+
+# every preset, the scalar ones at dim 1 and the field ones at k = 1, 8, 32
+BATCH_CASES = [(name, None) for name in ("scalar-linear-osc", "scalar-holder-osc",
+                                         "broken-quadratic")] + \
+    [(name, k) for name in ("reaction-diffusion-delay", "porous-media-sin",
+                            "heat-deterministic") for k in (1, 8, 32)]
+
+
+def test_the_batch_cases_reach_every_drift_and_diffusion_term():
+    css = [get_preset(name, k=k).coefficients for name, k in BATCH_CASES]
+    assert any(cs.drift.delay_kernel_power is not None for cs in css)
+    assert any(cs.drift.seminorm_power for cs in css)            # broken-quadratic
+    assert any(cs.diffusion.kind == "rank_one" and cs.diffusion.pointwise and cs.space
+               for cs in css)                                    # pm's rank-one map
+    assert {cs.diffusion.kind for cs in css} == set(DiffusionSpec.KINDS)
+
+
+def one_draw_drift(cs, t, buf):
+    """xi_1(t) F(phi) of one history, composed term by term from public calls."""
+    d = cs.drift
+    delay_value = 0.0 if d.delay_kernel_power is None else \
+        delay_integral(buf, d.delay_measure, d.delay_kernel_power)
+    semi = seminorm_h(buf) if d.seminorm_power else 0.0
+    return cs.osc1(t) * cs.compose_drift(cs.grid_values(buf.head), delay_value, semi)
+
+
+def one_draw_diffusion(cs, t, buf):
+    """xi_2(t) G(phi) of one history, from public calls."""
+    values = None if cs.diffusion.kind == "diagonal" else cs.grid_values(buf.head)
+    return cs.osc2(t) * cs.diffusion_from_values(values)
+
+
+@pytest.mark.parametrize("piece", [7, None])
+@pytest.mark.parametrize("name, k", BATCH_CASES, ids=[f"{n}-k{k}" for n, k in BATCH_CASES])
+def test_a_batch_of_draws_has_the_bits_of_one_draw_at_a_time(name, k, piece, monkeypatch):
+    # 36 histories of the three sampler families, the path segments sharing
+    # sample grids in groups, interpolated in pieces of 7 or the default
+    # element count: each row of the batch has the bits of its draw alone
+    if piece is not None:
+        monkeypatch.setattr(delay, "PIECE_ELEMENTS", piece)
+    cs = get_preset(name, k=k).coefficients
+    rng = np.random.default_rng(40 + (k or 0))
+    h = cs.drift.delay_measure.rate if cs.drift.delay_measure else 1.0
+    bufs = [sample_history(rng, cs.dim, h, 3.0, kind=kind)
+            for kind in ("constant", "exponential", "path") * 12]
+    ts = rng.uniform(0.0, 20.0, len(bufs))
+    drifts, amps = eval_drifts(cs, ts, bufs), eval_diffusion_amplitudes(cs, ts, bufs)
+    assert drifts.shape == amps.shape == (len(bufs), cs.dim)
+    for batch, one, reference in ((drifts, eval_drift, one_draw_drift),
+                                  (amps, eval_diffusion_amplitude, one_draw_diffusion)):
+        for evaluate in (one, reference):
+            stacked = np.stack([evaluate(cs, t, buf) for t, buf in zip(ts, bufs)])
+            np.testing.assert_array_equal(bits(batch), bits(stacked))
 
 
 def looped_sample_history(rng, dim, h, radius):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from avg_sfpde.delay import (
     _difference,
     _DifferenceTail,
     _interp_rows,
-    _product_quadrature,
     _quadrature_rule,
+    _rule_on,
     _row_norms,
     delay_integral,
     delay_pair_integral,
@@ -481,6 +482,15 @@ def scalar_moments(mu, a, b, c):
     return tuple(scale * (h - l) for h, l in zip(hi, lo))
 
 
+def product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=None):
+    """int_lo^hi K(theta) mu(dtheta) by _rule_on's rule, as the delay integrals
+    apply it; 0 when hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    rule = _rule_on(mu, lo, hi, n, extra_nodes)
+    return rule.integrate(np.asarray(values_of_theta(rule.nodes), dtype=float))
+
+
 def scalar_product_quadrature(mu, lo, hi, values_of_theta, n=1024, extra_nodes=()):
     """Panel-by-panel Lagrange loop over scalar moments."""
     nodes = np.unique(np.concatenate([mu.graded_nodes(lo, hi, n), extra_nodes]))
@@ -516,7 +526,7 @@ def test_product_quadrature_matches_scalar_loop(mu, lo, n, extra, odd):
 
     nodes = np.unique(np.concatenate([mu.graded_nodes(lo, 0.0, n), extra]))
     assert (len(nodes) - 1) % 2 == odd  # an odd panel count ends in a linear panel
-    got = _product_quadrature(mu, lo, 0.0, K, n=n, extra_nodes=np.array(extra))
+    got = product_quadrature(mu, lo, 0.0, K, n=n, extra_nodes=np.array(extra))
     ref = scalar_product_quadrature(mu, lo, 0.0, K, n=n, extra_nodes=extra)
     assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
@@ -540,7 +550,7 @@ def test_product_quadrature_rejects_a_point_measure():
     # a point mass never reaches the quadrature: the delay integrals read the
     # head value for it first
     with pytest.raises(ValueError, match="exponential measure, not 'point'"):
-        _product_quadrature(DelayMeasure.point_mass(), -1.0, 0.0, np.cos)
+        product_quadrature(DelayMeasure.point_mass(), -1.0, 0.0, np.cos)
 
 
 def kinked(th):
@@ -551,13 +561,13 @@ def test_cached_rule_gives_the_cold_bits_for_any_order_of_extra_nodes():
     mu = DelayMeasure.exponential(0.9)
     kinks_a, kinks_b = np.array([-2.5, -0.75, -0.3]), np.array([-1.2, -0.75])
     _quadrature_rule.cache_clear()
-    cold = _product_quadrature(mu, -40.0, 0.0, kinked,
+    cold = product_quadrature(mu, -40.0, 0.0, kinked,
                                extra_nodes=np.concatenate([kinks_a, kinks_b]))
     assert _quadrature_rule.cache_info().misses == 1
-    warm = _product_quadrature(mu, -40.0, 0.0, kinked,
+    warm = product_quadrature(mu, -40.0, 0.0, kinked,
                                extra_nodes=np.concatenate([kinks_a, kinks_b]))
     # the swapped pair's key: the same node set, concatenated the other way
-    swapped = _product_quadrature(mu, -40.0, 0.0, kinked,
+    swapped = product_quadrature(mu, -40.0, 0.0, kinked,
                                   extra_nodes=np.concatenate([kinks_b, kinks_a]))
     assert _quadrature_rule.cache_info().misses == 1
     assert float(cold).hex() == float(warm).hex() == float(swapped).hex()
@@ -586,7 +596,7 @@ def test_rule_cache_stays_at_its_bound():
     _quadrature_rule.cache_clear()
     bound = _quadrature_rule.cache_info().maxsize
     for i in range(100):
-        _product_quadrature(mu, -40.0 - 0.01 * i, 0.0, kinked, n=64)
+        product_quadrature(mu, -40.0 - 0.01 * i, 0.0, kinked, n=64)
     info = _quadrature_rule.cache_info()
     assert info.misses == 100 and info.currsize == bound
 
@@ -608,7 +618,7 @@ def reference_delay_integral(buf, mu, power):
 
     lo = -buf.horizon - t
     kinks = buf.tail.kink_nodes(lo + t, 0.0)
-    total += _product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
+    total += product_quadrature(mu, lo, -t, K, extra_nodes=np.asarray(kinks) - t)
     rem = mu.mass(-math.inf, lo)
     if rem > 0.0:
         total += rem * float(K(np.array([lo]))[0])
@@ -653,6 +663,22 @@ def test_the_remainder_reads_the_rules_first_node(h, t, kinks, dim, power, rate,
     assert len(built) == 2 and all(rule.nodes[0] == lo for lo, rule in built)
     for g, b in zip(got, bufs):
         assert float(g).hex() == float(reference_delay_integral(b, mu, power)).hex()
+
+
+def test_a_subnormal_panel_raises_a_delay_evaluation_error():
+    # nodes -2e-322 and 0 are accepted as strictly increasing, but the panel
+    # pair around -2e-322 has u0 * u2 below the smallest subnormal: its
+    # weights are not finite, and the rule names the pair's middle node
+    # instead of the integral returning NaN with RuntimeWarnings
+    tail = TabulatedTail([-40.0, -2e-322, 0.0], [[1.0], [2.0], [3.0]])
+    buf = HistoryBuffer.from_tail(1.0, tail)
+    _quadrature_rule.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (buf, extract_segment(buf)):
+            with pytest.raises(DelayEvaluationError, match="quadrature weight") as err:
+                delay_integral(b, DelayMeasure.exponential(1.0), 1.0)
+            assert err.value.theta == -2e-322
 
 
 def test_an_empty_quadrature_still_reads_the_kernel_at_lo():

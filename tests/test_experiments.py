@@ -33,7 +33,7 @@ from avg_sfpde.experiments import (
     khasminskii_diagnostic,
 )
 from avg_sfpde.presets import constant_xi, get_preset
-from avg_sfpde.spectral import PdeOperator, coercivity_probe
+from avg_sfpde.spectral import PdeOperator, SpectralSpace, coercivity_probe
 from oracles import heat_block_residual_oracle, linear_freeze_residual_oracle
 
 LINEAR = get_preset("scalar-linear-osc")
@@ -771,6 +771,64 @@ def test_h5_evaluates_one_difference_kernel_per_draw(monkeypatch):
             for a, b, _ in draws]
     assert len(draws) == 200 and 0 < flat.count(False) < 200
     assert len(kernels) == flat.count(False)
+
+
+def _report_bits(report):
+    """A CheckReport as bits: its name, max_ratio and the heads, fields and
+    times of its witness draw."""
+    def leaf(x):
+        if isinstance(x, delay.HistoryBuffer):
+            return x.head.tobytes()
+        return x.tobytes() if isinstance(x, np.ndarray) else float(x).hex()
+    witness = report.witness if isinstance(report.witness, tuple) else (report.witness,)
+    return report.name, float(report.max_ratio).hex(), tuple(leaf(x) for x in witness)
+
+
+def _every_report(p):
+    cs, rng = p.coefficients, np.random.default_rng(4)
+    reports = [check_growth(cs, 20, 1), check_holder(cs, 3.0, 20, 2), *check_h5(cs, 20, 3)]
+    if cs.space is not None:
+        reports += [probe(p.operator, cs, rng, 20) for probe in
+                    (exp._operator_growth_probe, exp._coercivity_audit, exp._monotonicity_audit)]
+    return [_report_bits(r) for r in reports]
+
+
+CHUNK_PRESETS = [("scalar-linear-osc", None), ("scalar-holder-osc", None),
+                 ("broken-quadratic", None), ("reaction-diffusion-delay", 8),
+                 ("porous-media-sin", 8), ("heat-deterministic", 8)]
+
+
+@pytest.mark.parametrize("name, k", CHUNK_PRESETS, ids=[n for n, _ in CHUNK_PRESETS])
+def test_reports_do_not_depend_on_the_chunk_or_the_piece_size(name, k, monkeypatch):
+    # 20 draws scored in chunks of 1, 7 (7 + 7 + 6) or one default chunk, and
+    # the shared sample grids interpolated in pieces of 1, 7 or the default
+    # element count: every CheckReport keeps its gap bits and its witness
+    p = get_preset(name, k=k)
+    want = _every_report(p)
+    for chunk, piece in [(1, 1), (7, 7)]:
+        monkeypatch.setattr(coefficients, "SCORE_CHUNK", chunk)
+        monkeypatch.setattr(delay, "PIECE_ELEMENTS", piece)
+        assert _every_report(p) == want, (chunk, piece)
+
+
+def test_h5_transforms_the_heads_of_a_chunk_at_once(monkeypatch):
+    # one chunk of H5 draws takes one to_values call, on the stacked heads of
+    # both histories of every draw, whatever the number of draws in it; the
+    # diagonal noise of reaction-diffusion-delay reads no head
+    calls = []
+    to_values = SpectralSpace.to_values
+
+    def counted(self, coeffs):
+        calls.append(np.shape(coeffs))
+        return to_values(self, coeffs)
+
+    monkeypatch.setattr(SpectralSpace, "to_values", counted)
+    counts = []
+    for trials in (20, 40):
+        calls.clear()
+        check_h5(RD8.coefficients, trials, 0)
+        counts.append(len(calls))
+    assert counts == [1, 1] and calls == [(80, 8)]
 
 
 def test_the_path_pool_has_at_most_one_worker_per_cpu(monkeypatch):
